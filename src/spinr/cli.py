@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -349,14 +350,24 @@ def _suite_cases(cfg: RunConfig) -> list[Case]:
     return cases
 
 
+def worker_count(jobs: int, cases: int) -> int:
+    """Worker processes for a verify run: at most one per case and per CPU.
+
+    The pool forks every worker up front, so an unclamped --jobs would start
+    that many processes however few cases or CPUs there are.
+    """
+    return min(jobs, cases, os.cpu_count() or 1)
+
+
 def cmd_verify(cfg: RunConfig) -> int:
     if cfg.ell is not None and cfg.ell < 1:
         raise UsageError("spin parameter -l must be at least 1")
     if cfg.k is not None and cfg.k < 0:
         raise UsageError("-k must be nonnegative")
     cases = _suite_cases(cfg)
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    workers = worker_count(cfg.jobs, len(cases))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_case, cases))
     else:
         results = [_run_case(c) for c in cases]

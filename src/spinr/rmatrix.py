@@ -4,10 +4,12 @@ Each total-weight sector k carries a (k+1) x (k+1) block in the generic
 variables (z, phi, eps).  Two independent constructions are provided: the
 closed-form single sum over products of linear forms (``rblock_closed``) and
 the triangular product S^-1 * S-tilde (``rblock_triangular``), where S-tilde
-is S with rows reversed and z negated.  ``assemble_full`` specializes the
-blocks to the spin line (eps -> -ell*phi, then phi -> 1) and places them in
-the tensor-product basis: the entry coupling source (a, b) to target (a', b')
-with a + b = a' + b' = k is block entry (b', b); everything else is zero.
+is S with rows reversed and z negated.  ``assemble_full`` builds each block
+entry it needs on the spin line: it binds eps -> -ell*phi in every factored
+summand, sums, sets phi -> 1 and cancels removable roots.  It places the
+entries in the tensor-product basis: the entry coupling source (a, b) to
+target (a', b') with a + b = a' + b' = k is block entry (b', b); everything
+else is zero.  No generic block is expanded on the way.
 
 Verifications: unitarity R(z) R(-z) = Id (symbolically per block and for the
 assembled matrix), equality of the two constructions, the lower/upper
@@ -144,52 +146,64 @@ def verify_equal_constructions(k: int) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def specialize_block(
-    block: RBlock, ell: int
-) -> tuple[SymMatrix, set[Fraction], list[list[frozenset[Fraction]]]]:
-    """Substitute eps -> -ell*phi then phi -> 1; also report the genuine poles.
+def _bound_summands(k: int, bp: int, b: int, ell: int) -> list[FactoredRat]:
+    """The factored summands of block entry (b', b) with eps -> -ell*phi bound.
 
-    Pole candidates are collected from the syntactic denominator factors while
-    they are still linear forms: a factor c_z*z + c*phi vanishes at z = -c/c_z
-    once phi = 1.  The specialization can leave a factor shared by numerator
-    and denominator; those removable points are cancelled by trial division so
-    that only genuine poles survive and evaluation at z = 0 stays legal.
-    Returns (matrix, union of poles, per-entry pole sets).
+    A summand whose numerator gains a vanishing form is zero and is dropped.
+    Denominator forms all contain z, so binding never makes one vanish.
     """
-    eps_binding = {"eps": MPoly.monomial((0, 1, 0), -ell)}
+    bound: list[FactoredRat] = []
+    for term in _rblock_entry_terms(k, bp, b):
+        pairs = [(form.bind_eps(-ell), exp) for form, exp in term.factors]
+        if any(exp > 0 and form.is_zero for form, exp in pairs):
+            continue
+        bound.append(FactoredRat(term.scalar, pairs))
+    return bound
+
+
+def specialize_block(
+    k: int, ell: int
+) -> tuple[
+    dict[int, dict[int, RatFun]], set[Fraction], dict[int, dict[int, frozenset[Fraction]]]
+]:
+    """The sector-k entries that the spin-ell/2 matrix uses, with their genuine poles.
+
+    Only entries (b', b) with b', b in max(0, k-ell)..min(k, ell) are built.
+    Each is summed from its factored summands after binding eps -> -ell*phi,
+    so the sum is already homogeneous in (z, phi); then phi -> 1.  Pole
+    candidates are read off the bound denominator forms z + c*phi, which
+    vanish at z = -c once phi = 1.  Factors shared by numerator and
+    denominator are cancelled by trial division at those candidates, so only
+    genuine poles survive and evaluation at z = 0 stays legal.
+    Returns (entries, union of poles, per-entry pole sets), both maps indexed
+    [b'][b].
+    """
     phi_binding = {"phi": MPoly.one()}
+    span = range(max(0, k - ell), min(k, ell) + 1)
     poles: set[Fraction] = set()
-    grid: list[list[RatFun]] = []
-    pole_grid: list[list[frozenset[Fraction]]] = []
-    for row in block.matrix.entries:
-        new_row: list[RatFun] = []
-        pole_row: list[frozenset[Fraction]] = []
-        for entry in row:
-            candidates: set[Fraction] = set()
-            if entry.den_factors is not None:
-                for form, _ in entry.den_factors:
-                    bound = form.bind_eps(-ell)
-                    if bound.c_z:
-                        candidates.add(Fraction(-bound.c_phi, bound.c_z))
-            num = entry.num.substitute(eps_binding).substitute(phi_binding)
-            den = entry.den.substitute(eps_binding).substitute(phi_binding)
-            if den.is_zero:
-                raise PoleSpecializationError(
-                    f"denominator {entry.den} vanishes under the spin specialization"
-                )
-            num, den = cancel_common_z_roots(num, den, sorted(candidates))
+    entries: dict[int, dict[int, RatFun]] = {}
+    pole_grid: dict[int, dict[int, frozenset[Fraction]]] = {}
+    for bp in span:
+        entries[bp], pole_grid[bp] = {}, {}
+        for b in span:
+            summed = factored_sum(_bound_summands(k, bp, b, ell))
+            candidates = sorted(
+                Fraction(-form.c_phi, form.c_z) for form, _ in summed.den_factors
+            )
+            num, den = cancel_common_z_roots(
+                summed.num.substitute(phi_binding),
+                summed.den.substitute(phi_binding),
+                candidates,
+            )
             genuine = frozenset(
                 root
                 for root in candidates
                 if den.substitute({"z": MPoly.const(root)}).is_zero
             )
             poles |= genuine
-            new_row.append(RatFun(num, den))
-            pole_row.append(genuine)
-        grid.append(new_row)
-        pole_grid.append(pole_row)
-    matrix = SymMatrix(grid, block.matrix.row_labels, block.matrix.col_labels)
-    return matrix, poles, pole_grid
+            entries[bp][b] = RatFun(num, den)
+            pole_grid[bp][b] = genuine
+    return entries, poles, pole_grid
 
 
 @dataclass(frozen=True)
@@ -241,7 +255,11 @@ class FullR:
 
 
 def assemble_full(ell: int) -> FullR:
-    """Assemble the spin-ell/2 R-matrix from the specialized sector blocks."""
+    """Assemble the spin-ell/2 R-matrix from the sector entries on the spin line.
+
+    Each entry is bound (eps -> -ell*phi), summed, set to phi = 1 and
+    cancelled by ``specialize_block``; no generic block is expanded.
+    """
     if ell < 1:
         raise ValueError(f"need ell >= 1, got {ell}")
     d = ell + 1
@@ -250,14 +268,11 @@ def assemble_full(ell: int) -> FullR:
     grid: list[list[RatFun]] = [[zero] * dim for _ in range(dim)]
     poles: set[Fraction] = set()
     for k in range(2 * ell + 1):
-        block, _, pole_grid = specialize_block(rblock_closed(k), ell)
-        for b in range(max(0, k - ell), min(k, ell) + 1):
-            a = k - b
-            col = d * a + b
-            for bp in range(max(0, k - ell), min(k, ell) + 1):
-                ap = k - bp
-                grid[d * ap + bp][col] = block.entries[bp][b]
-                poles |= pole_grid[bp][b]
+        block, block_poles, _ = specialize_block(k, ell)
+        poles |= block_poles
+        for bp, row in block.items():
+            for b, entry in row.items():
+                grid[d * (k - bp) + bp][d * (k - b) + b] = entry
     labels = [(a, b) for a in range(d) for b in range(d)]
     return FullR(ell, SymMatrix(grid, labels, labels), frozenset(poles))
 

@@ -182,6 +182,18 @@ def test_verify_jobs_parallel_same_bytes(tmp_path, capsys):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+def test_worker_count_is_bounded(monkeypatch):
+    # computed directly: a pool of the requested size is never started
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert cli.worker_count(10000, 47) == 2
+    assert cli.worker_count(10000, 1) == 1
+    assert cli.worker_count(1, 47) == 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    assert cli.worker_count(10**9, 3) == 3
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli.worker_count(10000, 47) == 1
+
+
 def test_verify_seeded_ybe(capsys):
     code, out, _ = run(
         capsys,

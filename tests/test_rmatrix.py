@@ -4,7 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from spinr.exactalg import MPoly, PoleSpecializationError, RatFun, ratfun_eq
+from spinr.exactalg import (
+    MPoly,
+    PoleSpecializationError,
+    RatFun,
+    cancel_common_z_roots,
+    ratfun_eq,
+)
+from spinr.fracmat import identity
 from spinr.golden import spin_half_block, spin_one_full_matrix, spin_one_middle_block
 from spinr.rmatrix import (
     assemble_full,
@@ -141,13 +148,58 @@ def test_block_structure_cross_sector_zero():
 
 
 def test_specialize_block_cancels_removable_factors():
-    block, poles, pole_grid = specialize_block(rblock_closed(3), 2)
+    block, poles, pole_grid = specialize_block(3, 2)
     # the in-range entries carry only genuine poles; z = 0 is not one of them
     for bp in (1, 2):
         for b in (1, 2):
             assert Fraction(0) not in pole_grid[bp][b]
     in_range = [pole_grid[bp][b] for bp in (1, 2) for b in (1, 2)]
     assert all(p < 0 for cell in in_range for p in cell)
+
+
+def _specialize_expanded(entry: RatFun, ell: int) -> tuple[MPoly, MPoly, frozenset]:
+    """The expand-then-substitute route: eps -> -ell*phi and phi -> 1 on the
+    expanded generic entry, then trial division at the bound denominator roots."""
+    candidates = set()
+    for form, _ in entry.den_factors:
+        bound = form.bind_eps(-ell)
+        candidates.add(Fraction(-bound.c_phi, bound.c_z))
+    eps, phi = {"eps": MPoly.monomial((0, 1, 0), -ell)}, {"phi": ONE}
+    num = entry.num.substitute(eps).substitute(phi)
+    den = entry.den.substitute(eps).substitute(phi)
+    num, den = cancel_common_z_roots(num, den, sorted(candidates))
+    genuine = frozenset(r for r in candidates if den.substitute({"z": MPoly.const(r)}).is_zero)
+    return num, den, genuine
+
+
+def test_assembly_matches_expanded_generic_blocks():
+    # binding before summing must give the same num/den terms, not merely
+    # equal values: the JSON and LaTeX output print them as they are
+    fulls = {ell: assemble_full(ell) for ell in (1, 2, 3)}
+    poles = {ell: set() for ell in fulls}
+    for k in range(7):
+        block = rblock_closed(k).matrix.entries
+        for ell, full in fulls.items():
+            if k > 2 * ell:
+                continue
+            d = ell + 1
+            span = range(max(0, k - ell), min(k, ell) + 1)
+            for bp in span:
+                for b in span:
+                    num, den, genuine = _specialize_expanded(block[bp][b], ell)
+                    entry = full.matrix.entries[d * (k - bp) + bp][d * (k - b) + b]
+                    assert entry.num == num and entry.den == den, (ell, k, bp, b)
+                    assert entry.den_factors is None
+                    poles[ell] |= genuine
+    for ell, full in fulls.items():
+        assert full.pole_candidates == frozenset(poles[ell])
+
+
+def test_assembled_poles_and_identity_at_zero_through_spin_5_2():
+    for ell in range(1, 6):
+        full = assemble_full(ell)
+        assert full.pole_candidates == frozenset(Fraction(-n) for n in range(1, ell + 1))
+        assert full.at_z(Fraction(0)) == identity(full.dim)
 
 
 def test_identity_at_zero():
