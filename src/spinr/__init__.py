@@ -10,13 +10,9 @@ from .exactalg import (
     RatFun,
     Rational,
     UnsupportedPoleOrderError,
-    factored_expand,
     factored_sum,
-    mpoly_arith,
     mpoly_exact_div,
-    ratfun_eq,
     residue_at,
-    specialize,
 )
 from .moduli import (
     DegeneratePatchError,

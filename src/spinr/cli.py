@@ -184,12 +184,19 @@ def _frac_csv(rows: list[list[Fraction]]) -> str:
     return "\n".join(",".join(str(x) for x in row) for row in rows)
 
 
+def _require_format(cfg: RunConfig, formats: tuple[str, ...], what: str) -> None:
+    """Reject a --format the writer for `what` cannot produce."""
+    if cfg.fmt not in formats:
+        raise UsageError(f"{what} has no {cfg.fmt} output (formats: {', '.join(formats)})")
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 
 def cmd_fixed_points(cfg: RunConfig) -> int:
+    _require_format(cfg, ("json", "text"), "fixed-points")
     points = moduli.fixed_points(cfg.k, cfg.n, cfg.ell)
     if cfg.fmt == "json":
         doc = {
@@ -206,6 +213,9 @@ def cmd_fixed_points(cfg: RunConfig) -> int:
 
 
 def cmd_dims(cfg: RunConfig) -> int:
+    if cfg.n < 1 or cfg.ell < 1:
+        raise UsageError("-n and -l must be at least 1")
+    _require_format(cfg, ("json", "text", "csv"), "dims")
     rows = []
     for k in range(cfg.n * cfg.ell + 1):
         rows.append(
@@ -238,6 +248,8 @@ def cmd_compute_r(cfg: RunConfig) -> int:
         matrix = rmatrix.rblock_closed(cfg.block).matrix
         extra = {"k": cfg.block, "variables": ["z", "phi", "eps"]}
         return _emit_matrix(cfg, "r-block", matrix, extra)
+    if cfg.at_z is not None:
+        _require_format(cfg, ("json", "text", "csv"), "compute-r --at-z")
     full = rmatrix.assemble_full(cfg.ell)
     if cfg.at_z is not None:
         numeric = full.at_z(cfg.at_z)

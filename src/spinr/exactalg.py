@@ -12,10 +12,17 @@ there is no floating point anywhere.  The building blocks are:
                     This is the construction-side representation: every localization
                     coefficient is born factored.
 * ``RatFun``     -- quotient num/den of two polynomials.  No reduction to lowest
-                    terms is ever performed; equality is decided by cross
-                    multiplication.  When the denominator's factorization into
-                    linear forms is known it is cached, which keeps degrees small
-                    when summing many terms over a common denominator.
+                    terms is ever performed; ``==`` is value equality, decided
+                    by cross multiplication.  When the denominator's
+                    factorization into linear forms is known it is cached,
+                    which keeps degrees small when summing many terms over a
+                    common denominator.
+
+Substitution acts on polynomials only (``MPoly.substitute``); there is no
+general specialization of rational functions.  Linear factors (z - c) at known
+candidate roots are stripped by trial division (``residue_at``,
+``cancel_common_z_roots``), and spin specialization lives in
+``rmatrix.specialize_block``.
 
 Monomials are ordered lexicographically on (e_z, e_phi, e_eps); serialization and
 iteration always follow that order, so output is deterministic.
@@ -46,7 +53,7 @@ class ExactDivisionError(ExactAlgError):
 
 
 class PoleSpecializationError(ExactAlgError):
-    """Raised when a substitution makes a denominator vanish identically."""
+    """Raised when a denominator vanishes at an evaluation point."""
 
 
 class UnsupportedPoleOrderError(ExactAlgError):
@@ -268,17 +275,6 @@ class MPoly:
         return f"MPoly({mpoly_to_str(self)})"
 
 
-def mpoly_arith(a: MPoly, b: MPoly, op: str) -> MPoly:
-    """Named entry point for add/sub/mul, mirroring the operator forms."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def mpoly_exact_div(a: MPoly, b: MPoly) -> MPoly:
     """Quotient q with q*b == a; raises ExactDivisionError when b does not divide a."""
     if b.is_zero:
@@ -298,15 +294,6 @@ def mpoly_exact_div(a: MPoly, b: MPoly) -> MPoly:
         quotient[mono] = coeff  # lex-leading monomials never repeat
         rest = rest - b * MPoly.monomial(mono, coeff)
     return MPoly(quotient)
-
-
-def divides(b: MPoly, a: MPoly) -> bool:
-    """True when b divides a exactly."""
-    try:
-        mpoly_exact_div(a, b)
-        return True
-    except ExactDivisionError:
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -482,11 +469,6 @@ class FactoredRat:
         return f"FactoredRat({self})"
 
 
-def factored_expand(f: FactoredRat) -> RatFun:
-    """Named entry point for FactoredRat.expand."""
-    return f.expand()
-
-
 # ---------------------------------------------------------------------------
 # rational functions
 # ---------------------------------------------------------------------------
@@ -527,14 +509,6 @@ class RatFun:
     def const(cls, c: Scalar) -> RatFun:
         return cls(MPoly.const(c))
 
-    @classmethod
-    def from_mpoly(cls, p: MPoly) -> RatFun:
-        return cls(p)
-
-    @classmethod
-    def var(cls, name: str) -> RatFun:
-        return cls(MPoly.var(name))
-
     # -- predicates -----------------------------------------------------------
 
     @property
@@ -547,8 +521,8 @@ class RatFun:
         return self.num * other.den == other.num * self.den
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, RatFun):
-            return self.num == other.num and self.den == other.den
+        if isinstance(other, (RatFun, int, Fraction)):
+            return self.value_eq(other)
         return NotImplemented
 
     __hash__ = None  # type: ignore[assignment]
@@ -638,11 +612,6 @@ class RatFun:
         return f"RatFun({ratfun_to_str(self)})"
 
 
-def ratfun_eq(a: RatFun, b: RatFun) -> bool:
-    """Value equality by cross multiplication: a.num*b.den == b.num*a.den."""
-    return a.value_eq(b)
-
-
 def factored_sum(terms: Iterable[FactoredRat]) -> RatFun:
     """Sum of factored terms over their least common factored denominator.
 
@@ -668,108 +637,29 @@ def factored_sum(terms: Iterable[FactoredRat]) -> RatFun:
 
 
 # ---------------------------------------------------------------------------
-# substitution and residues
+# root stripping, residues and limits
 # ---------------------------------------------------------------------------
 
-BindingValue = Union[RatFun, MPoly, Fraction, int]
 
+def _strip_z_root(
+    root: MPoly, *polys: MPoly, cap: int | None = None
+) -> tuple[int, tuple[MPoly, ...]]:
+    """Divide every poly by (z - root) while all of them vanish at z = root.
 
-def _coerce_binding(value: BindingValue) -> RatFun:
-    if isinstance(value, RatFun):
-        return value
-    if isinstance(value, MPoly):
-        return RatFun(value)
-    return RatFun.const(value)
-
-
-def _resolve_bindings(bindings: Mapping[str, BindingValue]) -> dict[str, RatFun]:
-    """Close the binding map: later bindings are substituted into earlier values.
-
-    Allows e.g. {eps: -2*phi, phi: 1} to mean eps -> -2, phi -> 1.
+    root must be free of z.  Then (z - root) is monic in z, so vanishing at
+    z = root proves divisibility and every division is exact.  A zero poly is
+    never stripped.  Returns (number of divisions, quotients); cap bounds the
+    number of divisions.
     """
-    resolved = {name: _coerce_binding(v) for name, v in bindings.items()}
-    for _ in range(len(VARS)):
-        changed = False
-        for name, val in resolved.items():
-            others = {k: v for k, v in resolved.items() if k != name}
-            if not others:
-                continue
-            mentioned = any(
-                m[_VAR_INDEX[k]] for k in others for m in (*val.num.terms, *val.den.terms)
-            )
-            if mentioned:
-                resolved[name] = specialize(val, others, _resolve=False)
-                changed = True
-        if not changed:
-            return resolved
-    raise ExactAlgError("cyclic bindings in specialization")
-
-
-def specialize(
-    f: RatFun, bindings: Mapping[str, BindingValue], *, _resolve: bool = True
-) -> RatFun:
-    """Simultaneous substitution; the result lives in the remaining variables.
-
-    Raises PoleSpecializationError when the denominator vanishes identically
-    under the bindings.
-    """
-    if not bindings:
-        return f
-    values = _resolve_bindings(bindings) if _resolve else {
-        k: _coerce_binding(v) for k, v in bindings.items()
-    }
-    if all(v.den == MPoly.one() for v in values.values()):
-        polys = {k: v.num for k, v in values.items()}
-        num = f.num.substitute(polys)
-        den = f.den.substitute(polys)
-        if den.is_zero:
-            raise PoleSpecializationError(
-                f"denominator {f.den} vanishes identically under {_binding_repr(values)}"
-            )
-        return RatFun(num, den)
-    num = _eval_poly_ratfun(f.num, values)
-    den = _eval_poly_ratfun(f.den, values)
-    if den.is_zero:
-        raise PoleSpecializationError(
-            f"denominator {f.den} vanishes identically under {_binding_repr(values)}"
-        )
-    return num / den
-
-
-def _binding_repr(values: Mapping[str, RatFun]) -> str:
-    return "{" + ", ".join(f"{k} -> {v}" for k, v in sorted(values.items())) + "}"
-
-
-def _eval_poly_ratfun(p: MPoly, values: Mapping[str, RatFun]) -> RatFun:
-    args = [values.get(name, RatFun.var(name)) for name in VARS]
-    powers: list[list[RatFun]] = []
-    for i, val in enumerate(args):
-        top = max((m[i] for m in p.terms), default=0)
-        cache = [RatFun.one()]
-        for _ in range(top):
-            cache.append(cache[-1] * val)
-        powers.append(cache)
-    out = RatFun.zero()
-    for mono, coeff in p.sorted_terms():
-        term = RatFun.const(coeff)
-        for i, e in enumerate(mono):
-            if e:
-                term = term * powers[i][e]
-        out = out + term
-    return out
-
-
-def _strip_factor(p: MPoly, n: int, cap: int | None = None) -> tuple[int, MPoly]:
-    """Remove the maximal power of (z + n*phi) from p; return (multiplicity, quotient)."""
-    factor = LinForm(1, n, 0).to_mpoly()
-    at_pole = {"z": MPoly.monomial((0, 1, 0), -n)}
+    factor = MPoly({(1, 0, 0): 1, **(-root).terms})
+    at_root = {"z": root}
     count = 0
-    while not p.is_zero and (cap is None or count < cap):
-        if not p.substitute(at_pole).is_zero:
-            break
-        p = mpoly_exact_div(p, factor)
+    while (cap is None or count < cap) and all(
+        not p.is_zero and p.substitute(at_root).is_zero for p in polys
+    ):
+        polys = tuple(mpoly_exact_div(p, factor) for p in polys)
         count += 1
-    return count, p
+    return count, polys
 
 
 def residue_at(f: RatFun, n: int) -> RatFun:
@@ -778,10 +668,11 @@ def residue_at(f: RatFun, n: int) -> RatFun:
     Returns zero when f has no pole there; raises UnsupportedPoleOrderError for
     a pole of order two or more.
     """
-    m_den, den_red = _strip_factor(f.den, n)
+    pole = MPoly.monomial((0, 1, 0), -n)
+    m_den, (den_red,) = _strip_z_root(pole, f.den)
     if m_den == 0:
         return RatFun.zero()
-    m_num, num_red = _strip_factor(f.num, n, cap=m_den)
+    m_num, (num_red,) = _strip_z_root(pole, f.num, cap=m_den)
     order = m_den - m_num
     if order <= 0:
         return RatFun.zero()
@@ -789,7 +680,7 @@ def residue_at(f: RatFun, n: int) -> RatFun:
         raise UnsupportedPoleOrderError(
             f"pole of order {order} at z = {-n}*phi (only simple poles are supported)"
         )
-    at_pole = {"z": MPoly.monomial((0, 1, 0), -n)}
+    at_pole = {"z": pole}
     return RatFun(num_red.substitute(at_pole), den_red.substitute(at_pole))
 
 
@@ -804,11 +695,6 @@ def limit_at_z_infinity(f: RatFun) -> RatFun | None:
     return RatFun(lead_num) / RatFun(lead_den)
 
 
-def z_root_factor(root: Scalar) -> MPoly:
-    """The monic linear factor z - root."""
-    return MPoly({(1, 0, 0): Fraction(1), _ZERO_MONO: -Fraction(root)})
-
-
 def cancel_common_z_roots(
     num: MPoly, den: MPoly, roots: Iterable[Scalar]
 ) -> tuple[MPoly, MPoly]:
@@ -819,15 +705,7 @@ def cancel_common_z_roots(
     the supplied trial set is attempted.
     """
     for root in roots:
-        factor = z_root_factor(root)
-        binding = {"z": MPoly.const(root)}
-        while (
-            not num.is_zero
-            and num.substitute(binding).is_zero
-            and den.substitute(binding).is_zero
-        ):
-            num = mpoly_exact_div(num, factor)
-            den = mpoly_exact_div(den, factor)
+        _, (num, den) = _strip_z_root(MPoly.const(root), num, den)
     return num, den
 
 

@@ -233,6 +233,3 @@ GOLDEN_CHECKS = {
     "golden_spin_one_full": golden_spin_one_full,
 }
 
-
-def golden_reports() -> list[Report]:
-    return [check() for check in GOLDEN_CHECKS.values()]

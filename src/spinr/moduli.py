@@ -130,9 +130,6 @@ class WeightTable:
     def net_dimension(self) -> int:
         return len(self.variables) - len(self.equations)
 
-    def variable_forms(self) -> list[LinForm]:
-        return [v.form for v in self.variables]
-
     def to_json(self) -> dict:
         return {
             "variables": [{"form": str(v.form), "tag": v.tag} for v in self.variables],

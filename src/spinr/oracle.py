@@ -30,8 +30,6 @@ from .exactalg import (
     MPoly,
     RatFun,
     cancel_common_z_roots,
-    divides,
-    mpoly_exact_div,
     ratfun_to_str,
 )
 from .fracmat import FracMat
@@ -306,14 +304,10 @@ def _eval_with_cancellation(f: RatFun, value: Fraction) -> Fraction | None:
     """Value of f at z = value after cancelling matching powers of (z - value).
 
     The unreduced num/den representation can carry a removable factor at the
-    probe point; it is stripped by exact-division trial.  None means a true
-    pole survives.
+    probe point; it is stripped by trial division.  None means a true pole
+    survives.
     """
-    factor = MPoly({(1, 0, 0): Fraction(1), (0, 0, 0): -value})
-    num, den = f.num, f.den
-    while divides(factor, num) and divides(factor, den):
-        num = mpoly_exact_div(num, factor)
-        den = mpoly_exact_div(den, factor)
+    num, den = cancel_common_z_roots(f.num, f.den, [value])
     den_value = den.eval_rational({"z": value})
     if den_value == 0:
         return None

@@ -164,9 +164,6 @@ class SymMatrix:
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def __getitem__(self, rc: tuple[int, int]) -> RatFun:
-        return self.entries[rc[0]][rc[1]]
-
     @classmethod
     def identity(cls, n: int, labels: Sequence[object] | None = None) -> SymMatrix:
         grid = [

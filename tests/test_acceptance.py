@@ -9,7 +9,6 @@ import itertools
 import time
 from fractions import Fraction
 
-from spinr.exactalg import ratfun_eq
 from spinr.golden import (
     spin_half_block,
     spin_one_full_matrix,
@@ -166,9 +165,9 @@ def test_criterion_10_geometry_to_formula():
             for jp in range(k + 1):
                 for j in range(jp + 1):
                     geom = complete_intersection_coeff(patch_weights(k, j, jp, "Zbar"))
-                    assert ratfun_eq(geom.expand(), zbar_coeff(k, j, jp).expand())
+                    assert geom.expand() == zbar_coeff(k, j, jp).expand()
                     geom = complete_intersection_coeff(patch_weights(k, j, jp, "Stab"))
-                    assert ratfun_eq(geom.expand(), stable_coeff(k, j, jp).expand())
+                    assert geom.expand() == stable_coeff(k, j, jp).expand()
 
 
 def test_criterion_11_oracle_equivariance_and_spectrum():

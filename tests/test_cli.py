@@ -54,6 +54,13 @@ def test_dims_single_site(capsys):
     assert [r["dim_variety"] for r in json.loads(out)["rows"]] == [0, 0]
 
 
+def test_dims_rejects_nonpositive_parameters(capsys):
+    for n, ell in (("-1", "2"), ("2", "-1"), ("0", "2"), ("2", "0")):
+        code, out, err = run(capsys, "dims", "-n", n, "-l", ell)
+        assert code == 2 and out == ""
+        assert "error" in err
+
+
 # ---------------------------------------------------------------------------
 # compute commands
 # ---------------------------------------------------------------------------
@@ -76,6 +83,12 @@ def test_compute_r_identity_at_zero_csv(capsys):
     for i, row in enumerate(rows):
         for j, cell in enumerate(row):
             assert cell == ("1" if i == j else "0")
+
+
+def test_compute_r_at_z_rejects_latex(capsys):
+    code, out, err = run(capsys, "compute-r", "-l", "1", "--at-z", "0", "--format", "latex")
+    assert code == 2 and out == ""
+    assert "latex" in err
 
 
 def test_compute_r_rejects_decimal(capsys):
@@ -218,6 +231,29 @@ def test_export_routes_to_s_matrix(capsys):
 
 def test_export_fixed_points_requires_params(capsys):
     assert run(capsys, "export", "--kind", "fixed-points", "-k", "1")[0] == 2
+
+
+def test_export_dims_rejects_latex(capsys):
+    code, out, err = run(
+        capsys, "export", "--kind", "dims", "-n", "2", "-l", "2", "--format", "latex"
+    )
+    assert code == 2 and out == ""
+    assert "latex" in err
+
+
+def test_export_fixed_points_rejects_csv(capsys):
+    code, out, err = run(
+        capsys,
+        "export", "--kind", "fixed-points", "-k", "2", "-n", "2", "-l", "2", "--format", "csv",
+    )
+    assert code == 2 and out == ""
+    assert "csv" in err
+
+
+def test_export_s_matrix_csv(capsys):
+    code, out, _ = run(capsys, "export", "--kind", "s", "-k", "1", "--format", "csv")
+    assert code == 0
+    assert out == "1/(eps + z),-eps/(z*eps + z^2)\n0,1/z\n"
 
 
 def test_output_file_roundtrip(tmp_path, capsys):

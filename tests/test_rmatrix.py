@@ -9,7 +9,6 @@ from spinr.exactalg import (
     PoleSpecializationError,
     RatFun,
     cancel_common_z_roots,
-    ratfun_eq,
 )
 from spinr.fracmat import identity
 from spinr.golden import spin_half_block, spin_one_full_matrix, spin_one_middle_block
@@ -54,7 +53,7 @@ def test_block_k1_matches_reference():
 def test_block_k2_corner_entry():
     entry = rblock_closed(2).matrix.entries[0][0]
     expected = RatFun(EPS * (PHI + EPS), (EPS - Z) * (PHI + EPS - Z))
-    assert ratfun_eq(entry, expected)
+    assert entry == expected
 
 
 def test_block_k2_matches_reference():
@@ -64,9 +63,9 @@ def test_block_k2_matches_reference():
 def test_s_tilde_k1_hand_values():
     st = s_tilde(1)
     assert st.entries[0][0].is_zero
-    assert ratfun_eq(st.entries[0][1], RatFun(-ONE, Z))
-    assert ratfun_eq(st.entries[1][0], RatFun(ONE, EPS - Z))
-    assert ratfun_eq(st.entries[1][1], RatFun(EPS, Z * (EPS - Z)))
+    assert st.entries[0][1] == RatFun(-ONE, Z)
+    assert st.entries[1][0] == RatFun(ONE, EPS - Z)
+    assert st.entries[1][1] == RatFun(EPS, Z * (EPS - Z))
 
 
 def test_triangular_equals_closed_small():

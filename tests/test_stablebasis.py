@@ -8,9 +8,7 @@ from spinr.exactalg import (
     MPoly,
     RatFun,
     factored_sum,
-    ratfun_eq,
     residue_at,
-    specialize,
 )
 from spinr.golden import (
     attracting_matrix_k2,
@@ -53,24 +51,20 @@ def test_zbar_column_k2():
     for jp in range(3):
         column = class_Zbar(2, jp)
         for j in range(jp + 1):
-            assert ratfun_eq(column[j].expand(), expected.entries[j][jp])
+            assert column[j].expand() == expected.entries[j][jp]
 
 
 def test_zbar_middle_entry_value():
-    assert ratfun_eq(
-        zbar_coeff(2, 1, 2).expand(), RatFun(MPoly.const(2), (PHI - Z) * (PHI + Z))
-    )
+    assert zbar_coeff(2, 1, 2).expand() == RatFun(MPoly.const(2), (PHI - Z) * (PHI + Z))
 
 
 def test_zbar_corner_entry_value():
-    assert ratfun_eq(
-        zbar_coeff(2, 0, 0).expand(), RatFun(ONE, (EPS + Z) * (PHI + EPS + Z))
-    )
+    assert zbar_coeff(2, 0, 0).expand() == RatFun(ONE, (EPS + Z) * (PHI + EPS + Z))
 
 
 def test_zbar_k1_last_entry():
     # cross-checked against the weight-table path in test_moduli
-    assert ratfun_eq(zbar_coeff(1, 1, 1).expand(), RatFun(ONE, Z))
+    assert zbar_coeff(1, 1, 1).expand() == RatFun(ONE, Z)
 
 
 def test_stable_column_k2():
@@ -78,20 +72,16 @@ def test_stable_column_k2():
     for jp in range(3):
         column = class_S(2, jp)
         for j in range(jp + 1):
-            assert ratfun_eq(column[j].expand(), expected.entries[j][jp])
+            assert column[j].expand() == expected.entries[j][jp]
 
 
 def test_stable_entry_examples():
-    assert ratfun_eq(
-        stable_coeff(2, 0, 2).expand(),
-        RatFun(EPS * (PHI + EPS), Z * (EPS + Z) * (PHI + Z) * (PHI + EPS + Z)),
+    assert (
+        stable_coeff(2, 0, 2).expand()
+        == RatFun(EPS * (PHI + EPS), Z * (EPS + Z) * (PHI + Z) * (PHI + EPS + Z))
     )
-    assert ratfun_eq(
-        stable_coeff(2, 1, 1).expand(), RatFun(ONE, (EPS + Z) * (PHI + Z))
-    )
-    assert ratfun_eq(
-        stable_coeff(1, 0, 1).expand(), RatFun(-EPS, Z * (EPS + Z))
-    )
+    assert stable_coeff(2, 1, 1).expand() == RatFun(ONE, (EPS + Z) * (PHI + Z))
+    assert stable_coeff(1, 0, 1).expand() == RatFun(-EPS, Z * (EPS + Z))
 
 
 def test_column_bounds():
@@ -106,10 +96,7 @@ def test_merged_form_equals_displayed_form():
     for k in range(6):
         for jp in range(k + 1):
             for j in range(jp + 1):
-                assert ratfun_eq(
-                    stable_coeff(k, j, jp).expand(),
-                    stable_coeff_merged(k, j, jp).expand(),
-                )
+                assert stable_coeff(k, j, jp).expand() == stable_coeff_merged(k, j, jp).expand()
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +121,7 @@ def test_s_matrix_k2_printed():
 
 def test_sinv_entry_k2_02():
     # binom(2,0) * eps (phi+eps); the two z-products have empty ranges here
-    assert ratfun_eq(sinv_entry(2, 0, 2).expand(), RatFun(EPS * (PHI + EPS)))
+    assert sinv_entry(2, 0, 2).expand() == RatFun(EPS * (PHI + EPS))
 
 
 def test_upper_triangularity_and_diagonal():
@@ -159,16 +146,15 @@ def test_offdiagonal_vanishes_at_origin():
     for k in range(6):
         for jp in range(k + 1):
             for j in range(jp):
-                value = specialize(stable_coeff(k, j, jp).expand(), origin)
-                assert value.is_zero
+                f = stable_coeff(k, j, jp).expand()
+                assert not f.den.substitute(origin).is_zero
+                assert f.num.substitute(origin).is_zero
 
 
 def test_top_coefficient_matches_attracting_class():
     for k in range(6):
         for jp in range(k + 1):
-            assert ratfun_eq(
-                stable_coeff(k, jp, jp).expand(), zbar_coeff(k, jp, jp).expand()
-            )
+            assert stable_coeff(k, jp, jp).expand() == zbar_coeff(k, jp, jp).expand()
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +178,7 @@ def test_verify_linrel_small_and_golden_solve():
 
 
 def test_linrel_trivial_base():
-    assert ratfun_eq(stable_coeff(0, 0, 0).expand(), zbar_coeff(0, 0, 0).expand())
+    assert stable_coeff(0, 0, 0).expand() == zbar_coeff(0, 0, 0).expand()
 
 
 def test_residue_cancellation_k1():
