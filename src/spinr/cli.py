@@ -12,7 +12,8 @@ export         unified exporter routing to the writers of the commands above
 Rationals on the command line are always integers or "p/q" strings; decimal
 input is rejected.  Output is byte-deterministic for a fixed configuration:
 results are ordered by case index, never by completion time, also under
---jobs parallelism.
+--jobs parallelism.  Size parameters have fixed upper bounds (MAX_ELL,
+MAX_K, MAX_TRIALS); a larger value is a usage error before any work starts.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 """
@@ -33,6 +34,14 @@ from .report import Report
 
 SCHEMA_PREFIX = "spinr"
 SCHEMA_VERSION = 1
+
+# Upper bounds on the size parameters.  The work grows steeply in each (the
+# assembled matrix at -l has (l+1)^2 rows, a sector block at -k/--block has
+# k+1, and every YBE trial multiplies (l+1)^3-dimensional sector products),
+# so an unbounded value would run until killed.
+MAX_ELL = 12
+MAX_K = 24
+MAX_TRIALS = 10000
 
 
 class UsageError(ValueError):
@@ -153,7 +162,19 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise UsageError("--jobs must be at least 1")
     if cfg.trials < 1:
         raise UsageError("--trials must be at least 1")
+    kind = getattr(args, "kind", None)
+    if cfg.command in ("compute-r", "verify") or kind == "r":
+        _check_upper(cfg.ell, MAX_ELL, "-l")
+    if cfg.command in ("compute-s", "verify", "export"):
+        _check_upper(cfg.k, MAX_K, "-k")
+    _check_upper(cfg.block, MAX_K, "--block")
+    _check_upper(cfg.trials, MAX_TRIALS, "--trials")
     return cfg
+
+
+def _check_upper(value: int | None, top: int, flag: str) -> None:
+    if value is not None and value > top:
+        raise UsageError(f"{flag} must be at most {top}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +266,8 @@ def cmd_compute_r(cfg: RunConfig) -> int:
     if cfg.block is not None:
         if cfg.block < 0:
             raise UsageError("--block must be nonnegative")
+        if cfg.at_z is not None:
+            raise UsageError("--at-z evaluates the assembled R-matrix, not a generic sector block")
         matrix = rmatrix.rblock_closed(cfg.block).matrix
         extra = {"k": cfg.block, "variables": ["z", "phi", "eps"]}
         return _emit_matrix(cfg, "r-block", matrix, extra)

@@ -1,7 +1,12 @@
 """Exact arithmetic kernel: sparse polynomials and rational functions in z, phi, eps.
 
-Everything is computed over arbitrary-precision rationals (``fractions.Fraction``);
-there is no floating point anywhere.  The building blocks are:
+Everything is computed over arbitrary-precision rationals; there is no floating
+point anywhere.  A polynomial coefficient is a Python ``int`` when it is
+integral and a ``fractions.Fraction`` otherwise, never a float: the paper's
+blocks are built from integer linear forms, so almost every coefficient is an
+integer, and an ``int`` product costs no gcd and no allocation of a Fraction.
+``int == Fraction`` compares by value and ``str(Fraction(n)) == str(n)``, so
+the representation never shows in output.  The building blocks are:
 
 * ``MPoly``      -- sparse polynomial, a map from exponent triples (e_z, e_phi, e_eps)
                     to nonzero rational coefficients.  The zero polynomial is the
@@ -44,6 +49,14 @@ _ZERO_MONO: Monomial = (0, 0, 0)
 Scalar = Union[int, Fraction]
 
 
+def _coeff(c: Scalar) -> Scalar:
+    """The canonical coefficient for c: its int value when integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class ExactAlgError(Exception):
     """Base class for failures of the exact-arithmetic kernel."""
 
@@ -66,7 +79,14 @@ class UnsupportedPoleOrderError(ExactAlgError):
 
 
 class MPoly:
-    """Sparse polynomial in z, phi, eps with Fraction coefficients.
+    """Sparse polynomial in z, phi, eps with exact rational coefficients.
+
+    A coefficient is an ``int`` when it is integral and a ``Fraction``
+    otherwise.  Every entry point where a non-integral value can come in
+    (construction, ``scale``, the quotient in ``mpoly_exact_div``) normalizes
+    it with ``_coeff``; ``+``, ``-``, ``*`` and ``flip_z`` keep int
+    coefficients int on their own, and ``+`` and ``*`` turn a Fraction result
+    that comes out integral back into an int.
 
     Immutable by convention: the internal term map is never mutated after
     construction, so values can be shared freely (including across processes).
@@ -75,10 +95,10 @@ class MPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        cleaned: dict[Monomial, Fraction] = {}
+        cleaned: dict[Monomial, Scalar] = {}
         if terms:
             for mono, coeff in terms.items():
-                c = Fraction(coeff)
+                c = _coeff(coeff)
                 if c:
                     cleaned[mono] = c
         self._terms = cleaned
@@ -91,29 +111,29 @@ class MPoly:
 
     @classmethod
     def one(cls) -> MPoly:
-        return cls({_ZERO_MONO: Fraction(1)})
+        return cls({_ZERO_MONO: 1})
 
     @classmethod
     def const(cls, c: Scalar) -> MPoly:
-        return cls({_ZERO_MONO: Fraction(c)})
+        return cls({_ZERO_MONO: c})
 
     @classmethod
     def var(cls, name: str) -> MPoly:
         exps = [0, 0, 0]
         exps[_VAR_INDEX[name]] = 1
-        return cls({tuple(exps): Fraction(1)})
+        return cls({tuple(exps): 1})
 
     @classmethod
     def monomial(cls, mono: Monomial, coeff: Scalar = 1) -> MPoly:
-        return cls({mono: Fraction(coeff)})
+        return cls({mono: coeff})
 
     # -- inspection ----------------------------------------------------------
 
     @property
-    def terms(self) -> Mapping[Monomial, Fraction]:
+    def terms(self) -> Mapping[Monomial, Scalar]:
         return self._terms
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
         return sorted(self._terms.items())
 
     @property
@@ -160,7 +180,7 @@ class MPoly:
         for mono, coeff in other._terms.items():
             s = out.get(mono, 0) + coeff
             if s:
-                out[mono] = s
+                out[mono] = s if type(s) is int else _coeff(s)
             else:
                 out.pop(mono, None)
         res = MPoly.__new__(MPoly)
@@ -181,7 +201,7 @@ class MPoly:
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for (x1, y1, w1), c1 in a.items():
             for (x2, y2, w2), c2 in b.items():
                 mono = (x1 + x2, y1 + y2, w1 + w2)
@@ -190,16 +210,19 @@ class MPoly:
                     out[mono] = s
                 else:
                     out.pop(mono, None)
+        for mono, c in out.items():
+            if type(c) is not int:
+                out[mono] = _coeff(c)
         res = MPoly.__new__(MPoly)
         res._terms = out
         return res
 
     def scale(self, c: Scalar) -> MPoly:
-        c = Fraction(c)
+        c = _coeff(c)
         if not c:
             return MPoly.zero()
         res = MPoly.__new__(MPoly)
-        res._terms = {m: v * c for m, v in self._terms.items()}
+        res._terms = {m: _coeff(v * c) for m, v in self._terms.items()}
         return res
 
     def __pow__(self, n: int) -> MPoly:
@@ -244,27 +267,45 @@ class MPoly:
         return out
 
     def eval_rational(self, point: Mapping[str, Scalar]) -> Fraction:
-        """Evaluate at a fully rational point (every variable present must be bound)."""
-        vals = []
+        """Evaluate at a fully rational point (every variable present must be bound).
+
+        With x = p/q and top degree D in x, x**e == p**e * q**(D - e) / q**D:
+        every term is an integer power product over the common denominator
+        q_z**D_z * q_phi**D_phi * q_eps**D_eps, and one Fraction is built at
+        the end.
+        """
+        if not self._terms:
+            return Fraction(0)
+        den = 1
+        tables = []
         for i, name in enumerate(VARS):
+            top = max(m[i] for m in self._terms)
             if name in point:
-                vals.append(Fraction(point[name]))
-            elif any(m[i] for m in self._terms):
+                val = Fraction(point[name])
+                p, q = val.numerator, val.denominator
+            elif top:
                 raise ExactAlgError(f"variable {name} unbound in rational evaluation")
             else:
-                vals.append(Fraction(0))
-        total = Fraction(0)
+                p, q = 0, 1
+            p_pows, q_pows = [1], [1]
+            for _ in range(top):
+                p_pows.append(p_pows[-1] * p)
+                q_pows.append(q_pows[-1] * q)
+            tables.append([p_pows[e] * q_pows[top - e] for e in range(top + 1)])
+            den *= q_pows[top]
+        tz, tphi, teps = tables
+        total = 0
         for (a, b, c), coeff in self._terms.items():
-            total += coeff * vals[0] ** a * vals[1] ** b * vals[2] ** c
-        return total
+            total += coeff * tz[a] * tphi[b] * teps[c]
+        return Fraction(total, den)
 
     def as_rational(self) -> Fraction:
-        """The value of a constant polynomial."""
+        """The value of a constant polynomial, always as a Fraction."""
         if not self._terms:
             return Fraction(0)
         if set(self._terms) != {_ZERO_MONO}:
             raise ExactAlgError("polynomial is not constant")
-        return self._terms[_ZERO_MONO]
+        return Fraction(self._terms[_ZERO_MONO])
 
     # -- display --------------------------------------------------------------
 
@@ -283,14 +324,14 @@ def mpoly_exact_div(a: MPoly, b: MPoly) -> MPoly:
         return MPoly.zero()
     lead_b = max(b.terms)
     cb = b.terms[lead_b]
-    quotient: dict[Monomial, Fraction] = {}
+    quotient: dict[Monomial, Scalar] = {}
     rest = a
     while not rest.is_zero:
         lead_r = max(rest.terms)
         mono = tuple(x - y for x, y in zip(lead_r, lead_b))
         if any(e < 0 for e in mono):
             raise ExactDivisionError("non-exact polynomial division")
-        coeff = rest.terms[lead_r] / cb
+        coeff = _coeff(Fraction(rest.terms[lead_r], cb))
         quotient[mono] = coeff  # lex-leading monomials never repeat
         rest = rest - b * MPoly.monomial(mono, coeff)
     return MPoly(quotient)
@@ -714,7 +755,7 @@ def cancel_common_z_roots(
 # ---------------------------------------------------------------------------
 
 
-def _monomial_str(mono: Monomial, coeff: Fraction) -> str:
+def _monomial_str(mono: Monomial, coeff: Scalar) -> str:
     parts = []
     for name, e in zip(VARS, mono):
         if e == 1:

@@ -1,14 +1,16 @@
-"""Dense exact linear algebra over Fraction: the small-matrix toolkit.
+"""Dense exact linear algebra over the rationals: the small-matrix toolkit.
 
-Matrices are plain lists of lists of Fractions.  Everything here is exact;
-sizes stay small (at most a few dozen rows), so naive algorithms are fine.
+Matrices are plain lists of lists whose entries are ``int`` or ``Fraction``
+(an integer matrix stays integer under ``mat_mul``, ``mat_add`` and
+``mat_sub``).  Everything here is exact; sizes stay small (at most a few dozen
+rows), so naive algorithms are fine.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-FracMat = list[list[Fraction]]
+FracMat = list[list[int | Fraction]]
 
 
 def zeros(rows: int, cols: int) -> FracMat:
@@ -20,19 +22,17 @@ def identity(n: int) -> FracMat:
 
 
 def mat_mul(a: FracMat, b: FracMat) -> FracMat:
-    n, mid, m = len(a), len(b), len(b[0])
-    out = zeros(n, m)
+    """The product a*b; accumulators start at int 0, so int inputs give an int result."""
+    n, m = len(a), len(b[0])
+    out = [[0] * m for _ in range(n)]
     for i in range(n):
-        ai = a[i]
         oi = out[i]
-        for k in range(mid):
-            c = ai[k]
+        for c, bk in zip(a[i], b):
             if not c:
                 continue
-            bk = b[k]
-            for j in range(m):
-                if bk[j]:
-                    oi[j] += c * bk[j]
+            for j, x in enumerate(bk):
+                if x:
+                    oi[j] += c * x
     return out
 
 

@@ -19,6 +19,7 @@ rational points.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -342,16 +343,16 @@ class _TripleOp:
         self.d = d
         self.slots = slots  # "12" or "23"
 
-    def entry(self, row: int, col: int) -> Fraction:
+    def entry(self, row: int, col: int) -> int | Fraction:
         d = self.d
         r1, r2, r3 = row // (d * d), (row // d) % d, row % d
         c1, c2, c3 = col // (d * d), (col // d) % d, col % d
         if self.slots == "12":
             if r3 != c3:
-                return Fraction(0)
+                return 0
             return self.pair[r1 * d + r2][c1 * d + c2]
         if r1 != c1:
-            return Fraction(0)
+            return 0
         return self.pair[r2 * d + r3][c2 * d + c3]
 
 
@@ -364,18 +365,33 @@ def verify_ybe(ell: int, z1: Rational, z2: Rational, z3: Rational) -> Report:
 
     Both sides of the braid relation are evaluated per total-weight sector of
     the triple tensor power (the operators conserve total weight) and compared
-    entrywise.
+    entrywise, in integer arithmetic (see ``_ybe_at``).
     """
     full = assemble_full(ell)
     return _ybe_at(full, Fraction(z1), Fraction(z2), Fraction(z3))
 
 
+def _integer_scaled(m: FracMat) -> tuple[FracMat, int]:
+    """(d*m, d) for d the lcm of the entries' denominators; d*m is an int matrix."""
+    d = math.lcm(*(x.denominator for row in m for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
+
+
 def _ybe_at(full: FullR, z1: Fraction, z2: Fraction, z3: Fraction) -> Report:
+    """Braid relation at one triple, on integer matrices.
+
+    R(z1-z2), R(z1-z3) and R(z2-z3) are scaled to integer matrices by the lcm
+    d12, d13, d23 of their denominators.  Each side of the relation is a
+    product of one of each, so both sides carry the same factor d12*d13*d23
+    and agree exactly when the integer products agree.  A witness is divided
+    back by that factor, so it reports the rational entry.
+    """
     report = Report("ybe", {"ell": full.ell, "z": [str(z1), str(z2), str(z3)]})
     d = full.ell + 1
-    r12 = full.at_z(z1 - z2)
-    r13 = full.at_z(z1 - z3)
-    r23 = full.at_z(z2 - z3)
+    r12, d12 = _integer_scaled(full.at_z(z1 - z2))
+    r13, d13 = _integer_scaled(full.at_z(z1 - z3))
+    r23, d23 = _integer_scaled(full.at_z(z2 - z3))
+    scale = d12 * d13 * d23
     lhs_ops = [_TripleOp(r23, d, "12"), _TripleOp(r13, d, "23"), _TripleOp(r12, d, "12")]
     rhs_ops = [_TripleOp(r12, d, "23"), _TripleOp(r13, d, "12"), _TripleOp(r23, d, "23")]
     for indices in _sector_indices(full.ell, 3):
@@ -386,7 +402,10 @@ def _ybe_at(full: FullR, z1: Fraction, z2: Fraction, z3: Fraction) -> Report:
                 for c, val in enumerate(row):
                     if val != rhs[r][c]:
                         report.fail(
-                            row=indices[r], col=indices[c], lhs=str(val), rhs=str(rhs[r][c])
+                            row=indices[r],
+                            col=indices[c],
+                            lhs=str(Fraction(val, scale)),
+                            rhs=str(Fraction(rhs[r][c], scale)),
                         )
     return report
 

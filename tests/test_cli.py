@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from spinr import cli
 
 
@@ -105,6 +107,20 @@ def test_compute_r_pole_hit_is_reported(capsys):
     code, _, err = run(capsys, "compute-r", "-l", "1", "--at-z", "-1")
     assert code == 1
     assert "pole" in err
+
+
+def test_compute_r_block_rejects_at_z(capsys):
+    code, out, err = run(
+        capsys, "compute-r", "-l", "1", "--block", "1", "--at-z", "0", "--format", "csv"
+    )
+    assert code == 2 and out == ""
+    assert "--at-z" in err
+
+
+def test_export_block_rejects_at_z(capsys):
+    code, out, err = run(capsys, "export", "--kind", "block", "-k", "1", "--at-z", "0")
+    assert code == 2 and out == ""
+    assert "--at-z" in err
 
 
 def test_compute_r_block_latex(capsys):
@@ -277,3 +293,41 @@ def test_help_exits_zero(capsys):
 
 def test_unknown_command_usage_error(capsys):
     assert run(capsys, "frobnicate")[0] == 2
+
+
+OUT_OF_RANGE = [
+    ("compute-r", "-l", "13"),
+    ("compute-r", "-l", "1", "--block", "25"),
+    ("compute-s", "-k", "25"),
+    ("verify", "--suite", "all", "-l", "13"),
+    ("verify", "--suite", "inverse", "-k", "25"),
+    ("verify", "--suite", "ybe", "-l", "1", "--trials", "10001"),
+    ("verify", "--suite", "ybe", "-l", "1", "--trials", "100000000"),
+    ("export", "--kind", "r", "-l", "13"),
+    ("export", "--kind", "block", "-k", "25"),
+    ("export", "--kind", "s", "-k", "25"),
+    ("export", "--kind", "sinv", "-k", "25"),
+]
+
+
+@pytest.mark.parametrize("argv", OUT_OF_RANGE, ids=" ".join)
+def test_size_parameters_have_upper_bounds(capsys, monkeypatch, argv):
+    def no_work(cfg, args):
+        raise AssertionError("a command started despite an out-of-range parameter")
+
+    monkeypatch.setattr(cli, "_dispatch", no_work)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "at most" in err
+
+
+def test_upper_bounds_admit_their_limits():
+    parser = cli.build_parser()
+    for argv in (
+        ["compute-r", "-l", "12", "--block", "24"],
+        ["compute-s", "-k", "24"],
+        ["verify", "-l", "12", "-k", "24", "--trials", "10000"],
+        ["export", "--kind", "r", "-l", "12"],
+        ["export", "--kind", "block", "-k", "24"],
+    ):
+        cli._config_from_args(parser.parse_args(argv))

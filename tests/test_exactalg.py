@@ -244,6 +244,44 @@ def test_parse_rational():
 
 
 # ---------------------------------------------------------------------------
+# coefficient representation: int when integral, Fraction otherwise
+# ---------------------------------------------------------------------------
+
+
+def coeff_types(p):
+    return {type(x) for x in p.terms.values()}
+
+
+def test_exact_div_quotient_keeps_fractions():
+    q = mpoly_exact_div(Z.scale(2) + ONE, c(2))
+    assert q == Z + c(Fraction(1, 2))
+    assert type(q.terms[(1, 0, 0)]) is int
+    assert type(q.terms[(0, 0, 0)]) is Fraction
+
+
+def test_as_rational_is_a_fraction():
+    half = RatFun(MPoly.const(1), MPoly.const(2)).as_rational()
+    assert half == Fraction(1, 2)
+    assert type(half) is Fraction
+    assert type(MPoly.const(3).as_rational()) is Fraction
+
+
+def test_scale_back_to_integers_gives_ints():
+    p = Z.scale(3) + PHI.scale(4) - ONE
+    back = p.scale(Fraction(1, 2)).scale(2)
+    assert back == p
+    assert coeff_types(back) == {int}
+
+
+def test_integral_sums_and_products_give_ints():
+    half_z = Z.scale(Fraction(1, 2))
+    assert coeff_types(half_z) == {Fraction}
+    assert coeff_types(half_z + half_z) == {int}
+    assert coeff_types(half_z * c(2)) == {int}
+    assert coeff_types(MPoly({(0, 0, 0): Fraction(6, 3)})) == {int}
+
+
+# ---------------------------------------------------------------------------
 # properties
 # ---------------------------------------------------------------------------
 
@@ -316,3 +354,15 @@ def test_expand_inverse_roundtrip(f):
     expanded = f.expand()
     back = f.inverse().expand()
     assert expanded * back == RatFun.one()
+
+
+@given(mpolys, small_fractions, small_fractions, small_fractions)
+@settings(max_examples=100, deadline=None)
+def test_eval_rational_matches_per_term_fraction_sum(p, z, phi, eps):
+    # second route: a Fraction power product per term, summed term by term
+    expected = Fraction(0)
+    for (a, b, e), coeff in p.terms.items():
+        expected += Fraction(coeff) * z**a * phi**b * eps**e
+    value = p.eval_rational({"z": z, "phi": phi, "eps": eps})
+    assert type(value) is Fraction
+    assert value == expected

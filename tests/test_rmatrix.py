@@ -10,9 +10,11 @@ from spinr.exactalg import (
     RatFun,
     cancel_common_z_roots,
 )
-from spinr.fracmat import identity
+from spinr.fracmat import identity, kron, mat_mul
 from spinr.golden import spin_half_block, spin_one_full_matrix, spin_one_middle_block
 from spinr.rmatrix import (
+    FullR,
+    _ybe_at,
     assemble_full,
     lu_factors,
     rblock_closed,
@@ -236,6 +238,14 @@ def test_unitarity_assembled():
         assert verify_unitarity_full(ell).passed
 
 
+def test_block_and_assembled_coefficients_are_ints():
+    entries = [e for row in rblock_closed(4).matrix.entries for e in row]
+    entries += [e for row in assemble_full(3).matrix.entries for e in row]
+    for entry in entries:
+        for poly in (entry.num, entry.den):
+            assert all(type(x) is int for x in poly.terms.values()), entry
+
+
 # ---------------------------------------------------------------------------
 # Yang-Baxter
 # ---------------------------------------------------------------------------
@@ -252,6 +262,30 @@ def test_ybe_single_point_spin_one():
 
 def test_ybe_trials_spin_half():
     assert ybe_trials(1, 20, seed=7).passed
+
+
+def test_ybe_failure_witnesses_match_fraction_products():
+    # corrupt the (0,1) -> (1,0) coupling of the spin-1/2 matrix
+    full = assemble_full(1)
+    grid = [list(row) for row in full.matrix.entries]
+    assert not grid[1][2].is_zero
+    grid[1][2] = grid[1][2].scale(2)
+    labels = full.matrix.row_labels
+    broken = FullR(1, SymMatrix(grid, labels, labels), full.pole_candidates)
+    z1, z2, z3 = Fraction(5, 3), Fraction(2, 7), Fraction(-3, 4)
+    report = _ybe_at(broken, z1, z2, z3)
+    assert not report.passed
+    # second route: both sides on the whole triple tensor power, in Fractions
+    # from the unscaled matrices
+    r12, r13, r23 = (broken.at_z(dz) for dz in (z1 - z2, z1 - z3, z2 - z3))
+    eye = identity(2)
+    lhs = mat_mul(mat_mul(kron(r23, eye), kron(eye, r13)), kron(r12, eye))
+    rhs = mat_mul(mat_mul(kron(eye, r12), kron(r13, eye)), kron(eye, r23))
+    differing = {(i, j) for i in range(8) for j in range(8) if lhs[i][j] != rhs[i][j]}
+    assert {(w["row"], w["col"]) for w in report.failures} == differing
+    for w in report.failures:
+        assert w["lhs"] == str(lhs[w["row"]][w["col"]])
+        assert w["rhs"] == str(rhs[w["row"]][w["col"]])
 
 
 def test_sampling_is_seeded_and_avoids_poles():
