@@ -14,6 +14,7 @@ from .exactalg import (
     mpoly_exact_div,
     residue_at,
 )
+from .fracmat import SymMatrix
 from .moduli import (
     DegeneratePatchError,
     DomainError,
@@ -28,7 +29,6 @@ from .moduli import (
     weight_space_dim,
 )
 from .oracle import (
-    CasimirProjectors,
     Sl2Rep,
     casimir_projectors,
     coproduct,
@@ -41,7 +41,6 @@ from .oracle import (
 from .report import Report
 from .rmatrix import (
     FullR,
-    RBlock,
     assemble_full,
     lu_factors,
     rblock_closed,
@@ -55,7 +54,6 @@ from .rmatrix import (
 from .stablebasis import (
     S_inverse,
     S_matrix,
-    SymMatrix,
     class_S,
     class_Zbar,
     verify_inverse,

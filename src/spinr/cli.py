@@ -30,6 +30,7 @@ from fractions import Fraction
 
 from . import golden, moduli, oracle, rmatrix, stablebasis
 from .exactalg import ExactAlgError, parse_rational, ratfun_to_str
+from .fracmat import SymMatrix
 from .report import Report
 
 SCHEMA_PREFIX = "spinr"
@@ -196,13 +197,17 @@ def _json_doc(payload: dict) -> str:
     return json.dumps(payload, indent=2)
 
 
-def _matrix_doc(name: str, matrix: stablebasis.SymMatrix, extra: dict) -> dict:
+def _matrix_doc(name: str, matrix: SymMatrix, extra: dict) -> dict:
     doc = {"schema": _schema(name), **extra, **matrix.to_json()}
     return doc
 
 
-def _frac_csv(rows: list[list[Fraction]]) -> str:
-    return "\n".join(",".join(str(x) for x in row) for row in rows)
+def _grid(rows: list[list[str]], fmt: str) -> str:
+    """A matrix of rendered entries as csv, or as text in columns of equal width."""
+    if fmt == "csv":
+        return "\n".join(",".join(row) for row in rows)
+    width = max(len(x) for row in rows for x in row)
+    return "\n".join("  ".join(x.ljust(width) for x in row) for row in rows)
 
 
 def _require_format(cfg: RunConfig, formats: tuple[str, ...], what: str) -> None:
@@ -268,42 +273,36 @@ def cmd_compute_r(cfg: RunConfig) -> int:
             raise UsageError("--block must be nonnegative")
         if cfg.at_z is not None:
             raise UsageError("--at-z evaluates the assembled R-matrix, not a generic sector block")
-        matrix = rmatrix.rblock_closed(cfg.block).matrix
+        matrix = rmatrix.rblock_closed(cfg.block)
         extra = {"k": cfg.block, "variables": ["z", "phi", "eps"]}
         return _emit_matrix(cfg, "r-block", matrix, extra)
     if cfg.at_z is not None:
         _require_format(cfg, ("json", "text", "csv"), "compute-r --at-z")
     full = rmatrix.assemble_full(cfg.ell)
     if cfg.at_z is not None:
-        numeric = full.at_z(cfg.at_z)
+        numeric = [[str(x) for x in row] for row in full.at_z(cfg.at_z)]
         if cfg.fmt == "json":
             doc = {
                 "schema": _schema("r-matrix-at"),
                 "ell": cfg.ell,
                 "z": str(cfg.at_z),
-                "entries": [[str(x) for x in row] for row in numeric],
+                "entries": numeric,
             }
             _emit(cfg, _json_doc(doc))
         else:
-            _emit(cfg, _frac_csv(numeric))
+            _emit(cfg, _grid(numeric, cfg.fmt))
         return 0
     doc_extra = {"ell": cfg.ell, "basis_order": "lex(a,b)"}
     return _emit_matrix(cfg, "r-matrix", full.matrix, doc_extra)
 
 
-def _emit_matrix(cfg: RunConfig, name: str, matrix: stablebasis.SymMatrix, extra: dict) -> int:
+def _emit_matrix(cfg: RunConfig, name: str, matrix: SymMatrix, extra: dict) -> int:
     if cfg.fmt == "json":
         _emit(cfg, _json_doc(_matrix_doc(name, matrix, extra)))
     elif cfg.fmt == "latex":
         _emit(cfg, matrix.to_latex())
-    elif cfg.fmt == "csv":
-        _emit(cfg, "\n".join(",".join(ratfun_to_str(e) for e in row) for row in matrix.entries))
     else:
-        width = max(len(ratfun_to_str(e)) for row in matrix.entries for e in row)
-        lines = [
-            "  ".join(ratfun_to_str(e).ljust(width) for e in row) for row in matrix.entries
-        ]
-        _emit(cfg, "\n".join(lines))
+        _emit(cfg, _grid([[ratfun_to_str(e) for e in row] for row in matrix.entries], cfg.fmt))
     return 0
 
 

@@ -36,7 +36,7 @@ iteration always follow that order, so output is deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 Rational = Fraction
 
@@ -755,33 +755,36 @@ def cancel_common_z_roots(
 # ---------------------------------------------------------------------------
 
 
-def _monomial_str(mono: Monomial, coeff: Scalar) -> str:
-    parts = []
-    for name, e in zip(VARS, mono):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    mag = abs(coeff)
-    if not parts:
-        return str(mag)
-    if mag != 1:
-        parts.insert(0, str(mag))
-    return "*".join(parts)
+def _render(
+    p: MPoly, names: Sequence[str], power: str, coeff_sep: str, var_sep: str
+) -> str:
+    """The terms of p in lexicographic monomial order, joined by their signs.
 
-
-def mpoly_to_str(p: MPoly) -> str:
-    """Canonical text form: terms in lexicographic monomial order, coefficients p/q."""
+    ``names`` spells the variables in ``VARS`` order and ``power`` (a format
+    string taking the name and the exponent) spells a power; a coefficient of
+    magnitude other than 1 goes before ``coeff_sep``, variables are joined by
+    ``var_sep``.
+    """
     if p.is_zero:
         return "0"
     pieces = []
     for i, (mono, coeff) in enumerate(p.sorted_terms()):
-        body = _monomial_str(mono, coeff)
+        parts = [v if e == 1 else power.format(v, e) for v, e in zip(names, mono) if e]
+        mag = abs(coeff)
+        if not parts:
+            body = str(mag)
+        else:
+            body = ("" if mag == 1 else f"{mag}{coeff_sep}") + var_sep.join(parts)
         if i == 0:
             pieces.append(f"-{body}" if coeff < 0 else body)
         else:
             pieces.append(f" - {body}" if coeff < 0 else f" + {body}")
     return "".join(pieces)
+
+
+def mpoly_to_str(p: MPoly) -> str:
+    """Canonical text form: terms in lexicographic monomial order, coefficients p/q."""
+    return _render(p, VARS, "{}^{}", "*", "*")
 
 
 def ratfun_to_str(f: RatFun) -> str:
@@ -797,31 +800,11 @@ def ratfun_to_str(f: RatFun) -> str:
     return f"{num_s}/{den_s}"
 
 
-_LATEX_NAMES = {"z": "z", "phi": r"\varphi", "eps": r"\varepsilon"}
+_LATEX_NAMES = ("z", r"\varphi", r"\varepsilon")
 
 
 def _mpoly_to_latex(p: MPoly) -> str:
-    if p.is_zero:
-        return "0"
-    pieces = []
-    for i, (mono, coeff) in enumerate(p.sorted_terms()):
-        parts = []
-        for name, e in zip(VARS, mono):
-            v = _LATEX_NAMES[name]
-            if e == 1:
-                parts.append(v)
-            elif e > 1:
-                parts.append(f"{v}^{{{e}}}")
-        mag = abs(coeff)
-        if not parts:
-            body = str(mag)
-        else:
-            body = ("" if mag == 1 else f"{mag}\\,") + " ".join(parts)
-        if i == 0:
-            pieces.append(f"-{body}" if coeff < 0 else body)
-        else:
-            pieces.append(f" - {body}" if coeff < 0 else f" + {body}")
-    return "".join(pieces)
+    return _render(p, _LATEX_NAMES, "{}^{{{}}}", r"\,", " ")
 
 
 def ratfun_to_latex(f: RatFun) -> str:

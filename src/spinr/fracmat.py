@@ -1,14 +1,25 @@
-"""Dense exact linear algebra over the rationals: the small-matrix toolkit.
+"""Dense exact matrices: the one matrix module of spinr.
 
-Matrices are plain lists of lists whose entries are ``int`` or ``Fraction``
-(an integer matrix stays integer under ``mat_mul``, ``mat_add`` and
-``mat_sub``).  Everything here is exact; sizes stay small (at most a few dozen
-rows), so naive algorithms are fine.
+Two kinds of matrix live here.
+
+* ``FracMat`` -- a plain list of lists whose entries are ``int`` or
+  ``Fraction``: numeric values such as R(z) at a rational point, the sl2
+  generators and the Casimir projectors.  An integer matrix stays integer
+  under ``mat_mul``, ``mat_add`` and ``mat_sub``.
+* ``SymMatrix`` -- a labelled matrix of rational functions in (z, phi, eps):
+  the stable-basis change S, the sector blocks and the assembled R(z).  Its
+  ``mismatches`` is the one entrywise comparison every symbolic check uses.
+
+Everything here is exact; sizes stay small (at most a few dozen rows), so
+naive algorithms are fine.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable, Sequence
+
+from .exactalg import RatFun, ratfun_to_latex, ratfun_to_str
 
 FracMat = list[list[int | Fraction]]
 
@@ -79,7 +90,7 @@ def rank(a: FracMat) -> int:
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
+        inv = Fraction(1) / m[r][c]
         m[r] = [x * inv for x in m[r]]
         for i in range(rows):
             if i != r and m[i][c]:
@@ -89,3 +100,115 @@ def rank(a: FracMat) -> int:
         if r == rows:
             break
     return r
+
+
+class SymMatrix:
+    """Dense rectangular matrix of rational functions with index labels."""
+
+    __slots__ = ("entries", "row_labels", "col_labels")
+
+    def __init__(
+        self,
+        entries: Sequence[Sequence[RatFun]],
+        row_labels: Sequence[object] | None = None,
+        col_labels: Sequence[object] | None = None,
+    ):
+        self.entries: tuple[tuple[RatFun, ...], ...] = tuple(tuple(row) for row in entries)
+        rows = len(self.entries)
+        cols = len(self.entries[0]) if rows else 0
+        if any(len(row) != cols for row in self.entries):
+            raise ValueError("ragged matrix")
+        self.row_labels = tuple(row_labels) if row_labels is not None else tuple(range(rows))
+        self.col_labels = tuple(col_labels) if col_labels is not None else tuple(range(cols))
+        if len(self.row_labels) != rows or len(self.col_labels) != cols:
+            raise ValueError("label count does not match matrix shape")
+
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
+
+    @property
+    def cols(self) -> int:
+        return len(self.entries[0]) if self.entries else 0
+
+    @classmethod
+    def identity(cls, n: int, labels: Sequence[object] | None = None) -> SymMatrix:
+        grid = [
+            [RatFun.one() if i == j else RatFun.zero() for j in range(n)] for i in range(n)
+        ]
+        return cls(grid, labels, labels)
+
+    @classmethod
+    def from_function(
+        cls,
+        rows: int,
+        cols: int,
+        fn: Callable[[int, int], RatFun],
+        row_labels: Sequence[object] | None = None,
+        col_labels: Sequence[object] | None = None,
+    ) -> SymMatrix:
+        return cls(
+            [[fn(i, j) for j in range(cols)] for i in range(rows)], row_labels, col_labels
+        )
+
+    def flip_z(self) -> SymMatrix:
+        return SymMatrix(
+            [[e.flip_z() for e in row] for row in self.entries], self.row_labels, self.col_labels
+        )
+
+    def mul(self, other: SymMatrix) -> SymMatrix:
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch in matrix product")
+        out: list[list[RatFun]] = []
+        for i in range(self.rows):
+            row: list[RatFun] = []
+            for j in range(other.cols):
+                acc = RatFun.zero()
+                for m in range(self.cols):
+                    a = self.entries[i][m]
+                    b = other.entries[m][j]
+                    if a.is_zero or b.is_zero:
+                        continue
+                    acc = acc + a * b
+                row.append(acc)
+            out.append(row)
+        return SymMatrix(out, self.row_labels, other.col_labels)
+
+    def permute_rows(self, perm: Sequence[int]) -> SymMatrix:
+        """Row i of the result is row perm[i] of the input."""
+        return SymMatrix(
+            [self.entries[p] for p in perm], [self.row_labels[p] for p in perm], self.col_labels
+        )
+
+    def value_eq(self, other: SymMatrix) -> bool:
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            return False
+        return not self.mismatches(other)
+
+    def mismatches(self, other: SymMatrix) -> list[tuple[int, int]]:
+        """The positions (i, j), row by row, where the entries differ in value."""
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch in matrix comparison")
+        return [
+            (i, j)
+            for i in range(self.rows)
+            for j in range(self.cols)
+            if not self.entries[i][j].value_eq(other.entries[i][j])
+        ]
+
+    def to_json(self) -> dict:
+        return {
+            "shape": [self.rows, self.cols],
+            "row_labels": [str(l) for l in self.row_labels],
+            "col_labels": [str(l) for l in self.col_labels],
+            "entries": [[ratfun_to_str(e) for e in row] for row in self.entries],
+        }
+
+    def to_latex(self) -> str:
+        body = " \\\\\n".join(
+            " & ".join(ratfun_to_latex(e) for e in row) for row in self.entries
+        )
+        return "\\begin{pmatrix}\n" + body + "\n\\end{pmatrix}"
+
+    def __repr__(self) -> str:
+        return f"SymMatrix({self.rows}x{self.cols})"

@@ -12,9 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactalg import MPoly, RatFun
+from .fracmat import SymMatrix
 from .report import Report
 from .rmatrix import assemble_full, rblock_closed
-from .stablebasis import S_inverse, S_matrix, SymMatrix, solve_change_of_basis, zbar_coeff
+from .stablebasis import S_inverse, S_matrix, solve_change_of_basis, zbar_coeff
 
 Z = MPoly.var("z")
 PHI = MPoly.var("phi")
@@ -173,7 +174,7 @@ def _compare(report: Report, computed: SymMatrix, expected: SymMatrix) -> Report
 def golden_spin_half_block() -> Report:
     return _compare(
         Report("golden_spin_half_block", {"k": 1}),
-        rblock_closed(1).matrix,
+        rblock_closed(1),
         spin_half_block(),
     )
 
@@ -181,7 +182,7 @@ def golden_spin_half_block() -> Report:
 def golden_spin_one_block() -> Report:
     return _compare(
         Report("golden_spin_one_block", {"k": 2}),
-        rblock_closed(2).matrix,
+        rblock_closed(2),
         spin_one_middle_block(),
     )
 

@@ -32,10 +32,9 @@ from .exactalg import (
     cancel_common_z_roots,
     ratfun_to_str,
 )
-from .fracmat import FracMat
+from .fracmat import FracMat, SymMatrix
 from .report import Report
 from .rmatrix import FullR, assemble_full
-from .stablebasis import SymMatrix
 
 
 class OracleStructureError(Exception):
@@ -82,16 +81,11 @@ def casimir_matrix(ell: int) -> FracMat:
     return fracmat.mat_add(quad, fracmat.mat_scale(fracmat.mat_mul(dh, dh), Fraction(1, 2)))
 
 
-@dataclass(frozen=True)
-class CasimirProjectors:
-    """Projectors onto the spin-s summands of the tensor square, s = 0..ell."""
+def casimir_projectors(ell: int) -> tuple[FracMat, ...]:
+    """Projectors onto the spin-s summands of the tensor square, s = 0..ell.
 
-    ell: int
-    projectors: tuple[FracMat, ...]
-
-
-def casimir_projectors(ell: int) -> CasimirProjectors:
-    """Lagrange interpolation of the Casimir at its spectrum 2s(s+1), s = 0..ell."""
+    Lagrange interpolation of the Casimir at its spectrum 2s(s+1).
+    """
     if ell < 1:
         raise ValueError(f"need ell >= 1, got {ell}")
     c = casimir_matrix(ell)
@@ -106,7 +100,7 @@ def casimir_projectors(ell: int) -> CasimirProjectors:
             shifted = fracmat.mat_sub(c, fracmat.mat_scale(fracmat.identity(dim), eigenvalue[t]))
             p = fracmat.mat_scale(fracmat.mat_mul(p, shifted), 1 / (eigenvalue[s] - eigenvalue[t]))
         projectors.append(p)
-    return CasimirProjectors(ell, tuple(projectors))
+    return tuple(projectors)
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +126,6 @@ def _commutator(r: SymMatrix, x: FracMat) -> SymMatrix:
             row.append(acc)
         grid.append(row)
     return SymMatrix(grid, r.row_labels, r.col_labels)
-
-
-def _is_zero_matrix(m: SymMatrix) -> bool:
-    return all(e.is_zero or e.value_eq(0) for row in m.entries for e in row)
 
 
 def apply_gauge(matrix: SymMatrix, sigma: Sequence[int]) -> SymMatrix:
@@ -200,13 +190,16 @@ def verify_sl2_commutation(full: FullR) -> Report:
     gauged = apply_gauge(full.matrix, chosen)
     for which, x in ops.items():
         comm = _commutator(gauged, x)
-        if not _is_zero_matrix(comm):
-            bad = next(
+        bad = next(
+            (
                 (i, j)
-                for i in range(comm.rows)
-                for j in range(comm.cols)
-                if not comm.entries[i][j].value_eq(0)
-            )
+                for i, row in enumerate(comm.entries)
+                for j, e in enumerate(row)
+                if not e.is_zero
+            ),
+            None,
+        )
+        if bad is not None:
             report.fail(
                 generator=which,
                 entry=bad,
@@ -247,7 +240,7 @@ def spectral_decompose(full: FullR, sigma: Sequence[int] | None = None) -> list[
     if sigma is None:
         sigma = commutation_gauge(full)
     gauged = apply_gauge(full.matrix, sigma)
-    projs = casimir_projectors(full.ell).projectors
+    projs = casimir_projectors(full.ell)
     shifts = _default_shifts(full)
     rhos: list[RatFun] = []
     dim = full.dim

@@ -4,7 +4,8 @@ Each total-weight sector k carries a (k+1) x (k+1) block in the generic
 variables (z, phi, eps).  Two independent constructions are provided: the
 closed-form single sum over products of linear forms (``rblock_closed``) and
 the triangular product S^-1 * S-tilde (``rblock_triangular``), where S-tilde
-is S with rows reversed and z negated.  ``assemble_full`` builds each block
+is S with rows reversed and z negated; both return the block as a
+``fracmat.SymMatrix``.  ``assemble_full`` builds each block
 entry it needs on the spin line: it binds eps -> -ell*phi in every factored
 summand, sums, sets phi -> 1 and cancels removable roots.  It places the
 entries in the tensor-product basis: the entry coupling source (a, b) to
@@ -14,7 +15,9 @@ else is zero.  No generic block is expanded on the way.
 Verifications: unitarity R(z) R(-z) = Id (symbolically per block and for the
 assembled matrix), equality of the two constructions, the lower/upper
 factorization of the permuted matrix, and the Yang-Baxter equation at exact
-rational points.
+rational points.  For the latter each pair operator is embedded directly into
+every total-weight sector of the triple tensor power (``_embed``), so no
+operator on the whole (ell+1)^3-dimensional space is ever formed.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from . import fracmat
 from .exactalg import (
@@ -38,27 +40,17 @@ from .exactalg import (
     limit_at_z_infinity,
     ratfun_to_str,
 )
-from .fracmat import FracMat
+from .fracmat import FracMat, SymMatrix
 from .report import Report
 from .stablebasis import (
     S_inverse,
     S_matrix,
-    SymMatrix,
     _forms,
     _inv,
     binom,
     sinv_entry,
     stable_coeff,
 )
-
-
-@dataclass(frozen=True)
-class RBlock:
-    """One weight-sector block of the R-matrix in generic (z, phi, eps)."""
-
-    k: int
-    matrix: SymMatrix
-    provenance: str
 
 
 def _rblock_entry_terms(k: int, i: int, j_prime: int) -> list[FactoredRat]:
@@ -80,14 +72,13 @@ def _rblock_entry_terms(k: int, i: int, j_prime: int) -> list[FactoredRat]:
     return terms
 
 
-def rblock_closed(k: int) -> RBlock:
+def rblock_closed(k: int) -> SymMatrix:
     """The sector-k block from the closed-form single sum."""
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    grid = SymMatrix.from_function(
+    return SymMatrix.from_function(
         k + 1, k + 1, lambda i, jp: factored_sum(_rblock_entry_terms(k, i, jp))
     )
-    return RBlock(k, grid, "closed_form")
 
 
 def s_tilde(k: int) -> SymMatrix:
@@ -97,11 +88,11 @@ def s_tilde(k: int) -> SymMatrix:
     )
 
 
-def rblock_triangular(k: int) -> RBlock:
+def rblock_triangular(k: int) -> SymMatrix:
     """The sector-k block as the triangular product S^-1 * S-tilde."""
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    return RBlock(k, S_inverse(k).mul(s_tilde(k)), "triangular_product")
+    return S_inverse(k).mul(s_tilde(k))
 
 
 def _reversal(k: int) -> list[int]:
@@ -120,7 +111,7 @@ def lu_factors(k: int) -> tuple[SymMatrix, SymMatrix]:
     )
     u_factor = S_matrix(k).flip_z()
     product = l_factor.mul(u_factor)
-    permuted = rblock_triangular(k).matrix.permute_rows(perm)
+    permuted = rblock_triangular(k).permute_rows(perm)
     bad = permuted.mismatches(product)
     if bad:
         raise AssertionError(f"LU factorization mismatch at entries {bad}")
@@ -130,8 +121,8 @@ def lu_factors(k: int) -> tuple[SymMatrix, SymMatrix]:
 def verify_equal_constructions(k: int) -> Report:
     """Entrywise value equality of the closed-form and triangular blocks."""
     report = Report("equal_constructions", {"k": k})
-    closed = rblock_closed(k).matrix
-    tri = rblock_triangular(k).matrix
+    closed = rblock_closed(k)
+    tri = rblock_triangular(k)
     for i, j in closed.mismatches(tri):
         report.fail(
             i=i,
@@ -212,8 +203,8 @@ class FullR:
     """The assembled R-matrix on the tensor square, rational in z alone.
 
     Basis: pairs (a, b) with a, b in 0..ell, ordered lexicographically; the
-    pair (a, b) is row/column (ell+1)*a + b.  Blocks couple only equal total
-    weights a + b.
+    pair (a, b) is row/column (ell+1)*a + b and is that row's and column's
+    label in ``matrix``.  Blocks couple only equal total weights a + b.
     """
 
     ell: int
@@ -223,10 +214,6 @@ class FullR:
     @property
     def dim(self) -> int:
         return (self.ell + 1) ** 2
-
-    def basis(self) -> list[tuple[int, int]]:
-        d = self.ell + 1
-        return [(a, b) for a in range(d) for b in range(d)]
 
     def check_pole(self, value: Fraction) -> None:
         if value in self.pole_candidates:
@@ -246,13 +233,6 @@ class FullR:
             ]
             for row in self.matrix.entries
         ]
-
-    def to_json(self) -> dict:
-        return {
-            "ell": self.ell,
-            "basis_order": "lex(a,b)",
-            "entries": [[ratfun_to_str(e) for e in row] for row in self.matrix.entries],
-        }
 
 
 def assemble_full(ell: int) -> FullR:
@@ -286,12 +266,10 @@ def assemble_full(ell: int) -> FullR:
 def verify_unitarity_block(k: int) -> Report:
     """R(z) R(-z) == Id symbolically in (z, phi, eps) for the sector-k block."""
     report = Report("unitarity_block", {"k": k})
-    block = rblock_closed(k).matrix
+    block = rblock_closed(k)
     product = block.mul(block.flip_z())
-    for i in range(k + 1):
-        for j in range(k + 1):
-            if not product.entries[i][j].value_eq(1 if i == j else 0):
-                report.fail(i=i, j=j, entry=ratfun_to_str(product.entries[i][j]))
+    for i, j in product.mismatches(SymMatrix.identity(k + 1)):
+        report.fail(i=i, j=j, entry=ratfun_to_str(product.entries[i][j]))
     return report
 
 
@@ -300,15 +278,12 @@ def verify_unitarity_full(ell: int) -> Report:
     report = Report("unitarity_full", {"ell": ell})
     full = assemble_full(ell)
     product = full.matrix.mul(full.matrix.flip_z())
-    dim = full.dim
-    for i in range(dim):
-        for j in range(dim):
-            if not product.entries[i][j].value_eq(1 if i == j else 0):
-                report.fail(
-                    row=full.matrix.row_labels[i],
-                    col=full.matrix.col_labels[j],
-                    entry=ratfun_to_str(product.entries[i][j]),
-                )
+    for i, j in product.mismatches(SymMatrix.identity(full.dim)):
+        report.fail(
+            row=full.matrix.row_labels[i],
+            col=full.matrix.col_labels[j],
+            entry=ratfun_to_str(product.entries[i][j]),
+        )
     return report
 
 
@@ -322,42 +297,23 @@ def verify_identity_at_zero(ell: int) -> Report:
     return report
 
 
-def _sector_indices(ell: int, factors: int) -> list[list[int]]:
-    """Indices of the tensor-power basis grouped by total weight."""
-    d = ell + 1
-    sectors: dict[int, list[int]] = {}
-    for idx in range(d**factors):
-        rest, total = idx, 0
-        for _ in range(factors):
-            total += rest % d
-            rest //= d
-        sectors.setdefault(total, []).append(idx)
-    return [sectors[w] for w in sorted(sectors)]
+def _embed(
+    pair: FracMat, d: int, digits: list[tuple[int, int, int]], slots: str
+) -> FracMat:
+    """The pair operator on slots "12" or "23" of the triple tensor power.
 
-
-class _TripleOp:
-    """A pair operator acting on slots (1,2) or (2,3) of the triple tensor power."""
-
-    def __init__(self, pair: FracMat, d: int, slots: str):
-        self.pair = pair
-        self.d = d
-        self.slots = slots  # "12" or "23"
-
-    def entry(self, row: int, col: int) -> int | Fraction:
-        d = self.d
-        r1, r2, r3 = row // (d * d), (row // d) % d, row % d
-        c1, c2, c3 = col // (d * d), (col // d) % d, col % d
-        if self.slots == "12":
-            if r3 != c3:
-                return 0
-            return self.pair[r1 * d + r2][c1 * d + c2]
-        if r1 != c1:
-            return 0
-        return self.pair[r2 * d + r3][c2 * d + c3]
-
-
-def _sector_matrix(op: _TripleOp, indices: list[int]) -> FracMat:
-    return [[op.entry(r, c) for c in indices] for r in indices]
+    Only the rows and columns of the basis vectors whose base-d digits are
+    listed are formed, in the listed order.
+    """
+    if slots == "12":
+        return [
+            [pair[r1 * d + r2][c1 * d + c2] if r3 == c3 else 0 for c1, c2, c3 in digits]
+            for r1, r2, r3 in digits
+        ]
+    return [
+        [pair[r2 * d + r3][c2 * d + c3] if r1 == c1 else 0 for c1, c2, c3 in digits]
+        for r1, r2, r3 in digits
+    ]
 
 
 def verify_ybe(ell: int, z1: Rational, z2: Rational, z3: Rational) -> Report:
@@ -392,11 +348,18 @@ def _ybe_at(full: FullR, z1: Fraction, z2: Fraction, z3: Fraction) -> Report:
     r13, d13 = _integer_scaled(full.at_z(z1 - z3))
     r23, d23 = _integer_scaled(full.at_z(z2 - z3))
     scale = d12 * d13 * d23
-    lhs_ops = [_TripleOp(r23, d, "12"), _TripleOp(r13, d, "23"), _TripleOp(r12, d, "12")]
-    rhs_ops = [_TripleOp(r12, d, "23"), _TripleOp(r13, d, "12"), _TripleOp(r23, d, "23")]
-    for indices in _sector_indices(full.ell, 3):
-        lhs = _sector_product(lhs_ops, indices)
-        rhs = _sector_product(rhs_ops, indices)
+    triples = [(i // (d * d), (i // d) % d, i % d) for i in range(d**3)]
+    for weight in range(3 * full.ell + 1):
+        indices = [i for i, t in enumerate(triples) if sum(t) == weight]
+        digits = [triples[i] for i in indices]
+        lhs = fracmat.mat_mul(
+            fracmat.mat_mul(_embed(r23, d, digits, "12"), _embed(r13, d, digits, "23")),
+            _embed(r12, d, digits, "12"),
+        )
+        rhs = fracmat.mat_mul(
+            fracmat.mat_mul(_embed(r12, d, digits, "23"), _embed(r13, d, digits, "12")),
+            _embed(r23, d, digits, "23"),
+        )
         if lhs != rhs:
             for r, row in enumerate(lhs):
                 for c, val in enumerate(row):
@@ -408,13 +371,6 @@ def _ybe_at(full: FullR, z1: Fraction, z2: Fraction, z3: Fraction) -> Report:
                             rhs=str(Fraction(rhs[r][c], scale)),
                         )
     return report
-
-
-def _sector_product(ops: Sequence[_TripleOp], indices: list[int]) -> FracMat:
-    out = _sector_matrix(ops[0], indices)
-    for op in ops[1:]:
-        out = fracmat.mat_mul(out, _sector_matrix(op, indices))
-    return out
 
 
 def sample_spectral_triples(
@@ -463,7 +419,7 @@ def verify_block_limit(k: int) -> Report:
     with the sign alternating between sectors.  (The identity sits at z = 0.)
     """
     report = Report("block_limit_at_infinity", {"k": k})
-    block = rblock_closed(k).matrix
+    block = rblock_closed(k)
     sign = -1 if k % 2 else 1
     for i in range(k + 1):
         for j in range(k + 1):

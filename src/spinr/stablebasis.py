@@ -4,6 +4,7 @@ The two families of classes expand over the fixed-point basis with factored
 rational-function coefficients (``class_Zbar`` and ``class_S``).  Collecting
 the stable-class coefficients columnwise gives the upper triangular change of
 basis ``S_matrix``; its inverse has the closed polynomial form ``S_inverse``.
+Both are ``SymMatrix`` values from ``fracmat``, the one matrix module.
 Three verifications are provided:
 
 * ``verify_inverse``  -- S^-1 S is the identity, entrywise and symbolically;
@@ -20,18 +21,17 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .exactalg import (
     FactoredRat,
     LinForm,
-    RatFun,
     factored_sum,
     limit_at_z_infinity,
-    ratfun_to_latex,
     ratfun_to_str,
     residue_at,
 )
+from .fracmat import SymMatrix
 from .report import Report
 
 
@@ -135,129 +135,6 @@ def _check_column(k: int, j_prime: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-class SymMatrix:
-    """Dense rectangular matrix of rational functions with index labels."""
-
-    __slots__ = ("entries", "row_labels", "col_labels")
-
-    def __init__(
-        self,
-        entries: Sequence[Sequence[RatFun]],
-        row_labels: Sequence[object] | None = None,
-        col_labels: Sequence[object] | None = None,
-    ):
-        self.entries: tuple[tuple[RatFun, ...], ...] = tuple(tuple(row) for row in entries)
-        rows = len(self.entries)
-        cols = len(self.entries[0]) if rows else 0
-        if any(len(row) != cols for row in self.entries):
-            raise ValueError("ragged matrix")
-        self.row_labels = tuple(row_labels) if row_labels is not None else tuple(range(rows))
-        self.col_labels = tuple(col_labels) if col_labels is not None else tuple(range(cols))
-        if len(self.row_labels) != rows or len(self.col_labels) != cols:
-            raise ValueError("label count does not match matrix shape")
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    @classmethod
-    def identity(cls, n: int, labels: Sequence[object] | None = None) -> SymMatrix:
-        grid = [
-            [RatFun.one() if i == j else RatFun.zero() for j in range(n)] for i in range(n)
-        ]
-        return cls(grid, labels, labels)
-
-    @classmethod
-    def from_function(
-        cls,
-        rows: int,
-        cols: int,
-        fn: Callable[[int, int], RatFun],
-        row_labels: Sequence[object] | None = None,
-        col_labels: Sequence[object] | None = None,
-    ) -> SymMatrix:
-        return cls(
-            [[fn(i, j) for j in range(cols)] for i in range(rows)], row_labels, col_labels
-        )
-
-    def map_entries(self, fn: Callable[[RatFun], RatFun]) -> SymMatrix:
-        return SymMatrix(
-            [[fn(e) for e in row] for row in self.entries], self.row_labels, self.col_labels
-        )
-
-    def flip_z(self) -> SymMatrix:
-        return self.map_entries(lambda e: e.flip_z())
-
-    def mul(self, other: SymMatrix) -> SymMatrix:
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        out: list[list[RatFun]] = []
-        for i in range(self.rows):
-            row: list[RatFun] = []
-            for j in range(other.cols):
-                acc = RatFun.zero()
-                for m in range(self.cols):
-                    a = self.entries[i][m]
-                    b = other.entries[m][j]
-                    if a.is_zero or b.is_zero:
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return SymMatrix(out, self.row_labels, other.col_labels)
-
-    def permute_rows(self, perm: Sequence[int]) -> SymMatrix:
-        """Row i of the result is row perm[i] of the input."""
-        return SymMatrix(
-            [self.entries[p] for p in perm], [self.row_labels[p] for p in perm], self.col_labels
-        )
-
-    def value_eq(self, other: SymMatrix) -> bool:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        return all(
-            a.value_eq(b) for ra, rb in zip(self.entries, other.entries) for a, b in zip(ra, rb)
-        )
-
-    def mismatches(self, other: SymMatrix) -> list[tuple[int, int]]:
-        return [
-            (i, j)
-            for i in range(self.rows)
-            for j in range(self.cols)
-            if not self.entries[i][j].value_eq(other.entries[i][j])
-        ]
-
-    def is_identity(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(
-            self.entries[i][j].value_eq(1 if i == j else 0)
-            for i in range(self.rows)
-            for j in range(self.cols)
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "shape": [self.rows, self.cols],
-            "row_labels": [str(l) for l in self.row_labels],
-            "col_labels": [str(l) for l in self.col_labels],
-            "entries": [[ratfun_to_str(e) for e in row] for row in self.entries],
-        }
-
-    def to_latex(self) -> str:
-        body = " \\\\\n".join(
-            " & ".join(ratfun_to_latex(e) for e in row) for row in self.entries
-        )
-        return "\\begin{pmatrix}\n" + body + "\n\\end{pmatrix}"
-
-    def __repr__(self) -> str:
-        return f"SymMatrix({self.rows}x{self.cols})"
-
-
 def S_matrix(k: int) -> SymMatrix:
     """The upper triangular stable-class matrix, (k+1) x (k+1)."""
     if k < 0:
@@ -291,11 +168,8 @@ def verify_inverse(k: int) -> Report:
     """Check S_inverse(k) * S_matrix(k) == Id entrywise by value equality."""
     report = Report("inverse", {"k": k})
     product = S_inverse(k).mul(S_matrix(k))
-    for i in range(k + 1):
-        for j in range(k + 1):
-            expected = 1 if i == j else 0
-            if not product.entries[i][j].value_eq(expected):
-                report.fail(i=i, j_prime=j, entry=ratfun_to_str(product.entries[i][j]))
+    for i, j in product.mismatches(SymMatrix.identity(k + 1)):
+        report.fail(i=i, j_prime=j, entry=ratfun_to_str(product.entries[i][j]))
     return report
 
 

@@ -75,14 +75,14 @@ class _Budget:
 
 def test_criterion_01_spin_half_reproduction():
     with _Budget(1, "spin-1/2 block reproduction", 1.0):
-        assert rblock_closed(1).matrix.value_eq(spin_half_block())
+        assert rblock_closed(1).value_eq(spin_half_block())
 
 
 def test_criterion_02_spin_one_golden_matrices():
     with _Budget(2, "spin-1 golden matrices", 5.0):
         assert S_matrix(2).value_eq(stable_matrix_k2())
         assert verify_inverse(2).passed
-        assert rblock_closed(2).matrix.value_eq(spin_one_middle_block())
+        assert rblock_closed(2).value_eq(spin_one_middle_block())
         assert assemble_full(2).matrix.value_eq(spin_one_full_matrix())
 
 
@@ -179,7 +179,7 @@ def test_criterion_11_oracle_equivariance_and_spectrum():
             assert "gauge" in report.details  # the sign gauge is recorded
             gauge = commutation_gauge(full)
             rhos = spectral_decompose(full, gauge)  # reconstruction asserted inside
-            projs = casimir_projectors(ell).projectors
+            projs = casimir_projectors(ell)
             gauged = apply_gauge(full.matrix, gauge)
             dim = full.dim
             for u in range(dim):

@@ -87,6 +87,18 @@ def test_compute_r_identity_at_zero_csv(capsys):
             assert cell == ("1" if i == j else "0")
 
 
+def test_compute_r_at_z_text_is_aligned(capsys):
+    argv = ("compute-r", "-l", "2", "--at-z", "1/3")
+    _, csv, _ = run(capsys, *argv, "--format", "csv")
+    code, text, _ = run(capsys, *argv, "--format", "text")
+    assert code == 0 and text != csv
+    lines = text.splitlines()
+    assert len(lines) == 9 and len({len(line) for line in lines}) == 1
+    width = max(len(x) for row in csv.splitlines() for x in row.split(","))
+    for line, row in zip(lines, csv.splitlines()):
+        assert line == "  ".join(x.ljust(width) for x in row.split(","))
+
+
 def test_compute_r_at_z_rejects_latex(capsys):
     code, out, err = run(capsys, "compute-r", "-l", "1", "--at-z", "0", "--format", "latex")
     assert code == 2 and out == ""

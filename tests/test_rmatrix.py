@@ -10,7 +10,7 @@ from spinr.exactalg import (
     RatFun,
     cancel_common_z_roots,
 )
-from spinr.fracmat import identity, kron, mat_mul
+from spinr.fracmat import SymMatrix, identity, kron, mat_mul
 from spinr.golden import spin_half_block, spin_one_full_matrix, spin_one_middle_block
 from spinr.rmatrix import (
     FullR,
@@ -18,7 +18,6 @@ from spinr.rmatrix import (
     assemble_full,
     lu_factors,
     rblock_closed,
-    rblock_triangular,
     s_tilde,
     sample_spectral_triples,
     specialize_block,
@@ -30,7 +29,6 @@ from spinr.rmatrix import (
     verify_ybe,
     ybe_trials,
 )
-from spinr.stablebasis import SymMatrix
 
 Z = MPoly.var("z")
 PHI = MPoly.var("phi")
@@ -44,22 +42,22 @@ ONE = MPoly.one()
 
 
 def test_block_k0_is_one():
-    m = rblock_closed(0).matrix
+    m = rblock_closed(0)
     assert m.rows == 1 and m.entries[0][0].value_eq(1)
 
 
 def test_block_k1_matches_reference():
-    assert rblock_closed(1).matrix.value_eq(spin_half_block())
+    assert rblock_closed(1).value_eq(spin_half_block())
 
 
 def test_block_k2_corner_entry():
-    entry = rblock_closed(2).matrix.entries[0][0]
+    entry = rblock_closed(2).entries[0][0]
     expected = RatFun(EPS * (PHI + EPS), (EPS - Z) * (PHI + EPS - Z))
     assert entry == expected
 
 
 def test_block_k2_matches_reference():
-    assert rblock_closed(2).matrix.value_eq(spin_one_middle_block())
+    assert rblock_closed(2).value_eq(spin_one_middle_block())
 
 
 def test_s_tilde_k1_hand_values():
@@ -73,11 +71,6 @@ def test_s_tilde_k1_hand_values():
 def test_triangular_equals_closed_small():
     for k in range(5):
         assert verify_equal_constructions(k).passed
-
-
-def test_provenance_labels():
-    assert rblock_closed(2).provenance == "closed_form"
-    assert rblock_triangular(2).provenance == "triangular_product"
 
 
 def test_block_limit_is_signed_reversal():
@@ -141,7 +134,7 @@ def test_assembled_9x9_matches_reference():
 
 def test_block_structure_cross_sector_zero():
     full = assemble_full(2)
-    basis = full.basis()
+    basis = full.matrix.row_labels
     for i, (ap, bp) in enumerate(basis):
         for j, (a, b) in enumerate(basis):
             if ap + bp != a + b:
@@ -179,7 +172,7 @@ def test_assembly_matches_expanded_generic_blocks():
     fulls = {ell: assemble_full(ell) for ell in (1, 2, 3)}
     poles = {ell: set() for ell in fulls}
     for k in range(7):
-        block = rblock_closed(k).matrix.entries
+        block = rblock_closed(k).entries
         for ell, full in fulls.items():
             if k > 2 * ell:
                 continue
@@ -239,7 +232,7 @@ def test_unitarity_assembled():
 
 
 def test_block_and_assembled_coefficients_are_ints():
-    entries = [e for row in rblock_closed(4).matrix.entries for e in row]
+    entries = [e for row in rblock_closed(4).entries for e in row]
     entries += [e for row in assemble_full(3).matrix.entries for e in row]
     for entry in entries:
         for poly in (entry.num, entry.den):

@@ -10,6 +10,7 @@ from spinr.exactalg import (
     factored_sum,
     residue_at,
 )
+from spinr.fracmat import SymMatrix
 from spinr.golden import (
     attracting_matrix_k2,
     stable_inverse_k1,
@@ -19,7 +20,6 @@ from spinr.golden import (
 from spinr.stablebasis import (
     S_inverse,
     S_matrix,
-    SymMatrix,
     candidate_poles,
     class_S,
     class_Zbar,
@@ -214,8 +214,8 @@ def test_verify_residues_bounds():
 def test_symmatrix_product_and_identity():
     s = S_matrix(2)
     prod = S_inverse(2).mul(s)
-    assert prod.is_identity()
-    assert SymMatrix.identity(3).is_identity()
+    assert prod.value_eq(SymMatrix.identity(3))
+    assert SymMatrix.identity(3).value_eq(SymMatrix.identity(3))
 
 
 def test_symmatrix_permute_rows():
