@@ -24,7 +24,6 @@ from .moduli import (
     dim_M1,
     duality_involution,
     fixed_points,
-    fp_order,
     patch_weights,
     weight_space_dim,
 )

@@ -13,7 +13,8 @@ Rationals on the command line are always integers or "p/q" strings; decimal
 input is rejected.  Output is byte-deterministic for a fixed configuration:
 results are ordered by case index, never by completion time, also under
 --jobs parallelism.  Size parameters have fixed upper bounds (MAX_ELL,
-MAX_K, MAX_TRIALS); a larger value is a usage error before any work starts.
+MAX_K, MAX_N, MAX_TRIALS); a larger value is a usage error before any work
+starts.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 """
@@ -38,10 +39,12 @@ SCHEMA_VERSION = 1
 
 # Upper bounds on the size parameters.  The work grows steeply in each (the
 # assembled matrix at -l has (l+1)^2 rows, a sector block at -k/--block has
-# k+1, and every YBE trial multiplies (l+1)^3-dimensional sector products),
-# so an unbounded value would run until killed.
+# k+1, every YBE trial multiplies (l+1)^3-dimensional sector products, and
+# fixed-points lists up to 92,547 points at -n 6 -l 12, k <= 24, against
+# 2,374,983 at -n 8), so an unbounded value would run until killed.
 MAX_ELL = 12
 MAX_K = 24
+MAX_N = 6
 MAX_TRIALS = 10000
 
 
@@ -163,11 +166,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise UsageError("--jobs must be at least 1")
     if cfg.trials < 1:
         raise UsageError("--trials must be at least 1")
-    kind = getattr(args, "kind", None)
-    if cfg.command in ("compute-r", "verify") or kind == "r":
-        _check_upper(cfg.ell, MAX_ELL, "-l")
-    if cfg.command in ("compute-s", "verify", "export"):
-        _check_upper(cfg.k, MAX_K, "-k")
+    _check_upper(cfg.ell, MAX_ELL, "-l")
+    _check_upper(cfg.k, MAX_K, "-k")
+    _check_upper(cfg.n, MAX_N, "-n")
     _check_upper(cfg.block, MAX_K, "--block")
     _check_upper(cfg.trials, MAX_TRIALS, "--trials")
     return cfg
@@ -293,7 +294,7 @@ def cmd_compute_r(cfg: RunConfig) -> int:
             _emit(cfg, _grid(numeric, cfg.fmt))
         return 0
     doc_extra = {"ell": cfg.ell, "basis_order": "lex(a,b)"}
-    return _emit_matrix(cfg, "r-matrix", full.matrix, doc_extra)
+    return _emit_matrix(cfg, "r-matrix", full.lowest_terms(), doc_extra)
 
 
 def _emit_matrix(cfg: RunConfig, name: str, matrix: SymMatrix, extra: dict) -> int:
@@ -320,12 +321,13 @@ def cmd_compute_s(cfg: RunConfig) -> int:
 
 Case = tuple[str, dict]
 
+# The largest k each generic-block suite runs when -k is not given.
 _SUITE_DEFAULTS = {
-    "inverse": {"k_max": 6},
-    "linrel": {"k_max": 5},
-    "residues": {"k_max": 4},
-    "constructions": {"k_max": 6},
-    "unitarity": {"k_max": 6},
+    "inverse": 6,
+    "linrel": 5,
+    "residues": 4,
+    "constructions": 6,
+    "unitarity": 6,
 }
 
 
@@ -363,10 +365,10 @@ def _suite_cases(cfg: RunConfig) -> list[Case]:
     )
     for suite in suites:
         if suite in ("inverse", "linrel", "residues", "constructions"):
-            for k in ks(_SUITE_DEFAULTS[suite]["k_max"]):
-                cases.append((suite if suite != "constructions" else "constructions", {"k": k}))
+            for k in ks(_SUITE_DEFAULTS[suite]):
+                cases.append((suite, {"k": k}))
         elif suite == "unitarity":
-            for k in ks(_SUITE_DEFAULTS["unitarity"]["k_max"]):
+            for k in ks(_SUITE_DEFAULTS["unitarity"]):
                 cases.append(("unitarity_block", {"k": k}))
             for l in [ell] if ell else [1, 2]:
                 cases.append(("unitarity_full", {"ell": l}))

@@ -215,10 +215,3 @@ def duality_involution(p: FixedPoint) -> FixedPoint:
     combinatorial check only.
     """
     return FixedPoint(tuple(p.ell - s for s in p.seq), p.ell)
-
-
-def fp_order(k: int) -> list[int]:
-    """The attraction order on fixed-point indices at n = 2: the natural order on 0..k."""
-    if k < 0:
-        raise DomainError(f"need k >= 0, got {k}")
-    return list(range(k + 1))

@@ -26,15 +26,10 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import fracmat
-from .exactalg import (
-    MPoly,
-    RatFun,
-    cancel_common_z_roots,
-    ratfun_to_str,
-)
+from .exactalg import RatFun, cancel_common_z_roots, ratfun_to_str
 from .fracmat import FracMat, SymMatrix
 from .report import Report
-from .rmatrix import FullR, assemble_full
+from .rmatrix import FullR, assemble_full, strip_common_roots
 
 
 class OracleStructureError(Exception):
@@ -154,13 +149,6 @@ def _product_gauges(ell: int) -> Iterable[tuple[int, ...]]:
             yield tuple(alpha[a] * beta[b] for a in range(d) for b in range(d))
 
 
-def _nonpole_point(full: FullR) -> Fraction:
-    value = Fraction(1, 3)
-    while value in full.pole_candidates:
-        value += Fraction(1, 3)
-    return value
-
-
 def _commutes_numeric(r0: FracMat, sigma: Sequence[int], xs: Sequence[FracMat]) -> bool:
     n = len(r0)
     gauged = [[sigma[i] * sigma[j] * r0[i][j] for j in range(n)] for i in range(n)]
@@ -178,7 +166,8 @@ def verify_sl2_commutation(full: FullR) -> Report:
     """
     report = Report("sl2_commutation", {"ell": full.ell})
     ops = {which: coproduct(full.ell, which) for which in ("E", "F", "H")}
-    r0 = full.at_z(_nonpole_point(full))
+    # poles are negative integers; R is compared at z = 1/3 up to its scale
+    r0, _ = full.scaled_at(Fraction(1, 3))
     chosen: tuple[int, ...] | None = None
     for sigma in _product_gauges(full.ell):
         if _commutes_numeric(r0, sigma, (ops["E"], ops["F"], ops["H"])):
@@ -232,8 +221,8 @@ def spectral_decompose(full: FullR, sigma: Sequence[int] | None = None) -> list[
     """Eigenvalue functions rho_s(z) = trace(R P_s)/(2s+1), s = 0..ell.
 
     The gauge making R commute with the coproduct is applied first (found
-    automatically when not supplied).  Each eigenvalue is brought to a small
-    representative by trial division over the syntactic pole shifts before the
+    automatically when not supplied).  Each eigenvalue is reduced to lowest
+    terms by trial division at the shifts -2*ell..2*ell before the
     reconstruction sum rho_s P_s is checked against R; a reconstruction
     mismatch raises OracleStructureError.
     """
@@ -251,7 +240,8 @@ def spectral_decompose(full: FullR, sigma: Sequence[int] | None = None) -> list[
                 entry = gauged.entries[u][v]
                 if not entry.is_zero and p[v][u]:
                     acc = acc + entry.scale(p[v][u])
-        rhos.append(_reduce_rational(acc.scale(Fraction(1, 2 * s + 1)), shifts))
+        # the traces sit over the monic D, so each rho comes out with a monic denominator
+        rhos.append(strip_common_roots(acc.scale(Fraction(1, 2 * s + 1)), shifts))
     for u in range(dim):
         for v in range(dim):
             acc = RatFun.zero()
@@ -263,34 +253,6 @@ def spectral_decompose(full: FullR, sigma: Sequence[int] | None = None) -> list[
                     f"spectral reconstruction fails at entry ({u}, {v})"
                 )
     return rhos
-
-
-def _content(p: MPoly) -> Fraction:
-    """The positive rational content: gcd of numerators over lcm of denominators."""
-    import math as _math
-
-    num_gcd = 0
-    den_lcm = 1
-    for c in p.terms.values():
-        num_gcd = _math.gcd(num_gcd, abs(c.numerator))
-        den_lcm = den_lcm * c.denominator // _math.gcd(den_lcm, c.denominator)
-    return Fraction(num_gcd, den_lcm)
-
-
-def _reduce_rational(f: RatFun, roots: Iterable[Fraction]) -> RatFun:
-    """Value-preserving cleanup: strip common root factors, normalize content.
-
-    The denominator is made integer-primitive with positive leading
-    coefficient; no general factorization is involved.
-    """
-    if f.is_zero:
-        return RatFun.zero()
-    num, den = cancel_common_z_roots(f.num, f.den, roots)
-    scale = _content(den)
-    lead = max(den.terms)
-    if den.terms[lead] < 0:
-        scale = -scale
-    return RatFun(num.scale(1 / scale), den.scale(1 / scale))
 
 
 def _eval_with_cancellation(f: RatFun, value: Fraction) -> Fraction | None:
@@ -330,10 +292,8 @@ def verify_mobius_ratios(
 
 
 def _default_shifts(full: FullR) -> list[Fraction]:
-    shifts = {Fraction(m) for m in range(-2 * full.ell, 2 * full.ell + 1)}
-    shifts |= {p for p in full.pole_candidates}
-    shifts |= {-p for p in full.pole_candidates}
-    return sorted(shifts)
+    """Trial roots -2*ell..2*ell; they include the poles -1..-ell and their negatives."""
+    return [Fraction(m) for m in range(-2 * full.ell, 2 * full.ell + 1)]
 
 
 def verify_spectrum(ell: int) -> Report:

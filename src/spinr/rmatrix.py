@@ -7,10 +7,12 @@ the triangular product S^-1 * S-tilde (``rblock_triangular``), where S-tilde
 is S with rows reversed and z negated; both return the block as a
 ``fracmat.SymMatrix``.  ``assemble_full`` builds each block
 entry it needs on the spin line: it binds eps -> -ell*phi in every factored
-summand, sums, sets phi -> 1 and cancels removable roots.  It places the
+summand, sums, sets phi -> 1 and divides exactly to put the entry over the one
+denominator D(z) = (z+1)...(z+ell) of the fusion spectrum.  It places the
 entries in the tensor-product basis: the entry coupling source (a, b) to
 target (a', b') with a + b = a' + b' = k is block entry (b', b); everything
-else is zero.  No generic block is expanded on the way.
+else is zero.  No generic block is expanded on the way, and entries are
+reduced to lowest terms only for display (``FullR.lowest_terms``).
 
 Verifications: unitarity R(z) R(-z) = Id (symbolically per block and for the
 assembled matrix), equality of the two constructions, the lower/upper
@@ -26,6 +28,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from . import fracmat
 from .exactalg import (
@@ -38,6 +41,7 @@ from .exactalg import (
     cancel_common_z_roots,
     factored_sum,
     limit_at_z_infinity,
+    mpoly_exact_div,
     ratfun_to_str,
 )
 from .fracmat import FracMat, SymMatrix
@@ -153,109 +157,129 @@ def _bound_summands(k: int, bp: int, b: int, ell: int) -> list[FactoredRat]:
     return bound
 
 
-def specialize_block(
-    k: int, ell: int
-) -> tuple[
-    dict[int, dict[int, RatFun]], set[Fraction], dict[int, dict[int, frozenset[Fraction]]]
-]:
-    """The sector-k entries that the spin-ell/2 matrix uses, with their genuine poles.
+def spin_denominator(ell: int) -> MPoly:
+    """D(z) = (z+1)(z+2)...(z+ell), the common denominator of the spin-ell/2 matrix."""
+    den = MPoly.one()
+    for j in range(1, ell + 1):
+        den = den * MPoly({(1, 0, 0): 1, (0, 0, 0): j})
+    return den
+
+
+def spin_poles(ell: int) -> frozenset[Fraction]:
+    """The roots -1..-ell of D(z): the poles of the spin-ell/2 matrix."""
+    return frozenset(Fraction(-j) for j in range(1, ell + 1))
+
+
+def specialize_block(k: int, ell: int) -> dict[int, dict[int, MPoly]]:
+    """The numerators over D(z) of the sector-k entries the spin-ell/2 matrix uses.
 
     Only entries (b', b) with b', b in max(0, k-ell)..min(k, ell) are built.
     Each is summed from its factored summands after binding eps -> -ell*phi,
-    so the sum is already homogeneous in (z, phi); then phi -> 1.  Pole
-    candidates are read off the bound denominator forms z + c*phi, which
-    vanish at z = -c once phi = 1.  Factors shared by numerator and
-    denominator are cancelled by trial division at those candidates, so only
-    genuine poles survive and evaluation at z = 0 stays legal.
-    Returns (entries, union of poles, per-entry pole sets), both maps indexed
-    [b'][b].
+    so the sum num/den is already homogeneous in (z, phi); then phi -> 1 and
+    the numerator over D is the exact quotient D*num / den.  That the division
+    is exact proves that D clears the entry.  Returns the map [b'][b] -> N.
     """
     phi_binding = {"phi": MPoly.one()}
+    den = spin_denominator(ell)
     span = range(max(0, k - ell), min(k, ell) + 1)
-    poles: set[Fraction] = set()
-    entries: dict[int, dict[int, RatFun]] = {}
-    pole_grid: dict[int, dict[int, frozenset[Fraction]]] = {}
+    numerators: dict[int, dict[int, MPoly]] = {}
     for bp in span:
-        entries[bp], pole_grid[bp] = {}, {}
+        numerators[bp] = {}
         for b in span:
             summed = factored_sum(_bound_summands(k, bp, b, ell))
-            candidates = sorted(
-                Fraction(-form.c_phi, form.c_z) for form, _ in summed.den_factors
-            )
-            num, den = cancel_common_z_roots(
-                summed.num.substitute(phi_binding),
+            numerators[bp][b] = mpoly_exact_div(
+                den * summed.num.substitute(phi_binding),
                 summed.den.substitute(phi_binding),
-                candidates,
             )
-            genuine = frozenset(
-                root
-                for root in candidates
-                if den.substitute({"z": MPoly.const(root)}).is_zero
-            )
-            poles |= genuine
-            entries[bp][b] = RatFun(num, den)
-            pole_grid[bp][b] = genuine
-    return entries, poles, pole_grid
+    return numerators
+
+
+def strip_common_roots(f: RatFun, roots: Iterable[Fraction]) -> RatFun:
+    """f with the factors (z - root) common to num and den stripped, for the listed roots.
+
+    A denominator that is monic in z stays monic; zero comes back as 0/1.
+    """
+    if f.is_zero:
+        return RatFun.zero()
+    return RatFun(*cancel_common_z_roots(f.num, f.den, roots))
 
 
 @dataclass(frozen=True)
 class FullR:
     """The assembled R-matrix on the tensor square, rational in z alone.
 
-    Basis: pairs (a, b) with a, b in 0..ell, ordered lexicographically; the
-    pair (a, b) is row/column (ell+1)*a + b and is that row's and column's
-    label in ``matrix``.  Blocks couple only equal total weights a + b.
+    Every entry of ``matrix`` is N(z)/D(z) over the one denominator
+    D(z) = (z+1)...(z+ell) (``spin_denominator``), with deg N <= ell, so the
+    poles are the roots -1..-ell of D.  ``lowest_terms`` gives the reduced
+    entries for display.  Basis: pairs (a, b) with a, b in 0..ell, ordered
+    lexicographically; the pair (a, b) is row/column (ell+1)*a + b and is that
+    row's and column's label in ``matrix``.  Blocks couple only equal total
+    weights a + b.
     """
 
     ell: int
     matrix: SymMatrix
-    pole_candidates: frozenset[Fraction]
 
     @property
     def dim(self) -> int:
         return (self.ell + 1) ** 2
 
-    def check_pole(self, value: Fraction) -> None:
-        if value in self.pole_candidates:
+    @property
+    def pole_candidates(self) -> frozenset[Fraction]:
+        return spin_poles(self.ell)
+
+    def scaled_at(self, value: Fraction) -> tuple[list[list[int]], int]:
+        """(q^ell * N(p/q), q^ell * D(p/q)) at z = p/q: an int matrix and an int.
+
+        Both come from one table p^e * q^(ell-e), e = 0..ell, which suffices
+        because no numerator has degree above ell = deg D.  A pole (the int
+        D-value is 0) raises PoleSpecializationError.
+        """
+        p, q, ell = value.numerator, value.denominator, self.ell
+        den = math.prod(p + j * q for j in range(1, ell + 1))
+        if den == 0:
             raise PoleSpecializationError(
                 f"z = {value} lies on the pole set of the assembled matrix "
                 f"(factor z - ({value}))"
             )
+        table = [p**e * q ** (ell - e) for e in range(ell + 1)]
+        nums = [
+            [sum(c * table[m[0]] for m, c in entry.num.terms.items()) for entry in row]
+            for row in self.matrix.entries
+        ]
+        return nums, den
 
     def at_z(self, value: Fraction) -> FracMat:
         """Exact numeric matrix at a rational spectral parameter."""
-        self.check_pole(value)
-        point = {"z": value}
-        return [
-            [
-                entry.eval_rational(point) if not entry.is_zero else Fraction(0)
-                for entry in row
-            ]
-            for row in self.matrix.entries
-        ]
+        nums, den = self.scaled_at(value)
+        return [[Fraction(x, den) for x in row] for row in nums]
+
+    def lowest_terms(self) -> SymMatrix:
+        """The matrix with each entry reduced to lowest terms (monic denominator)."""
+        roots = sorted(self.pole_candidates)
+        grid = [[strip_common_roots(e, roots) for e in row] for row in self.matrix.entries]
+        return SymMatrix(grid, self.matrix.row_labels, self.matrix.col_labels)
 
 
 def assemble_full(ell: int) -> FullR:
     """Assemble the spin-ell/2 R-matrix from the sector entries on the spin line.
 
-    Each entry is bound (eps -> -ell*phi), summed, set to phi = 1 and
-    cancelled by ``specialize_block``; no generic block is expanded.
+    Each entry is bound (eps -> -ell*phi), summed, set to phi = 1 and put over
+    D(z) by ``specialize_block``; no generic block is expanded.
     """
     if ell < 1:
         raise ValueError(f"need ell >= 1, got {ell}")
     d = ell + 1
     dim = d * d
-    zero = RatFun.zero()
+    den = spin_denominator(ell)
+    zero = RatFun(MPoly.zero(), den)
     grid: list[list[RatFun]] = [[zero] * dim for _ in range(dim)]
-    poles: set[Fraction] = set()
     for k in range(2 * ell + 1):
-        block, block_poles, _ = specialize_block(k, ell)
-        poles |= block_poles
-        for bp, row in block.items():
-            for b, entry in row.items():
-                grid[d * (k - bp) + bp][d * (k - b) + b] = entry
+        for bp, row in specialize_block(k, ell).items():
+            for b, num in row.items():
+                grid[d * (k - bp) + bp][d * (k - b) + b] = RatFun(num, den)
     labels = [(a, b) for a in range(d) for b in range(d)]
-    return FullR(ell, SymMatrix(grid, labels, labels), frozenset(poles))
+    return FullR(ell, SymMatrix(grid, labels, labels))
 
 
 # ---------------------------------------------------------------------------
@@ -327,26 +351,21 @@ def verify_ybe(ell: int, z1: Rational, z2: Rational, z3: Rational) -> Report:
     return _ybe_at(full, Fraction(z1), Fraction(z2), Fraction(z3))
 
 
-def _integer_scaled(m: FracMat) -> tuple[FracMat, int]:
-    """(d*m, d) for d the lcm of the entries' denominators; d*m is an int matrix."""
-    d = math.lcm(*(x.denominator for row in m for x in row))
-    return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
-
-
 def _ybe_at(full: FullR, z1: Fraction, z2: Fraction, z3: Fraction) -> Report:
     """Braid relation at one triple, on integer matrices.
 
-    R(z1-z2), R(z1-z3) and R(z2-z3) are scaled to integer matrices by the lcm
-    d12, d13, d23 of their denominators.  Each side of the relation is a
-    product of one of each, so both sides carry the same factor d12*d13*d23
-    and agree exactly when the integer products agree.  A witness is divided
-    back by that factor, so it reports the rational entry.
+    R(z1-z2), R(z1-z3) and R(z2-z3) are taken as the integer matrices
+    q^ell * N(p/q) of ``FullR.scaled_at``, with integer scales d12, d13, d23
+    (the values q^ell * D(p/q)).  Each side of the relation is a product of
+    one of each, so both sides carry the same factor d12*d13*d23 and agree
+    exactly when the integer products agree.  A witness is divided back by
+    that factor, so it reports the rational entry.
     """
     report = Report("ybe", {"ell": full.ell, "z": [str(z1), str(z2), str(z3)]})
     d = full.ell + 1
-    r12, d12 = _integer_scaled(full.at_z(z1 - z2))
-    r13, d13 = _integer_scaled(full.at_z(z1 - z3))
-    r23, d23 = _integer_scaled(full.at_z(z2 - z3))
+    r12, d12 = full.scaled_at(z1 - z2)
+    r13, d13 = full.scaled_at(z1 - z3)
+    r23, d23 = full.scaled_at(z2 - z3)
     scale = d12 * d13 * d23
     triples = [(i // (d * d), (i // d) % d, i % d) for i in range(d**3)]
     for weight in range(3 * full.ell + 1):
@@ -374,18 +393,15 @@ def _ybe_at(full: FullR, z1: Fraction, z2: Fraction, z3: Fraction) -> Report:
 
 
 def sample_spectral_triples(
-    ell: int,
-    trials: int,
-    seed: int,
-    poles: frozenset[Fraction] | None = None,
+    ell: int, trials: int, seed: int
 ) -> list[tuple[Fraction, Fraction, Fraction]]:
     """Seeded rational triples whose pairwise differences avoid the pole set.
 
     Numerators are drawn from [-50, 50], denominators from [1, 20]; a draw is
-    rejected when any pairwise difference hits a pole of the assembled matrix.
+    rejected when any pairwise difference hits a pole -1..-ell of the
+    assembled matrix.
     """
-    if poles is None:
-        poles = assemble_full(ell).pole_candidates
+    poles = spin_poles(ell)
     rng = random.Random(seed)
     out: list[tuple[Fraction, Fraction, Fraction]] = []
     while len(out) < trials:
@@ -403,8 +419,7 @@ def ybe_trials(ell: int, trials: int, seed: int) -> Report:
     """Yang-Baxter at ``trials`` seeded random rational triples."""
     report = Report("ybe_trials", {"ell": ell, "trials": trials, "seed": seed})
     full = assemble_full(ell)
-    triples = sample_spectral_triples(ell, trials, seed, poles=full.pole_candidates)
-    for z1, z2, z3 in triples:
+    for z1, z2, z3 in sample_spectral_triples(ell, trials, seed):
         sub = _ybe_at(full, z1, z2, z3)
         if not sub.passed:
             report.fail(z=[str(z1), str(z2), str(z3)], first=sub.failures[0])

@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -308,6 +309,15 @@ def test_unknown_command_usage_error(capsys):
 
 
 OUT_OF_RANGE = [
+    ("fixed-points", "-k", "25", "-n", "2", "-l", "12"),
+    ("fixed-points", "-k", "2", "-n", "7", "-l", "2"),
+    ("fixed-points", "-k", "2", "-n", "2", "-l", "13"),
+    ("fixed-points", "-k", "2000", "-n", "2000", "-l", "2"),
+    ("dims", "-n", "7", "-l", "2"),
+    ("dims", "-n", "2", "-l", "13"),
+    ("dims", "-n", "2000", "-l", "2000"),
+    ("export", "--kind", "fixed-points", "-k", "2", "-n", "7", "-l", "2"),
+    ("export", "--kind", "dims", "-n", "2", "-l", "13"),
     ("compute-r", "-l", "13"),
     ("compute-r", "-l", "1", "--block", "25"),
     ("compute-s", "-k", "25"),
@@ -341,5 +351,25 @@ def test_upper_bounds_admit_their_limits():
         ["verify", "-l", "12", "-k", "24", "--trials", "10000"],
         ["export", "--kind", "r", "-l", "12"],
         ["export", "--kind", "block", "-k", "24"],
+        ["fixed-points", "-k", "24", "-n", "6", "-l", "12"],
+        ["dims", "-n", "6", "-l", "12"],
+        ["export", "--kind", "fixed-points", "-k", "24", "-n", "6", "-l", "12"],
     ):
         cli._config_from_args(parser.parse_args(argv))
+
+
+# sha256 of stdout for outputs that route through the common-denominator
+# form of the assembled matrix: the lowest-terms printer, the evaluator, and
+# the oracle's gauge search and spectral decomposition
+OUTPUT_DIGESTS = {
+    "compute-r -l 3 --format latex": "ede97409ab915abee985bfa813cb451b1d91ef42b976b5cba59b8e96056c4ae6",
+    "compute-r -l 3 --at-z 1/3": "f4d119dac9937e26a90cf035e307fdf0ffa6875f71f26b78980978edafda5a24",
+    "verify --suite oracle -l 3 --format json": "318b396f97d9657c52ec622276c6b4f3e6a5d94bf620552d75787290b809945c",
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_DIGESTS))
+def test_output_bytes_are_pinned(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == OUTPUT_DIGESTS[command]

@@ -15,7 +15,6 @@ from spinr.moduli import (
     dim_M1,
     duality_involution,
     fixed_points,
-    fp_order,
     patch_weights,
     weight_space_dim,
 )
@@ -117,13 +116,6 @@ def test_duality_is_involution_and_bijection():
                 assert sorted(q.seq for q in dual) == sorted(
                     p.seq for p in fixed_points(n * ell - k, n, ell)
                 )
-
-
-def test_fp_order_total():
-    assert fp_order(2) == [0, 1, 2]
-    assert fp_order(0) == [0]
-    order = fp_order(5)
-    assert all(order[i] < order[i + 1] for i in range(len(order) - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,20 @@ def test_spectral_ratio_matches_middle_block_eigenvalues():
     assert ratio.value_eq(expected)
 
 
+def test_spectrum_is_the_fusion_product():
+    # rho_s(z) = prod_{j=s+1..ell} (j - z)/(j + z) (Kulish-Reshetikhin-Sklyanin),
+    # in lowest terms with monic denominator, compared term for term
+    for ell in (3, 4):
+        rhos = spectral_decompose(assemble_full(ell))
+        assert len(rhos) == ell + 1
+        for s, rho in enumerate(rhos):
+            num, den = ONE, ONE
+            for j in range(s + 1, ell + 1):
+                num = num * (MPoly.const(j) - Z)
+                den = den * (MPoly.const(j) + Z)
+            assert rho.num == num and rho.den == den, (ell, s, ratfun_to_str(rho))
+
+
 def test_spectrum_suite():
     for ell in (1, 2):
         report = verify_spectrum(ell)

@@ -20,7 +20,6 @@ from spinr.rmatrix import (
     rblock_closed,
     s_tilde,
     sample_spectral_triples,
-    specialize_block,
     verify_block_limit,
     verify_equal_constructions,
     verify_identity_at_zero,
@@ -141,14 +140,20 @@ def test_block_structure_cross_sector_zero():
                 assert full.matrix.entries[i][j].is_zero
 
 
-def test_specialize_block_cancels_removable_factors():
-    block, poles, pole_grid = specialize_block(3, 2)
-    # the in-range entries carry only genuine poles; z = 0 is not one of them
-    for bp in (1, 2):
-        for b in (1, 2):
-            assert Fraction(0) not in pole_grid[bp][b]
-    in_range = [pole_grid[bp][b] for bp in (1, 2) for b in (1, 2)]
-    assert all(p < 0 for cell in in_range for p in cell)
+def test_common_denominator_invariants():
+    # every entry sits over the one D of degree ell whose roots are the pole
+    # candidates; the evaluator reads deg N <= ell = deg D, and every root of
+    # D is a genuine pole: some numerator over D stays nonzero there
+    for ell in range(1, 7):
+        full = assemble_full(ell)
+        entries = [e for row in full.matrix.entries for e in row]
+        den = entries[0].den
+        assert all(e.den is den for e in entries)
+        assert den.degree_in("z") == ell == len(full.pole_candidates)
+        for root in full.pole_candidates:
+            assert den.eval_rational({"z": root}) == 0
+            assert any(e.num.eval_rational({"z": root}) != 0 for e in entries), (ell, root)
+        assert all(e.num.degree_in("z") <= ell for e in entries), ell
 
 
 def _specialize_expanded(entry: RatFun, ell: int) -> tuple[MPoly, MPoly, frozenset]:
@@ -170,6 +175,7 @@ def test_assembly_matches_expanded_generic_blocks():
     # binding before summing must give the same num/den terms, not merely
     # equal values: the JSON and LaTeX output print them as they are
     fulls = {ell: assemble_full(ell) for ell in (1, 2, 3)}
+    printed = {ell: full.lowest_terms() for ell, full in fulls.items()}
     poles = {ell: set() for ell in fulls}
     for k in range(7):
         block = rblock_closed(k).entries
@@ -181,7 +187,7 @@ def test_assembly_matches_expanded_generic_blocks():
             for bp in span:
                 for b in span:
                     num, den, genuine = _specialize_expanded(block[bp][b], ell)
-                    entry = full.matrix.entries[d * (k - bp) + bp][d * (k - b) + b]
+                    entry = printed[ell].entries[d * (k - bp) + bp][d * (k - b) + b]
                     assert entry.num == num and entry.den == den, (ell, k, bp, b)
                     assert entry.den_factors is None
                     poles[ell] |= genuine
@@ -264,7 +270,7 @@ def test_ybe_failure_witnesses_match_fraction_products():
     assert not grid[1][2].is_zero
     grid[1][2] = grid[1][2].scale(2)
     labels = full.matrix.row_labels
-    broken = FullR(1, SymMatrix(grid, labels, labels), full.pole_candidates)
+    broken = FullR(1, SymMatrix(grid, labels, labels))
     z1, z2, z3 = Fraction(5, 3), Fraction(2, 7), Fraction(-3, 4)
     report = _ybe_at(broken, z1, z2, z3)
     assert not report.passed
@@ -283,10 +289,10 @@ def test_ybe_failure_witnesses_match_fraction_products():
 
 def test_sampling_is_seeded_and_avoids_poles():
     poles = assemble_full(2).pole_candidates
-    first = sample_spectral_triples(2, 10, seed=11, poles=poles)
-    second = sample_spectral_triples(2, 10, seed=11, poles=poles)
+    first = sample_spectral_triples(2, 10, seed=11)
+    second = sample_spectral_triples(2, 10, seed=11)
     assert first == second
     for z1, z2, z3 in first:
         for diff in (z1 - z2, z1 - z3, z2 - z3):
             assert diff not in poles
-    assert sample_spectral_triples(2, 10, seed=12, poles=poles) != first
+    assert sample_spectral_triples(2, 10, seed=12) != first
