@@ -14,7 +14,8 @@ input is rejected.  Output is byte-deterministic for a fixed configuration:
 results are ordered by case index, never by completion time, also under
 --jobs parallelism.  Size parameters have fixed upper bounds (MAX_ELL,
 MAX_K, MAX_N, MAX_TRIALS); a larger value is a usage error before any work
-starts.
+starts, and so is a flag that the chosen verify suite or export kind never
+reads.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 """
@@ -117,32 +118,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, ["json", "text", "latex"], "json")
 
     p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument(
-        "--suite",
-        choices=[
-            "inverse",
-            "linrel",
-            "residues",
-            "constructions",
-            "unitarity",
-            "ybe",
-            "golden",
-            "oracle",
-            "all",
-        ],
-        default="all",
-    )
+    p.add_argument("--suite", choices=list(_SUITE_READS), default="all")
     p.add_argument("-k", type=int, default=None, help="restrict to one k (default: spec range)")
     p.add_argument("-l", "--ell", dest="ell", type=int, default=None)
     p.add_argument("--trials", type=int, default=20)
     _add_common(p, ["json", "text"], "text")
 
     p = sub.add_parser("export", help="unified exporter")
-    p.add_argument(
-        "--kind",
-        choices=["r", "block", "s", "sinv", "fixed-points", "dims"],
-        required=True,
-    )
+    p.add_argument("--kind", choices=list(_EXPORT_READS), required=True)
     p.add_argument("-k", type=int, default=None)
     p.add_argument("-n", type=int, default=None)
     p.add_argument("-l", "--ell", dest="ell", type=int, default=None)
@@ -177,6 +160,35 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def _check_upper(value: int | None, top: int, flag: str) -> None:
     if value is not None and value > top:
         raise UsageError(f"{flag} must be at most {top}, got {value}")
+
+
+# Which of -k, -n, -l and --at-z each verify suite and export kind reads.  A
+# flag given to a route that never reads it is a usage error, not ignored.
+_SUITE_READS = {
+    "inverse": ("k",),
+    "linrel": ("k",),
+    "residues": ("k",),
+    "constructions": ("k",),
+    "unitarity": ("k", "ell"),
+    "ybe": ("ell",),
+    "golden": (),
+    "oracle": ("ell",),
+    "all": ("k", "ell"),
+}
+_EXPORT_READS = {
+    "r": ("ell", "at_z"),
+    "block": ("k",),
+    "s": ("k",),
+    "sinv": ("k",),
+    "fixed-points": ("k", "n", "ell"),
+    "dims": ("n", "ell"),
+}
+
+
+def _refuse_unread(cfg: RunConfig, reads: tuple[str, ...], route: str) -> None:
+    for name, flag in (("k", "-k"), ("n", "-n"), ("ell", "-l"), ("at_z", "--at-z")):
+        if name not in reads and getattr(cfg, name) is not None:
+            raise UsageError(f"{route} does not read {flag}")
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +412,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         raise UsageError("spin parameter -l must be at least 1")
     if cfg.k is not None and cfg.k < 0:
         raise UsageError("-k must be nonnegative")
+    _refuse_unread(cfg, _SUITE_READS[cfg.suite], f"verify --suite {cfg.suite}")
     cases = _suite_cases(cfg)
     workers = worker_count(cfg.jobs, len(cases))
     if workers > 1:
@@ -449,6 +462,7 @@ def _dispatch(cfg: RunConfig, args: argparse.Namespace) -> int:
         return cmd_verify(cfg)
     if cfg.command == "export":
         kind = args.kind
+        _refuse_unread(cfg, _EXPORT_READS[kind], f"export --kind {kind}")
         if kind == "r":
             if cfg.ell is None:
                 raise UsageError("export --kind r requires -l")
@@ -457,7 +471,7 @@ def _dispatch(cfg: RunConfig, args: argparse.Namespace) -> int:
             if cfg.k is None:
                 raise UsageError("export --kind block requires -k")
             cfg.block = cfg.k
-            cfg.ell = cfg.ell or 1
+            cfg.ell = 1
             return cmd_compute_r(cfg)
         if kind in ("s", "sinv"):
             if cfg.k is None:

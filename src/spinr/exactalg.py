@@ -301,14 +301,6 @@ class MPoly:
             total += coeff * tz[a] * tphi[b] * teps[c]
         return Fraction(total, den)
 
-    def as_rational(self) -> Fraction:
-        """The value of a constant polynomial, always as a Fraction."""
-        if not self._terms:
-            return Fraction(0)
-        if set(self._terms) != {_ZERO_MONO}:
-            raise ExactAlgError("polynomial is not constant")
-        return Fraction(self._terms[_ZERO_MONO])
-
     # -- display --------------------------------------------------------------
 
     def __str__(self) -> str:
@@ -435,10 +427,6 @@ class FactoredRat:
         self.scalar, self.factors = _canonical_factor_items(s, pairs)
 
     @classmethod
-    def one(cls) -> FactoredRat:
-        return cls(1)
-
-    @classmethod
     def zero(cls) -> FactoredRat:
         return cls(0)
 
@@ -451,9 +439,6 @@ class FactoredRat:
             return NotImplemented
         return self.scalar == other.scalar and self.factors == other.factors
 
-    def __hash__(self) -> int:
-        return hash((self.scalar, self.factors))
-
     def __mul__(self, other: FactoredRat) -> FactoredRat:
         if self.is_zero or other.is_zero:
             return FactoredRat.zero()
@@ -463,25 +448,12 @@ class FactoredRat:
         )
         return out
 
-    def __neg__(self) -> FactoredRat:
-        out = FactoredRat.__new__(FactoredRat)
-        out.scalar, out.factors = -self.scalar, self.factors
-        return out
-
     def scale(self, c: Scalar) -> FactoredRat:
         c = Fraction(c)
         if c == 0 or self.is_zero:
             return FactoredRat.zero()
         out = FactoredRat.__new__(FactoredRat)
         out.scalar, out.factors = self.scalar * c, self.factors
-        return out
-
-    def inverse(self) -> FactoredRat:
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero")
-        out = FactoredRat.__new__(FactoredRat)
-        out.scalar = 1 / self.scalar
-        out.factors = tuple((f, -e) for f, e in self.factors)
         return out
 
     def flip_z(self) -> FactoredRat:
@@ -644,9 +616,6 @@ class RatFun:
         if den_val == 0:
             raise PoleSpecializationError(f"denominator {self.den} vanishes at {dict(point)}")
         return self.num.eval_rational(point) / den_val
-
-    def as_rational(self) -> Fraction:
-        return self.num.as_rational() / self.den.as_rational()
 
     def __str__(self) -> str:
         return ratfun_to_str(self)

@@ -75,10 +75,6 @@ def kron(a: FracMat, b: FracMat) -> FracMat:
     return out
 
 
-def is_zero_mat(a: FracMat) -> bool:
-    return all(not x for row in a for x in row)
-
-
 def rank(a: FracMat) -> int:
     """Rank over the rationals by Gaussian elimination."""
     m = [row[:] for row in a]

@@ -8,28 +8,28 @@ and the quadratic Casimir EF + FE + H^2/2 has eigenvalue 2s(s+1) on the
 spin-s summand, which yields exact projectors by Lagrange interpolation.
 
 The assembled R-matrix must commute with the coproduct action.  The stable
-basis fixes signs differently from the weight basis, so commutation may hold
-only after conjugating by a diagonal +-1 gauge; renormalizing the basis
-vectors of the two tensor factors independently gives exactly the product
-gauges sigma_(a,b) = alpha_a * beta_b, and the search runs over those (the
-gauge found is recorded in the report).  Once commutation holds, the operator
-is a rational function of the Casimir; projecting gives one eigenvalue
-function per spin channel, and the reconstruction from those eigenvalues must
-be exact.
+basis puts the sign (-1)^b on the basis vector e_b of the second tensor
+factor, so commutation holds after conjugating by the fixed diagonal gauge
+sigma_(a,b) = (-1)^b (``sign_gauge``).  Every entry of R(z) is N(z)/D(z)
+over the one scalar polynomial D, so the checks read the int coefficient
+matrices of N(z) = sum_e z^e N_e (``FullR.coefficients``): each
+sigma N_e sigma commuting with the coproduct is an exact polynomial identity.
+Once commutation holds, each sigma N_e sigma is a combination of the Casimir
+projectors; the traces give one eigenvalue function per spin channel, and the
+reconstruction from them must be exact, one power of z at a time.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import fracmat
-from .exactalg import RatFun, cancel_common_z_roots, ratfun_to_str
+from .exactalg import MPoly, RatFun, cancel_common_z_roots, ratfun_to_str
 from .fracmat import FracMat, SymMatrix
 from .report import Report
-from .rmatrix import FullR, assemble_full, strip_common_roots
+from .rmatrix import FullR, assemble_full, spin_denominator, strip_common_roots
 
 
 class OracleStructureError(Exception):
@@ -103,113 +103,62 @@ def casimir_projectors(ell: int) -> tuple[FracMat, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _commutator(r: SymMatrix, x: FracMat) -> SymMatrix:
-    """[R, X] for a rational-function matrix and an exact scalar matrix."""
-    n = r.rows
-    grid: list[list[RatFun]] = []
-    for i in range(n):
-        row: list[RatFun] = []
-        for j in range(n):
-            acc = RatFun.zero()
-            for m in range(n):
-                a = r.entries[i][m]
-                if not a.is_zero and x[m][j]:
-                    acc = acc + a.scale(x[m][j])
-                b = r.entries[m][j]
-                if not b.is_zero and x[i][m]:
-                    acc = acc - b.scale(x[i][m])
-            row.append(acc)
-        grid.append(row)
-    return SymMatrix(grid, r.row_labels, r.col_labels)
+def sign_gauge(ell: int) -> tuple[int, ...]:
+    """sigma_(a,b) = (-1)^b: the sign the stable basis puts on e_b of the second factor."""
+    d = ell + 1
+    return tuple((-1) ** b for a in range(d) for b in range(d))
+
+
+def _conjugate(rows: Sequence[Sequence], sigma: Sequence[int]) -> list[list]:
+    """Conjugation by the diagonal sign matrix diag(sigma), which is its own inverse."""
+    return [
+        [x if sigma[i] == sigma[j] else -x for j, x in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
 
 
 def apply_gauge(matrix: SymMatrix, sigma: Sequence[int]) -> SymMatrix:
-    """Conjugate by the diagonal sign matrix D = diag(sigma); D is its own inverse."""
-    grid = [
-        [
-            entry if sigma[i] * sigma[j] == 1 else -entry
-            for j, entry in enumerate(row)
-        ]
-        for i, row in enumerate(matrix.entries)
-    ]
-    return SymMatrix(grid, matrix.row_labels, matrix.col_labels)
+    return SymMatrix(_conjugate(matrix.entries, sigma), matrix.row_labels, matrix.col_labels)
 
 
-def _product_gauges(ell: int) -> Iterable[tuple[int, ...]]:
-    """Diagonal sign gauges from renormalizing each tensor factor's basis.
-
-    sigma_(a,b) = alpha_a * beta_b with alpha_0 = beta_0 = +1 (an overall sign
-    cancels in conjugation, so this loses nothing); the identity comes first.
-    """
-    d = ell + 1
-    for alpha_rest in itertools.product((1, -1), repeat=d - 1):
-        alpha = (1,) + alpha_rest
-        for beta_rest in itertools.product((1, -1), repeat=d - 1):
-            beta = (1,) + beta_rest
-            yield tuple(alpha[a] * beta[b] for a in range(d) for b in range(d))
-
-
-def _commutes_numeric(r0: FracMat, sigma: Sequence[int], xs: Sequence[FracMat]) -> bool:
-    n = len(r0)
-    gauged = [[sigma[i] * sigma[j] * r0[i][j] for j in range(n)] for i in range(n)]
-    for x in xs:
-        if fracmat.mat_mul(gauged, x) != fracmat.mat_mul(x, gauged):
-            return False
-    return True
+def _commutation_witnesses(full: FullR, sigma: Sequence[int]) -> list[dict]:
+    """One witness per generator x and power e where [sigma N_e sigma, Dx] != 0."""
+    gauged = [_conjugate(n_e, sigma) for n_e in full.coefficients()]
+    witnesses = []
+    for which in ("E", "F", "H"):
+        x = coproduct(full.ell, which)
+        for e, n_e in enumerate(gauged):
+            comm = fracmat.mat_sub(fracmat.mat_mul(n_e, x), fracmat.mat_mul(x, n_e))
+            bad = next(
+                ((i, j) for i, row in enumerate(comm) for j, v in enumerate(row) if v), None
+            )
+            if bad is not None:
+                value = str(comm[bad[0]][bad[1]])
+                witnesses.append({"generator": which, "power": e, "entry": bad, "value": value})
+    return witnesses
 
 
 def verify_sl2_commutation(full: FullR) -> Report:
-    """Check [R(z), Dx] = 0 for x in {E, F, H}, symbolically in z.
+    """Check [sigma N_e sigma, Dx] = 0 for x in {E, F, H} and every power e of z.
 
-    Product sign gauges are tried in a fixed order (identity first); the gauge
-    that makes all three commutators vanish is recorded in the report.
+    The coefficient matrices N_e are int, so this is an exact proof that
+    sigma R(z) sigma commutes with the coproduct; the gauge is recorded.
     """
     report = Report("sl2_commutation", {"ell": full.ell})
-    ops = {which: coproduct(full.ell, which) for which in ("E", "F", "H")}
-    # poles are negative integers; R is compared at z = 1/3 up to its scale
-    r0, _ = full.scaled_at(Fraction(1, 3))
-    chosen: tuple[int, ...] | None = None
-    for sigma in _product_gauges(full.ell):
-        if _commutes_numeric(r0, sigma, (ops["E"], ops["F"], ops["H"])):
-            chosen = sigma
-            break
-    if chosen is None:
-        report.fail(reason="no product sign gauge makes R commute with the coproduct")
-        return report
-    gauged = apply_gauge(full.matrix, chosen)
-    for which, x in ops.items():
-        comm = _commutator(gauged, x)
-        bad = next(
-            (
-                (i, j)
-                for i, row in enumerate(comm.entries)
-                for j, e in enumerate(row)
-                if not e.is_zero
-            ),
-            None,
-        )
-        if bad is not None:
-            report.fail(
-                generator=which,
-                entry=bad,
-                value=ratfun_to_str(comm.entries[bad[0]][bad[1]]),
-            )
+    sigma = sign_gauge(full.ell)
+    for witness in _commutation_witnesses(full, sigma):
+        report.fail(**witness)
     if report.passed:
-        report.details["gauge"] = (
-            "identity" if all(s == 1 for s in chosen) else list(chosen)
-        )
+        report.details["gauge"] = list(sigma)
     return report
 
 
 def commutation_gauge(full: FullR) -> tuple[int, ...]:
-    """The recorded gauge of a passing commutation check, as a sign vector."""
-    report = verify_sl2_commutation(full)
-    if not report.passed:
+    """The gauge under which R commutes with the coproduct, as a sign vector."""
+    sigma = sign_gauge(full.ell)
+    if _commutation_witnesses(full, sigma):
         raise OracleStructureError("R does not commute with the coproduct action")
-    gauge = report.details["gauge"]
-    if gauge == "identity":
-        return tuple([1] * full.dim)
-    return tuple(gauge)
+    return sigma
 
 
 # ---------------------------------------------------------------------------
@@ -218,41 +167,38 @@ def commutation_gauge(full: FullR) -> tuple[int, ...]:
 
 
 def spectral_decompose(full: FullR, sigma: Sequence[int] | None = None) -> list[RatFun]:
-    """Eigenvalue functions rho_s(z) = trace(R P_s)/(2s+1), s = 0..ell.
+    """Eigenvalue functions rho_s(z) = n_s(z)/D(z), s = 0..ell.
 
-    The gauge making R commute with the coproduct is applied first (found
-    automatically when not supplied).  Each eigenvalue is reduced to lowest
-    terms by trial division at the shifts -2*ell..2*ell before the
-    reconstruction sum rho_s P_s is checked against R; a reconstruction
-    mismatch raises OracleStructureError.
+    The coefficient n_s,e of z^e in n_s is trace(sigma N_e sigma P_s)/(2s+1),
+    an exact number (the gauge is ``commutation_gauge`` when not supplied).
+    The reconstruction sum_s n_s,e P_s = sigma N_e sigma is checked for every
+    power e; a mismatch raises OracleStructureError.  Each rho is reduced to
+    lowest terms by trial division at the shifts -2*ell..2*ell.
     """
     if sigma is None:
         sigma = commutation_gauge(full)
-    gauged = apply_gauge(full.matrix, sigma)
-    projs = casimir_projectors(full.ell)
-    shifts = _default_shifts(full)
-    rhos: list[RatFun] = []
     dim = full.dim
-    for s, p in enumerate(projs):
-        acc = RatFun.zero()
-        for u in range(dim):
-            for v in range(dim):
-                entry = gauged.entries[u][v]
-                if not entry.is_zero and p[v][u]:
-                    acc = acc + entry.scale(p[v][u])
-        # the traces sit over the monic D, so each rho comes out with a monic denominator
-        rhos.append(strip_common_roots(acc.scale(Fraction(1, 2 * s + 1)), shifts))
-    for u in range(dim):
-        for v in range(dim):
-            acc = RatFun.zero()
-            for s, p in enumerate(projs):
-                if p[u][v]:
-                    acc = acc + rhos[s].scale(p[u][v])
-            if not acc.value_eq(gauged.entries[u][v]):
-                raise OracleStructureError(
-                    f"spectral reconstruction fails at entry ({u}, {v})"
-                )
-    return rhos
+    supports = [
+        [(u, v, x) for u, row in enumerate(p) for v, x in enumerate(row) if x]
+        for p in casimir_projectors(full.ell)
+    ]
+    coeffs: list[list[Fraction]] = [[] for _ in supports]  # coeffs[s][e] = n_s,e
+    for e, n_e in enumerate(_conjugate(c, sigma) for c in full.coefficients()):
+        rebuilt = [[0] * dim for _ in range(dim)]
+        for s, support in enumerate(supports):
+            n = Fraction(sum(x * n_e[v][u] for u, v, x in support), 2 * s + 1)
+            coeffs[s].append(n)
+            for u, v, x in support:
+                rebuilt[u][v] += n * x
+        if rebuilt != n_e:
+            raise OracleStructureError(f"spectral reconstruction fails at the power z^{e}")
+    den = spin_denominator(full.ell)
+    shifts = _default_shifts(full)
+    # D is monic, so each rho comes out with a monic denominator
+    return [
+        strip_common_roots(RatFun(MPoly({(e, 0, 0): n for e, n in enumerate(cs)}), den), shifts)
+        for cs in coeffs
+    ]
 
 
 def _eval_with_cancellation(f: RatFun, value: Fraction) -> Fraction | None:
@@ -306,7 +252,7 @@ def verify_spectrum(ell: int) -> Report:
     except OracleStructureError as exc:
         report.fail(reason=str(exc))
         return report
-    report.details["gauge"] = "identity" if all(s == 1 for s in gauge) else list(gauge)
+    report.details["gauge"] = list(gauge)
     report.details["rho"] = [ratfun_to_str(r) for r in rhos]
     for s, rho in enumerate(rhos):
         at_zero = _eval_with_cancellation(rho, Fraction(0))

@@ -249,6 +249,16 @@ class FullR:
         ]
         return nums, den
 
+    def coefficients(self) -> list[list[list[int]]]:
+        """N_0..N_ell, the int coefficient matrices of the numerators: N(z) = sum_e z^e N_e."""
+        n = self.dim
+        out = [[[0] * n for _ in range(n)] for _ in range(self.ell + 1)]
+        for i, row in enumerate(self.matrix.entries):
+            for j, entry in enumerate(row):
+                for m, c in entry.num.terms.items():
+                    out[m[0]][i][j] = c
+        return out
+
     def at_z(self, value: Fraction) -> FracMat:
         """Exact numeric matrix at a rational spectral parameter."""
         nums, den = self.scaled_at(value)

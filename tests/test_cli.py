@@ -343,6 +343,28 @@ def test_size_parameters_have_upper_bounds(capsys, monkeypatch, argv):
     assert "at most" in err
 
 
+UNREAD_FLAGS = [
+    ("export", "--kind", "s", "-k", "2", "--at-z", "1", "--format", "text"),
+    ("export", "--kind", "dims", "-n", "2", "-l", "2", "--at-z", "1"),
+    ("export", "--kind", "fixed-points", "-k", "1", "-n", "2", "-l", "1", "--at-z", "1"),
+    ("verify", "--suite", "golden", "-l", "5"),
+    ("verify", "--suite", "inverse", "-l", "3"),
+    ("verify", "--suite", "oracle", "-k", "3"),
+    ("verify", "--suite", "ybe", "-k", "4"),
+]
+
+
+@pytest.mark.parametrize("argv", UNREAD_FLAGS, ids=" ".join)
+def test_flags_the_route_never_reads_are_usage_errors(capsys, monkeypatch, argv):
+    def no_case(case):
+        raise AssertionError("a case ran despite a flag its route never reads")
+
+    monkeypatch.setattr(cli, "_run_case", no_case)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "does not read" in err
+
+
 def test_upper_bounds_admit_their_limits():
     parser = cli.build_parser()
     for argv in (
@@ -360,11 +382,13 @@ def test_upper_bounds_admit_their_limits():
 
 # sha256 of stdout for outputs that route through the common-denominator
 # form of the assembled matrix: the lowest-terms printer, the evaluator, and
-# the oracle's gauge search and spectral decomposition
+# the oracle's commutation check and spectral decomposition on the int
+# coefficient matrices
 OUTPUT_DIGESTS = {
     "compute-r -l 3 --format latex": "ede97409ab915abee985bfa813cb451b1d91ef42b976b5cba59b8e96056c4ae6",
     "compute-r -l 3 --at-z 1/3": "f4d119dac9937e26a90cf035e307fdf0ffa6875f71f26b78980978edafda5a24",
     "verify --suite oracle -l 3 --format json": "318b396f97d9657c52ec622276c6b4f3e6a5d94bf620552d75787290b809945c",
+    "verify --suite oracle -l 4 --format json": "8aa5486989f99b5034c15ea8b57b5419ec5111e2e68452c56eb70a56cd7c2d6a",
 }
 
 

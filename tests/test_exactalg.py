@@ -259,13 +259,6 @@ def test_exact_div_quotient_keeps_fractions():
     assert type(q.terms[(0, 0, 0)]) is Fraction
 
 
-def test_as_rational_is_a_fraction():
-    half = RatFun(MPoly.const(1), MPoly.const(2)).as_rational()
-    assert half == Fraction(1, 2)
-    assert type(half) is Fraction
-    assert type(MPoly.const(3).as_rational()) is Fraction
-
-
 def test_scale_back_to_integers_gives_ints():
     p = Z.scale(3) + PHI.scale(4) - ONE
     back = p.scale(Fraction(1, 2)).scale(2)
@@ -346,14 +339,6 @@ def test_den_factors_multiply_out_to_den(f, g, q):
     for r in results:
         assert r.den_factors is not None
         assert r.den == _expand_factor_product(r.den_factors)
-
-
-@given(factored)
-@settings(max_examples=60, deadline=None)
-def test_expand_inverse_roundtrip(f):
-    expanded = f.expand()
-    back = f.inverse().expand()
-    assert expanded * back == RatFun.one()
 
 
 @given(mpolys, small_fractions, small_fractions, small_fractions)

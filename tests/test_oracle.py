@@ -19,7 +19,8 @@ from spinr.oracle import (
     verify_sl2_commutation,
     verify_spectrum,
 )
-from spinr.rmatrix import assemble_full
+from spinr.fracmat import SymMatrix
+from spinr.rmatrix import FullR, assemble_full
 
 Z = MPoly.var("z")
 ONE = MPoly.one()
@@ -81,7 +82,7 @@ def test_projector_algebra():
             assert fracmat.rank(p) == 2 * s + 1
             for t, q in enumerate(projs):
                 if t < s:
-                    assert fracmat.is_zero_mat(fracmat.mat_mul(p, q))
+                    assert fracmat.mat_mul(p, q) == fracmat.zeros(dim, dim)
             total = fracmat.mat_add(total, p)
         assert total == fracmat.identity(dim)
 
@@ -94,7 +95,7 @@ def test_casimir_spectrum():
         for s in range(ell + 1):
             shift = fracmat.mat_scale(fracmat.identity(dim), Fraction(2 * s * (s + 1)))
             product = fracmat.mat_mul(product, fracmat.mat_sub(c, shift))
-        assert fracmat.is_zero_mat(product)
+        assert product == fracmat.zeros(dim, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -103,13 +104,37 @@ def test_casimir_spectrum():
 
 
 def test_commutation_needs_one_sign_flip_per_column():
-    for ell in (1, 2):
+    for ell in range(1, 7):
         report = verify_sl2_commutation(assemble_full(ell))
         assert report.passed
         gauge = report.details["gauge"]
         d = ell + 1
         expected = [(-1) ** (idx % d) for idx in range(d * d)]
         assert gauge == expected
+
+
+def test_commutation_witness_names_generator_power_and_entry():
+    # one coupling of the spin-1 matrix scaled by 2 breaks commutation; each
+    # witness must name a nonzero commutator entry, the first one row by row
+    full = assemble_full(2)
+    labels = full.matrix.row_labels
+    grid = [list(row) for row in full.matrix.entries]
+    i, j = labels.index((0, 1)), labels.index((1, 0))
+    grid[i][j] = grid[i][j].scale(2)
+    broken = FullR(2, SymMatrix(grid, labels, labels))
+    report = verify_sl2_commutation(broken)
+    assert not report.passed and "gauge" not in report.details
+    sigma = [(-1) ** (idx % 3) for idx in range(9)]
+    for witness in report.failures:
+        assert set(witness) == {"generator", "power", "entry", "value"}
+        n_e = broken.coefficients()[witness["power"]]
+        gauged = [[sigma[r] * sigma[c] * x for c, x in enumerate(row)] for r, row in enumerate(n_e)]
+        comm = bracket(gauged, coproduct(2, witness["generator"]))
+        r, c = witness["entry"]
+        assert comm[r][c] != 0 and witness["value"] == str(comm[r][c])
+        assert not any(comm[r][:c]) and not any(x for row in comm[:r] for x in row)
+    with pytest.raises(OracleStructureError):
+        commutation_gauge(broken)
 
 
 def test_gauge_is_weight_preserving():

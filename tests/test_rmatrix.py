@@ -1,5 +1,6 @@
 """Sector blocks, assembly, unitarity, LU factors, Yang-Baxter."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -212,6 +213,29 @@ def test_at_z_refuses_pole_and_names_it():
     with pytest.raises(PoleSpecializationError) as err:
         full.at_z(Fraction(-1))
     assert "-1" in str(err.value)
+
+
+def test_coefficients_are_a_second_route_to_the_numerators():
+    # sum_e p^e q^(ell-e) N_e is q^ell N(p/q), which scaled_at reads from the
+    # sparse terms; at z = 0 that is N_0 = D(0) R(0) = ell! Id
+    for ell in range(1, 6):
+        full = assemble_full(ell)
+        coeffs = full.coefficients()
+        assert len(coeffs) == ell + 1
+        assert {type(x) for n_e in coeffs for row in n_e for x in row} == {int}
+        assert coeffs[0] == [
+            [math.factorial(ell) if i == j else 0 for j in range(full.dim)]
+            for i in range(full.dim)
+        ]
+        for z in (Fraction(0), Fraction(1, 3), Fraction(-7, 2), Fraction(5)):
+            p, q = z.numerator, z.denominator
+            nums, _ = full.scaled_at(z)
+            expected = [
+                [sum(p**e * q ** (ell - e) * n_e[i][j] for e, n_e in enumerate(coeffs))
+                 for j in range(full.dim)]
+                for i in range(full.dim)
+            ]
+            assert nums == expected, (ell, z)
 
 
 def test_at_z_numeric_values():
