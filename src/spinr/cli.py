@@ -48,6 +48,10 @@ MAX_K = 24
 MAX_N = 6
 MAX_TRIALS = 10000
 
+# The YBE sampling that verify runs when --trials or --seed is not given.
+YBE_TRIALS = 20
+YBE_SEED = 7
+
 
 class UsageError(ValueError):
     """Bad command-line arguments; mapped to exit code 2."""
@@ -72,20 +76,22 @@ class RunConfig:
     inverse: bool = False
     at_z: Fraction | None = None
     suite: str = "all"
-    trials: int = 20
-    seed: int = 7
+    trials: int | None = None
+    seed: int | None = None
     fmt: str = "json"
     output: str | None = None
     jobs: int = 1
     quiet: bool = False
 
 
-def _add_common(p: argparse.ArgumentParser, formats: list[str], default_fmt: str) -> None:
+def _add_common(
+    p: argparse.ArgumentParser, formats: list[str], default_fmt: str, seed: int | None = 7
+) -> None:
     p.add_argument("--format", dest="fmt", choices=formats, default=default_fmt)
     p.add_argument("--output", "-o", default=None, help="write to a file instead of stdout")
     p.add_argument("--quiet", "-q", action="store_true", help="suppress per-item progress lines")
     p.add_argument("--jobs", "-j", type=int, default=1, help="worker processes for verification cases")
-    p.add_argument("--seed", type=int, default=7, help="seed for random rational sampling")
+    p.add_argument("--seed", type=int, default=seed, help="seed for random rational sampling")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,8 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=list(_SUITE_READS), default="all")
     p.add_argument("-k", type=int, default=None, help="restrict to one k (default: spec range)")
     p.add_argument("-l", "--ell", dest="ell", type=int, default=None)
-    p.add_argument("--trials", type=int, default=20)
-    _add_common(p, ["json", "text"], "text")
+    p.add_argument("--trials", type=int, default=None, help=f"YBE trials (default {YBE_TRIALS})")
+    _add_common(p, ["json", "text"], "text", seed=None)
 
     p = sub.add_parser("export", help="unified exporter")
     p.add_argument("--kind", choices=list(_EXPORT_READS), required=True)
@@ -147,7 +153,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise UsageError(str(exc)) from exc
     if cfg.jobs < 1:
         raise UsageError("--jobs must be at least 1")
-    if cfg.trials < 1:
+    if cfg.trials is not None and cfg.trials < 1:
         raise UsageError("--trials must be at least 1")
     _check_upper(cfg.ell, MAX_ELL, "-l")
     _check_upper(cfg.k, MAX_K, "-k")
@@ -162,18 +168,20 @@ def _check_upper(value: int | None, top: int, flag: str) -> None:
         raise UsageError(f"{flag} must be at most {top}, got {value}")
 
 
-# Which of -k, -n, -l and --at-z each verify suite and export kind reads.  A
-# flag given to a route that never reads it is a usage error, not ignored.
+# Which of -k, -n, -l, --at-z, --trials and --seed each verify suite and
+# export kind reads.  A flag given to a route that never reads it is a usage
+# error, not ignored.  Only verify checks --seed: the other commands accept
+# it and draw nothing.
 _SUITE_READS = {
     "inverse": ("k",),
     "linrel": ("k",),
     "residues": ("k",),
     "constructions": ("k",),
     "unitarity": ("k", "ell"),
-    "ybe": ("ell",),
+    "ybe": ("ell", "trials", "seed"),
     "golden": (),
     "oracle": ("ell",),
-    "all": ("k", "ell"),
+    "all": ("k", "ell", "trials", "seed"),
 }
 _EXPORT_READS = {
     "r": ("ell", "at_z"),
@@ -186,7 +194,10 @@ _EXPORT_READS = {
 
 
 def _refuse_unread(cfg: RunConfig, reads: tuple[str, ...], route: str) -> None:
-    for name, flag in (("k", "-k"), ("n", "-n"), ("ell", "-l"), ("at_z", "--at-z")):
+    flags = [("k", "-k"), ("n", "-n"), ("ell", "-l"), ("at_z", "--at-z"), ("trials", "--trials")]
+    if cfg.command == "verify":
+        flags.append(("seed", "--seed"))
+    for name, flag in flags:
         if name not in reads and getattr(cfg, name) is not None:
             raise UsageError(f"{route} does not read {flag}")
 
@@ -387,7 +398,9 @@ def _suite_cases(cfg: RunConfig) -> list[Case]:
                 cases.append(("identity_at_zero", {"ell": l}))
         elif suite == "ybe":
             for l in [ell] if ell else [2]:
-                cases.append(("ybe", {"ell": l, "trials": cfg.trials, "seed": cfg.seed}))
+                trials = YBE_TRIALS if cfg.trials is None else cfg.trials
+                seed = YBE_SEED if cfg.seed is None else cfg.seed
+                cases.append(("ybe", {"ell": l, "trials": trials, "seed": seed}))
         elif suite == "golden":
             for name in golden.GOLDEN_CHECKS:
                 cases.append(("golden", {"name": name}))

@@ -21,7 +21,8 @@ the representation never shows in output.  The building blocks are:
                     by cross multiplication.  When the denominator's
                     factorization into linear forms is known it is cached,
                     which keeps degrees small when summing many terms over a
-                    common denominator.
+                    common denominator: ``factored_sum`` and ``ratfun_dot``
+                    (the entry of a matrix product) sum over the lcm.
 
 Substitution acts on polynomials only (``MPoly.substitute``); there is no
 general specialization of rational functions.  Spin specialization lives in
@@ -413,6 +414,36 @@ def _expand_factor_product(items: Iterable[tuple[LinForm, int]]) -> MPoly:
     return out
 
 
+def _lcm_cofactors(
+    den_maps: Sequence[Mapping[LinForm, int]],
+    expansions: dict[FactorItems, MPoly] | None = None,
+) -> tuple[FactorItems, list[MPoly]]:
+    """The lcm of factored denominators and the expanded cofactor lcm/den of each.
+
+    A denominator maps canonical linear forms to positive exponents; the lcm
+    takes each form's largest exponent.  Every sum over a common factored
+    denominator (``RatFun.__add__``, ``factored_sum``, ``ratfun_dot``) finds
+    it here.  ``expansions`` holds cofactors already expanded, keyed by their
+    sorted factor items, for callers that share them across many sums.
+    """
+    lcm: dict[LinForm, int] = {}
+    for dm in den_maps:
+        for f, e in dm.items():
+            if e > lcm.get(f, 0):
+                lcm[f] = e
+    items = tuple(sorted(lcm.items()))
+    if expansions is None:
+        expansions = {}
+    cofactors = []
+    for dm in den_maps:
+        key = tuple((f, e - dm.get(f, 0)) for f, e in items if e > dm.get(f, 0))
+        cof = expansions.get(key)
+        if cof is None:
+            cof = expansions[key] = _expand_factor_product(key)
+        cofactors.append(cof)
+    return items, cofactors
+
+
 class FactoredRat:
     """A scalar times a product of canonical linear forms with integer exponents."""
 
@@ -553,16 +584,10 @@ class RatFun:
             factors = self.den_factors if self.den_factors is not None else other.den_factors
             return RatFun(self.num + other.num, self.den, factors)
         if self.den_factors is not None and other.den_factors is not None:
-            fa, fb = dict(self.den_factors), dict(other.den_factors)
-            lcm = {f: max(fa.get(f, 0), fb.get(f, 0)) for f in fa.keys() | fb.keys()}
-            cof_a = _expand_factor_product(
-                (f, e - fa.get(f, 0)) for f, e in lcm.items() if e > fa.get(f, 0)
+            lcm, (cof_a, cof_b) = _lcm_cofactors(
+                [dict(self.den_factors), dict(other.den_factors)]
             )
-            cof_b = _expand_factor_product(
-                (f, e - fb.get(f, 0)) for f, e in lcm.items() if e > fb.get(f, 0)
-            )
-            den = self.den * cof_a
-            return RatFun(self.num * cof_a + other.num * cof_b, den, tuple(sorted(lcm.items())))
+            return RatFun(self.num * cof_a + other.num * cof_b, self.den * cof_a, lcm)
         return RatFun(self.num * other.den + other.num * self.den, self.den * other.den, None)
 
     def __neg__(self) -> RatFun:
@@ -633,19 +658,51 @@ def factored_sum(terms: Iterable[FactoredRat]) -> RatFun:
     live = [t for t in terms if not t.is_zero]
     if not live:
         return RatFun.zero()
-    den_maps = [dict(t.den_items()) for t in live]
-    lcm: dict[LinForm, int] = {}
-    for dm in den_maps:
-        for f, e in dm.items():
-            if e > lcm.get(f, 0):
-                lcm[f] = e
+    lcm, cofactors = _lcm_cofactors([dict(t.den_items()) for t in live])
     num = MPoly.zero()
-    for t, dm in zip(live, den_maps):
-        part = _expand_factor_product(t.num_items()).scale(t.scalar)
-        cof = _expand_factor_product((f, e - dm.get(f, 0)) for f, e in lcm.items() if e > dm.get(f, 0))
-        num = num + part * cof
-    den_items = tuple(sorted(lcm.items()))
-    return RatFun(num, _expand_factor_product(den_items), den_items)
+    for t, cof in zip(live, cofactors):
+        num = num + _expand_factor_product(t.num_items()).scale(t.scalar) * cof
+    return RatFun(num, _expand_factor_product(lcm), lcm)
+
+
+def ratfun_dot(
+    left: Sequence[RatFun],
+    right: Sequence[RatFun],
+    expansions: dict[FactorItems, MPoly] | None = None,
+) -> RatFun:
+    """The sum of the products a*b over the pairs of left and right.
+
+    When every nonzero operand knows its ``den_factors``, a pair's denominator
+    is the sum of the two factorizations, and the whole sum goes over the lcm
+    of the pairs' denominators, expanded once: each pair contributes
+    a.num*b.num times its expanded cofactor.  ``expansions`` shares expanded
+    factor products across the entries of one matrix product.  Otherwise the
+    products are accumulated with ``+``.
+    """
+    pairs = [(a, b) for a, b in zip(left, right) if not a.num.is_zero and not b.num.is_zero]
+    if any(a.den_factors is None or b.den_factors is None for a, b in pairs):
+        acc = RatFun.zero()
+        for a, b in pairs:
+            acc = acc + a * b
+        return acc
+    if not pairs:
+        return RatFun.zero()
+    if expansions is None:
+        expansions = {}
+    den_maps = []
+    for a, b in pairs:
+        dm = dict(a.den_factors)
+        for f, e in b.den_factors:
+            dm[f] = dm.get(f, 0) + e
+        den_maps.append(dm)
+    lcm, cofactors = _lcm_cofactors(den_maps, expansions)
+    num = MPoly.zero()
+    for (a, b), cof in zip(pairs, cofactors):
+        num = num + a.num * b.num * cof
+    den = expansions.get(lcm)
+    if den is None:
+        den = expansions[lcm] = _expand_factor_product(lcm)
+    return RatFun(num, den, lcm)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ Two kinds of matrix live here.
   under ``mat_mul``, ``mat_add`` and ``mat_sub``.
 * ``SymMatrix`` -- a labelled matrix of rational functions in (z, phi, eps):
   the stable-basis change S, the sector blocks and the assembled R(z).  Its
-  ``mismatches`` is the one entrywise comparison every symbolic check uses.
+  ``mismatches`` is the one entrywise comparison every symbolic check uses,
+  and ``mul`` sums each entry over one factored denominator
+  (``exactalg.ratfun_dot``).
 
 Everything here is exact; sizes stay small (at most a few dozen rows), so
 naive algorithms are fine.
@@ -19,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .exactalg import RatFun, ratfun_to_latex, ratfun_to_str
+from .exactalg import RatFun, ratfun_dot, ratfun_to_latex, ratfun_to_str
 
 FracMat = list[list[int | Fraction]]
 
@@ -153,21 +155,12 @@ class SymMatrix:
         )
 
     def mul(self, other: SymMatrix) -> SymMatrix:
+        """The product self*other; each entry is one ``exactalg.ratfun_dot``."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        out: list[list[RatFun]] = []
-        for i in range(self.rows):
-            row: list[RatFun] = []
-            for j in range(other.cols):
-                acc = RatFun.zero()
-                for m in range(self.cols):
-                    a = self.entries[i][m]
-                    b = other.entries[m][j]
-                    if a.is_zero or b.is_zero:
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
+        columns = list(zip(*other.entries))
+        expansions: dict = {}
+        out = [[ratfun_dot(row, col, expansions) for col in columns] for row in self.entries]
         return SymMatrix(out, self.row_labels, other.col_labels)
 
     def permute_rows(self, perm: Sequence[int]) -> SymMatrix:

@@ -5,7 +5,9 @@ variables (z, phi, eps).  Two independent constructions are provided: the
 closed-form single sum over products of linear forms (``rblock_closed``) and
 the triangular product S^-1 * S-tilde (``rblock_triangular``), where S-tilde
 is S with rows reversed and z negated; both return the block as a
-``fracmat.SymMatrix``.  ``assemble_full`` builds each block
+``fracmat.SymMatrix``.  ``rblock_closed`` is memoized: each k is built once
+per process and shared by every check that reads it, so callers must not
+mutate the block.  ``assemble_full`` builds each block
 entry it needs on the spin line: it binds eps -> -ell*phi in every factored
 summand, sums, sets phi -> 1 and divides exactly to put the entry over the one
 denominator D(z) = (z+1)...(z+ell) of the fusion spectrum.  It places the
@@ -14,16 +16,18 @@ target (a', b') with a + b = a' + b' = k is block entry (b', b); everything
 else is zero.  No generic block is expanded on the way, and entries are
 reduced to lowest terms only for display (``FullR.lowest_terms``).
 
-Verifications: unitarity R(z) R(-z) = Id (symbolically per block and for the
-assembled matrix), equality of the two constructions, the lower/upper
-factorization of the permuted matrix, and the Yang-Baxter equation at exact
-rational points.  For the latter each pair operator is embedded directly into
-every total-weight sector of the triple tensor power (``_embed``), so no
-operator on the whole (ell+1)^3-dimensional space is ever formed.
+Verifications: unitarity R(z) R(-z) = Id (symbolically per block, and for the
+assembled matrix per weight sector on int polynomials), equality of the two
+constructions, the lower/upper factorization of the permuted matrix, and the
+Yang-Baxter equation at exact rational points.  For the latter each pair
+operator is embedded directly into every total-weight sector of the triple
+tensor power (``_embed``), so no operator on the whole (ell+1)^3-dimensional
+space is ever formed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -76,8 +80,12 @@ def _rblock_entry_terms(k: int, i: int, j_prime: int) -> list[FactoredRat]:
     return terms
 
 
+@functools.lru_cache(maxsize=None)
 def rblock_closed(k: int) -> SymMatrix:
-    """The sector-k block from the closed-form single sum."""
+    """The sector-k block from the closed-form single sum, built once per k and process.
+
+    The block is immutable by convention, so every caller shares one copy.
+    """
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
     return SymMatrix.from_function(
@@ -308,16 +316,45 @@ def verify_unitarity_block(k: int) -> Report:
 
 
 def verify_unitarity_full(ell: int) -> Report:
-    """R(z) R(-z) == Id symbolically in z for the assembled matrix."""
+    """R(z) R(-z) == Id symbolically in z for the assembled matrix.
+
+    R = N/D over the one denominator D, and R couples only equal total
+    weights, so the identity is N(z) N(-z) = D(z) D(-z) Id on each weight
+    sector: an identity of int polynomials in z, held as coefficient lists.
+    An entry of N between different weights must be zero, and is reported
+    as itself when it is not.  A product witness is the entry of R(z) R(-z)
+    over D(z) D(-z).
+    """
     report = Report("unitarity_full", {"ell": ell})
     full = assemble_full(ell)
-    product = full.matrix.mul(full.matrix.flip_z())
-    for i, j in product.mismatches(SymMatrix.identity(full.dim)):
-        report.fail(
-            row=full.matrix.row_labels[i],
-            col=full.matrix.col_labels[j],
-            entry=ratfun_to_str(product.entries[i][j]),
-        )
+    labels = full.matrix.row_labels
+    den = spin_denominator(ell)
+    dd = den * den.flip_z()
+    target = [dd.terms.get((e, 0, 0), 0) for e in range(2 * ell + 1)]
+    coeffs = full.coefficients()
+    n = [[[c[i][j] for c in coeffs] for j in range(full.dim)] for i in range(full.dim)]
+    weight = [a + b for a, b in labels]
+    sectors = [[i for i, w in enumerate(weight) if w == s] for s in range(2 * ell + 1)]
+    bad: dict[tuple[int, int], RatFun] = {}
+    for i, row in enumerate(n):
+        for j, poly in enumerate(row):
+            if weight[i] != weight[j] and any(poly):
+                bad[i, j] = full.matrix.entries[i][j]
+    for sector in sectors:
+        for i in sector:
+            for j in sector:
+                acc = [0] * (2 * ell + 1)
+                for m in sector:
+                    for e, x in enumerate(n[i][m]):
+                        if x:
+                            for f, y in enumerate(n[m][j]):
+                                if y:
+                                    acc[e + f] += -x * y if f % 2 else x * y
+                if acc != (target if i == j else [0] * len(acc)):
+                    num = MPoly({(e, 0, 0): c for e, c in enumerate(acc)})
+                    bad[i, j] = RatFun(num, dd) if num else RatFun.zero()
+    for i, j in sorted(bad):
+        report.fail(row=labels[i], col=labels[j], entry=ratfun_to_str(bad[i, j]))
     return report
 
 

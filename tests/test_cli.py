@@ -351,6 +351,12 @@ UNREAD_FLAGS = [
     ("verify", "--suite", "inverse", "-l", "3"),
     ("verify", "--suite", "oracle", "-k", "3"),
     ("verify", "--suite", "ybe", "-k", "4"),
+    ("verify", "--suite", "inverse", "-k", "0", "--trials", "5", "--seed", "3"),
+    ("verify", "--suite", "inverse", "-k", "0", "--trials", "5"),
+    ("verify", "--suite", "constructions", "-k", "0", "--seed", "3"),
+    ("verify", "--suite", "unitarity", "-k", "1", "--trials", "2"),
+    ("verify", "--suite", "golden", "--seed", "7"),
+    ("verify", "--suite", "oracle", "-l", "1", "--trials", "20"),
 ]
 
 
@@ -363,6 +369,38 @@ def test_flags_the_route_never_reads_are_usage_errors(capsys, monkeypatch, argv)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert "does not read" in err
+
+
+def test_ybe_sampling_defaults_apply_only_where_read(capsys, monkeypatch):
+    # --trials and --seed default to None so an unread one is caught; the
+    # suites that sample fill in the YBE defaults themselves
+    seen = []
+
+    def record(case):
+        seen.append(case)
+        return {"check": case[0], "params": dict(case[1]), "status": "pass"}
+
+    monkeypatch.setattr(cli, "_run_case", record)
+    assert run(capsys, "verify", "--suite", "ybe", "-l", "1")[0] == 0
+    assert seen == [("ybe", {"ell": 1, "trials": cli.YBE_TRIALS, "seed": cli.YBE_SEED})]
+    assert (cli.YBE_TRIALS, cli.YBE_SEED) == (20, 7)
+    seen.clear()
+    assert run(capsys, "verify", "--suite", "all", "--seed", "3")[0] == 0
+    assert [c[1] for c in seen if c[0] == "ybe"] == [{"ell": 2, "trials": 20, "seed": 3}]
+    seen.clear()
+    assert run(capsys, "verify", "--suite", "inverse", "-k", "0")[0] == 0
+    assert seen == [("inverse", {"k": 0})]
+
+
+def test_other_commands_still_accept_seed(capsys):
+    # the benchmark passes --seed to compute-r, which draws nothing
+    for argv in (
+        ("compute-r", "-l", "1", "--seed", "3"),
+        ("compute-s", "-k", "1", "--seed", "3"),
+        ("export", "--kind", "block", "-k", "1", "--seed", "3"),
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out, argv
 
 
 def test_upper_bounds_admit_their_limits():
@@ -381,14 +419,17 @@ def test_upper_bounds_admit_their_limits():
 
 
 # sha256 of stdout for outputs that route through the common-denominator
-# form of the assembled matrix: the lowest-terms printer, the evaluator, and
-# the oracle's commutation check and spectral decomposition on the int
-# coefficient matrices
+# form of the assembled matrix: the lowest-terms printer, the evaluator, the
+# oracle's commutation check and spectral decomposition on the int
+# coefficient matrices, and the unitarity suite (the factored block product
+# and the per-sector check of the assembled matrix)
 OUTPUT_DIGESTS = {
     "compute-r -l 3 --format latex": "ede97409ab915abee985bfa813cb451b1d91ef42b976b5cba59b8e96056c4ae6",
     "compute-r -l 3 --at-z 1/3": "f4d119dac9937e26a90cf035e307fdf0ffa6875f71f26b78980978edafda5a24",
     "verify --suite oracle -l 3 --format json": "318b396f97d9657c52ec622276c6b4f3e6a5d94bf620552d75787290b809945c",
     "verify --suite oracle -l 4 --format json": "8aa5486989f99b5034c15ea8b57b5419ec5111e2e68452c56eb70a56cd7c2d6a",
+    "verify --suite unitarity -k 7 --format json": "c3ce45a6d1b4a817cd406d23b1e6663868b50c60930c69bfaf1591523c650b90",
+    "verify --suite unitarity -l 4 --format json": "f31513416f04f37fb3272ce1145341390cfcab5bb9173a16711fa2523beec329",
 }
 
 

@@ -1,9 +1,11 @@
-"""The matrix module: exact rank, and the one entrywise comparison."""
+"""The matrix module: exact rank, the one entrywise comparison, the symbolic product."""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from spinr.exactalg import FactoredRat, LinForm, RatFun, _expand_factor_product
 from spinr.fracmat import SymMatrix, rank
 
 
@@ -21,3 +23,61 @@ def test_mismatches_refuses_other_shapes():
         with pytest.raises(ValueError):
             SymMatrix.identity(a).mismatches(SymMatrix.identity(b))
     assert not SymMatrix.identity(2).value_eq(SymMatrix.identity(3))
+
+
+# ---------------------------------------------------------------------------
+# the symbolic product
+# ---------------------------------------------------------------------------
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+linforms = st.builds(LinForm, st.integers(-2, 2), st.integers(-2, 2), st.integers(-1, 1)).filter(
+    lambda f: not f.is_zero
+)
+factored = st.builds(
+    FactoredRat,
+    small_fractions.filter(lambda q: q != 0),
+    st.lists(st.tuples(linforms, st.integers(-2, 2)), max_size=3),
+)
+
+
+def _unfactored(f: FactoredRat) -> RatFun:
+    e = f.expand()
+    return RatFun(e.num, e.den, None)
+
+
+entries = st.one_of(
+    st.just(RatFun.zero()),
+    factored.map(FactoredRat.expand),
+    factored.map(FactoredRat.expand),
+    factored.map(_unfactored),
+)
+
+
+@st.composite
+def matrix_pairs(draw):
+    n, m, p = (draw(st.integers(1, 3)) for _ in range(3))
+    grid = lambda rows, cols: [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+    return SymMatrix(grid(n, m)), SymMatrix(grid(m, p))
+
+
+@given(matrix_pairs())
+@settings(max_examples=80, deadline=None)
+def test_mul_equals_plain_accumulation(pair):
+    # second route: the plain RatFun sum of products, term by term
+    a, b = pair
+    product = a.mul(b)
+    assert (product.rows, product.cols) == (a.rows, b.cols)
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = RatFun.zero()
+            for m in range(a.cols):
+                x, y = a.entries[i][m], b.entries[m][j]
+                if not x.is_zero and not y.is_zero:
+                    acc = acc + x * y
+            entry = product.entries[i][j]
+            assert entry.value_eq(acc)
+            if entry.den_factors is not None:
+                assert entry.den == _expand_factor_product(entry.den_factors)
+            operands = [*a.entries[i], *(row[j] for row in b.entries)]
+            if all(x.den_factors is not None for x in operands):
+                assert entry.den_factors is not None

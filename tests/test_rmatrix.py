@@ -5,22 +5,28 @@ from fractions import Fraction
 
 import pytest
 
+from spinr import rmatrix
 from spinr.exactalg import (
     MPoly,
     PoleSpecializationError,
     RatFun,
+    _expand_factor_product,
     cancel_common_z_roots,
+    ratfun_to_str,
 )
 from spinr.fracmat import SymMatrix, identity, kron, mat_mul
 from spinr.golden import spin_half_block, spin_one_full_matrix, spin_one_middle_block
+from spinr.stablebasis import S_inverse, S_matrix
 from spinr.rmatrix import (
     FullR,
     _ybe_at,
     assemble_full,
     lu_factors,
     rblock_closed,
+    rblock_triangular,
     s_tilde,
     sample_spectral_triples,
+    spin_denominator,
     verify_block_limit,
     verify_equal_constructions,
     verify_identity_at_zero,
@@ -320,3 +326,106 @@ def test_sampling_is_seeded_and_avoids_poles():
         for diff in (z1 - z2, z1 - z3, z2 - z3):
             assert diff not in poles
     assert sample_spectral_triples(2, 10, seed=12) != first
+
+
+# ---------------------------------------------------------------------------
+# factored denominators and the symbolic product
+# ---------------------------------------------------------------------------
+
+
+def _index_reversal(m: SymMatrix) -> SymMatrix:
+    """J*m, with J the index reversal."""
+    return m.permute_rows(list(range(m.rows - 1, -1, -1)))
+
+
+def test_den_factors_multiply_out_through_k6():
+    # the product sums over the lcm of den_factors, which is sound only if
+    # every den_factors multiplies out to den exactly
+    for k in range(7):
+        block = rblock_closed(k)
+        built = [S_matrix(k), S_inverse(k), s_tilde(k), block, rblock_triangular(k)]
+        built += [m.flip_z() for m in built]
+        # the products that verify_unitarity_block and verify_inverse form
+        products = [block.mul(block.flip_z()), S_inverse(k).mul(S_matrix(k))]
+        for m in built + products:
+            for entry in (e for row in m.entries for e in row):
+                assert entry.den_factors is not None, k
+                assert entry.den == _expand_factor_product(entry.den_factors), k
+
+
+def test_s_tilde_is_reversed_flipped_s():
+    # the premise of composing unitarity from inverse and constructions
+    for k in range(7):
+        tilde, expected = s_tilde(k), _index_reversal(S_matrix(k).flip_z())
+        assert not tilde.mismatches(expected), k
+        for row_t, row_e in zip(tilde.entries, expected.entries):
+            for x, y in zip(row_t, row_e):
+                assert (x.num, x.den, x.den_factors) == (y.num, y.den, y.den_factors), k
+
+
+def test_rblock_closed_is_built_once_per_k():
+    assert rblock_closed(4) is rblock_closed(4)
+    assert rblock_closed(3) is not rblock_closed(4)
+
+
+def test_unitarity_block_witness_matches_plain_product(monkeypatch):
+    block = rblock_closed(3)
+    grid = [list(row) for row in block.entries]
+    grid[1][2] = grid[1][2].scale(2)
+    broken = SymMatrix(grid)
+    monkeypatch.setattr(rmatrix, "rblock_closed", lambda k: broken)
+    report = verify_unitarity_block(3)
+    monkeypatch.undo()
+    # second route: the product accumulated with RatFun + and *, pair by pair
+    flipped = broken.flip_z()
+    plain = {}
+    for i in range(4):
+        for j in range(4):
+            acc = RatFun.zero()
+            for m in range(4):
+                acc = acc + broken.entries[i][m] * flipped.entries[m][j]
+            if not acc.value_eq(int(i == j)):
+                plain[i, j] = acc
+    assert (1, 2) in plain
+    assert [(w["i"], w["j"]) for w in report.failures] == sorted(plain)
+    product = broken.mul(flipped)
+    for w in report.failures:
+        entry = product.entries[w["i"]][w["j"]]
+        assert w["entry"] == ratfun_to_str(entry)
+        assert entry.value_eq(plain[w["i"], w["j"]])
+    assert block.entries[1][2] is rblock_closed(3).entries[1][2]
+    assert verify_unitarity_block(3).passed
+
+
+def _broken_full(ell, changes):
+    full = assemble_full(ell)
+    grid = [list(row) for row in full.matrix.entries]
+    for (i, j), entry in changes.items():
+        grid[i][j] = entry(grid[i][j])
+    labels = full.matrix.row_labels
+    return FullR(ell, SymMatrix(grid, labels, labels))
+
+
+def test_unitarity_full_witness_matches_dense_product(monkeypatch):
+    # scale the (0,1) -> (1,0) coupling of the spin-1 matrix by 2
+    broken = _broken_full(2, {(1, 3): lambda e: e.scale(2)})
+    monkeypatch.setattr(rmatrix, "assemble_full", lambda ell: broken)
+    report = verify_unitarity_full(2)
+    # second route: the dense RatFun product over all index triples
+    product = broken.matrix.mul(broken.matrix.flip_z())
+    bad = product.mismatches(SymMatrix.identity(broken.dim))
+    labels = broken.matrix.row_labels
+    assert bad and [(w["row"], w["col"]) for w in report.failures] == [
+        (labels[i], labels[j]) for i, j in bad
+    ]
+    for w, (i, j) in zip(report.failures, bad):
+        assert w["entry"] == ratfun_to_str(product.entries[i][j])
+
+
+def test_unitarity_full_reports_coupling_across_weights(monkeypatch):
+    # (0,0) and (1,1) have total weights 0 and 2; R must not couple them
+    one = RatFun(MPoly.one(), spin_denominator(2))
+    broken = _broken_full(2, {(0, 4): lambda e: one})
+    monkeypatch.setattr(rmatrix, "assemble_full", lambda ell: broken)
+    report = verify_unitarity_full(2)
+    assert {"row": (0, 0), "col": (1, 1), "entry": ratfun_to_str(one)} in report.failures
