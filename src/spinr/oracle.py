@@ -15,8 +15,10 @@ over the one scalar polynomial D, so the checks read the int coefficient
 matrices of N(z) = sum_e z^e N_e (``FullR.coefficients``): each
 sigma N_e sigma commuting with the coproduct is an exact polynomial identity.
 Once commutation holds, each sigma N_e sigma is a combination of the Casimir
-projectors; the traces give one eigenvalue function per spin channel, and the
-reconstruction from them must be exact, one power of z at a time.
+projectors; the traces give the numerator n_s over D of one eigenvalue
+function rho_s per spin channel, exactly, one power of z at a time.  Each n_s
+must equal the closed form of the fusion construction coefficient by
+coefficient, and rho_s is reduced by ``rmatrix.over_spin_denominator``.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import fracmat
-from .exactalg import MPoly, RatFun, cancel_common_z_roots, ratfun_to_str
-from .fracmat import FracMat, SymMatrix
+from .exactalg import RatFun, cancel_common_z_roots, ratfun_to_str
+from .fracmat import FracMat
 from .report import Report
-from .rmatrix import FullR, assemble_full, spin_denominator, strip_common_roots
+from .rmatrix import FullR, assemble_full, over_spin_denominator
 
 
 class OracleStructureError(Exception):
@@ -81,8 +83,6 @@ def casimir_projectors(ell: int) -> tuple[FracMat, ...]:
 
     Lagrange interpolation of the Casimir at its spectrum 2s(s+1).
     """
-    if ell < 1:
-        raise ValueError(f"need ell >= 1, got {ell}")
     c = casimir_matrix(ell)
     dim = (ell + 1) ** 2
     eigenvalue = [Fraction(2 * s * (s + 1)) for s in range(ell + 1)]
@@ -115,10 +115,6 @@ def _conjugate(rows: Sequence[Sequence], sigma: Sequence[int]) -> list[list]:
         [x if sigma[i] == sigma[j] else -x for j, x in enumerate(row)]
         for i, row in enumerate(rows)
     ]
-
-
-def apply_gauge(matrix: SymMatrix, sigma: Sequence[int]) -> SymMatrix:
-    return SymMatrix(_conjugate(matrix.entries, sigma), matrix.row_labels, matrix.col_labels)
 
 
 def _commutation_witnesses(full: FullR, sigma: Sequence[int]) -> list[dict]:
@@ -166,25 +162,23 @@ def commutation_gauge(full: FullR) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def spectral_decompose(full: FullR, sigma: Sequence[int] | None = None) -> list[RatFun]:
-    """Eigenvalue functions rho_s(z) = n_s(z)/D(z), s = 0..ell.
+def spectral_numerators(full: FullR, sigma: Sequence[int] | None = None) -> list[list[Fraction]]:
+    """coeffs[s][e] = n_s,e, the coefficient of z^e in the numerator over D of rho_s.
 
-    The coefficient n_s,e of z^e in n_s is trace(sigma N_e sigma P_s)/(2s+1),
-    an exact number (the gauge is ``commutation_gauge`` when not supplied).
-    The reconstruction sum_s n_s,e P_s = sigma N_e sigma is checked for every
-    power e; a mismatch raises OracleStructureError.  Each rho is reduced to
-    lowest terms by trial division at the shifts -2*ell..2*ell.
+    n_s,e = trace(sigma N_e sigma P_s)/(2s+1) is an exact number (the gauge is
+    ``commutation_gauge`` when not supplied).  The reconstruction
+    sum_s n_s,e P_s = sigma N_e sigma is checked for every power e; a
+    mismatch raises OracleStructureError.
     """
     if sigma is None:
         sigma = commutation_gauge(full)
-    dim = full.dim
     supports = [
         [(u, v, x) for u, row in enumerate(p) for v, x in enumerate(row) if x]
         for p in casimir_projectors(full.ell)
     ]
-    coeffs: list[list[Fraction]] = [[] for _ in supports]  # coeffs[s][e] = n_s,e
+    coeffs: list[list[Fraction]] = [[] for _ in supports]
     for e, n_e in enumerate(_conjugate(c, sigma) for c in full.coefficients()):
-        rebuilt = [[0] * dim for _ in range(dim)]
+        rebuilt = [[0] * full.dim for _ in range(full.dim)]
         for s, support in enumerate(supports):
             n = Fraction(sum(x * n_e[v][u] for u, v, x in support), 2 * s + 1)
             coeffs[s].append(n)
@@ -192,31 +186,25 @@ def spectral_decompose(full: FullR, sigma: Sequence[int] | None = None) -> list[
                 rebuilt[u][v] += n * x
         if rebuilt != n_e:
             raise OracleStructureError(f"spectral reconstruction fails at the power z^{e}")
-    den = spin_denominator(full.ell)
-    shifts = _default_shifts(full)
-    # D is monic, so each rho comes out with a monic denominator
-    return [
-        strip_common_roots(RatFun(MPoly({(e, 0, 0): n for e, n in enumerate(cs)}), den), shifts)
-        for cs in coeffs
-    ]
+    return coeffs
 
 
-def _eval_with_cancellation(f: RatFun, value: Fraction) -> Fraction | None:
-    """Value of f at z = value after cancelling matching powers of (z - value).
+def spectral_decompose(full: FullR, sigma: Sequence[int] | None = None) -> list[RatFun]:
+    """Eigenvalue functions rho_s(z) = n_s(z)/D(z), s = 0..ell, in lowest terms (monic den)."""
+    return [over_spin_denominator(n, full.ell) for n in spectral_numerators(full, sigma)]
 
-    The unreduced num/den representation can carry a removable factor at the
-    probe point; it is stripped by trial division.  None means a true pole
-    survives.
-    """
-    num, den = cancel_common_z_roots(f.num, f.den, [value])
-    den_value = den.eval_rational({"z": value})
-    if den_value == 0:
-        return None
-    return num.eval_rational({"z": value}) / den_value
+
+def fusion_numerator(ell: int, s: int) -> list[int]:
+    """The coefficients of prod_{j=1..s} (z+j) * prod_{j=s+1..ell} (j-z), lowest power first."""
+    poly = [1]
+    for j in range(1, ell + 1):
+        slope = 1 if j <= s else -1
+        poly = [j * a + slope * b for a, b in zip(poly + [0], [0] + poly)]
+    return poly
 
 
 def verify_mobius_ratios(
-    rhos: Sequence[RatFun], roots: Iterable[Fraction] | None = None
+    rhos: Sequence[RatFun], roots: Iterable[int | Fraction] | None = None
 ) -> Report:
     """Successive eigenvalue ratios are degree <= 1 over degree <= 1 in z.
 
@@ -237,30 +225,36 @@ def verify_mobius_ratios(
     return report
 
 
-def _default_shifts(full: FullR) -> list[Fraction]:
-    """Trial roots -2*ell..2*ell; they include the poles -1..-ell and their negatives."""
-    return [Fraction(m) for m in range(-2 * full.ell, 2 * full.ell + 1)]
-
-
 def verify_spectrum(ell: int) -> Report:
-    """Full spectral suite: decomposition, rho_s(0) = 1, unitarity, ratios."""
+    """Full spectral suite: decomposition, the closed form, rho_s(0) = 1, unitarity, ratios.
+
+    The closed form is the fusion spectrum rho_s = prod_{j>s} (j-z)/(j+z)
+    (Kulish-Reshetikhin-Sklyanin): n_s = rho_s * D must equal
+    ``fusion_numerator(ell, s)`` coefficient by coefficient.
+    """
     report = Report("spectrum", {"ell": ell})
     full = assemble_full(ell)
     try:
         gauge = commutation_gauge(full)
-        rhos = spectral_decompose(full, gauge)
+        numerators = spectral_numerators(full, gauge)
     except OracleStructureError as exc:
         report.fail(reason=str(exc))
         return report
+    rhos = [over_spin_denominator(n, ell) for n in numerators]
     report.details["gauge"] = list(gauge)
     report.details["rho"] = [ratfun_to_str(r) for r in rhos]
     for s, rho in enumerate(rhos):
-        at_zero = _eval_with_cancellation(rho, Fraction(0))
+        for power, (got, expected) in enumerate(zip(numerators[s], fusion_numerator(ell, s), strict=True)):
+            if got != expected:
+                report.fail(s=s, power=power, got=str(got), expected=str(expected))
+        # a reduced denominator is a product of factors (z+j), j >= 1
+        at_zero = rho.eval_rational({"z": 0})
         if at_zero != 1:
             report.fail(s=s, at="z = 0", value=str(at_zero))
         if not (rho * rho.flip_z()).value_eq(1):
             report.fail(s=s, at="rho(z) rho(-z)", value=ratfun_to_str(rho * rho.flip_z()))
-    sub = verify_mobius_ratios(rhos, _default_shifts(full))
+    # trial roots: the poles -1..-ell, their negatives and beyond
+    sub = verify_mobius_ratios(rhos, range(-2 * ell, 2 * ell + 1))
     if not sub.passed:
         report.failures.extend(sub.failures)
         report.passed = False

@@ -7,14 +7,15 @@ the triangular product S^-1 * S-tilde (``rblock_triangular``), where S-tilde
 is S with rows reversed and z negated; both return the block as a
 ``fracmat.SymMatrix``.  ``rblock_closed`` is memoized: each k is built once
 per process and shared by every check that reads it, so callers must not
-mutate the block.  ``assemble_full`` builds each block
-entry it needs on the spin line: it binds eps -> -ell*phi in every factored
-summand, sums, sets phi -> 1 and divides exactly to put the entry over the one
-denominator D(z) = (z+1)...(z+ell) of the fusion spectrum.  It places the
-entries in the tensor-product basis: the entry coupling source (a, b) to
-target (a', b') with a + b = a' + b' = k is block entry (b', b); everything
-else is zero.  No generic block is expanded on the way, and entries are
-reduced to lowest terms only for display (``FullR.lowest_terms``).
+mutate the block.  ``assemble_full`` builds each block entry it needs on the
+spin line: it binds eps -> -ell*phi in every factored summand, sums, sets
+phi -> 1 and divides exactly to put the entry over the one denominator
+D(z) = (z+1)...(z+ell) of the fusion spectrum; no generic block is expanded.
+The entry coupling source (a, b) to target (a', b') with a + b = a' + b' = k
+is block entry (b', b); everything else is zero.  ``FullR`` stores each
+numerator over D as its int coefficients, which every reader uses directly.
+``over_spin_denominator`` is the one reduction to lowest terms over D's known
+roots, for the printed matrix and the oracle's spectrum.
 
 Verifications: unitarity R(z) R(-z) = Id (symbolically per block, and for the
 assembled matrix per weight sector on int polynomials), equality of the two
@@ -29,10 +30,11 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Sequence
 
 from . import fracmat
 from .exactalg import (
@@ -41,8 +43,7 @@ from .exactalg import (
     MPoly,
     PoleSpecializationError,
     RatFun,
-    Rational,
-    cancel_common_z_roots,
+    Scalar,
     factored_sum,
     limit_at_z_infinity,
     mpoly_exact_div,
@@ -107,17 +108,13 @@ def rblock_triangular(k: int) -> SymMatrix:
     return S_inverse(k).mul(s_tilde(k))
 
 
-def _reversal(k: int) -> list[int]:
-    return list(range(k, -1, -1))
-
-
 def lu_factors(k: int) -> tuple[SymMatrix, SymMatrix]:
     """The factors (L, U) of the index-reversed block: L = P S^-1 P, U = S at -z.
 
     L is lower triangular, U upper triangular, and P * Rcheck == L * U; the
     product identity is asserted before returning.
     """
-    perm = _reversal(k)
+    perm = list(range(k, -1, -1))
     l_factor = SymMatrix.from_function(
         k + 1, k + 1, lambda i, j: sinv_entry(k, k - i, k - j).expand()
     )
@@ -165,17 +162,41 @@ def _bound_summands(k: int, bp: int, b: int, ell: int) -> list[FactoredRat]:
     return bound
 
 
+def _z_plus(j: int) -> MPoly:
+    return MPoly({(1, 0, 0): 1, (0, 0, 0): j})
+
+
 def spin_denominator(ell: int) -> MPoly:
     """D(z) = (z+1)(z+2)...(z+ell), the common denominator of the spin-ell/2 matrix."""
-    den = MPoly.one()
+    return math.prod((_z_plus(j) for j in range(1, ell + 1)), start=MPoly.one())
+
+
+def z_poly(coeffs: Sequence[Scalar]) -> MPoly:
+    """The polynomial sum_e coeffs[e] z^e."""
+    return MPoly({(e, 0, 0): c for e, c in enumerate(coeffs)})
+
+
+def _z_coeffs(p: MPoly) -> tuple[Scalar, ...]:
+    """The coefficients of a polynomial in z alone, trailing zeros trimmed."""
+    return tuple(p.terms.get((e, 0, 0), 0) for e in range(p.degree_in("z") + 1))
+
+
+def over_spin_denominator(coeffs: Sequence[Scalar], ell: int) -> RatFun:
+    """N/D in lowest terms, for N(z) = sum_e coeffs[e] z^e over D(z) = (z+1)...(z+ell).
+
+    D is squarefree with known roots, so N is divided once by the product of
+    the (z+j) at whose root -j it vanishes, and the other factors make the
+    monic denominator.  Zero comes back as 0/1.
+    """
+    if not any(coeffs):
+        return RatFun.zero()
+    common, rest = MPoly.one(), MPoly.one()
     for j in range(1, ell + 1):
-        den = den * MPoly({(1, 0, 0): 1, (0, 0, 0): j})
-    return den
-
-
-def spin_poles(ell: int) -> frozenset[Fraction]:
-    """The roots -1..-ell of D(z): the poles of the spin-ell/2 matrix."""
-    return frozenset(Fraction(-j) for j in range(1, ell + 1))
+        if sum(c * (-j) ** e for e, c in enumerate(coeffs)):
+            rest = rest * _z_plus(j)
+        else:
+            common = common * _z_plus(j)
+    return RatFun(mpoly_exact_div(z_poly(coeffs), common), rest)
 
 
 def specialize_block(k: int, ell: int) -> dict[int, dict[int, MPoly]]:
@@ -202,39 +223,41 @@ def specialize_block(k: int, ell: int) -> dict[int, dict[int, MPoly]]:
     return numerators
 
 
-def strip_common_roots(f: RatFun, roots: Iterable[Fraction]) -> RatFun:
-    """f with the factors (z - root) common to num and den stripped, for the listed roots.
-
-    A denominator that is monic in z stays monic; zero comes back as 0/1.
-    """
-    if f.is_zero:
-        return RatFun.zero()
-    return RatFun(*cancel_common_z_roots(f.num, f.den, roots))
-
-
 @dataclass(frozen=True)
 class FullR:
     """The assembled R-matrix on the tensor square, rational in z alone.
 
-    Every entry of ``matrix`` is N(z)/D(z) over the one denominator
-    D(z) = (z+1)...(z+ell) (``spin_denominator``), with deg N <= ell, so the
-    poles are the roots -1..-ell of D.  ``lowest_terms`` gives the reduced
-    entries for display.  Basis: pairs (a, b) with a, b in 0..ell, ordered
-    lexicographically; the pair (a, b) is row/column (ell+1)*a + b and is that
-    row's and column's label in ``matrix``.  Blocks couple only equal total
-    weights a + b.
+    Entry (i, j) is N(z)/D(z) over D(z) = (z+1)...(z+ell), and ``num[i][j]``
+    holds the int coefficients N_0, N_1, ... of N, trailing zeros trimmed (a
+    zero entry is ``()``).  deg N <= ell, so the poles are the roots of D.
+    ``matrix`` is the derived ``SymMatrix`` of ``RatFun(N, D)``, and
+    ``lowest_terms`` the reduced one for display.  Basis: pairs (a, b) with
+    a, b in 0..ell in lexicographic order, the pair (a, b) being row/column
+    (ell+1)*a + b and its label; blocks couple only equal weights a + b.
     """
 
     ell: int
-    matrix: SymMatrix
+    num: tuple[tuple[tuple[int, ...], ...], ...]
 
     @property
     def dim(self) -> int:
         return (self.ell + 1) ** 2
 
     @property
+    def labels(self) -> list[tuple[int, int]]:
+        d = self.ell + 1
+        return [(a, b) for a in range(d) for b in range(d)]
+
+    @property
     def pole_candidates(self) -> frozenset[Fraction]:
-        return spin_poles(self.ell)
+        return frozenset(Fraction(-j) for j in range(1, self.ell + 1))
+
+    @functools.cached_property
+    def matrix(self) -> SymMatrix:
+        """The entries as ``RatFun(N, D)``, all over one shared D; read-only."""
+        den = spin_denominator(self.ell)
+        grid = [[RatFun(z_poly(c), den) for c in row] for row in self.num]
+        return SymMatrix(grid, self.labels, self.labels)
 
     def scaled_at(self, value: Fraction) -> tuple[list[list[int]], int]:
         """(q^ell * N(p/q), q^ell * D(p/q)) at z = p/q: an int matrix and an int.
@@ -251,20 +274,17 @@ class FullR:
                 f"(factor z - ({value}))"
             )
         table = [p**e * q ** (ell - e) for e in range(ell + 1)]
-        nums = [
-            [sum(c * table[m[0]] for m, c in entry.num.terms.items()) for entry in row]
-            for row in self.matrix.entries
-        ]
+        nums = [[sum(map(operator.mul, c, table)) if c else 0 for c in row] for row in self.num]
         return nums, den
 
     def coefficients(self) -> list[list[list[int]]]:
         """N_0..N_ell, the int coefficient matrices of the numerators: N(z) = sum_e z^e N_e."""
         n = self.dim
         out = [[[0] * n for _ in range(n)] for _ in range(self.ell + 1)]
-        for i, row in enumerate(self.matrix.entries):
-            for j, entry in enumerate(row):
-                for m, c in entry.num.terms.items():
-                    out[m[0]][i][j] = c
+        for i, row in enumerate(self.num):
+            for j, coeffs in enumerate(row):
+                for e, c in enumerate(coeffs):
+                    out[e][i][j] = c
         return out
 
     def at_z(self, value: Fraction) -> FracMat:
@@ -274,30 +294,29 @@ class FullR:
 
     def lowest_terms(self) -> SymMatrix:
         """The matrix with each entry reduced to lowest terms (monic denominator)."""
-        roots = sorted(self.pole_candidates)
-        grid = [[strip_common_roots(e, roots) for e in row] for row in self.matrix.entries]
-        return SymMatrix(grid, self.matrix.row_labels, self.matrix.col_labels)
+        grid = [[over_spin_denominator(c, self.ell) for c in row] for row in self.num]
+        return SymMatrix(grid, self.labels, self.labels)
 
 
 def assemble_full(ell: int) -> FullR:
     """Assemble the spin-ell/2 R-matrix from the sector entries on the spin line.
 
     Each entry is bound (eps -> -ell*phi), summed, set to phi = 1 and put over
-    D(z) by ``specialize_block``; no generic block is expanded.
+    D(z) by ``specialize_block``; no generic block is expanded.  A numerator of
+    degree above ell raises AssertionError (``FullR.scaled_at`` stops at z^ell).
     """
     if ell < 1:
         raise ValueError(f"need ell >= 1, got {ell}")
     d = ell + 1
-    dim = d * d
-    den = spin_denominator(ell)
-    zero = RatFun(MPoly.zero(), den)
-    grid: list[list[RatFun]] = [[zero] * dim for _ in range(dim)]
+    num: list[list[tuple[int, ...]]] = [[()] * (d * d) for _ in range(d * d)]
     for k in range(2 * ell + 1):
         for bp, row in specialize_block(k, ell).items():
-            for b, num in row.items():
-                grid[d * (k - bp) + bp][d * (k - b) + b] = RatFun(num, den)
-    labels = [(a, b) for a in range(d) for b in range(d)]
-    return FullR(ell, SymMatrix(grid, labels, labels))
+            for b, poly in row.items():
+                coeffs = _z_coeffs(poly)
+                if len(coeffs) > d:
+                    raise AssertionError(f"sector {k} entry ({bp}, {b}): degree above ell = {ell}")
+                num[d * (k - bp) + bp][d * (k - b) + b] = coeffs
+    return FullR(ell, tuple(map(tuple, num)))
 
 
 # ---------------------------------------------------------------------------
@@ -320,39 +339,34 @@ def verify_unitarity_full(ell: int) -> Report:
 
     R = N/D over the one denominator D, and R couples only equal total
     weights, so the identity is N(z) N(-z) = D(z) D(-z) Id on each weight
-    sector: an identity of int polynomials in z, held as coefficient lists.
+    sector: an identity of int polynomials in z, read from ``FullR.num``.
     An entry of N between different weights must be zero, and is reported
     as itself when it is not.  A product witness is the entry of R(z) R(-z)
     over D(z) D(-z).
     """
     report = Report("unitarity_full", {"ell": ell})
     full = assemble_full(ell)
-    labels = full.matrix.row_labels
+    labels, n = full.labels, full.num
     den = spin_denominator(ell)
     dd = den * den.flip_z()
-    target = [dd.terms.get((e, 0, 0), 0) for e in range(2 * ell + 1)]
-    coeffs = full.coefficients()
-    n = [[[c[i][j] for c in coeffs] for j in range(full.dim)] for i in range(full.dim)]
+    target = list(_z_coeffs(dd))
     weight = [a + b for a, b in labels]
     sectors = [[i for i, w in enumerate(weight) if w == s] for s in range(2 * ell + 1)]
     bad: dict[tuple[int, int], RatFun] = {}
     for i, row in enumerate(n):
-        for j, poly in enumerate(row):
-            if weight[i] != weight[j] and any(poly):
-                bad[i, j] = full.matrix.entries[i][j]
+        for j, coeffs in enumerate(row):
+            if weight[i] != weight[j] and coeffs:
+                bad[i, j] = RatFun(z_poly(coeffs), den)
     for sector in sectors:
         for i in sector:
             for j in sector:
                 acc = [0] * (2 * ell + 1)
                 for m in sector:
                     for e, x in enumerate(n[i][m]):
-                        if x:
-                            for f, y in enumerate(n[m][j]):
-                                if y:
-                                    acc[e + f] += -x * y if f % 2 else x * y
+                        for f, y in enumerate(n[m][j]):
+                            acc[e + f] += -x * y if f % 2 else x * y
                 if acc != (target if i == j else [0] * len(acc)):
-                    num = MPoly({(e, 0, 0): c for e, c in enumerate(acc)})
-                    bad[i, j] = RatFun(num, dd) if num else RatFun.zero()
+                    bad[i, j] = RatFun(z_poly(acc), dd) if any(acc) else RatFun.zero()
     for i, j in sorted(bad):
         report.fail(row=labels[i], col=labels[j], entry=ratfun_to_str(bad[i, j]))
     return report
@@ -387,21 +401,12 @@ def _embed(
     ]
 
 
-def verify_ybe(ell: int, z1: Rational, z2: Rational, z3: Rational) -> Report:
-    """Exact Yang-Baxter check at one rational triple.
+def verify_ybe(full: FullR, z1: Fraction, z2: Fraction, z3: Fraction) -> Report:
+    """Exact Yang-Baxter check at one rational triple, on integer matrices.
 
     Both sides of the braid relation are evaluated per total-weight sector of
     the triple tensor power (the operators conserve total weight) and compared
-    entrywise, in integer arithmetic (see ``_ybe_at``).
-    """
-    full = assemble_full(ell)
-    return _ybe_at(full, Fraction(z1), Fraction(z2), Fraction(z3))
-
-
-def _ybe_at(full: FullR, z1: Fraction, z2: Fraction, z3: Fraction) -> Report:
-    """Braid relation at one triple, on integer matrices.
-
-    R(z1-z2), R(z1-z3) and R(z2-z3) are taken as the integer matrices
+    entrywise.  R(z1-z2), R(z1-z3) and R(z2-z3) are taken as the integer matrices
     q^ell * N(p/q) of ``FullR.scaled_at``, with integer scales d12, d13, d23
     (the values q^ell * D(p/q)).  Each side of the relation is a product of
     one of each, so both sides carry the same factor d12*d13*d23 and agree
@@ -448,7 +453,7 @@ def sample_spectral_triples(
     rejected when any pairwise difference hits a pole -1..-ell of the
     assembled matrix.
     """
-    poles = spin_poles(ell)
+    poles = {Fraction(-j) for j in range(1, ell + 1)}
     rng = random.Random(seed)
     out: list[tuple[Fraction, Fraction, Fraction]] = []
     while len(out) < trials:
@@ -467,7 +472,7 @@ def ybe_trials(ell: int, trials: int, seed: int) -> Report:
     report = Report("ybe_trials", {"ell": ell, "trials": trials, "seed": seed})
     full = assemble_full(ell)
     for z1, z2, z3 in sample_spectral_triples(ell, trials, seed):
-        sub = _ybe_at(full, z1, z2, z3)
+        sub = verify_ybe(full, z1, z2, z3)
         if not sub.passed:
             report.fail(z=[str(z1), str(z2), str(z3)], first=sub.failures[0])
     return report

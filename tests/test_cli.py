@@ -426,8 +426,10 @@ def test_upper_bounds_admit_their_limits():
 OUTPUT_DIGESTS = {
     "compute-r -l 3 --format latex": "ede97409ab915abee985bfa813cb451b1d91ef42b976b5cba59b8e96056c4ae6",
     "compute-r -l 3 --at-z 1/3": "f4d119dac9937e26a90cf035e307fdf0ffa6875f71f26b78980978edafda5a24",
+    "compute-r -l 6 --format latex": "f19c17530f8633026a884d9785b34e3d1fd73822aaa0009125a9c3541bcca366",
     "verify --suite oracle -l 3 --format json": "318b396f97d9657c52ec622276c6b4f3e6a5d94bf620552d75787290b809945c",
     "verify --suite oracle -l 4 --format json": "8aa5486989f99b5034c15ea8b57b5419ec5111e2e68452c56eb70a56cd7c2d6a",
+    "verify --suite oracle -l 5 --format json": "ccb4d40e28d3bb077d2a9ca21c02d73b5582297c7ef42d89fd1092a0656394e7",
     "verify --suite unitarity -k 7 --format json": "c3ce45a6d1b4a817cd406d23b1e6663868b50c60930c69bfaf1591523c650b90",
     "verify --suite unitarity -l 4 --format json": "f31513416f04f37fb3272ce1145341390cfcab5bb9173a16711fa2523beec329",
 }

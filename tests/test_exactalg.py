@@ -22,7 +22,6 @@ from spinr.exactalg import (
     ratfun_to_str,
     residue_at,
 )
-from spinr.oracle import _eval_with_cancellation
 
 Z = MPoly.var("z")
 PHI = MPoly.var("phi")
@@ -215,12 +214,6 @@ def test_cancel_common_z_roots_multiplicity_and_one_sided_roots():
         (Z - ONE) ** 2 * (Z - c(3)), (Z - ONE) ** 2 * Z, [Fraction(0), Fraction(1), Fraction(3)]
     )
     assert num == Z - c(3) and den == Z
-
-
-def test_eval_with_cancellation():
-    f = rf(Z * (Z + ONE), Z * (Z + c(2)))
-    assert _eval_with_cancellation(f, Fraction(0)) == Fraction(1, 2)
-    assert _eval_with_cancellation(rf(ONE, Z), Fraction(0)) is None
 
 
 # ---------------------------------------------------------------------------

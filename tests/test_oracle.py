@@ -4,23 +4,28 @@ from fractions import Fraction
 
 import pytest
 
-from spinr import fracmat
-from spinr.exactalg import MPoly, RatFun, ratfun_to_str
+from spinr import fracmat, oracle
+from spinr.exactalg import MPoly, RatFun, cancel_common_z_roots, ratfun_to_str
 from spinr.oracle import (
     OracleStructureError,
-    apply_gauge,
     casimir_matrix,
     casimir_projectors,
     commutation_gauge,
     coproduct,
     sl2_rep,
     spectral_decompose,
+    spectral_numerators,
     verify_mobius_ratios,
     verify_sl2_commutation,
     verify_spectrum,
 )
-from spinr.fracmat import SymMatrix
-from spinr.rmatrix import FullR, assemble_full
+from spinr.rmatrix import (
+    FullR,
+    assemble_full,
+    over_spin_denominator,
+    spin_denominator,
+    z_poly,
+)
 
 Z = MPoly.var("z")
 ONE = MPoly.one()
@@ -117,11 +122,11 @@ def test_commutation_witness_names_generator_power_and_entry():
     # one coupling of the spin-1 matrix scaled by 2 breaks commutation; each
     # witness must name a nonzero commutator entry, the first one row by row
     full = assemble_full(2)
-    labels = full.matrix.row_labels
-    grid = [list(row) for row in full.matrix.entries]
+    labels = full.labels
+    num = [list(row) for row in full.num]
     i, j = labels.index((0, 1)), labels.index((1, 0))
-    grid[i][j] = grid[i][j].scale(2)
-    broken = FullR(2, SymMatrix(grid, labels, labels))
+    num[i][j] = tuple(2 * c for c in num[i][j])
+    broken = FullR(2, tuple(map(tuple, num)))
     report = verify_sl2_commutation(broken)
     assert not report.passed and "gauge" not in report.details
     sigma = [(-1) ** (idx % 3) for idx in range(9)]
@@ -140,12 +145,11 @@ def test_commutation_witness_names_generator_power_and_entry():
 def test_gauge_is_weight_preserving():
     full = assemble_full(1)
     sigma = commutation_gauge(full)
-    gauged = apply_gauge(full.matrix, sigma)
     # conjugation by a diagonal sign matrix preserves the sector structure
     for i, (ap, bp) in enumerate(full.matrix.row_labels):
         for j, (a, b) in enumerate(full.matrix.row_labels):
             if ap + bp != a + b:
-                assert gauged.entries[i][j].is_zero
+                assert full.matrix.entries[i][j].scale(sigma[i] * sigma[j]).is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +193,49 @@ def test_spectrum_is_the_fusion_product():
                 num = num * (MPoly.const(j) - Z)
                 den = den * (MPoly.const(j) + Z)
             assert rho.num == num and rho.den == den, (ell, s, ratfun_to_str(rho))
+
+
+def _fusion_product(ell, s):
+    num = ONE
+    for j in range(1, ell + 1):
+        num = num * (Z + MPoly.const(j) if j <= s else MPoly.const(j) - Z)
+    return num
+
+
+def test_rho_matches_the_trial_division_route():
+    # second route: strip the common roots of n_s and D by substitution,
+    # at the candidate roots -1..-ell, and compare num and den term for term
+    # (spectral_decompose is over_spin_denominator on each n_s)
+    for ell in range(1, 7):
+        full = assemble_full(ell)
+        roots = sorted(full.pole_candidates)
+        numerators = spectral_numerators(full)
+        for s, n in enumerate(numerators):
+            rho = over_spin_denominator(n, ell)
+            num, den = cancel_common_z_roots(z_poly(n), spin_denominator(ell), roots)
+            assert rho.num == num and rho.den == den, (ell, s)
+            assert z_poly(n) == _fusion_product(ell, s), (ell, s)
+
+
+def test_spectrum_checks_the_closed_form_coefficients(monkeypatch):
+    # N(-z)/D(z) still commutes, and its eigenvalues prod_{j<=s} (j-z)/(j+z)
+    # pass rho(0) = 1, rho(z) rho(-z) = 1 and the Moebius ratios; only the
+    # closed form of the fusion numerators tells it from R
+    ell = 3
+    mirrored = tuple(
+        tuple(tuple(-c if e % 2 else c for e, c in enumerate(coeffs)) for coeffs in row)
+        for row in assemble_full(ell).num
+    )
+    broken = FullR(ell, mirrored)
+    assert verify_sl2_commutation(broken).passed
+    monkeypatch.setattr(oracle, "assemble_full", lambda ell: broken)
+    report = verify_spectrum(ell)
+    expected = []
+    for s in range(ell + 1):
+        for (e, _, _), x in sorted(_fusion_product(ell, s).terms.items()):
+            if e % 2:
+                expected.append({"s": s, "power": e, "got": str(-x), "expected": str(x)})
+    assert expected and report.failures == expected
 
 
 def test_spectrum_suite():

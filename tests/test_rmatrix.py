@@ -19,7 +19,6 @@ from spinr.golden import spin_half_block, spin_one_full_matrix, spin_one_middle_
 from spinr.stablebasis import S_inverse, S_matrix
 from spinr.rmatrix import (
     FullR,
-    _ybe_at,
     assemble_full,
     lu_factors,
     rblock_closed,
@@ -202,6 +201,50 @@ def test_assembly_matches_expanded_generic_blocks():
         assert full.pole_candidates == frozenset(poles[ell])
 
 
+def test_lowest_terms_matches_the_trial_division_route():
+    # second route: strip the common roots of N and D by substitution, at
+    # the candidate roots -1..-ell, and compare num and den term for term
+    for ell in range(1, 7):
+        full = assemble_full(ell)
+        roots = sorted(full.pole_candidates)
+        for row, printed in zip(full.matrix.entries, full.lowest_terms().entries):
+            for e, reduced in zip(row, printed):
+                if e.is_zero:
+                    num, den = MPoly.zero(), MPoly.one()
+                else:
+                    num, den = cancel_common_z_roots(e.num, e.den, roots)
+                assert reduced.num == num and reduced.den == den, (ell, ratfun_to_str(e))
+
+
+def test_lowest_terms_reduces_without_substitution(monkeypatch):
+    # the roots of D are known, so N is evaluated at them from its int
+    # coefficients; generic polynomial substitution is never needed
+    full = assemble_full(4)
+
+    def refuse(self, bindings):
+        raise AssertionError("MPoly.substitute called")
+
+    monkeypatch.setattr(MPoly, "substitute", refuse)
+    assert full.lowest_terms().rows == full.dim
+
+
+def test_assembly_refuses_a_numerator_above_degree_ell(monkeypatch):
+    # the evaluation table of scaled_at stops at z^ell, so a larger degree
+    # must stop the assembly rather than be cut off
+    specialize = rmatrix.specialize_block
+
+    def one_entry_too_high(k, ell):
+        blocks = specialize(k, ell)
+        if k == ell:
+            blocks[ell][ell] = Z ** (ell + 1)
+        return blocks
+
+    monkeypatch.setattr(rmatrix, "specialize_block", one_entry_too_high)
+    for ell in (1, 3):
+        with pytest.raises(AssertionError, match="degree"):
+            assemble_full(ell)
+
+
 def test_assembled_poles_and_identity_at_zero_through_spin_5_2():
     for ell in range(1, 6):
         full = assemble_full(ell)
@@ -273,6 +316,10 @@ def test_block_and_assembled_coefficients_are_ints():
     for entry in entries:
         for poly in (entry.num, entry.den):
             assert all(type(x) is int for x in poly.terms.values()), entry
+    # the stored numerators: int coefficient tuples with trailing zeros trimmed
+    for coeffs in (c for row in assemble_full(3).num for c in row):
+        assert type(coeffs) is tuple and all(type(x) is int for x in coeffs)
+        assert not coeffs or coeffs[-1] != 0
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +329,11 @@ def test_block_and_assembled_coefficients_are_ints():
 
 def test_ybe_collapses_at_equal_points():
     z = Fraction(3, 7)
-    assert verify_ybe(1, z, z, z).passed
+    assert verify_ybe(assemble_full(1), z, z, z).passed
 
 
 def test_ybe_single_point_spin_one():
-    assert verify_ybe(2, Fraction(5), Fraction(2), Fraction(-3, 7)).passed
+    assert verify_ybe(assemble_full(2), Fraction(5), Fraction(2), Fraction(-3, 7)).passed
 
 
 def test_ybe_trials_spin_half():
@@ -296,13 +343,12 @@ def test_ybe_trials_spin_half():
 def test_ybe_failure_witnesses_match_fraction_products():
     # corrupt the (0,1) -> (1,0) coupling of the spin-1/2 matrix
     full = assemble_full(1)
-    grid = [list(row) for row in full.matrix.entries]
-    assert not grid[1][2].is_zero
-    grid[1][2] = grid[1][2].scale(2)
-    labels = full.matrix.row_labels
-    broken = FullR(1, SymMatrix(grid, labels, labels))
+    num = [list(row) for row in full.num]
+    assert num[1][2]
+    num[1][2] = tuple(2 * c for c in num[1][2])
+    broken = FullR(1, tuple(map(tuple, num)))
     z1, z2, z3 = Fraction(5, 3), Fraction(2, 7), Fraction(-3, 4)
-    report = _ybe_at(broken, z1, z2, z3)
+    report = verify_ybe(broken, z1, z2, z3)
     assert not report.passed
     # second route: both sides on the whole triple tensor power, in Fractions
     # from the unscaled matrices
@@ -398,17 +444,16 @@ def test_unitarity_block_witness_matches_plain_product(monkeypatch):
 
 
 def _broken_full(ell, changes):
-    full = assemble_full(ell)
-    grid = [list(row) for row in full.matrix.entries]
-    for (i, j), entry in changes.items():
-        grid[i][j] = entry(grid[i][j])
-    labels = full.matrix.row_labels
-    return FullR(ell, SymMatrix(grid, labels, labels))
+    """assemble_full(ell) with the numerator coefficients of some entries replaced."""
+    num = [list(row) for row in assemble_full(ell).num]
+    for (i, j), coeffs in changes.items():
+        num[i][j] = coeffs(num[i][j])
+    return FullR(ell, tuple(map(tuple, num)))
 
 
 def test_unitarity_full_witness_matches_dense_product(monkeypatch):
     # scale the (0,1) -> (1,0) coupling of the spin-1 matrix by 2
-    broken = _broken_full(2, {(1, 3): lambda e: e.scale(2)})
+    broken = _broken_full(2, {(1, 3): lambda c: tuple(2 * x for x in c)})
     monkeypatch.setattr(rmatrix, "assemble_full", lambda ell: broken)
     report = verify_unitarity_full(2)
     # second route: the dense RatFun product over all index triples
@@ -425,7 +470,7 @@ def test_unitarity_full_witness_matches_dense_product(monkeypatch):
 def test_unitarity_full_reports_coupling_across_weights(monkeypatch):
     # (0,0) and (1,1) have total weights 0 and 2; R must not couple them
     one = RatFun(MPoly.one(), spin_denominator(2))
-    broken = _broken_full(2, {(0, 4): lambda e: one})
+    broken = _broken_full(2, {(0, 4): lambda c: (1,)})
     monkeypatch.setattr(rmatrix, "assemble_full", lambda ell: broken)
     report = verify_unitarity_full(2)
     assert {"row": (0, 0), "col": (1, 1), "entry": ratfun_to_str(one)} in report.failures
