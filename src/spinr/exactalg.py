@@ -26,11 +26,12 @@ the representation never shows in output.  The building blocks are:
 
 Substitution acts on polynomials only (``MPoly.substitute``); there is no
 general specialization of rational functions.  Spin specialization lives in
-``rmatrix.specialize_block``, which puts every entry of the assembled matrix
-over one known denominator by exact division (``mpoly_exact_div``) and
-reduces over its known roots.  Linear factors (z - c) at listed candidate
-roots are stripped by trial division (``residue_at``, ``cancel_common_z_roots``):
-for residues, and for the ratios of the oracle's eigenvalue functions.
+``rmatrix.specialize_block`` and substitutes nothing: phi is a homogeneous
+coordinate, so factor lists bound by ``LinForm.bind_eps`` are summed and put
+over one known denominator by exact division (``mpoly_exact_div``).  Linear
+factors (z - c) at listed candidate roots are stripped by trial division
+(``residue_at``, ``cancel_common_z_roots``): for residues, and for the ratios
+of the oracle's eigenvalue functions.
 
 Monomials are ordered lexicographically on (e_z, e_phi, e_eps); serialization and
 iteration always follow that order, so output is deterministic.

@@ -8,9 +8,11 @@ is S with rows reversed and z negated; both return the block as a
 ``fracmat.SymMatrix``.  ``rblock_closed`` is memoized: each k is built once
 per process and shared by every check that reads it, so callers must not
 mutate the block.  ``assemble_full`` builds each block entry it needs on the
-spin line: it binds eps -> -ell*phi in every factored summand, sums, sets
-phi -> 1 and divides exactly to put the entry over the one denominator
-D(z) = (z+1)...(z+ell) of the fusion spectrum; no generic block is expanded.
+spin line in one pass (``specialize_block``): it binds eps -> -ell*phi in
+every summand's factor list, sums, multiplies by (z+phi)...(z+ell*phi) and
+divides exactly.  phi is a homogeneous coordinate, so the numerator over the
+one denominator D(z) = (z+1)...(z+ell) of the fusion spectrum is read off the
+homogeneous quotient; no generic block is expanded and nothing is substituted.
 The entry coupling source (a, b) to target (a', b') with a + b = a' + b' = k
 is block entry (b', b); everything else is zero.  ``FullR`` stores each
 numerator over D as its int coefficients, which every reader uses directly.
@@ -34,7 +36,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import fracmat
 from .exactalg import (
@@ -62,9 +64,10 @@ from .stablebasis import (
 )
 
 
-def _rblock_entry_terms(k: int, i: int, j_prime: int) -> list[FactoredRat]:
-    """Factored summands of the closed-form block entry (i, j')."""
-    terms: list[FactoredRat] = []
+def _entry_summands(
+    k: int, i: int, j_prime: int
+) -> Iterator[tuple[int, list[tuple[LinForm, int]]]]:
+    """The closed-form block entry (i, j') as summands (scalar, raw factor list)."""
     for j in range(max(i, k - j_prime), k + 1):
         scalar = binom(j, i) * binom(j_prime, k - j)
         if scalar == 0:
@@ -77,8 +80,7 @@ def _rblock_entry_terms(k: int, i: int, j_prime: int) -> list[FactoredRat]:
         pairs += _inv(_forms(0, j - 1, lambda r: LinForm(-1, r, 1)))
         pairs += _inv(_forms(2 * j - k + 1, j, lambda r: LinForm(-1, r, 0)))
         pairs += _inv(_forms(k - 2 * j + 1, j_prime - j, lambda r: LinForm(1, r, 0)))
-        terms.append(FactoredRat(scalar, pairs))
-    return terms
+        yield scalar, pairs
 
 
 @functools.lru_cache(maxsize=None)
@@ -90,7 +92,9 @@ def rblock_closed(k: int) -> SymMatrix:
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
     return SymMatrix.from_function(
-        k + 1, k + 1, lambda i, jp: factored_sum(_rblock_entry_terms(k, i, jp))
+        k + 1,
+        k + 1,
+        lambda i, jp: factored_sum(FactoredRat(*t) for t in _entry_summands(k, i, jp)),
     )
 
 
@@ -147,21 +151,6 @@ def verify_equal_constructions(k: int) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _bound_summands(k: int, bp: int, b: int, ell: int) -> list[FactoredRat]:
-    """The factored summands of block entry (b', b) with eps -> -ell*phi bound.
-
-    A summand whose numerator gains a vanishing form is zero and is dropped.
-    Denominator forms all contain z, so binding never makes one vanish.
-    """
-    bound: list[FactoredRat] = []
-    for term in _rblock_entry_terms(k, bp, b):
-        pairs = [(form.bind_eps(-ell), exp) for form, exp in term.factors]
-        if any(exp > 0 and form.is_zero for form, exp in pairs):
-            continue
-        bound.append(FactoredRat(term.scalar, pairs))
-    return bound
-
-
 def _z_plus(j: int) -> MPoly:
     return MPoly({(1, 0, 0): 1, (0, 0, 0): j})
 
@@ -174,11 +163,6 @@ def spin_denominator(ell: int) -> MPoly:
 def z_poly(coeffs: Sequence[Scalar]) -> MPoly:
     """The polynomial sum_e coeffs[e] z^e."""
     return MPoly({(e, 0, 0): c for e, c in enumerate(coeffs)})
-
-
-def _z_coeffs(p: MPoly) -> tuple[Scalar, ...]:
-    """The coefficients of a polynomial in z alone, trailing zeros trimmed."""
-    return tuple(p.terms.get((e, 0, 0), 0) for e in range(p.degree_in("z") + 1))
 
 
 def over_spin_denominator(coeffs: Sequence[Scalar], ell: int) -> RatFun:
@@ -199,27 +183,34 @@ def over_spin_denominator(coeffs: Sequence[Scalar], ell: int) -> RatFun:
     return RatFun(mpoly_exact_div(z_poly(coeffs), common), rest)
 
 
-def specialize_block(k: int, ell: int) -> dict[int, dict[int, MPoly]]:
-    """The numerators over D(z) of the sector-k entries the spin-ell/2 matrix uses.
+def specialize_block(k: int, ell: int) -> dict[int, dict[int, tuple[int, ...]]]:
+    """The coefficients N_0, N_1, ... over D(z) of the sector-k entries at spin ell/2.
 
     Only entries (b', b) with b', b in max(0, k-ell)..min(k, ell) are built.
-    Each is summed from its factored summands after binding eps -> -ell*phi,
-    so the sum num/den is already homogeneous in (z, phi); then phi -> 1 and
-    the numerator over D is the exact quotient D*num / den.  That the division
-    is exact proves that D clears the entry.  Returns the map [b'][b] -> N.
+    Each summand's factor list is bound (eps -> -ell*phi) and canonicalized
+    once; a summand whose numerator gains a zero form is dropped.  phi is a
+    homogeneous coordinate: the exact quotient of (z+phi)...(z+ell*phi) times
+    the bound sum is homogeneous of degree ell, and N_e is its coefficient on
+    z^e phi^(ell-e).  That the division is exact proves that D clears the entry.
     """
-    phi_binding = {"phi": MPoly.one()}
-    den = spin_denominator(ell)
+    forms = (LinForm(1, j, 0).to_mpoly() for j in range(1, ell + 1))
+    hom_den = math.prod(forms, start=MPoly.one())
     span = range(max(0, k - ell), min(k, ell) + 1)
-    numerators: dict[int, dict[int, MPoly]] = {}
+    numerators: dict[int, dict[int, tuple[int, ...]]] = {}
     for bp in span:
         numerators[bp] = {}
         for b in span:
-            summed = factored_sum(_bound_summands(k, bp, b, ell))
-            numerators[bp][b] = mpoly_exact_div(
-                den * summed.num.substitute(phi_binding),
-                summed.den.substitute(phi_binding),
-            )
+            bound: list[FactoredRat] = []
+            for scalar, pairs in _entry_summands(k, bp, b):
+                pairs = [(form.bind_eps(-ell), exp) for form, exp in pairs]
+                if not any(exp > 0 and form.is_zero for form, exp in pairs):
+                    bound.append(FactoredRat(scalar, pairs))
+            summed = factored_sum(bound)
+            terms = mpoly_exact_div(hom_den * summed.num, summed.den).terms
+            if any(ez + ephi != ell or eeps for ez, ephi, eeps in terms):
+                raise AssertionError(f"sector {k} entry ({bp}, {b}): not of degree ell = {ell}")
+            top = max((ez for ez, _, _ in terms), default=-1)
+            numerators[bp][b] = tuple(terms.get((e, ell - e, 0), 0) for e in range(top + 1))
     return numerators
 
 
@@ -229,7 +220,8 @@ class FullR:
 
     Entry (i, j) is N(z)/D(z) over D(z) = (z+1)...(z+ell), and ``num[i][j]``
     holds the int coefficients N_0, N_1, ... of N, trailing zeros trimmed (a
-    zero entry is ``()``).  deg N <= ell, so the poles are the roots of D.
+    zero entry is ``()``).  deg N <= ell, so the poles are the roots of D;
+    construction refuses a ``num`` of another shape or degree (ValueError).
     ``matrix`` is the derived ``SymMatrix`` of ``RatFun(N, D)``, and
     ``lowest_terms`` the reduced one for display.  Basis: pairs (a, b) with
     a, b in 0..ell in lexicographic order, the pair (a, b) being row/column
@@ -238,6 +230,15 @@ class FullR:
 
     ell: int
     num: tuple[tuple[tuple[int, ...], ...], ...]
+
+    def __post_init__(self) -> None:
+        n = self.dim
+        if len(self.num) != n or any(len(row) != n for row in self.num):
+            raise ValueError(f"num must be {n} x {n} for ell = {self.ell}")
+        for i, row in enumerate(self.num):
+            for j, coeffs in enumerate(row):
+                if len(coeffs) > self.ell + 1:
+                    raise ValueError(f"entry ({i}, {j}): degree above ell = {self.ell}")
 
     @property
     def dim(self) -> int:
@@ -263,8 +264,8 @@ class FullR:
         """(q^ell * N(p/q), q^ell * D(p/q)) at z = p/q: an int matrix and an int.
 
         Both come from one table p^e * q^(ell-e), e = 0..ell, which suffices
-        because no numerator has degree above ell = deg D.  A pole (the int
-        D-value is 0) raises PoleSpecializationError.
+        because construction refuses a numerator of degree above ell = deg D.
+        A pole (the int D-value is 0) raises PoleSpecializationError.
         """
         p, q, ell = value.numerator, value.denominator, self.ell
         den = math.prod(p + j * q for j in range(1, ell + 1))
@@ -301,9 +302,8 @@ class FullR:
 def assemble_full(ell: int) -> FullR:
     """Assemble the spin-ell/2 R-matrix from the sector entries on the spin line.
 
-    Each entry is bound (eps -> -ell*phi), summed, set to phi = 1 and put over
-    D(z) by ``specialize_block``; no generic block is expanded.  A numerator of
-    degree above ell raises AssertionError (``FullR.scaled_at`` stops at z^ell).
+    ``specialize_block`` gives each entry's numerator coefficients over D(z)
+    directly; no generic block is expanded and nothing is substituted.
     """
     if ell < 1:
         raise ValueError(f"need ell >= 1, got {ell}")
@@ -311,10 +311,7 @@ def assemble_full(ell: int) -> FullR:
     num: list[list[tuple[int, ...]]] = [[()] * (d * d) for _ in range(d * d)]
     for k in range(2 * ell + 1):
         for bp, row in specialize_block(k, ell).items():
-            for b, poly in row.items():
-                coeffs = _z_coeffs(poly)
-                if len(coeffs) > d:
-                    raise AssertionError(f"sector {k} entry ({bp}, {b}): degree above ell = {ell}")
+            for b, coeffs in row.items():
                 num[d * (k - bp) + bp][d * (k - b) + b] = coeffs
     return FullR(ell, tuple(map(tuple, num)))
 
@@ -349,7 +346,7 @@ def verify_unitarity_full(ell: int) -> Report:
     labels, n = full.labels, full.num
     den = spin_denominator(ell)
     dd = den * den.flip_z()
-    target = list(_z_coeffs(dd))
+    target = [dd.terms.get((e, 0, 0), 0) for e in range(2 * ell + 1)]
     weight = [a + b for a, b in labels]
     sectors = [[i for i, w in enumerate(weight) if w == s] for s in range(2 * ell + 1)]
     bad: dict[tuple[int, int], RatFun] = {}

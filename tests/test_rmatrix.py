@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from spinr import rmatrix
+from spinr import exactalg, rmatrix
 from spinr.exactalg import (
     MPoly,
     PoleSpecializationError,
@@ -25,6 +25,7 @@ from spinr.rmatrix import (
     rblock_triangular,
     s_tilde,
     sample_spectral_triples,
+    specialize_block,
     spin_denominator,
     verify_block_limit,
     verify_equal_constructions,
@@ -216,16 +217,75 @@ def test_lowest_terms_matches_the_trial_division_route():
                 assert reduced.num == num and reduced.den == den, (ell, ratfun_to_str(e))
 
 
-def test_lowest_terms_reduces_without_substitution(monkeypatch):
-    # the roots of D are known, so N is evaluated at them from its int
-    # coefficients; generic polynomial substitution is never needed
-    full = assemble_full(4)
-
+def test_spin_line_assembles_and_reduces_without_substitution(monkeypatch):
+    # phi is a homogeneous coordinate, so specialization reads N off the
+    # homogeneous quotient, and the roots of D are known, so N is evaluated at
+    # them from its int coefficients; generic polynomial substitution is never
+    # needed on the whole spin line from assembly to the printed matrix
     def refuse(self, bindings):
         raise AssertionError("MPoly.substitute called")
 
     monkeypatch.setattr(MPoly, "substitute", refuse)
-    assert full.lowest_terms().rows == full.dim
+    for ell in range(1, 5):
+        full = assemble_full(ell)
+        assert full.lowest_terms().rows == full.dim
+
+
+def test_specialization_canonicalizes_each_bound_summand_once(monkeypatch):
+    # one canonicalization per summand that survives binding; the generic
+    # summands are never canonicalized on the way
+    canonical = exactalg._canonical_factor_items
+    calls = []
+
+    def counting(scalar, pairs):
+        calls.append(scalar)
+        return canonical(scalar, pairs)
+
+    monkeypatch.setattr(exactalg, "_canonical_factor_items", counting)
+    ell, k = 3, 4
+    specialize_block(k, ell)
+    summands = kept = 0
+    span = range(k - ell, ell + 1)
+    for bp in span:
+        for b in span:
+            for _, pairs in rmatrix._entry_summands(k, bp, b):
+                bound = [(form.bind_eps(-ell), exp) for form, exp in pairs]
+                summands += 1
+                kept += not any(exp > 0 and form.is_zero for form, exp in bound)
+    assert 0 < kept < summands and len(calls) == kept
+
+
+def test_specialization_matches_an_independent_sympy_route():
+    # third route, outside the exact kernel: the expanded generic entry in
+    # sympy, at eps = -ell*phi and phi = 1, times D(z), cancelled by sympy
+    sympy = pytest.importorskip("sympy")
+    z, phi, eps = sympy.symbols("z phi eps")
+
+    def to_sympy(p):
+        return sympy.Add(
+            *(
+                sympy.Rational(c.numerator, c.denominator) * z**a * phi**b * eps**e
+                for (a, b, e), c in p.terms.items()
+            )
+        )
+
+    for ell in range(1, 4):
+        d_z = sympy.prod(z + j for j in range(1, ell + 1))
+        for k in range(2 * ell + 1):
+            block = rblock_closed(k).entries
+            numerators = specialize_block(k, ell)
+            span = range(max(0, k - ell), min(k, ell) + 1)
+            assert list(numerators) == list(span)
+            for bp in span:
+                assert list(numerators[bp]) == list(span)
+                for b in span:
+                    entry = block[bp][b]
+                    value = (to_sympy(entry.num) / to_sympy(entry.den)).subs(eps, -ell * phi)
+                    got = sympy.cancel(value.subs(phi, 1) * d_z)
+                    assert got.is_polynomial(z), (ell, k, bp, b, got)
+                    poly = sympy.Poly(got, z)
+                    coeffs = () if poly.is_zero else tuple(reversed(poly.all_coeffs()))
+                    assert coeffs == numerators[bp][b], (ell, k, bp, b)
 
 
 def test_assembly_refuses_a_numerator_above_degree_ell(monkeypatch):
@@ -236,13 +296,32 @@ def test_assembly_refuses_a_numerator_above_degree_ell(monkeypatch):
     def one_entry_too_high(k, ell):
         blocks = specialize(k, ell)
         if k == ell:
-            blocks[ell][ell] = Z ** (ell + 1)
+            blocks[ell][ell] = (0,) * (ell + 1) + (1,)
         return blocks
 
     monkeypatch.setattr(rmatrix, "specialize_block", one_entry_too_high)
     for ell in (1, 3):
-        with pytest.raises(AssertionError, match="degree"):
+        with pytest.raises(ValueError, match="degree"):
             assemble_full(ell)
+
+
+def test_full_r_refuses_an_over_degree_numerator():
+    # (1, 0, 5) is 1 + 5z^2 at ell = 1: scaled_at(1) would cut it to 1
+    # instead of 6, and coefficients() would index past N_ell
+    num = [[()] * 4 for _ in range(4)]
+    num[0][0] = (1, 0, 5)
+    with pytest.raises(ValueError, match=r"entry \(0, 0\): degree"):
+        FullR(1, tuple(map(tuple, num)))
+
+
+def test_full_r_refuses_a_wrongly_shaped_numerator():
+    num = assemble_full(1).num
+    with pytest.raises(ValueError, match="4 x 4"):
+        FullR(1, num[:3])
+    with pytest.raises(ValueError, match="4 x 4"):
+        FullR(1, tuple(row[:3] for row in num))
+    with pytest.raises(ValueError, match="9 x 9"):
+        FullR(2, num)
 
 
 def test_assembled_poles_and_identity_at_zero_through_spin_5_2():
