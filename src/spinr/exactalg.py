@@ -17,12 +17,14 @@ the representation never shows in output.  The building blocks are:
                     This is the construction-side representation: every localization
                     coefficient is born factored.
 * ``RatFun``     -- quotient num/den of two polynomials.  No reduction to lowest
-                    terms is ever performed; ``==`` is value equality, decided
-                    by cross multiplication.  When the denominator's
-                    factorization into linear forms is known it is cached,
-                    which keeps degrees small when summing many terms over a
-                    common denominator: ``factored_sum`` and ``ratfun_dot``
-                    (the entry of a matrix product) sum over the lcm.
+                    terms is ever performed; ``==`` is value equality.  When
+                    the denominator's factorization into linear forms is
+                    known it is cached, which keeps degrees small when
+                    summing many terms over a common denominator:
+                    ``factored_sum`` and ``ratfun_dot`` (the entry of a matrix
+                    product) sum over the lcm, and ``value_eq`` compares two
+                    factored sides over theirs (cross multiplication
+                    otherwise).
 
 Substitution acts on polynomials only (``MPoly.substitute``); there is no
 general specialization of rational functions.  Spin specialization lives in
@@ -39,6 +41,7 @@ iteration always follow that order, so output is deterministic.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
@@ -355,9 +358,7 @@ class LinForm(NamedTuple):
         The integer content (including sign) moves into the scale, so that
         e.g. (-z) and (z) share a key, as do (2*phi) and (phi).
         """
-        import math as _math
-
-        g = _math.gcd(_math.gcd(abs(self.c_z), abs(self.c_phi)), abs(self.c_eps))
+        g = math.gcd(self.c_z, self.c_phi, self.c_eps)
         if g == 0:
             return 1, self
         for c in self:
@@ -394,7 +395,13 @@ FactorItems = tuple[tuple[LinForm, int], ...]
 def _canonical_factor_items(
     scalar: Fraction, pairs: Iterable[tuple[LinForm, int]]
 ) -> tuple[Fraction, FactorItems]:
+    """The scalar times the forms' int contents, and the merged canonical factors.
+
+    The contents of the forms with positive and negative exponents are
+    accumulated as the ints ``up`` and ``down`` and applied to the scalar once.
+    """
     merged: dict[LinForm, int] = {}
+    up = down = 1
     for form, exp in pairs:
         if exp == 0:
             continue
@@ -402,8 +409,13 @@ def _canonical_factor_items(
             raise ExactAlgError("zero linear form used as a factor")
         scale, canon = form.canonical()
         if scale != 1:
-            scalar *= Fraction(scale) ** exp
+            if exp > 0:
+                up *= scale**exp
+            else:
+                down *= scale ** (-exp)
         merged[canon] = merged.get(canon, 0) + exp
+    if up != 1 or down != 1:
+        scalar *= Fraction(up, down)
     items = tuple(sorted((f, e) for f, e in merged.items() if e))
     return scalar, items
 
@@ -522,7 +534,7 @@ class FactoredRat:
 
 
 class RatFun:
-    """Quotient of two polynomials; never reduced, compared by cross multiplication.
+    """Quotient of two polynomials; never reduced, compared by value (``value_eq``).
 
     ``den_factors`` optionally records the factorization of den into canonical
     linear forms (all exponents positive, product exactly equal to den).  It is
@@ -563,8 +575,21 @@ class RatFun:
         return self.num.is_zero
 
     def value_eq(self, other: RatFun | Scalar) -> bool:
+        """Value equality, over the smallest denominator the known factors give.
+
+        Equal ``den_factors`` mean equal denominators, so the numerators are
+        compared.  When both sides know a nonempty factorization, each
+        numerator is brought over the lcm of the two (num times its cofactor).
+        Otherwise the two sides are cross-multiplied.
+        """
         if not isinstance(other, RatFun):
             other = RatFun.const(other)
+        mine, theirs = self.den_factors, other.den_factors
+        if mine is not None and mine == theirs:
+            return self.num == other.num
+        if mine and theirs:
+            _, (cof_a, cof_b) = _lcm_cofactors([dict(mine), dict(theirs)])
+            return self.num * cof_a == other.num * cof_b
         return self.num * other.den == other.num * self.den
 
     def __eq__(self, other: object) -> bool:

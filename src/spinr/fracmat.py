@@ -101,7 +101,12 @@ def rank(a: FracMat) -> int:
 
 
 class SymMatrix:
-    """Dense rectangular matrix of rational functions with index labels."""
+    """Dense rectangular matrix of rational functions with index labels.
+
+    ``==`` and ``hash`` are those of ``object``, by identity: values are
+    compared with ``mismatches`` or ``value_eq``, and the memoized verdicts
+    of ``stablebasis`` and ``rmatrix`` are keyed on the matrix objects.
+    """
 
     __slots__ = ("entries", "row_labels", "col_labels")
 

@@ -4,10 +4,11 @@ Each total-weight sector k carries a (k+1) x (k+1) block in the generic
 variables (z, phi, eps).  Two independent constructions are provided: the
 closed-form single sum over products of linear forms (``rblock_closed``) and
 the triangular product S^-1 * S-tilde (``rblock_triangular``), where S-tilde
-is S with rows reversed and z negated; both return the block as a
-``fracmat.SymMatrix``.  ``rblock_closed`` is memoized: each k is built once
-per process and shared by every check that reads it, so callers must not
-mutate the block.  ``assemble_full`` builds each block entry it needs on the
+= J * S(-z) is ``S_matrix`` at -z with its rows reversed (J the index
+reversal), so R = S^-1 J S(-z) holds by construction; both return the block
+as a ``fracmat.SymMatrix``.  ``rblock_closed`` is memoized: each k is built
+once per process and shared by every check that reads it, so callers must
+not mutate the block.  ``assemble_full`` builds each block entry it needs on the
 spin line in one pass (``specialize_block``): it binds eps -> -ell*phi in
 every summand's factor list, sums, multiplies by (z+phi)...(z+ell*phi) and
 divides exactly.  phi is a homogeneous coordinate, so the numerator over the
@@ -26,6 +27,15 @@ Yang-Baxter equation at exact rational points.  For the latter each pair
 operator is embedded directly into every total-weight sector of the triple
 tensor power (``_embed``), so no operator on the whole (ell+1)^3-dimensional
 space is ever formed.
+
+Block unitarity is proven by composition: S^-1 S = Id implies S S^-1 = Id
+over the field of rational functions, hence S(-z) S^-1(-z) = Id (z -> -z is
+a ring automorphism), and with J^2 = Id and closed form = triangular form,
+R(z) R(-z) = S^-1(z) J S(-z) S^-1(-z) J S(z) = Id.  Both premises are decided
+once per process and per matrix object (``SymMatrix`` hashes by identity),
+so a verdict is reused only for the very block, S and S^-1 that unitarity
+reads.  When either fails, the product R(z) R(-z) is formed directly and a
+failure report lists its entries that differ from Id.
 """
 
 from __future__ import annotations
@@ -59,8 +69,8 @@ from .stablebasis import (
     _forms,
     _inv,
     binom,
+    inverse_mismatches,
     sinv_entry,
-    stable_coeff,
 )
 
 
@@ -98,11 +108,14 @@ def rblock_closed(k: int) -> SymMatrix:
     )
 
 
+def _tilde(s: SymMatrix) -> SymMatrix:
+    """J * S(-z): s at -z with its rows in reverse order (J the index reversal)."""
+    return SymMatrix(s.flip_z().entries[::-1])
+
+
 def s_tilde(k: int) -> SymMatrix:
     """S with rows reversed and z negated: entry (j, j') is S_{k-j, j'} at -z."""
-    return SymMatrix.from_function(
-        k + 1, k + 1, lambda j, jp: stable_coeff(k, k - j, jp).flip_z().expand()
-    )
+    return _tilde(S_matrix(k))
 
 
 def rblock_triangular(k: int) -> SymMatrix:
@@ -110,6 +123,18 @@ def rblock_triangular(k: int) -> SymMatrix:
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
     return S_inverse(k).mul(s_tilde(k))
+
+
+@functools.lru_cache(maxsize=None)
+def constructions_mismatches(
+    block: SymMatrix, s_inv: SymMatrix, s: SymMatrix
+) -> tuple[tuple[int, int], ...]:
+    """The positions where block differs in value from s_inv * J * s(-z).
+
+    Like ``stablebasis.inverse_mismatches``, decided once per triple of
+    matrix objects (``SymMatrix`` hashes by identity).
+    """
+    return tuple(block.mismatches(s_inv.mul(_tilde(s))))
 
 
 def lu_factors(k: int) -> tuple[SymMatrix, SymMatrix]:
@@ -134,15 +159,17 @@ def lu_factors(k: int) -> tuple[SymMatrix, SymMatrix]:
 def verify_equal_constructions(k: int) -> Report:
     """Entrywise value equality of the closed-form and triangular blocks."""
     report = Report("equal_constructions", {"k": k})
-    closed = rblock_closed(k)
-    tri = rblock_triangular(k)
-    for i, j in closed.mismatches(tri):
-        report.fail(
-            i=i,
-            j_prime=j,
-            closed=ratfun_to_str(closed.entries[i][j]),
-            triangular=ratfun_to_str(tri.entries[i][j]),
-        )
+    closed, s_inv, s = rblock_closed(k), S_inverse(k), S_matrix(k)
+    bad = constructions_mismatches(closed, s_inv, s)
+    if bad:
+        tri = s_inv.mul(_tilde(s))
+        for i, j in bad:
+            report.fail(
+                i=i,
+                j_prime=j,
+                closed=ratfun_to_str(closed.entries[i][j]),
+                triangular=ratfun_to_str(tri.entries[i][j]),
+            )
     return report
 
 
@@ -322,12 +349,24 @@ def assemble_full(ell: int) -> FullR:
 
 
 def verify_unitarity_block(k: int) -> Report:
-    """R(z) R(-z) == Id symbolically in (z, phi, eps) for the sector-k block."""
+    """R(z) R(-z) == Id symbolically in (z, phi, eps) for the sector-k block.
+
+    Proven by composition from two premises about the very block, S and S^-1
+    read here: S^-1 S = Id (``inverse_mismatches``) and R = S^-1 J S(-z)
+    (``constructions_mismatches``).  Over the field of rational functions the
+    first gives S S^-1 = Id, and z -> -z is a ring automorphism, so
+    S(-z) S^-1(-z) = Id; with J^2 = Id,
+    R(z) R(-z) = S^-1(z) J [S(-z) S^-1(-z)] J S(z) = S^-1(z) S(z) = Id.
+    The premises are decided once per process and shared with the inverse
+    and constructions cases.  When either fails, the product R(z) R(-z) is
+    formed directly, and its entries that differ from Id are the witnesses.
+    """
     report = Report("unitarity_block", {"k": k})
-    block = rblock_closed(k)
-    product = block.mul(block.flip_z())
-    for i, j in product.mismatches(SymMatrix.identity(k + 1)):
-        report.fail(i=i, j=j, entry=ratfun_to_str(product.entries[i][j]))
+    block, s_inv, s = rblock_closed(k), S_inverse(k), S_matrix(k)
+    if inverse_mismatches(s_inv, s) or constructions_mismatches(block, s_inv, s):
+        product = block.mul(block.flip_z())
+        for i, j in product.mismatches(SymMatrix.identity(k + 1)):
+            report.fail(i=i, j=j, entry=ratfun_to_str(product.entries[i][j]))
     return report
 
 

@@ -4,10 +4,14 @@ The two families of classes expand over the fixed-point basis with factored
 rational-function coefficients (``class_Zbar`` and ``class_S``).  Collecting
 the stable-class coefficients columnwise gives the upper triangular change of
 basis ``S_matrix``; its inverse has the closed polynomial form ``S_inverse``.
-Both are ``SymMatrix`` values from ``fracmat``, the one matrix module.
+Both are ``SymMatrix`` values from ``fracmat``, the one matrix module, built
+once per k and process and shared by every caller, so callers must not mutate
+them.
 Three verifications are provided:
 
-* ``verify_inverse``  -- S^-1 S is the identity, entrywise and symbolically;
+* ``verify_inverse``  -- S^-1 S is the identity, entrywise and symbolically
+                         (``inverse_mismatches``, decided once per pair of
+                         matrix objects);
 * ``verify_linrel``   -- each stable class is the binomial combination of the
                          attracting classes, and the change of basis between
                          them is re-derived from the vanishing condition at
@@ -19,6 +23,7 @@ Three verifications are provided:
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -135,8 +140,9 @@ def _check_column(k: int, j_prime: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def S_matrix(k: int) -> SymMatrix:
-    """The upper triangular stable-class matrix, (k+1) x (k+1)."""
+    """The upper triangular stable-class matrix, (k+1) x (k+1), built once per k."""
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
     return SymMatrix.from_function(
@@ -144,8 +150,9 @@ def S_matrix(k: int) -> SymMatrix:
     )
 
 
+@functools.lru_cache(maxsize=None)
 def S_inverse(k: int) -> SymMatrix:
-    """The closed-form inverse of S_matrix(k); entries are polynomials."""
+    """The closed-form inverse of S_matrix(k), built once per k; entries are polynomials."""
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
     return SymMatrix.from_function(k + 1, k + 1, lambda i, j: sinv_entry(k, i, j).expand())
@@ -164,12 +171,27 @@ def _sinv_s_entry_terms(k: int, i: int, j_prime: int) -> list[FactoredRat]:
     ]
 
 
+@functools.lru_cache(maxsize=None)
+def inverse_mismatches(s_inv: SymMatrix, s: SymMatrix) -> tuple[tuple[int, int], ...]:
+    """The positions where s_inv * s differs from the identity in value.
+
+    ``SymMatrix`` hashes and compares by identity, so the memo reuses a
+    verdict only for the very objects it was decided on; the memoized
+    ``S_inverse(k)`` and ``S_matrix(k)`` make that one product per k and
+    process, which ``rmatrix.verify_unitarity_block`` reuses as a premise.
+    """
+    return tuple(s_inv.mul(s).mismatches(SymMatrix.identity(s.rows)))
+
+
 def verify_inverse(k: int) -> Report:
     """Check S_inverse(k) * S_matrix(k) == Id entrywise by value equality."""
     report = Report("inverse", {"k": k})
-    product = S_inverse(k).mul(S_matrix(k))
-    for i, j in product.mismatches(SymMatrix.identity(k + 1)):
-        report.fail(i=i, j_prime=j, entry=ratfun_to_str(product.entries[i][j]))
+    s_inv, s = S_inverse(k), S_matrix(k)
+    bad = inverse_mismatches(s_inv, s)
+    if bad:
+        product = s_inv.mul(s)
+        for i, j in bad:
+            report.fail(i=i, j_prime=j, entry=ratfun_to_str(product.entries[i][j]))
     return report
 
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from spinr import cli
+from spinr import cli, rmatrix, stablebasis
 
 
 def run(capsys, *argv):
@@ -221,6 +221,18 @@ def test_verify_jobs_parallel_same_bytes(tmp_path, capsys):
         "verify", "--suite", "linrel", "--format", "json",
         "--jobs", "2", "--output", str(parallel),
     )
+    assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_verify_unitarity_jobs_parallel_same_bytes(tmp_path, capsys):
+    # forked workers start with empty premise memos and decide them cold
+    stablebasis.inverse_mismatches.cache_clear()
+    rmatrix.constructions_mismatches.cache_clear()
+    args = ["verify", "--suite", "unitarity", "-k", "5", "--format", "json"]
+    parallel = tmp_path / "parallel.json"
+    serial = tmp_path / "serial.json"
+    assert run(capsys, *args, "--jobs", "2", "--output", str(parallel))[0] == 0
+    assert run(capsys, *args, "--jobs", "1", "--output", str(serial))[0] == 0
     assert serial.read_bytes() == parallel.read_bytes()
 
 

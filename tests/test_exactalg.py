@@ -344,3 +344,34 @@ def test_eval_rational_matches_per_term_fraction_sum(p, z, phi, eps):
     value = p.eval_rational({"z": z, "phi": phi, "eps": eps})
     assert type(value) is Fraction
     assert value == expected
+
+
+def _cross_multiplied_eq(a, b):
+    return a.num * b.den == b.num * a.den
+
+
+@given(factored, factored, nonzero_fractions, linforms)
+@settings(max_examples=100, deadline=None)
+def test_value_eq_agrees_with_cross_multiplication(f, g, q, form):
+    a, b = f.expand(), g.expand()
+    # a times form/form: the same value over a larger factored denominator
+    padded = a * FactoredRat(1, [(form, 1)]).expand() * FactoredRat(1, [(form, -1)]).expand()
+    assert padded.value_eq(a) and a.value_eq(padded)
+    pairs = [
+        (a, b),  # disjoint or overlapping factor lists
+        (a, a.scale(q)),  # equal factor lists
+        (a, RatFun(a.num + b.num, a.den, a.den_factors)),
+        (a, (f * g).expand()),  # overlapping lists
+        (a, padded),
+        (RatFun(a.num), b),  # den = 1
+        (RatFun(a.num), RatFun(b.num)),
+        (a, RatFun(b.num, b.den, None)),  # unknown factorization
+        (RatFun(a.num, a.den, None), a),
+        (RatFun(a.num, a.den, None), RatFun(b.num, b.den, None)),
+        (a.flip_z(), b.flip_z()),
+        (a.flip_z(), a),
+        (padded.flip_z(), a.flip_z()),
+    ]
+    for x, y in pairs:
+        assert x.value_eq(y) == _cross_multiplied_eq(x, y)
+        assert y.value_eq(x) == _cross_multiplied_eq(y, x)

@@ -16,7 +16,7 @@ from spinr.exactalg import (
 )
 from spinr.fracmat import SymMatrix, identity, kron, mat_mul
 from spinr.golden import spin_half_block, spin_one_full_matrix, spin_one_middle_block
-from spinr.stablebasis import S_inverse, S_matrix
+from spinr.stablebasis import S_inverse, S_matrix, stable_coeff, verify_inverse
 from spinr.rmatrix import (
     FullR,
     assemble_full,
@@ -458,11 +458,6 @@ def test_sampling_is_seeded_and_avoids_poles():
 # ---------------------------------------------------------------------------
 
 
-def _index_reversal(m: SymMatrix) -> SymMatrix:
-    """J*m, with J the index reversal."""
-    return m.permute_rows(list(range(m.rows - 1, -1, -1)))
-
-
 def test_den_factors_multiply_out_through_k6():
     # the product sums over the lcm of den_factors, which is sound only if
     # every den_factors multiplies out to den exactly
@@ -479,13 +474,84 @@ def test_den_factors_multiply_out_through_k6():
 
 
 def test_s_tilde_is_reversed_flipped_s():
-    # the premise of composing unitarity from inverse and constructions
+    # s_tilde is J * S(-z) by construction; second route: each entry from the
+    # factored stable coefficient, flipped before it is expanded
     for k in range(7):
-        tilde, expected = s_tilde(k), _index_reversal(S_matrix(k).flip_z())
+        tilde = s_tilde(k)
+        expected = SymMatrix.from_function(
+            k + 1, k + 1, lambda j, jp: stable_coeff(k, k - j, jp).flip_z().expand()
+        )
         assert not tilde.mismatches(expected), k
         for row_t, row_e in zip(tilde.entries, expected.entries):
             for x, y in zip(row_t, row_e):
                 assert (x.num, x.den, x.den_factors) == (y.num, y.den, y.den_factors), k
+
+
+def test_unitarity_block_direct_product_is_identity_through_k6():
+    # second route to the composed proof: the product R(z) R(-z) itself
+    for k in range(7):
+        block = rblock_closed(k)
+        assert not block.mul(block.flip_z()).mismatches(SymMatrix.identity(k + 1)), k
+
+
+def _spy_products(monkeypatch):
+    """Record the left factor of every SymMatrix product formed from now on."""
+    left = []
+    plain = SymMatrix.mul
+
+    def spy(self, other):
+        left.append(self)
+        return plain(self, other)
+
+    monkeypatch.setattr(SymMatrix, "mul", spy)
+    return left
+
+
+def test_negated_block_fails_constructions_but_stays_unitary(monkeypatch):
+    # -R is unitary too, so a failed premise must fall back to the product
+    block = rblock_closed(3)
+    negated = SymMatrix([[e.scale(-1) for e in row] for row in block.entries])
+    monkeypatch.setattr(rmatrix, "rblock_closed", lambda k: negated)
+    constructions = verify_equal_constructions(3)
+    assert not constructions.passed
+    nonzero = [(i, j) for i in range(4) for j in range(4) if not block.entries[i][j].is_zero]
+    assert [(w["i"], w["j_prime"]) for w in constructions.failures] == nonzero
+    left = _spy_products(monkeypatch)
+    assert verify_unitarity_block(3).passed
+    assert negated in left
+
+
+def test_replaced_premise_objects_are_not_masked_by_the_memo(monkeypatch):
+    k = 3
+    block, s_inv, s = rblock_closed(k), S_inverse(k), S_matrix(k)
+    assert verify_inverse(k).passed and verify_equal_constructions(k).passed
+    left = _spy_products(monkeypatch)
+    assert verify_unitarity_block(k).passed
+    assert left == []  # proven from the premises, no product formed
+    # a broken block read after the premises were proven is caught
+    grid = [list(row) for row in block.entries]
+    grid[0][k] = grid[0][k].scale(2)
+    broken = SymMatrix(grid)
+    monkeypatch.setattr(rmatrix, "rblock_closed", lambda k: broken)
+    report = verify_unitarity_block(k)
+    assert not report.passed and broken in left
+    expected = broken.mul(broken.flip_z()).mismatches(SymMatrix.identity(k + 1))
+    assert [(w["i"], w["j"]) for w in report.failures] == expected
+    monkeypatch.setattr(rmatrix, "rblock_closed", lambda k: block)
+    # a broken S^-1: its inverse premise fails, so the product is formed
+    grid = [list(row) for row in s_inv.entries]
+    grid[0][k] = grid[0][k].scale(3)
+    broken_inv = SymMatrix(grid)
+    monkeypatch.setattr(rmatrix, "S_inverse", lambda k: broken_inv)
+    left.clear()
+    assert verify_unitarity_block(k).passed
+    assert broken_inv in left and block in left
+    # an equal copy of S^-1 is a new object: the premises are decided for it
+    copy = SymMatrix(s_inv.entries)
+    monkeypatch.setattr(rmatrix, "S_inverse", lambda k: copy)
+    left.clear()
+    assert verify_unitarity_block(k).passed
+    assert copy in left and block not in left
 
 
 def test_rblock_closed_is_built_once_per_k():
