@@ -26,7 +26,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -429,6 +428,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     cases = _suite_cases(cfg)
     workers = worker_count(cfg.jobs, len(cases))
     if workers > 1:
+        # imported here: the pool loads multiprocessing, which a --jobs 1 run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_case, cases))
     else:

@@ -26,6 +26,13 @@ the representation never shows in output.  The building blocks are:
                     factored sides over theirs (cross multiplication
                     otherwise).
 
+The paper's coefficients come from equivariant localization, so the same
+products of weights recur across summands, entries, sectors and checks.
+``_expand_factor_product`` expands each distinct product once per process
+into one memo; every sum and comparison over factored denominators
+(``factored_sum``, ``FactoredRat.expand``, ``RatFun.__add__``/``value_eq``,
+``ratfun_dot``) reads it.
+
 Substitution acts on polynomials only (``MPoly.substitute``); there is no
 general specialization of rational functions.  Spin specialization lives in
 ``rmatrix.specialize_block`` and substitutes nothing: phi is a homogeneous
@@ -97,6 +104,8 @@ class MPoly:
 
     Immutable by convention: the internal term map is never mutated after
     construction, so values can be shared freely (including across processes).
+    The expanded factor products of ``_expand_factor_product`` rely on this:
+    its cached values are shared by every caller in the process.
     """
 
     __slots__ = ("_terms",)
@@ -420,24 +429,45 @@ def _canonical_factor_items(
     return scalar, items
 
 
-def _expand_factor_product(items: Iterable[tuple[LinForm, int]]) -> MPoly:
-    out = MPoly.one()
-    for form, exp in items:
-        out = out * form.to_mpoly() ** exp
+# Every expanded factor product of the process, keyed by its factor items.
+_EXPANSIONS: dict[FactorItems, MPoly] = {}
+
+
+def _expand_factor_product(items: FactorItems) -> MPoly:
+    """The product of form**exp over items, expanded once per process.
+
+    items is a sorted canonical factor tuple (``FactoredRat.factors`` and its
+    parts, a ``den_factors``, an lcm or a cofactor), so equal products share
+    one key.  The product is the expanded items[:-1] times the power
+    items[-1:], both read through the memo, so every power and every leading
+    partial product is expanded once as well.  The memo is unbounded, like
+    the ``rblock_closed`` and ``S_matrix`` memos.  Callers share the returned
+    MPoly, which is safe only because an MPoly is never mutated after
+    construction.
+    """
+    out = _EXPANSIONS.get(items)
+    if out is None:
+        if not items:
+            out = MPoly.one()
+        elif len(items) == 1:
+            ((form, exp),) = items
+            out = form.to_mpoly() ** exp
+        else:
+            out = _expand_factor_product(items[:-1]) * _expand_factor_product(items[-1:])
+        _EXPANSIONS[items] = out
     return out
 
 
 def _lcm_cofactors(
     den_maps: Sequence[Mapping[LinForm, int]],
-    expansions: dict[FactorItems, MPoly] | None = None,
 ) -> tuple[FactorItems, list[MPoly]]:
     """The lcm of factored denominators and the expanded cofactor lcm/den of each.
 
     A denominator maps canonical linear forms to positive exponents; the lcm
     takes each form's largest exponent.  Every sum over a common factored
     denominator (``RatFun.__add__``, ``factored_sum``, ``ratfun_dot``) finds
-    it here.  ``expansions`` holds cofactors already expanded, keyed by their
-    sorted factor items, for callers that share them across many sums.
+    it here.  The cofactors come from the process-wide memo of
+    ``_expand_factor_product``.
     """
     lcm: dict[LinForm, int] = {}
     for dm in den_maps:
@@ -445,15 +475,12 @@ def _lcm_cofactors(
             if e > lcm.get(f, 0):
                 lcm[f] = e
     items = tuple(sorted(lcm.items()))
-    if expansions is None:
-        expansions = {}
-    cofactors = []
-    for dm in den_maps:
-        key = tuple((f, e - dm.get(f, 0)) for f, e in items if e > dm.get(f, 0))
-        cof = expansions.get(key)
-        if cof is None:
-            cof = expansions[key] = _expand_factor_product(key)
-        cofactors.append(cof)
+    cofactors = [
+        _expand_factor_product(
+            tuple((f, e - dm.get(f, 0)) for f, e in items if e > dm.get(f, 0))
+        )
+        for dm in den_maps
+    ]
     return items, cofactors
 
 
@@ -613,7 +640,7 @@ class RatFun:
             lcm, (cof_a, cof_b) = _lcm_cofactors(
                 [dict(self.den_factors), dict(other.den_factors)]
             )
-            return RatFun(self.num * cof_a + other.num * cof_b, self.den * cof_a, lcm)
+            return RatFun(self.num * cof_a + other.num * cof_b, _expand_factor_product(lcm), lcm)
         return RatFun(self.num * other.den + other.num * self.den, self.den * other.den, None)
 
     def __neg__(self) -> RatFun:
@@ -691,19 +718,15 @@ def factored_sum(terms: Iterable[FactoredRat]) -> RatFun:
     return RatFun(num, _expand_factor_product(lcm), lcm)
 
 
-def ratfun_dot(
-    left: Sequence[RatFun],
-    right: Sequence[RatFun],
-    expansions: dict[FactorItems, MPoly] | None = None,
-) -> RatFun:
+def ratfun_dot(left: Sequence[RatFun], right: Sequence[RatFun]) -> RatFun:
     """The sum of the products a*b over the pairs of left and right.
 
     When every nonzero operand knows its ``den_factors``, a pair's denominator
     is the sum of the two factorizations, and the whole sum goes over the lcm
-    of the pairs' denominators, expanded once: each pair contributes
-    a.num*b.num times its expanded cofactor.  ``expansions`` shares expanded
-    factor products across the entries of one matrix product.  Otherwise the
-    products are accumulated with ``+``.
+    of the pairs' denominators: each pair contributes a.num*b.num times its
+    cofactor.  The lcm and the cofactors come from the process-wide memo of
+    ``_expand_factor_product``.  Otherwise the products are accumulated with
+    ``+``.
     """
     pairs = [(a, b) for a, b in zip(left, right) if not a.num.is_zero and not b.num.is_zero]
     if any(a.den_factors is None or b.den_factors is None for a, b in pairs):
@@ -713,22 +736,17 @@ def ratfun_dot(
         return acc
     if not pairs:
         return RatFun.zero()
-    if expansions is None:
-        expansions = {}
     den_maps = []
     for a, b in pairs:
         dm = dict(a.den_factors)
         for f, e in b.den_factors:
             dm[f] = dm.get(f, 0) + e
         den_maps.append(dm)
-    lcm, cofactors = _lcm_cofactors(den_maps, expansions)
+    lcm, cofactors = _lcm_cofactors(den_maps)
     num = MPoly.zero()
     for (a, b), cof in zip(pairs, cofactors):
         num = num + a.num * b.num * cof
-    den = expansions.get(lcm)
-    if den is None:
-        den = expansions[lcm] = _expand_factor_product(lcm)
-    return RatFun(num, den, lcm)
+    return RatFun(num, _expand_factor_product(lcm), lcm)
 
 
 # ---------------------------------------------------------------------------

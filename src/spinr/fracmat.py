@@ -164,8 +164,7 @@ class SymMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
         columns = list(zip(*other.entries))
-        expansions: dict = {}
-        out = [[ratfun_dot(row, col, expansions) for col in columns] for row in self.entries]
+        out = [[ratfun_dot(row, col) for col in columns] for row in self.entries]
         return SymMatrix(out, self.row_labels, other.col_labels)
 
     def permute_rows(self, perm: Sequence[int]) -> SymMatrix:

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -234,6 +238,20 @@ def test_verify_unitarity_jobs_parallel_same_bytes(tmp_path, capsys):
     assert run(capsys, *args, "--jobs", "2", "--output", str(parallel))[0] == 0
     assert run(capsys, *args, "--jobs", "1", "--output", str(serial))[0] == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_import_leaves_the_process_pool_out():
+    # --jobs 1, what every single-case run uses, must not pay for multiprocessing
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = (
+        "import sys, spinr.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_worker_count_is_bounded(monkeypatch):

@@ -12,6 +12,7 @@ from spinr.exactalg import (
     MPoly,
     RatFun,
     UnsupportedPoleOrderError,
+    _canonical_factor_items,
     _expand_factor_product,
     cancel_common_z_roots,
     factored_sum,
@@ -35,6 +36,14 @@ def c(x):
 
 def rf(num, den=None):
     return RatFun(num, den)
+
+
+def naive_product(items):
+    # second route to a factor product, form by form and outside the memo
+    out = ONE
+    for form, exp in items:
+        out = out * form.to_mpoly() ** exp
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +340,7 @@ def test_den_factors_multiply_out_to_den(f, g, q):
     results.append(factored_sum([f, g]))
     for r in results:
         assert r.den_factors is not None
-        assert r.den == _expand_factor_product(r.den_factors)
+        assert r.den == naive_product(r.den_factors)
 
 
 @given(mpolys, small_fractions, small_fractions, small_fractions)
@@ -375,3 +384,30 @@ def test_value_eq_agrees_with_cross_multiplication(f, g, q, form):
     for x, y in pairs:
         assert x.value_eq(y) == _cross_multiplied_eq(x, y)
         assert y.value_eq(x) == _cross_multiplied_eq(y, x)
+
+
+# a few fixed forms next to arbitrary ones, so that lists repeat forms often
+repeatable_forms = st.one_of(
+    st.sampled_from([LinForm(1, 0, 0), LinForm(1, 1, 0), LinForm(0, 1, -1)]), linforms
+)
+canonical_items = st.lists(
+    st.tuples(repeatable_forms, st.integers(1, 4)), max_size=5
+).map(lambda pairs: _canonical_factor_items(Fraction(1), pairs)[1])
+
+
+@given(canonical_items, mpolys, nonzero_mpolys, nonzero_fractions)
+@settings(max_examples=100, deadline=None)
+def test_expansion_memo_is_shared_and_never_mutated(items, p, q, x):
+    expanded = _expand_factor_product(items)
+    assert expanded == naive_product(items)
+    assert _expand_factor_product(tuple(list(items))) is expanded
+    before = dict(expanded.terms)
+    # every operation reads the shared poly; none may write to it
+    results = [
+        expanded + p, p + expanded, expanded - p, p - expanded, -expanded,
+        expanded * p, p * expanded, expanded.scale(x), expanded.flip_z(),
+        mpoly_exact_div(expanded * q, q), mpoly_exact_div(expanded * q, expanded),
+    ]
+    assert results[-2] == expanded and results[-1] == q
+    assert _expand_factor_product(items) is expanded
+    assert expanded.terms == before
