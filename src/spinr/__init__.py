@@ -33,7 +33,6 @@ from .oracle import (
     coproduct,
     sl2_rep,
     spectral_decompose,
-    verify_mobius_ratios,
     verify_sl2_commutation,
     verify_spectrum,
 )
@@ -41,7 +40,6 @@ from .report import Report
 from .rmatrix import (
     FullR,
     assemble_full,
-    lu_factors,
     rblock_closed,
     rblock_triangular,
     verify_equal_constructions,

@@ -148,7 +148,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if at_z is not None:
         try:
             cfg.at_z = parse_rational(at_z)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise UsageError(str(exc)) from exc
     if cfg.jobs < 1:
         raise UsageError("--jobs must be at least 1")

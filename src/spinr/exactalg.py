@@ -38,9 +38,11 @@ general specialization of rational functions.  Spin specialization lives in
 ``rmatrix.specialize_block`` and substitutes nothing: phi is a homogeneous
 coordinate, so factor lists bound by ``LinForm.bind_eps`` are summed and put
 over one known denominator by exact division (``mpoly_exact_div``).  Linear
-factors (z - c) at listed candidate roots are stripped by trial division
-(``residue_at``, ``cancel_common_z_roots``): for residues, and for the ratios
-of the oracle's eigenvalue functions.
+factors (z - c) at listed candidate roots are stripped by one trial-division
+helper, ``_strip_z_root``: ``residue_at`` uses it for residues, and
+``cancel_common_z_roots`` exposes it for constant roots.  No computation in
+the package calls the latter; it is the reference that the tests hold the
+lowest-terms reduction ``rmatrix.over_spin_denominator`` against.
 
 Monomials are ordered lexicographically on (e_z, e_phi, e_eps); serialization and
 iteration always follow that order, so output is deterministic.
@@ -895,9 +897,12 @@ def ratfun_to_latex(f: RatFun) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q" strings; decimals are rejected."""
+    """Parse "p" or "p/q" strings; decimals and a zero q are rejected."""
     text = text.strip()
     body = text[1:] if text[:1] in "+-" else text
     if body and all(part.isdigit() and part for part in body.split("/", 1)) and body.count("/") <= 1:
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in rational: {text!r}") from None
     raise ValueError(f"not an integer or p/q rational: {text!r}")

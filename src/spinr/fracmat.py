@@ -167,12 +167,6 @@ class SymMatrix:
         out = [[ratfun_dot(row, col) for col in columns] for row in self.entries]
         return SymMatrix(out, self.row_labels, other.col_labels)
 
-    def permute_rows(self, perm: Sequence[int]) -> SymMatrix:
-        """Row i of the result is row perm[i] of the input."""
-        return SymMatrix(
-            [self.entries[p] for p in perm], [self.row_labels[p] for p in perm], self.col_labels
-        )
-
     def value_eq(self, other: SymMatrix) -> bool:
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False

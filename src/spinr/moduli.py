@@ -42,14 +42,6 @@ class FixedPoint:
         if not all(0 <= s <= self.ell for s in self.seq):
             raise DomainError(f"entries of {self.seq} must lie in 0..{self.ell}")
 
-    @property
-    def k(self) -> int:
-        return sum(self.seq)
-
-    @property
-    def n(self) -> int:
-        return len(self.seq)
-
     def to_json(self) -> list[int]:
         return list(self.seq)
 
@@ -129,12 +121,6 @@ class WeightTable:
     @property
     def net_dimension(self) -> int:
         return len(self.variables) - len(self.equations)
-
-    def to_json(self) -> dict:
-        return {
-            "variables": [{"form": str(v.form), "tag": v.tag} for v in self.variables],
-            "equations": [{"form": str(e)} for e in self.equations],
-        }
 
 
 Variant = Literal["P", "Zbar", "Stab"]

@@ -5,7 +5,8 @@ with unit lowering operator (F e_a = e_{a+1}) and the compensating factors in
 the raising operator (E e_a = a(ell-a+1) e_{a-1}); this keeps every matrix
 integer-valued.  The tensor-square action is the coproduct x -> x(x)1 + 1(x)x,
 and the quadratic Casimir EF + FE + H^2/2 has eigenvalue 2s(s+1) on the
-spin-s summand, which yields exact projectors by Lagrange interpolation.
+spin-s summand, which yields exact projectors by Lagrange interpolation, one
+total-weight sector at a time.
 
 The assembled R-matrix must commute with the coproduct action.  The stable
 basis puts the sign (-1)^b on the basis vector e_b of the second tensor
@@ -25,10 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import fracmat
-from .exactalg import RatFun, cancel_common_z_roots, ratfun_to_str
+from .exactalg import RatFun, ratfun_to_str
 from .fracmat import FracMat
 from .report import Report
 from .rmatrix import FullR, assemble_full, over_spin_denominator
@@ -81,21 +82,31 @@ def casimir_matrix(ell: int) -> FracMat:
 def casimir_projectors(ell: int) -> tuple[FracMat, ...]:
     """Projectors onto the spin-s summands of the tensor square, s = 0..ell.
 
-    Lagrange interpolation of the Casimir at its spectrum 2s(s+1).
+    The Casimir conserves the total weight W = a + b, and on sector W its
+    spectrum is 2t(t+1) for the spins t = |ell-W|..ell present there.  Each
+    projector is the Lagrange interpolation of the sector blocks at that
+    spectrum, scattered back into one dense matrix.
     """
     c = casimir_matrix(ell)
-    dim = (ell + 1) ** 2
-    eigenvalue = [Fraction(2 * s * (s + 1)) for s in range(ell + 1)]
-    projectors = []
-    for s in range(ell + 1):
-        p = fracmat.identity(dim)
-        for t in range(ell + 1):
-            if t == s:
-                continue
-            shifted = fracmat.mat_sub(c, fracmat.mat_scale(fracmat.identity(dim), eigenvalue[t]))
-            p = fracmat.mat_scale(fracmat.mat_mul(p, shifted), 1 / (eigenvalue[s] - eigenvalue[t]))
-        projectors.append(p)
-    return tuple(projectors)
+    d = ell + 1
+    eigenvalue = [Fraction(2 * s * (s + 1)) for s in range(d)]
+    projectors = tuple(fracmat.zeros(d * d, d * d) for _ in range(d))
+    for w in range(2 * ell + 1):
+        sector = [a * d + w - a for a in range(max(0, w - ell), min(w, ell) + 1)]
+        block = [[c[i][j] for j in sector] for i in sector]
+        eye = fracmat.identity(len(sector))
+        spins = range(abs(ell - w), d)
+        for s in spins:
+            p = eye
+            for t in spins:
+                if t != s:
+                    shifted = fracmat.mat_sub(block, fracmat.mat_scale(eye, eigenvalue[t]))
+                    gap = eigenvalue[s] - eigenvalue[t]
+                    p = fracmat.mat_scale(fracmat.mat_mul(p, shifted), 1 / gap)
+            for i, row in zip(sector, p):
+                for j, x in zip(sector, row):
+                    projectors[s][i][j] = x
+    return projectors
 
 
 # ---------------------------------------------------------------------------
@@ -203,34 +214,14 @@ def fusion_numerator(ell: int, s: int) -> list[int]:
     return poly
 
 
-def verify_mobius_ratios(
-    rhos: Sequence[RatFun], roots: Iterable[int | Fraction] | None = None
-) -> Report:
-    """Successive eigenvalue ratios are degree <= 1 over degree <= 1 in z.
-
-    Common linear factors are removed by exact-division trial over a syntactic
-    set of candidate roots (z - c); no general factorization is used.
-    """
-    report = Report("mobius_ratios", {"channels": len(rhos)})
-    root_set = sorted(set(roots)) if roots is not None else []
-    for s in range(len(rhos) - 1):
-        ratio = rhos[s + 1] / rhos[s]
-        num, den = cancel_common_z_roots(ratio.num, ratio.den, root_set)
-        if num.degree_in("z") > 1 or den.degree_in("z") > 1:
-            report.fail(
-                s=s,
-                ratio=ratfun_to_str(RatFun(num, den)),
-                z_degrees=[num.degree_in("z"), den.degree_in("z")],
-            )
-    return report
-
-
 def verify_spectrum(ell: int) -> Report:
-    """Full spectral suite: decomposition, the closed form, rho_s(0) = 1, unitarity, ratios.
+    """Spectral suite: the exact decomposition and the closed form.
 
     The closed form is the fusion spectrum rho_s = prod_{j>s} (j-z)/(j+z)
     (Kulish-Reshetikhin-Sklyanin): n_s = rho_s * D must equal
-    ``fusion_numerator(ell, s)`` coefficient by coefficient.
+    ``fusion_numerator(ell, s)`` coefficient by coefficient.  That is the
+    whole check: rho_s(0) = 1, unitarity rho_s(z) rho_s(-z) = 1 and the
+    Moebius ratios follow from the closed form.
     """
     report = Report("spectrum", {"ell": ell})
     full = assemble_full(ell)
@@ -240,22 +231,10 @@ def verify_spectrum(ell: int) -> Report:
     except OracleStructureError as exc:
         report.fail(reason=str(exc))
         return report
-    rhos = [over_spin_denominator(n, ell) for n in numerators]
     report.details["gauge"] = list(gauge)
-    report.details["rho"] = [ratfun_to_str(r) for r in rhos]
-    for s, rho in enumerate(rhos):
-        for power, (got, expected) in enumerate(zip(numerators[s], fusion_numerator(ell, s), strict=True)):
+    report.details["rho"] = [ratfun_to_str(over_spin_denominator(n, ell)) for n in numerators]
+    for s, n_s in enumerate(numerators):
+        for power, (got, expected) in enumerate(zip(n_s, fusion_numerator(ell, s), strict=True)):
             if got != expected:
                 report.fail(s=s, power=power, got=str(got), expected=str(expected))
-        # a reduced denominator is a product of factors (z+j), j >= 1
-        at_zero = rho.eval_rational({"z": 0})
-        if at_zero != 1:
-            report.fail(s=s, at="z = 0", value=str(at_zero))
-        if not (rho * rho.flip_z()).value_eq(1):
-            report.fail(s=s, at="rho(z) rho(-z)", value=ratfun_to_str(rho * rho.flip_z()))
-    # trial roots: the poles -1..-ell, their negatives and beyond
-    sub = verify_mobius_ratios(rhos, range(-2 * ell, 2 * ell + 1))
-    if not sub.passed:
-        report.failures.extend(sub.failures)
-        report.passed = False
     return report

@@ -22,11 +22,13 @@ roots, for the printed matrix and the oracle's spectrum.
 
 Verifications: unitarity R(z) R(-z) = Id (symbolically per block, and for the
 assembled matrix per weight sector on int polynomials), equality of the two
-constructions, the lower/upper factorization of the permuted matrix, and the
-Yang-Baxter equation at exact rational points.  For the latter each pair
-operator is embedded directly into every total-weight sector of the triple
-tensor power (``_embed``), so no operator on the whole (ell+1)^3-dimensional
-space is ever formed.
+constructions, and the Yang-Baxter equation at exact rational points.  The
+lower/upper factorization of the index-reversed block needs no check of its
+own: it is the triangular form S^-1 J S(-z) with its indices reversed, so
+equal constructions and the triangularity of S and S^-1 imply it.  For the
+Yang-Baxter check each pair operator is embedded directly into every
+total-weight sector of the triple tensor power (``_embed``), so no operator
+on the whole (ell+1)^3-dimensional space is ever formed.
 
 Block unitarity is proven by composition: S^-1 S = Id implies S S^-1 = Id
 over the field of rational functions, hence S(-z) S^-1(-z) = Id (z -> -z is
@@ -70,7 +72,6 @@ from .stablebasis import (
     _inv,
     binom,
     inverse_mismatches,
-    sinv_entry,
 )
 
 
@@ -135,25 +136,6 @@ def constructions_mismatches(
     matrix objects (``SymMatrix`` hashes by identity).
     """
     return tuple(block.mismatches(s_inv.mul(_tilde(s))))
-
-
-def lu_factors(k: int) -> tuple[SymMatrix, SymMatrix]:
-    """The factors (L, U) of the index-reversed block: L = P S^-1 P, U = S at -z.
-
-    L is lower triangular, U upper triangular, and P * Rcheck == L * U; the
-    product identity is asserted before returning.
-    """
-    perm = list(range(k, -1, -1))
-    l_factor = SymMatrix.from_function(
-        k + 1, k + 1, lambda i, j: sinv_entry(k, k - i, k - j).expand()
-    )
-    u_factor = S_matrix(k).flip_z()
-    product = l_factor.mul(u_factor)
-    permuted = rblock_triangular(k).permute_rows(perm)
-    bad = permuted.mismatches(product)
-    if bad:
-        raise AssertionError(f"LU factorization mismatch at entries {bad}")
-    return l_factor, u_factor
 
 
 def verify_equal_constructions(k: int) -> Report:

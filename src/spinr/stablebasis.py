@@ -84,29 +84,6 @@ def stable_coeff(k: int, j: int, j_prime: int) -> FactoredRat:
     return FactoredRat(binom(j_prime, j), pairs)
 
 
-def stable_coeff_merged(k: int, j: int, j_prime: int) -> FactoredRat:
-    """Equivalent form of ``stable_coeff`` with the two z-products merged.
-
-    Negating the running index of the (r*phi - z) product turns it into
-    (r*phi + z) factors over the complementary range, at the cost of a sign;
-    equality of the two forms is a unit test.
-    """
-    if j > j_prime or j < 0 or j_prime > k:
-        return FactoredRat.zero()
-    pairs: list[tuple[LinForm, int]] = []
-    pairs += _forms(j, j_prime - 1, lambda r: LinForm(0, r, 1))
-    pairs += _inv(_forms(0, k - j - 1, lambda r: LinForm(1, r, 1)))
-    pairs += _inv(
-        [
-            (LinForm(1, r, 0), 1)
-            for r in range(k - j - j_prime, k - j + 1)
-            if r != k - 2 * j
-        ]
-    )
-    sign = -1 if (j_prime - j) % 2 else 1
-    return FactoredRat(sign * binom(j_prime, j), pairs)
-
-
 def sinv_entry(k: int, i: int, j: int) -> FactoredRat:
     """Entry (i, j) of the closed-form inverse of S; a polynomial."""
     if i > j or i < 0 or j > k:

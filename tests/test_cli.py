@@ -116,6 +116,12 @@ def test_compute_r_rejects_decimal(capsys):
     assert "rational" in err
 
 
+def test_compute_r_rejects_zero_denominator(capsys):
+    code, out, err = run(capsys, "compute-r", "-l", "2", "--at-z", "1/0")
+    assert code == 2 and out == ""
+    assert "'1/0'" in err
+
+
 def test_compute_r_rejects_bad_spin(capsys):
     assert run(capsys, "compute-r", "-l", "0")[0] == 2
 

@@ -240,7 +240,7 @@ def test_canonical_text_form():
 def test_parse_rational():
     assert parse_rational("3/7") == Fraction(3, 7)
     assert parse_rational("-4") == Fraction(-4)
-    for bad in ("1.5", "3/", "/7", "a", "1e3", "3 / 7"):
+    for bad in ("1.5", "3/", "/7", "a", "1e3", "3 / 7", "1/0", "-3/0"):
         with pytest.raises(ValueError):
             parse_rational(bad)
 

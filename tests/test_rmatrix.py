@@ -1,4 +1,4 @@
-"""Sector blocks, assembly, unitarity, LU factors, Yang-Baxter."""
+"""Sector blocks, assembly, unitarity, Yang-Baxter."""
 
 import math
 from fractions import Fraction
@@ -19,7 +19,6 @@ from spinr.stablebasis import S_inverse, S_matrix, stable_coeff, verify_inverse
 from spinr.rmatrix import (
     FullR,
     assemble_full,
-    lu_factors,
     rblock_closed,
     rblock_triangular,
     s_tilde,
@@ -91,28 +90,6 @@ def test_block_limit_is_signed_reversal():
     # index reversal at z -> infinity; the printed 2x2 block shows the sign
     for k in range(5):
         assert verify_block_limit(k).passed
-
-
-# ---------------------------------------------------------------------------
-# LU factorization
-# ---------------------------------------------------------------------------
-
-
-def test_lu_factors_k0():
-    low, up = lu_factors(0)
-    assert low.entries[0][0].value_eq(1)
-    assert up.entries[0][0].value_eq(1)
-
-
-def test_lu_factors_shapes():
-    for k in (1, 2, 3):
-        low, up = lu_factors(k)  # the product identity is asserted inside
-        for i in range(k + 1):
-            for j in range(k + 1):
-                if i < j:
-                    assert low.entries[i][j].is_zero
-                if i > j:
-                    assert up.entries[i][j].is_zero
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from spinr.exactalg import (
+    FactoredRat,
+    LinForm,
     MPoly,
     RatFun,
     factored_sum,
@@ -20,13 +22,15 @@ from spinr.golden import (
 from spinr.stablebasis import (
     S_inverse,
     S_matrix,
+    _forms,
+    _inv,
+    binom,
     candidate_poles,
     class_S,
     class_Zbar,
     sinv_entry,
     solve_change_of_basis,
     stable_coeff,
-    stable_coeff_merged,
     verify_inverse,
     verify_linrel,
     verify_residues,
@@ -91,6 +95,28 @@ def test_column_bounds():
         class_Zbar(2, -1)
 
 
+def stable_coeff_merged(k: int, j: int, j_prime: int) -> FactoredRat:
+    """Equivalent form of ``stable_coeff`` with the two z-products merged.
+
+    Negating the running index of the (r*phi - z) product turns it into
+    (r*phi + z) factors over the complementary range, at the cost of a sign.
+    """
+    if j > j_prime or j < 0 or j_prime > k:
+        return FactoredRat.zero()
+    pairs: list[tuple[LinForm, int]] = []
+    pairs += _forms(j, j_prime - 1, lambda r: LinForm(0, r, 1))
+    pairs += _inv(_forms(0, k - j - 1, lambda r: LinForm(1, r, 1)))
+    pairs += _inv(
+        [
+            (LinForm(1, r, 0), 1)
+            for r in range(k - j - j_prime, k - j + 1)
+            if r != k - 2 * j
+        ]
+    )
+    sign = -1 if (j_prime - j) % 2 else 1
+    return FactoredRat(sign * binom(j_prime, j), pairs)
+
+
 def test_merged_form_equals_displayed_form():
     # the rewrite that fuses the two z-products, used by the residue argument
     for k in range(6):
@@ -126,11 +152,11 @@ def test_sinv_entry_k2_02():
 
 def test_upper_triangularity_and_diagonal():
     for k in range(6):
-        s = S_matrix(k)
-        for j in range(k + 1):
-            assert not s.entries[j][j].is_zero
-            for jp in range(j):
-                assert s.entries[j][jp].is_zero
+        for m in (S_matrix(k), S_inverse(k)):
+            for j in range(k + 1):
+                assert not m.entries[j][j].is_zero
+                for jp in range(j):
+                    assert m.entries[j][jp].is_zero
 
 
 def test_diagonal_product_is_one():
@@ -216,13 +242,6 @@ def test_symmatrix_product_and_identity():
     prod = S_inverse(2).mul(s)
     assert prod.value_eq(SymMatrix.identity(3))
     assert SymMatrix.identity(3).value_eq(SymMatrix.identity(3))
-
-
-def test_symmatrix_permute_rows():
-    m = SymMatrix.from_function(2, 2, lambda i, j: RatFun.const(10 * i + j))
-    p = m.permute_rows([1, 0])
-    assert p.entries[0][0].value_eq(10)
-    assert p.row_labels == (1, 0)
 
 
 def test_symmatrix_json_and_latex():
