@@ -504,10 +504,25 @@ def _dispatch(cfg: RunConfig, args: argparse.Namespace) -> int:
     raise UsageError(f"unknown command {cfg.command!r}")
 
 
+def _attach_at_z(argv: list[str]) -> list[str]:
+    """``--at-z VALUE`` as ``--at-z=VALUE`` when VALUE is negative.
+
+    argparse reads a token such as -1/3 as an option, so a negative p/q
+    after ``--at-z`` would never reach ``parse_rational`` as its value.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--at-z" and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] = f"--at-z={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_at_z(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

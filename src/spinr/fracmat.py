@@ -77,29 +77,6 @@ def kron(a: FracMat, b: FracMat) -> FracMat:
     return out
 
 
-def rank(a: FracMat) -> int:
-    """Rank over the rationals by Gaussian elimination."""
-    m = [row[:] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
 class SymMatrix:
     """Dense rectangular matrix of rational functions with index labels.
 

@@ -118,10 +118,6 @@ class WeightTable:
     variables: tuple[WeightedVar, ...]
     equations: tuple[LinForm, ...]
 
-    @property
-    def net_dimension(self) -> int:
-        return len(self.variables) - len(self.equations)
-
 
 Variant = Literal["P", "Zbar", "Stab"]
 

@@ -32,7 +32,7 @@ from . import fracmat
 from .exactalg import RatFun, ratfun_to_str
 from .fracmat import FracMat
 from .report import Report
-from .rmatrix import FullR, assemble_full, over_spin_denominator
+from .rmatrix import FullR, assemble_full, over_spin_denominator, pair_sectors
 
 
 class OracleStructureError(Exception):
@@ -91,8 +91,7 @@ def casimir_projectors(ell: int) -> tuple[FracMat, ...]:
     d = ell + 1
     eigenvalue = [Fraction(2 * s * (s + 1)) for s in range(d)]
     projectors = tuple(fracmat.zeros(d * d, d * d) for _ in range(d))
-    for w in range(2 * ell + 1):
-        sector = [a * d + w - a for a in range(max(0, w - ell), min(w, ell) + 1)]
+    for w, sector in enumerate(pair_sectors(ell)):
         block = [[c[i][j] for j in sector] for i in sector]
         eye = fracmat.identity(len(sector))
         spins = range(abs(ell - w), d)

@@ -26,9 +26,12 @@ constructions, and the Yang-Baxter equation at exact rational points.  The
 lower/upper factorization of the index-reversed block needs no check of its
 own: it is the triangular form S^-1 J S(-z) with its indices reversed, so
 equal constructions and the triangularity of S and S^-1 imply it.  For the
-Yang-Baxter check each pair operator is embedded directly into every
-total-weight sector of the triple tensor power (``_embed``), so no operator
-on the whole (ell+1)^3-dimensional space is ever formed.
+Yang-Baxter check, a pair operator acting on slots 12 or 23 of the triple
+tensor power is, on each total-weight sector, block-diagonal: one block per
+digit of the spectator slot, each the pair-weight block of R (at most ell+1
+square).  The sector products apply those blocks to the rows of the
+intermediate matrix, and each row is one packed int (``verify_ybe``), so
+no operator is ever formed as a matrix, dense or embedded.
 
 Block unitarity is proven by composition: S^-1 S = Id implies S S^-1 = Id
 over the field of rational functions, hence S(-z) S^-1(-z) = Id (z -> -z is
@@ -192,6 +195,18 @@ def over_spin_denominator(coeffs: Sequence[Scalar], ell: int) -> RatFun:
     return RatFun(mpoly_exact_div(z_poly(coeffs), common), rest)
 
 
+def pair_sectors(ell: int) -> list[list[int]]:
+    """For each pair weight w = 0..2*ell, the indices a*(ell+1) + b with a + b = w.
+
+    They come in ascending a, which is ascending index.
+    """
+    d = ell + 1
+    return [
+        [a * d + w - a for a in range(max(0, w - ell), min(w, ell) + 1)]
+        for w in range(2 * ell + 1)
+    ]
+
+
 def specialize_block(k: int, ell: int) -> dict[int, dict[int, tuple[int, ...]]]:
     """The coefficients N_0, N_1, ... over D(z) of the sector-k entries at spin ell/2.
 
@@ -258,9 +273,21 @@ class FullR:
         d = self.ell + 1
         return [(a, b) for a in range(d) for b in range(d)]
 
-    @property
-    def pole_candidates(self) -> frozenset[Fraction]:
-        return frozenset(Fraction(-j) for j in range(1, self.ell + 1))
+    @functools.cached_property
+    def cross_weight(self) -> tuple[tuple[int, int], ...]:
+        """The positions (i, j), row by row, of nonzero entries between different weights."""
+        weight = [a + b for a, b in self.labels]
+        return tuple(
+            (i, j)
+            for i, row in enumerate(self.num)
+            for j, coeffs in enumerate(row)
+            if coeffs and weight[i] != weight[j]
+        )
+
+    @functools.cached_property
+    def coefficient_bound(self) -> int:
+        """nu = max over entries of sum_e |N_e|, so |q^ell N(p/q)| <= nu max(|p|, q)^ell."""
+        return max(sum(map(abs, coeffs)) for row in self.num for coeffs in row)
 
     @functools.cached_property
     def matrix(self) -> SymMatrix:
@@ -368,14 +395,8 @@ def verify_unitarity_full(ell: int) -> Report:
     den = spin_denominator(ell)
     dd = den * den.flip_z()
     target = [dd.terms.get((e, 0, 0), 0) for e in range(2 * ell + 1)]
-    weight = [a + b for a, b in labels]
-    sectors = [[i for i, w in enumerate(weight) if w == s] for s in range(2 * ell + 1)]
-    bad: dict[tuple[int, int], RatFun] = {}
-    for i, row in enumerate(n):
-        for j, coeffs in enumerate(row):
-            if weight[i] != weight[j] and coeffs:
-                bad[i, j] = RatFun(z_poly(coeffs), den)
-    for sector in sectors:
+    bad = {(i, j): RatFun(z_poly(n[i][j]), den) for i, j in full.cross_weight}
+    for sector in pair_sectors(ell):
         for i in sector:
             for j in sector:
                 acc = [0] * (2 * ell + 1)
@@ -400,65 +421,118 @@ def verify_identity_at_zero(ell: int) -> Report:
     return report
 
 
-def _embed(
-    pair: FracMat, d: int, digits: list[tuple[int, int, int]], slots: str
-) -> FracMat:
-    """The pair operator on slots "12" or "23" of the triple tensor power.
+@functools.lru_cache(maxsize=None)
+def _ybe_layout(ell: int) -> tuple[tuple[list[int], list, list], ...]:
+    """Per total weight W of the triple tensor power, its indices and pair-operator blocks.
 
-    Only the rows and columns of the basis vectors whose base-d digits are
-    listed are formed, in the listed order.
+    For each W: the global indices of sector W in ascending order, then the
+    blocks of an embedded pair operator on slots 12 and on slots 23, each as
+    (pair weight w, local positions).  A block's positions follow
+    ``pair_sectors(ell)[w]``, and they ascend, since the global index grows
+    with the first digit of the pair.
     """
-    if slots == "12":
-        return [
-            [pair[r1 * d + r2][c1 * d + c2] if r3 == c3 else 0 for c1, c2, c3 in digits]
-            for r1, r2, r3 in digits
-        ]
-    return [
-        [pair[r2 * d + r3][c2 * d + c3] if r1 == c1 else 0 for c1, c2, c3 in digits]
-        for r1, r2, r3 in digits
-    ]
+    d = ell + 1
+    sectors = pair_sectors(ell)
+    layout = []
+    for weight in range(3 * ell + 1):
+        indices = [i for i in range(d**3) if i // (d * d) + i // d % d + i % d == weight]
+        local = {i: n for n, i in enumerate(indices)}
+        slot12, slot23 = [], []
+        for spectator in range(max(0, weight - 2 * ell), min(weight, ell) + 1):
+            w = weight - spectator
+            slot12.append((w, [local[pair * d + spectator] for pair in sectors[w]]))
+            slot23.append((w, [local[spectator * d * d + pair] for pair in sectors[w]]))
+        layout.append((indices, slot12, slot23))
+    return tuple(layout)
+
+
+def _apply(blocks: list, pair_blocks: list[list[list[int]]], rows: list[int]) -> list[int]:
+    """The embedded pair operator times the matrix whose packed rows are given.
+
+    Each row of the product is a combination of at most ell+1 packed rows
+    with small int coefficients, one block row of R.
+    """
+    out = [0] * len(rows)
+    for w, positions in blocks:
+        sources = [rows[p] for p in positions]
+        for p, coeffs in zip(positions, pair_blocks[w]):
+            out[p] = sum(map(operator.mul, coeffs, sources))
+    return out
+
+
+def _balanced_digits(x: int, s: int, n: int) -> list[int]:
+    """The n digits of x = sum_q x_q 2^(s*q) with every x_q in [-2^(s-1), 2^(s-1))."""
+    half, mask, out = 1 << (s - 1), (1 << s) - 1, []
+    for _ in range(n):
+        digit = x & mask
+        if digit >= half:
+            digit -= 1 << s
+        out.append(digit)
+        x = (x - digit) >> s
+    return out
 
 
 def verify_ybe(full: FullR, z1: Fraction, z2: Fraction, z3: Fraction) -> Report:
     """Exact Yang-Baxter check at one rational triple, on integer matrices.
 
-    Both sides of the braid relation are evaluated per total-weight sector of
-    the triple tensor power (the operators conserve total weight) and compared
-    entrywise.  R(z1-z2), R(z1-z3) and R(z2-z3) are taken as the integer matrices
+    R(z1-z2), R(z1-z3) and R(z2-z3) are taken as the integer matrices
     q^ell * N(p/q) of ``FullR.scaled_at``, with integer scales d12, d13, d23
     (the values q^ell * D(p/q)).  Each side of the relation is a product of
     one of each, so both sides carry the same factor d12*d13*d23 and agree
     exactly when the integer products agree.  A witness is divided back by
     that factor, so it reports the rational entry.
+
+    The operators conserve total weight, so both sides are formed per
+    total-weight sector W of the triple tensor power, in which each embedded
+    pair operator is block-diagonal with pair-weight blocks of R.  Each row
+    of a sector matrix is held as one int, sum_q x_q 2^(s*q), starting from
+    the unit rows 2^(s*q); applying an operator combines packed rows, and
+    packing is linear, so a side's packed row is exact whatever the size of
+    the intermediate entries.  The bound: with nu = ``coefficient_bound``,
+    an entry of q^ell N(p/q) is at most nu max(|p|, q)^ell in absolute value,
+    and an entry of a side is a sum of at most (ell+1)^2 triple products, so
+    it is at most B = (ell+1)^2 nu^3 prod over the three differences of
+    max(|p|, q)^ell.  With s = B.bit_length() + 1 every digit lies in
+    (-2^(s-1), 2^(s-1)), where balanced base-2^s digits are unique, so two
+    packed rows are equal exactly when all their entries are.
+
+    Those sector blocks ignore entries of R between different weights, so
+    each such nonzero entry (``FullR.cross_weight``) fails the check first,
+    as its own witness N/D, and no product is formed.
     """
     report = Report("ybe", {"ell": full.ell, "z": [str(z1), str(z2), str(z3)]})
-    d = full.ell + 1
-    r12, d12 = full.scaled_at(z1 - z2)
-    r13, d13 = full.scaled_at(z1 - z3)
-    r23, d23 = full.scaled_at(z2 - z3)
-    scale = d12 * d13 * d23
-    triples = [(i // (d * d), (i // d) % d, i % d) for i in range(d**3)]
-    for weight in range(3 * full.ell + 1):
-        indices = [i for i, t in enumerate(triples) if sum(t) == weight]
-        digits = [triples[i] for i in indices]
-        lhs = fracmat.mat_mul(
-            fracmat.mat_mul(_embed(r23, d, digits, "12"), _embed(r13, d, digits, "23")),
-            _embed(r12, d, digits, "12"),
-        )
-        rhs = fracmat.mat_mul(
-            fracmat.mat_mul(_embed(r12, d, digits, "23"), _embed(r13, d, digits, "12")),
-            _embed(r23, d, digits, "23"),
-        )
-        if lhs != rhs:
-            for r, row in enumerate(lhs):
-                for c, val in enumerate(row):
-                    if val != rhs[r][c]:
-                        report.fail(
-                            row=indices[r],
-                            col=indices[c],
-                            lhs=str(Fraction(val, scale)),
-                            rhs=str(Fraction(rhs[r][c], scale)),
-                        )
+    ell = full.ell
+    if full.cross_weight:
+        den, labels = spin_denominator(ell), full.labels
+        for i, j in full.cross_weight:
+            entry = RatFun(z_poly(full.num[i][j]), den)
+            report.fail(row=labels[i], col=labels[j], entry=ratfun_to_str(entry))
+        return report
+    sectors = pair_sectors(ell)
+    blocks, scale, bound = [], 1, (ell + 1) ** 2 * full.coefficient_bound**3
+    for dz in (z1 - z2, z1 - z3, z2 - z3):
+        nums, den = full.scaled_at(dz)
+        blocks.append([[[nums[i][j] for j in sector] for i in sector] for sector in sectors])
+        scale *= den
+        bound *= max(abs(dz.numerator), dz.denominator) ** ell
+    r12, r13, r23 = blocks
+    s = bound.bit_length() + 1
+    for indices, slot12, slot23 in _ybe_layout(ell):
+        n = len(indices)
+        unit = [1 << (s * q) for q in range(n)]
+        lhs = _apply(slot12, r23, _apply(slot23, r13, _apply(slot12, r12, unit)))
+        rhs = _apply(slot23, r12, _apply(slot12, r13, _apply(slot23, r23, unit)))
+        for r, (x, y) in enumerate(zip(lhs, rhs)):
+            if x == y:
+                continue
+            for c, (u, v) in enumerate(zip(_balanced_digits(x, s, n), _balanced_digits(y, s, n))):
+                if u != v:
+                    report.fail(
+                        row=indices[r],
+                        col=indices[c],
+                        lhs=str(Fraction(u, scale)),
+                        rhs=str(Fraction(v, scale)),
+                    )
     return report
 
 

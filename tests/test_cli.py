@@ -132,6 +132,15 @@ def test_compute_r_pole_hit_is_reported(capsys):
     assert "pole" in err
 
 
+def test_compute_r_takes_a_negative_rational_after_at_z(capsys):
+    # argparse reads -1/3 as an option; both spellings must give the same bytes
+    for command in ("compute-r", "export --kind r"):
+        joined = run(capsys, *command.split(), "-l", "2", "--at-z=-1/3", "--format", "csv")
+        separate = run(capsys, *command.split(), "-l", "2", "--at-z", "-1/3", "--format", "csv")
+        assert separate == joined and joined[0] == 0 and joined[2] == ""
+        assert joined[1].splitlines()[1].split(",")[1] == "6/5"
+
+
 def test_compute_r_block_rejects_at_z(capsys):
     code, out, err = run(
         capsys, "compute-r", "-l", "1", "--block", "1", "--at-z", "0", "--format", "csv"

@@ -1,12 +1,10 @@
-"""The matrix module: exact rank, the one entrywise comparison, the symbolic product."""
-
-from fractions import Fraction
+"""The matrix module: the one entrywise comparison and the symbolic product."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinr.exactalg import FactoredRat, LinForm, MPoly, RatFun
-from spinr.fracmat import SymMatrix, rank
+from spinr.fracmat import SymMatrix
 
 
 def naive_product(items):
@@ -15,14 +13,6 @@ def naive_product(items):
     for form, exp in items:
         out = out * form.to_mpoly() ** exp
     return out
-
-
-def test_rank_stays_exact_on_int_pivots():
-    # an int pivot must not turn the elimination into float arithmetic:
-    # 7/3 is not a float, so a float reciprocal leaves a spurious residue
-    assert rank([[3, 7], [6, 14]]) == 1
-    assert rank([[3, 7], [1, Fraction(7, 3)]]) == 1
-    assert rank([[3, 7], [1, 2]]) == 2
 
 
 def test_mismatches_refuses_other_shapes():

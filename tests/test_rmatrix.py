@@ -115,7 +115,8 @@ def test_assembled_4x4_hand_values():
         ]
     )
     assert full.matrix.value_eq(expected)
-    assert full.pole_candidates == frozenset({Fraction(-1)})
+    # the one pole is -1, the root of D(z) = z + 1
+    assert full.matrix.entries[0][0].den == Z + ONE
 
 
 def test_assembled_9x9_matches_reference():
@@ -140,8 +141,8 @@ def test_common_denominator_invariants():
         entries = [e for row in full.matrix.entries for e in row]
         den = entries[0].den
         assert all(e.den is den for e in entries)
-        assert den.degree_in("z") == ell == len(full.pole_candidates)
-        for root in full.pole_candidates:
+        assert den.degree_in("z") == ell
+        for root in (Fraction(-j) for j in range(1, ell + 1)):
             assert den.eval_rational({"z": root}) == 0
             assert any(e.num.eval_rational({"z": root}) != 0 for e in entries), (ell, root)
         assert all(e.num.degree_in("z") <= ell for e in entries), ell
@@ -183,7 +184,7 @@ def test_assembly_matches_expanded_generic_blocks():
                     assert entry.den_factors is None
                     poles[ell] |= genuine
     for ell, full in fulls.items():
-        assert full.pole_candidates == frozenset(poles[ell])
+        assert frozenset(poles[ell]) == frozenset(Fraction(-j) for j in range(1, ell + 1))
 
 
 def test_lowest_terms_matches_the_trial_division_route():
@@ -191,7 +192,7 @@ def test_lowest_terms_matches_the_trial_division_route():
     # the candidate roots -1..-ell, and compare num and den term for term
     for ell in range(1, 7):
         full = assemble_full(ell)
-        roots = sorted(full.pole_candidates)
+        roots = sorted(Fraction(-j) for j in range(1, ell + 1))
         for row, printed in zip(full.matrix.entries, full.lowest_terms().entries):
             for e, reduced in zip(row, printed):
                 if e.is_zero:
@@ -311,7 +312,9 @@ def test_full_r_refuses_a_wrongly_shaped_numerator():
 def test_assembled_poles_and_identity_at_zero_through_spin_5_2():
     for ell in range(1, 6):
         full = assemble_full(ell)
-        assert full.pole_candidates == frozenset(Fraction(-n) for n in range(1, ell + 1))
+        den = full.matrix.entries[0][0].den
+        assert den.degree_in("z") == ell
+        assert all(den.eval_rational({"z": Fraction(-n)}) == 0 for n in range(1, ell + 1))
         assert full.at_z(Fraction(0)) == identity(full.dim)
 
 
@@ -404,30 +407,71 @@ def test_ybe_trials_spin_half():
 
 
 def test_ybe_failure_witnesses_match_fraction_products():
-    # corrupt the (0,1) -> (1,0) coupling of the spin-1/2 matrix
-    full = assemble_full(1)
-    num = [list(row) for row in full.num]
-    assert num[1][2]
-    num[1][2] = tuple(2 * c for c in num[1][2])
-    broken = FullR(1, tuple(map(tuple, num)))
-    z1, z2, z3 = Fraction(5, 3), Fraction(2, 7), Fraction(-3, 4)
-    report = verify_ybe(broken, z1, z2, z3)
-    assert not report.passed
-    # second route: both sides on the whole triple tensor power, in Fractions
-    # from the unscaled matrices
-    r12, r13, r23 = (broken.at_z(dz) for dz in (z1 - z2, z1 - z3, z2 - z3))
-    eye = identity(2)
-    lhs = mat_mul(mat_mul(kron(r23, eye), kron(eye, r13)), kron(r12, eye))
-    rhs = mat_mul(mat_mul(kron(eye, r12), kron(r13, eye)), kron(eye, r23))
-    differing = {(i, j) for i in range(8) for j in range(8) if lhs[i][j] != rhs[i][j]}
-    assert {(w["row"], w["col"]) for w in report.failures} == differing
-    for w in report.failures:
-        assert w["lhs"] == str(lhs[w["row"]][w["col"]])
-        assert w["rhs"] == str(rhs[w["row"]][w["col"]])
+    # corrupt one same-weight coupling; at ell = 3 the factor 10**6 gives
+    # entries of 93 bits against a bound of 121, so a digit width from a bound
+    # without its factor nu**2 would mix neighbouring entries
+    cases = [
+        (1, (1, 2), 2, (Fraction(5, 3), Fraction(2, 7), Fraction(-3, 4))),
+        (2, (1, 3), -1, (Fraction(5), Fraction(2), Fraction(-3, 7))),
+        (2, (4, 6), 3, (Fraction(1, 2), Fraction(-9, 4), Fraction(7, 3))),
+        (3, (6, 9), 10**6, (Fraction(11, 5), Fraction(-4, 3), Fraction(2, 9))),
+    ]
+    for ell, (i, j), factor, (z1, z2, z3) in cases:
+        assert _broken_full(ell, {}).num[i][j]
+        broken = _broken_full(ell, {(i, j): lambda c: tuple(factor * x for x in c)})
+        report = verify_ybe(broken, z1, z2, z3)
+        assert not report.passed, ell
+        # second route: both sides on the whole triple tensor power, in
+        # Fractions from the unscaled matrices
+        r12, r13, r23 = (broken.at_z(dz) for dz in (z1 - z2, z1 - z3, z2 - z3))
+        eye, n = identity(ell + 1), (ell + 1) ** 3
+        lhs = mat_mul(mat_mul(kron(r23, eye), kron(eye, r13)), kron(r12, eye))
+        rhs = mat_mul(mat_mul(kron(eye, r12), kron(r13, eye)), kron(eye, r23))
+        differing = [(r, c) for r in range(n) for c in range(n) if lhs[r][c] != rhs[r][c]]
+
+        def weight(index):
+            return sum(index // (ell + 1) ** p % (ell + 1) for p in range(3))
+
+        # witnesses come sector by sector, then row by row
+        differing.sort(key=lambda rc: (weight(rc[0]), rc))
+        assert [(w["row"], w["col"]) for w in report.failures] == differing, ell
+        for w in report.failures:
+            assert w["lhs"] == str(lhs[w["row"]][w["col"]])
+            assert w["rhs"] == str(rhs[w["row"]][w["col"]])
+
+
+def test_balanced_digits_decode_packed_rows():
+    # balanced base-2^s digits are unique in [-2^(s-1), 2^(s-1)); verify_ybe
+    # packs rows whose digits stay within +-(2^(s-1) - 1)
+    for s in (2, 5, 64):
+        top = 2 ** (s - 1) - 1
+        row = [0, top, -top, 0, top, -top]
+        packed = sum(x << (s * q) for q, x in enumerate(row))
+        assert rmatrix._balanced_digits(packed, s, len(row)) == row
+        for q in range(len(row)):
+            for digit in (0, top, -top):
+                if digit == row[q]:
+                    continue
+                other = row[:q] + [digit] + row[q + 1 :]
+                decoded = rmatrix._balanced_digits(
+                    sum(x << (s * p) for p, x in enumerate(other)), s, len(row)
+                )
+                assert decoded == other, (s, q, digit)
+
+
+def test_ybe_rejects_a_coupling_across_weights():
+    # the sector products never read an entry between different weights, so
+    # it must fail the check by itself: (0,0) has weight 0 and (0,1) weight 1
+    broken = _broken_full(2, {(0, 1): lambda c: (5,)})
+    assert broken.cross_weight == ((0, 1),)
+    report = verify_ybe(broken, Fraction(5), Fraction(2), Fraction(-3, 7))
+    entry = RatFun(MPoly.const(5), spin_denominator(2))
+    assert report.failures == [{"row": (0, 0), "col": (0, 1), "entry": ratfun_to_str(entry)}]
+    assert assemble_full(3).cross_weight == ()
 
 
 def test_sampling_is_seeded_and_avoids_poles():
-    poles = assemble_full(2).pole_candidates
+    poles = {Fraction(-1), Fraction(-2)}
     first = sample_spectral_triples(2, 10, seed=11)
     second = sample_spectral_triples(2, 10, seed=11)
     assert first == second
