@@ -28,10 +28,7 @@ from .moduli import (
     weight_space_dim,
 )
 from .oracle import (
-    Sl2Rep,
     casimir_projectors,
-    coproduct,
-    sl2_rep,
     spectral_decompose,
     verify_sl2_commutation,
     verify_spectrum,

@@ -508,12 +508,15 @@ def _attach_at_z(argv: list[str]) -> list[str]:
     """``--at-z VALUE`` as ``--at-z=VALUE`` when VALUE is negative.
 
     argparse reads a token such as -1/3 as an option, so a negative p/q
-    after ``--at-z`` would never reach ``parse_rational`` as its value.
+    after ``--at-z`` would never reach ``parse_rational`` as its value.  So
+    are the abbreviations ``--a``, ``--at`` and ``--at-`` that argparse accepts.
     """
     out: list[str] = []
     for token in argv:
-        if out and out[-1] == "--at-z" and token[:1] == "-" and token[1:2].isdigit():
-            out[-1] = f"--at-z={token}"
+        option = out[-1] if out else ""
+        negative = token[:1] == "-" and token[1:2].isdigit()
+        if negative and len(option) >= 3 and "--at-z".startswith(option):
+            out[-1] = f"{option}={token}"
         else:
             out.append(token)
     return out

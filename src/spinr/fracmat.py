@@ -4,8 +4,10 @@ Two kinds of matrix live here.
 
 * ``FracMat`` -- a plain list of lists whose entries are ``int`` or
   ``Fraction``: numeric values such as R(z) at a rational point, the sl2
-  generators and the Casimir projectors.  An integer matrix stays integer
-  under ``mat_mul``, ``mat_add`` and ``mat_sub``.
+  blocks between weight sectors and the Casimir projectors.  An integer
+  matrix stays integer under ``mat_mul``, ``mat_add`` and ``mat_sub``.  No
+  Kronecker product is formed: every tensor-power operator of spinr acts
+  block by block on weight sectors.
 * ``SymMatrix`` -- a labelled matrix of rational functions in (z, phi, eps):
   the stable-basis change S, the sector blocks and the assembled R(z).  Its
   ``mismatches`` is the one entrywise comparison every symbolic check uses,
@@ -59,22 +61,6 @@ def mat_sub(a: FracMat, b: FracMat) -> FracMat:
 
 def mat_scale(a: FracMat, c: Fraction) -> FracMat:
     return [[x * c for x in row] for row in a]
-
-
-def kron(a: FracMat, b: FracMat) -> FracMat:
-    na, nb = len(a), len(b)
-    ma, mb = len(a[0]), len(b[0])
-    out = zeros(na * nb, ma * mb)
-    for i in range(na):
-        for j in range(ma):
-            c = a[i][j]
-            if not c:
-                continue
-            for p in range(nb):
-                for q in range(mb):
-                    if b[p][q]:
-                        out[i * nb + p][j * mb + q] = c * b[p][q]
-    return out
 
 
 class SymMatrix:

@@ -3,18 +3,21 @@
 The spin-ell/2 irreducible is realized on basis e_0..e_ell over the rationals
 with unit lowering operator (F e_a = e_{a+1}) and the compensating factors in
 the raising operator (E e_a = a(ell-a+1) e_{a-1}); this keeps every matrix
-integer-valued.  The tensor-square action is the coproduct x -> x(x)1 + 1(x)x,
-and the quadratic Casimir EF + FE + H^2/2 has eigenvalue 2s(s+1) on the
+integer-valued.  The tensor-square action x -> x(x)1 + 1(x)x moves the weight
+w = a + b of e_(a,b) by one (E down, F up), so it is held as int blocks
+between adjacent weight sectors (``sector_action``); no Kronecker product is
+formed.  The quadratic Casimir EF + FE + H^2/2 has eigenvalue 2s(s+1) on the
 spin-s summand, which yields exact projectors by Lagrange interpolation, one
-total-weight sector at a time.
+weight sector at a time.
 
-The assembled R-matrix must commute with the coproduct action.  The stable
-basis puts the sign (-1)^b on the basis vector e_b of the second tensor
-factor, so commutation holds after conjugating by the fixed diagonal gauge
+The assembled R-matrix must commute with that action.  The stable basis puts
+the sign (-1)^b on the basis vector e_b of the second tensor factor, so
+commutation holds after conjugating by the fixed diagonal gauge
 sigma_(a,b) = (-1)^b (``sign_gauge``).  Every entry of R(z) is N(z)/D(z)
-over the one scalar polynomial D, so the checks read the int coefficient
-matrices of N(z) = sum_e z^e N_e (``FullR.coefficients``): each
-sigma N_e sigma commuting with the coproduct is an exact polynomial identity.
+over the one scalar polynomial D, so the checks read the int coefficients of
+N(z) = sum_e z^e N_e (``FullR.num``): each sigma N_e sigma commuting with the
+action is an exact polynomial identity, and an entry of N between different
+weights (``FullR.cross_weight``) fails it first.
 Once commutation holds, each sigma N_e sigma is a combination of the Casimir
 projectors; the traces give the numerator n_s over D of one eigenvalue
 function rho_s per spin channel, exactly, one power of z at a time.  Each n_s
@@ -24,7 +27,6 @@ coefficient, and rho_s is reduced by ``rmatrix.over_spin_denominator``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -39,61 +41,52 @@ class OracleStructureError(Exception):
     """Raised when the operator fails to be a function of the Casimir."""
 
 
-@dataclass(frozen=True)
-class Sl2Rep:
-    """The spin-ell/2 irreducible in the weight basis, exact integer matrices."""
+def sector_action(ell: int) -> list[tuple[list[list[int]], list[list[int]]]]:
+    """(E_w, F_w) for each pair weight w, in the order of ``rmatrix.pair_sectors``.
 
-    ell: int
-    e: FracMat
-    f: FracMat
-    h: FracMat
-
-
-def sl2_rep(ell: int) -> Sl2Rep:
-    if ell < 1:
-        raise ValueError(f"need ell >= 1, got {ell}")
+    The tensor-square action as int blocks between weight sectors: E_w maps
+    sector w to w-1, e_(a,b) -> a(ell-a+1) e_(a-1,b) + b(ell-b+1) e_(a,b-1),
+    and F_w maps sector w to w+1, e_(a,b) -> e_(a+1,b) + e_(a,b+1).  Rows
+    follow the target sector and columns the source; a block into a sector
+    outside 0..2*ell has no rows.
+    """
     d = ell + 1
-    e = fracmat.zeros(d, d)
-    f = fracmat.zeros(d, d)
-    h = fracmat.zeros(d, d)
-    for a in range(d):
-        h[a][a] = Fraction(ell - 2 * a)
-        if a < ell:
-            f[a + 1][a] = Fraction(1)
-        if a > 0:
-            e[a - 1][a] = Fraction(a * (ell - a + 1))
-    return Sl2Rep(ell, e, f, h)
-
-
-def coproduct(ell: int, which: str) -> FracMat:
-    """The tensor-square action x(x)1 + 1(x)x of one generator."""
-    rep = sl2_rep(ell)
-    x = {"E": rep.e, "F": rep.f, "H": rep.h}[which]
-    eye = fracmat.identity(ell + 1)
-    return fracmat.mat_add(fracmat.kron(x, eye), fracmat.kron(eye, x))
-
-
-def casimir_matrix(ell: int) -> FracMat:
-    de, df, dh = coproduct(ell, "E"), coproduct(ell, "F"), coproduct(ell, "H")
-    quad = fracmat.mat_add(fracmat.mat_mul(de, df), fracmat.mat_mul(df, de))
-    return fracmat.mat_add(quad, fracmat.mat_scale(fracmat.mat_mul(dh, dh), Fraction(1, 2)))
+    sectors = pair_sectors(ell)
+    position = {i: r for sector in sectors for r, i in enumerate(sector)}
+    action = []
+    for w, sector in enumerate(sectors):
+        e = [[0] * len(sector) for _ in (sectors[w - 1] if w else ())]
+        f = [[0] * len(sector) for _ in (sectors[w + 1] if w < 2 * ell else ())]
+        for c, i in enumerate(sector):
+            for digit, stride in ((i // d, d), (i % d, 1)):  # x(x)1, then 1(x)x
+                if digit:
+                    e[position[i - stride]][c] = digit * (ell - digit + 1)
+                if digit < ell:
+                    f[position[i + stride]][c] = 1
+        action.append((e, f))
+    return action
 
 
 def casimir_projectors(ell: int) -> tuple[FracMat, ...]:
     """Projectors onto the spin-s summands of the tensor square, s = 0..ell.
 
-    The Casimir conserves the total weight W = a + b, and on sector W its
-    spectrum is 2t(t+1) for the spins t = |ell-W|..ell present there.  Each
+    The Casimir conserves the total weight w = a + b; its block on sector w
+    is E_(w+1) F_w + F_(w-1) E_w + 2(ell-w)^2 Id (``sector_action``), with
+    spectrum 2t(t+1) for the spins t = |ell-w|..ell present there.  Each
     projector is the Lagrange interpolation of the sector blocks at that
     spectrum, scattered back into one dense matrix.
     """
-    c = casimir_matrix(ell)
     d = ell + 1
     eigenvalue = [Fraction(2 * s * (s + 1)) for s in range(d)]
     projectors = tuple(fracmat.zeros(d * d, d * d) for _ in range(d))
+    action = sector_action(ell)
     for w, sector in enumerate(pair_sectors(ell)):
-        block = [[c[i][j] for j in sector] for i in sector]
         eye = fracmat.identity(len(sector))
+        block = fracmat.mat_scale(eye, 2 * (ell - w) ** 2)
+        if w < 2 * ell:
+            block = fracmat.mat_add(block, fracmat.mat_mul(action[w + 1][0], action[w][1]))
+        if w:
+            block = fracmat.mat_add(block, fracmat.mat_mul(action[w - 1][1], action[w][0]))
         spins = range(abs(ell - w), d)
         for s in spins:
             p = eye
@@ -119,28 +112,56 @@ def sign_gauge(ell: int) -> tuple[int, ...]:
     return tuple((-1) ** b for a in range(d) for b in range(d))
 
 
-def _conjugate(rows: Sequence[Sequence], sigma: Sequence[int]) -> list[list]:
-    """Conjugation by the diagonal sign matrix diag(sigma), which is its own inverse."""
-    return [
-        [x if sigma[i] == sigma[j] else -x for j, x in enumerate(row)]
-        for i, row in enumerate(rows)
-    ]
+def _gauged(full: FullR, sigma: Sequence[int], indices: Sequence[int]) -> list[list[list[int]]]:
+    """sigma N_e sigma on the given rows and columns, for e = 0..ell, as int matrices."""
+    out = [[[0] * len(indices) for _ in indices] for _ in range(full.ell + 1)]
+    for r, i in enumerate(indices):
+        for c, j in enumerate(indices):
+            for e, x in enumerate(full.num[i][j]):
+                out[e][r][c] = sigma[i] * sigma[j] * x
+    return out
 
 
 def _commutation_witnesses(full: FullR, sigma: Sequence[int]) -> list[dict]:
-    """One witness per generator x and power e where [sigma N_e sigma, Dx] != 0."""
-    gauged = [_conjugate(n_e, sigma) for n_e in full.coefficients()]
+    """One witness per generator x and power e where [G, Dx] != 0, G = sigma N_e sigma.
+
+    The witness is the first nonzero entry of the bracket, row by row.  [G, DH]
+    is G_ij (h_j - h_i), nonzero only between different weights
+    (``FullR.cross_weight``); such entries fail first, alone.  Otherwise G is
+    block-diagonal on the weight sectors, and the brackets with E and F are
+    G_(w-1) E_w - E_w G_w and G_(w+1) F_w - F_w G_w (``sector_action``).
+    """
+    found = []
+    if full.cross_weight:
+        h = [2 * (full.ell - a - b) for a, b in full.labels]
+        for e, g in enumerate(_gauged(full, sigma, range(full.dim))):
+            bad = [((i, j), g[i][j] * (h[j] - h[i])) for i, j in full.cross_weight if g[i][j]]
+            found.append(("H", e, bad))
+    else:
+        sectors = pair_sectors(full.ell)
+        blocks = [_gauged(full, sigma, sector) for sector in sectors]
+        action = sector_action(full.ell)
+        for which, side, step in (("E", 0, -1), ("F", 1, 1)):
+            for e in range(full.ell + 1):
+                bad = []
+                for w, cols in enumerate(sectors):
+                    x = action[w][side]
+                    if x:
+                        g_to, g_from = blocks[w + step][e], blocks[w][e]
+                        comm = fracmat.mat_sub(fracmat.mat_mul(g_to, x), fracmat.mat_mul(x, g_from))
+                        rows = sectors[w + step]
+                        bad += [
+                            ((rows[r], cols[c]), v)
+                            for r, row in enumerate(comm)
+                            for c, v in enumerate(row)
+                            if v
+                        ]
+                found.append((which, e, bad))
     witnesses = []
-    for which in ("E", "F", "H"):
-        x = coproduct(full.ell, which)
-        for e, n_e in enumerate(gauged):
-            comm = fracmat.mat_sub(fracmat.mat_mul(n_e, x), fracmat.mat_mul(x, n_e))
-            bad = next(
-                ((i, j) for i, row in enumerate(comm) for j, v in enumerate(row) if v), None
-            )
-            if bad is not None:
-                value = str(comm[bad[0]][bad[1]])
-                witnesses.append({"generator": which, "power": e, "entry": bad, "value": value})
+    for which, e, bad in found:
+        if bad:
+            entry, value = min(bad)
+            witnesses.append({"generator": which, "power": e, "entry": entry, "value": str(value)})
     return witnesses
 
 
@@ -148,7 +169,8 @@ def verify_sl2_commutation(full: FullR) -> Report:
     """Check [sigma N_e sigma, Dx] = 0 for x in {E, F, H} and every power e of z.
 
     The coefficient matrices N_e are int, so this is an exact proof that
-    sigma R(z) sigma commutes with the coproduct; the gauge is recorded.
+    sigma R(z) sigma commutes with the tensor-square action; the gauge is
+    recorded.
     """
     report = Report("sl2_commutation", {"ell": full.ell})
     sigma = sign_gauge(full.ell)
@@ -187,7 +209,7 @@ def spectral_numerators(full: FullR, sigma: Sequence[int] | None = None) -> list
         for p in casimir_projectors(full.ell)
     ]
     coeffs: list[list[Fraction]] = [[] for _ in supports]
-    for e, n_e in enumerate(_conjugate(c, sigma) for c in full.coefficients()):
+    for e, n_e in enumerate(_gauged(full, sigma, range(full.dim))):
         rebuilt = [[0] * full.dim for _ in range(full.dim)]
         for s, support in enumerate(supports):
             n = Fraction(sum(x * n_e[v][u] for u, v, x in support), 2 * s + 1)

@@ -314,16 +314,6 @@ class FullR:
         nums = [[sum(map(operator.mul, c, table)) if c else 0 for c in row] for row in self.num]
         return nums, den
 
-    def coefficients(self) -> list[list[list[int]]]:
-        """N_0..N_ell, the int coefficient matrices of the numerators: N(z) = sum_e z^e N_e."""
-        n = self.dim
-        out = [[[0] * n for _ in range(n)] for _ in range(self.ell + 1)]
-        for i, row in enumerate(self.num):
-            for j, coeffs in enumerate(row):
-                for e, c in enumerate(coeffs):
-                    out[e][i][j] = c
-        return out
-
     def at_z(self, value: Fraction) -> FracMat:
         """Exact numeric matrix at a rational spectral parameter."""
         nums, den = self.scaled_at(value)

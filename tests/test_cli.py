@@ -133,12 +133,15 @@ def test_compute_r_pole_hit_is_reported(capsys):
 
 
 def test_compute_r_takes_a_negative_rational_after_at_z(capsys):
-    # argparse reads -1/3 as an option; both spellings must give the same bytes
+    # argparse reads -1/3 as an option; every spelling, abbreviations of
+    # --at-z included, must give the same bytes
     for command in ("compute-r", "export --kind r"):
         joined = run(capsys, *command.split(), "-l", "2", "--at-z=-1/3", "--format", "csv")
-        separate = run(capsys, *command.split(), "-l", "2", "--at-z", "-1/3", "--format", "csv")
-        assert separate == joined and joined[0] == 0 and joined[2] == ""
+        assert joined[0] == 0 and joined[2] == ""
         assert joined[1].splitlines()[1].split(",")[1] == "6/5"
+        for option in ("--at-z", "--at-", "--at", "--a"):
+            separate = run(capsys, *command.split(), "-l", "2", option, "-1/3", "--format", "csv")
+            assert separate == joined, option
 
 
 def test_compute_r_block_rejects_at_z(capsys):
@@ -475,6 +478,7 @@ OUTPUT_DIGESTS = {
     "verify --suite oracle -l 3 --format json": "318b396f97d9657c52ec622276c6b4f3e6a5d94bf620552d75787290b809945c",
     "verify --suite oracle -l 4 --format json": "8aa5486989f99b5034c15ea8b57b5419ec5111e2e68452c56eb70a56cd7c2d6a",
     "verify --suite oracle -l 5 --format json": "ccb4d40e28d3bb077d2a9ca21c02d73b5582297c7ef42d89fd1092a0656394e7",
+    "verify --suite oracle -l 6 --format json": "3060769068c47185ee66e1692bc2afaeaa7c159abe0aaed9f4e7e6c5afb3f834",
     "verify --suite unitarity -k 7 --format json": "c3ce45a6d1b4a817cd406d23b1e6663868b50c60930c69bfaf1591523c650b90",
     "verify --suite unitarity -l 4 --format json": "f31513416f04f37fb3272ce1145341390cfcab5bb9173a16711fa2523beec329",
 }

@@ -1,6 +1,7 @@
 """Tensor-square representation theory: brackets, projectors, spectra."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,12 +10,11 @@ from spinr import fracmat, oracle
 from spinr.exactalg import MPoly, RatFun, cancel_common_z_roots, ratfun_to_str
 from spinr.oracle import (
     OracleStructureError,
-    casimir_matrix,
     casimir_projectors,
     commutation_gauge,
-    coproduct,
     fusion_numerator,
-    sl2_rep,
+    sector_action,
+    sign_gauge,
     spectral_decompose,
     spectral_numerators,
     verify_sl2_commutation,
@@ -24,6 +24,7 @@ from spinr.rmatrix import (
     FullR,
     assemble_full,
     over_spin_denominator,
+    pair_sectors,
     spin_denominator,
     z_poly,
 )
@@ -37,16 +38,49 @@ def bracket(a, b):
 
 
 # ---------------------------------------------------------------------------
-# the irreducible and its coproduct
+# dense reference: the irreducible, its coproduct and the Casimir on V (x) V
 # ---------------------------------------------------------------------------
+
+
+def sl2_rep(ell):
+    """(E, F, H) of the spin-ell/2 irreducible on e_0..e_ell, as exact matrices."""
+    d = ell + 1
+    e, f, h = fracmat.zeros(d, d), fracmat.zeros(d, d), fracmat.zeros(d, d)
+    for a in range(d):
+        h[a][a] = Fraction(ell - 2 * a)
+        if a < ell:
+            f[a + 1][a] = Fraction(1)
+        if a > 0:
+            e[a - 1][a] = Fraction(a * (ell - a + 1))
+    return e, f, h
+
+
+def kron(a, b):
+    nb, mb = len(b), len(b[0])
+    return [
+        [x * b[p][q] for x in row_a for q in range(mb)] for row_a in a for p in range(nb)
+    ]
+
+
+def coproduct(ell, which):
+    """The tensor-square action x(x)1 + 1(x)x of one generator."""
+    x = sl2_rep(ell)["EFH".index(which)]
+    eye = fracmat.identity(ell + 1)
+    return fracmat.mat_add(kron(x, eye), kron(eye, x))
+
+
+def casimir_matrix(ell):
+    de, df, dh = coproduct(ell, "E"), coproduct(ell, "F"), coproduct(ell, "H")
+    quad = fracmat.mat_add(fracmat.mat_mul(de, df), fracmat.mat_mul(df, de))
+    return fracmat.mat_add(quad, fracmat.mat_scale(fracmat.mat_mul(dh, dh), Fraction(1, 2)))
 
 
 def test_bracket_relations_exact():
     for ell in range(1, 7):
-        rep = sl2_rep(ell)
-        assert bracket(rep.h, rep.e) == fracmat.mat_scale(rep.e, Fraction(2))
-        assert bracket(rep.h, rep.f) == fracmat.mat_scale(rep.f, Fraction(-2))
-        assert bracket(rep.e, rep.f) == rep.h
+        e, f, h = sl2_rep(ell)
+        assert bracket(h, e) == fracmat.mat_scale(e, Fraction(2))
+        assert bracket(h, f) == fracmat.mat_scale(f, Fraction(-2))
+        assert bracket(e, f) == h
 
 
 def test_coproduct_weight_diagonal():
@@ -66,6 +100,38 @@ def test_coproduct_lowering_action():
     df = coproduct(1, "F")
     column = [df[i][0] for i in range(4)]  # image of e_0 (x) e_0
     assert column == [0, 1, 1, 0]  # e_0 (x) e_1 + e_1 (x) e_0
+
+
+def test_sector_action_is_the_coproduct_between_weight_sectors():
+    # E_w and F_w are the blocks of the dense coproduct from sector w to
+    # w-1 and w+1; the dense matrix has no other nonzero entry
+    for ell in range(1, 5):
+        sectors = pair_sectors(ell)
+        action = sector_action(ell)
+        for which, side, step in (("E", 0, -1), ("F", 1, 1)):
+            x = coproduct(ell, which)
+            for w, source in enumerate(sectors):
+                target = sectors[w + step] if 0 <= w + step <= 2 * ell else []
+                assert action[w][side] == [[x[i][j] for j in source] for i in target]
+                for i in target:
+                    for j in source:
+                        x[i][j] = 0
+            assert not any(v for row in x for v in row), (ell, which)
+
+
+def test_sector_action_brackets_to_the_weight():
+    # [E, F] = H on sector w: E_(w+1) F_w - F_(w-1) E_w = 2(ell - w) Id
+    for ell in range(1, 7):
+        action = sector_action(ell)
+        for w, sector in enumerate(pair_sectors(ell)):
+            n = len(sector)
+            ef = fe = fracmat.zeros(n, n)
+            if w < 2 * ell:
+                ef = fracmat.mat_mul(action[w + 1][0], action[w][1])
+            if w:
+                fe = fracmat.mat_mul(action[w - 1][1], action[w][0])
+            weight = fracmat.mat_scale(fracmat.identity(n), 2 * (ell - w))
+            assert fracmat.mat_sub(ef, fe) == weight, (ell, w)
 
 
 # ---------------------------------------------------------------------------
@@ -169,28 +235,79 @@ def test_commutation_needs_one_sign_flip_per_column():
         assert gauge == expected
 
 
-def test_commutation_witness_names_generator_power_and_entry():
-    # one coupling of the spin-1 matrix scaled by 2 breaks commutation; each
-    # witness must name a nonzero commutator entry, the first one row by row
-    full = assemble_full(2)
-    labels = full.labels
+def coefficient_matrices(full):
+    """N_0..N_ell as dense int matrices, read from the stored coefficient tuples."""
+    n = full.dim
+    out = [[[0] * n for _ in range(n)] for _ in range(full.ell + 1)]
+    for i, row in enumerate(full.num):
+        for j, coeffs in enumerate(row):
+            for e, c in enumerate(coeffs):
+                out[e][i][j] = c
+    return out
+
+
+def dense_witnesses(full, sigma):
+    """Reference route: the first nonzero entry, row by row, of each dense [sigma N_e sigma, Dx]."""
+    witnesses = []
+    for which in ("E", "F", "H"):
+        x = coproduct(full.ell, which)
+        for e, n_e in enumerate(coefficient_matrices(full)):
+            gauged = [
+                [sigma[r] * sigma[c] * v for c, v in enumerate(row)] for r, row in enumerate(n_e)
+            ]
+            comm = bracket(gauged, x)
+            bad = next(((r, c) for r, row in enumerate(comm) for c, v in enumerate(row) if v), None)
+            if bad is not None:
+                value = str(comm[bad[0]][bad[1]])
+                witnesses.append({"generator": which, "power": e, "entry": bad, "value": value})
+    return witnesses
+
+
+def perturbed(full, i, j, e, delta):
+    """full with delta added to the coefficient of z^e in entry (i, j)."""
     num = [list(row) for row in full.num]
-    i, j = labels.index((0, 1)), labels.index((1, 0))
+    coeffs = list(num[i][j]) + [0] * (full.ell + 1 - len(num[i][j]))
+    coeffs[e] += delta
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    num[i][j] = tuple(coeffs)
+    return FullR(full.ell, tuple(map(tuple, num)))
+
+
+def test_commutation_witness_names_generator_power_and_entry():
+    # a broken coupling fails commutation, and the witnesses are those of the
+    # dense brackets: the spin-1 coupling (0,1) -> (1,0) scaled by 2, then
+    # seeded perturbations at ell = 1..4, every other one between different
+    # weights; such an entry fails [G, DH] first, and only that is reported
+    full = assemble_full(2)
+    i, j = full.labels.index((0, 1)), full.labels.index((1, 0))
+    num = [list(row) for row in full.num]
     num[i][j] = tuple(2 * c for c in num[i][j])
-    broken = FullR(2, tuple(map(tuple, num)))
-    report = verify_sl2_commutation(broken)
-    assert not report.passed and "gauge" not in report.details
-    sigma = [(-1) ** (idx % 3) for idx in range(9)]
-    for witness in report.failures:
-        assert set(witness) == {"generator", "power", "entry", "value"}
-        n_e = broken.coefficients()[witness["power"]]
-        gauged = [[sigma[r] * sigma[c] * x for c, x in enumerate(row)] for r, row in enumerate(n_e)]
-        comm = bracket(gauged, coproduct(2, witness["generator"]))
-        r, c = witness["entry"]
-        assert comm[r][c] != 0 and witness["value"] == str(comm[r][c])
-        assert not any(comm[r][:c]) and not any(x for row in comm[:r] for x in row)
-    with pytest.raises(OracleStructureError):
-        commutation_gauge(broken)
+    cases = [(FullR(2, tuple(map(tuple, num))), None)]
+    rng = random.Random(15)
+    for ell in range(1, 5):
+        full = assemble_full(ell)
+        weight = [a + b for a, b in full.labels]
+        for trial in range(6):
+            crossing = trial % 2 == 1
+            i = rng.randrange(full.dim)
+            j = rng.choice([j for j in range(full.dim) if (weight[j] != weight[i]) == crossing])
+            e = rng.randrange(ell + 1)
+            broken = perturbed(full, i, j, e, rng.choice([-2, -1, 1, 3]))
+            cases.append((broken, e if crossing else None))
+    for broken, cross_power in cases:
+        report = verify_sl2_commutation(broken)
+        assert not report.passed and "gauge" not in report.details
+        sigma = sign_gauge(broken.ell)
+        expected = dense_witnesses(broken, sigma)
+        if cross_power is not None:
+            expected = [w for w in expected if w["generator"] == "H"]
+            assert [w["power"] for w in expected] == [cross_power]
+            with pytest.raises(OracleStructureError, match=rf"z\^{cross_power}$"):
+                spectral_numerators(broken, sigma)
+        assert report.failures == expected
+        with pytest.raises(OracleStructureError):
+            commutation_gauge(broken)
 
 
 def test_gauge_is_weight_preserving():

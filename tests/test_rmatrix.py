@@ -13,7 +13,7 @@ from spinr.exactalg import (
     cancel_common_z_roots,
     ratfun_to_str,
 )
-from spinr.fracmat import SymMatrix, identity, kron, mat_mul
+from spinr.fracmat import SymMatrix, identity, mat_mul
 from spinr.golden import spin_half_block, spin_one_full_matrix, spin_one_middle_block
 from spinr.stablebasis import S_inverse, S_matrix, stable_coeff, verify_inverse
 from spinr.rmatrix import (
@@ -292,7 +292,7 @@ def test_assembly_refuses_a_numerator_above_degree_ell(monkeypatch):
 
 def test_full_r_refuses_an_over_degree_numerator():
     # (1, 0, 5) is 1 + 5z^2 at ell = 1: scaled_at(1) would cut it to 1
-    # instead of 6, and coefficients() would index past N_ell
+    # instead of 6
     num = [[()] * 4 for _ in range(4)]
     num[0][0] = (1, 0, 5)
     with pytest.raises(ValueError, match=r"entry \(0, 0\): degree"):
@@ -335,7 +335,11 @@ def test_coefficients_are_a_second_route_to_the_numerators():
     # sparse terms; at z = 0 that is N_0 = D(0) R(0) = ell! Id
     for ell in range(1, 6):
         full = assemble_full(ell)
-        coeffs = full.coefficients()
+        coeffs = [[[0] * full.dim for _ in range(full.dim)] for _ in range(ell + 1)]
+        for i, row in enumerate(full.num):
+            for j, entry in enumerate(row):
+                for e, c in enumerate(entry):
+                    coeffs[e][i][j] = c
         assert len(coeffs) == ell + 1
         assert {type(x) for n_e in coeffs for row in n_e for x in row} == {int}
         assert coeffs[0] == [
@@ -404,6 +408,13 @@ def test_ybe_single_point_spin_one():
 
 def test_ybe_trials_spin_half():
     assert ybe_trials(1, 20, seed=7).passed
+
+
+def kron(a, b):
+    nb, mb = len(b), len(b[0])
+    return [
+        [x * b[p][q] for x in row_a for q in range(mb)] for row_a in a for p in range(nb)
+    ]
 
 
 def test_ybe_failure_witnesses_match_fraction_products():
