@@ -13,9 +13,9 @@ Rationals on the command line are always integers or "p/q" strings; decimal
 input is rejected.  Output is byte-deterministic for a fixed configuration:
 results are ordered by case index, never by completion time, also under
 --jobs parallelism.  Size parameters have fixed upper bounds (MAX_ELL,
-MAX_K, MAX_N, MAX_TRIALS); a larger value is a usage error before any work
-starts, and so is a flag that the chosen verify suite or export kind never
-reads.
+MAX_K, MAX_N, MAX_TRIALS); a larger value, a negative -k or --block, and a
+flag that the chosen verify suite or export kind never reads are usage
+errors before any work starts.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 """
@@ -159,6 +159,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     _check_upper(cfg.n, MAX_N, "-n")
     _check_upper(cfg.block, MAX_K, "--block")
     _check_upper(cfg.trials, MAX_TRIALS, "--trials")
+    for value, flag in ((cfg.k, "-k"), (cfg.block, "--block")):
+        if value is not None and value < 0:
+            raise UsageError(f"{flag} must be nonnegative")
     return cfg
 
 
@@ -292,8 +295,6 @@ def cmd_compute_r(cfg: RunConfig) -> int:
     if cfg.ell < 1:
         raise UsageError("spin parameter -l must be at least 1")
     if cfg.block is not None:
-        if cfg.block < 0:
-            raise UsageError("--block must be nonnegative")
         if cfg.at_z is not None:
             raise UsageError("--at-z evaluates the assembled R-matrix, not a generic sector block")
         matrix = rmatrix.rblock_closed(cfg.block)
@@ -330,8 +331,6 @@ def _emit_matrix(cfg: RunConfig, name: str, matrix: SymMatrix, extra: dict) -> i
 
 
 def cmd_compute_s(cfg: RunConfig) -> int:
-    if cfg.k < 0:
-        raise UsageError("-k must be nonnegative")
     matrix = stablebasis.S_inverse(cfg.k) if cfg.inverse else stablebasis.S_matrix(cfg.k)
     name = "s-inverse" if cfg.inverse else "s-matrix"
     return _emit_matrix(cfg, name, matrix, {"k": cfg.k})
@@ -422,8 +421,6 @@ def worker_count(jobs: int, cases: int) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     if cfg.ell is not None and cfg.ell < 1:
         raise UsageError("spin parameter -l must be at least 1")
-    if cfg.k is not None and cfg.k < 0:
-        raise UsageError("-k must be nonnegative")
     _refuse_unread(cfg, _SUITE_READS[cfg.suite], f"verify --suite {cfg.suite}")
     cases = _suite_cases(cfg)
     workers = worker_count(cfg.jobs, len(cases))
@@ -482,15 +479,12 @@ def _dispatch(cfg: RunConfig, args: argparse.Namespace) -> int:
             if cfg.ell is None:
                 raise UsageError("export --kind r requires -l")
             return cmd_compute_r(cfg)
-        if kind == "block":
-            if cfg.k is None:
-                raise UsageError("export --kind block requires -k")
-            cfg.block = cfg.k
-            cfg.ell = 1
-            return cmd_compute_r(cfg)
-        if kind in ("s", "sinv"):
+        if kind in ("block", "s", "sinv"):
             if cfg.k is None:
                 raise UsageError(f"export --kind {kind} requires -k")
+            if kind == "block":
+                cfg.block, cfg.ell = cfg.k, 1
+                return cmd_compute_r(cfg)
             cfg.inverse = kind == "sinv"
             return cmd_compute_s(cfg)
         if kind == "fixed-points":

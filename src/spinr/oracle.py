@@ -18,11 +18,11 @@ over the one scalar polynomial D, so the checks read the int coefficients of
 N(z) = sum_e z^e N_e (``FullR.num``): each sigma N_e sigma commuting with the
 action is an exact polynomial identity, and an entry of N between different
 weights (``FullR.cross_weight``) fails it first.
-Once commutation holds, each sigma N_e sigma is a combination of the Casimir
-projectors; the traces give the numerator n_s over D of one eigenvalue
-function rho_s per spin channel, exactly, one power of z at a time.  Each n_s
-must equal the closed form of the fusion construction coefficient by
-coefficient, and rho_s is reduced by ``rmatrix.over_spin_denominator``.
+Once commutation holds, each sigma N_e sigma acts on the spin-s summand of the
+multiplicity-free tensor square by one scalar (Schur's lemma), read off that
+summand's highest-weight vector: the numerator n_s over D of rho_s, exactly,
+one power of z at a time.  Each n_s must equal the closed form of the fusion
+construction term by term, and ``rmatrix.over_spin_denominator`` reduces rho_s.
 """
 
 from __future__ import annotations
@@ -127,9 +127,9 @@ def _commutation_witnesses(full: FullR, sigma: Sequence[int]) -> list[dict]:
 
     The witness is the first nonzero entry of the bracket, row by row.  [G, DH]
     is G_ij (h_j - h_i), nonzero only between different weights
-    (``FullR.cross_weight``); such entries fail first, alone.  Otherwise G is
-    block-diagonal on the weight sectors, and the brackets with E and F are
-    G_(w-1) E_w - E_w G_w and G_(w+1) F_w - F_w G_w (``sector_action``).
+    (``FullR.cross_weight``); its witnesses come first.  The brackets with E and
+    F are G_(w-1) E_w - E_w G_w and G_(w+1) F_w - F_w G_w on the weight sectors
+    (``sector_action``), the whole bracket at each e where [G, DH] = 0.
     """
     found = []
     if full.cross_weight:
@@ -137,26 +137,25 @@ def _commutation_witnesses(full: FullR, sigma: Sequence[int]) -> list[dict]:
         for e, g in enumerate(_gauged(full, sigma, range(full.dim))):
             bad = [((i, j), g[i][j] * (h[j] - h[i])) for i, j in full.cross_weight if g[i][j]]
             found.append(("H", e, bad))
-    else:
-        sectors = pair_sectors(full.ell)
-        blocks = [_gauged(full, sigma, sector) for sector in sectors]
-        action = sector_action(full.ell)
-        for which, side, step in (("E", 0, -1), ("F", 1, 1)):
-            for e in range(full.ell + 1):
-                bad = []
-                for w, cols in enumerate(sectors):
-                    x = action[w][side]
-                    if x:
-                        g_to, g_from = blocks[w + step][e], blocks[w][e]
-                        comm = fracmat.mat_sub(fracmat.mat_mul(g_to, x), fracmat.mat_mul(x, g_from))
-                        rows = sectors[w + step]
-                        bad += [
-                            ((rows[r], cols[c]), v)
-                            for r, row in enumerate(comm)
-                            for c, v in enumerate(row)
-                            if v
-                        ]
-                found.append((which, e, bad))
+    sectors = pair_sectors(full.ell)
+    blocks = [_gauged(full, sigma, sector) for sector in sectors]
+    action = sector_action(full.ell)
+    for which, side, step in (("E", 0, -1), ("F", 1, 1)):
+        for e in range(full.ell + 1):
+            bad = []
+            for w, cols in enumerate(sectors):
+                x = action[w][side]
+                if x:
+                    g_to, g_from = blocks[w + step][e], blocks[w][e]
+                    comm = fracmat.mat_sub(fracmat.mat_mul(g_to, x), fracmat.mat_mul(x, g_from))
+                    rows = sectors[w + step]
+                    bad += [
+                        ((rows[r], cols[c]), v)
+                        for r, row in enumerate(comm)
+                        for c, v in enumerate(row)
+                        if v
+                    ]
+            found.append((which, e, bad))
     witnesses = []
     for which, e, bad in found:
         if bad:
@@ -170,11 +169,12 @@ def verify_sl2_commutation(full: FullR) -> Report:
 
     The coefficient matrices N_e are int, so this is an exact proof that
     sigma R(z) sigma commutes with the tensor-square action; the gauge is
-    recorded.
+    recorded.  Entries between different weights fail alone, by H witnesses.
     """
     report = Report("sl2_commutation", {"ell": full.ell})
     sigma = sign_gauge(full.ell)
-    for witness in _commutation_witnesses(full, sigma):
+    witnesses = _commutation_witnesses(full, sigma)
+    for witness in [w for w in witnesses if w["generator"] == "H"] or witnesses:
         report.fail(**witness)
     if report.passed:
         report.details["gauge"] = list(sigma)
@@ -194,30 +194,35 @@ def commutation_gauge(full: FullR) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+def highest_weight_vector(ell: int, s: int) -> list[Fraction]:
+    """u_s = sum_a c_a e_(a, w-a) on sector w = ell - s, a = 0..w, c_0 = 1, E u_s = 0.
+
+    E u_s = 0 reads a(ell-a+1) c_a + (w-a+1)(ell-w+a) c_(a-1) = 0.
+    """
+    w, c = ell - s, [Fraction(1)]
+    for a in range(1, w + 1):
+        c.append(-c[-1] * (w - a + 1) * (ell - w + a) / (a * (ell - a + 1)))
+    return c
+
+
 def spectral_numerators(full: FullR, sigma: Sequence[int] | None = None) -> list[list[Fraction]]:
     """coeffs[s][e] = n_s,e, the coefficient of z^e in the numerator over D of rho_s.
 
-    n_s,e = trace(sigma N_e sigma P_s)/(2s+1) is an exact number (the gauge is
-    ``commutation_gauge`` when not supplied).  The reconstruction
-    sum_s n_s,e P_s = sigma N_e sigma is checked for every power e; a
-    mismatch raises OracleStructureError.
+    Commutation is checked first, by ``commutation_gauge`` when no gauge is
+    supplied; under a supplied sigma a failure raises OracleStructureError at
+    the lowest failing power.  Then sigma N_e sigma u_s = n_s,e u_s, and u_s
+    (``highest_weight_vector``) is 1 at e_(0, ell-s), so n_s,e is read there.
     """
     if sigma is None:
         sigma = commutation_gauge(full)
-    supports = [
-        [(u, v, x) for u, row in enumerate(p) for v, x in enumerate(row) if x]
-        for p in casimir_projectors(full.ell)
-    ]
-    coeffs: list[list[Fraction]] = [[] for _ in supports]
-    for e, n_e in enumerate(_gauged(full, sigma, range(full.dim))):
-        rebuilt = [[0] * full.dim for _ in range(full.dim)]
-        for s, support in enumerate(supports):
-            n = Fraction(sum(x * n_e[v][u] for u, v, x in support), 2 * s + 1)
-            coeffs[s].append(n)
-            for u, v, x in support:
-                rebuilt[u][v] += n * x
-        if rebuilt != n_e:
-            raise OracleStructureError(f"spectral reconstruction fails at the power z^{e}")
+    elif powers := [w["power"] for w in _commutation_witnesses(full, sigma)]:
+        raise OracleStructureError(f"spectral reconstruction fails at the power z^{min(powers)}")
+    sectors = pair_sectors(full.ell)
+    coeffs = []
+    for s in range(full.ell + 1):
+        u = highest_weight_vector(full.ell, s)
+        rows = [g[0] for g in _gauged(full, sigma, sectors[full.ell - s])]
+        coeffs.append([sum(x * c for x, c in zip(row, u)) for row in rows])
     return coeffs
 
 
@@ -245,14 +250,12 @@ def verify_spectrum(ell: int) -> Report:
     Moebius ratios follow from the closed form.
     """
     report = Report("spectrum", {"ell": ell})
-    full = assemble_full(ell)
     try:
-        gauge = commutation_gauge(full)
-        numerators = spectral_numerators(full, gauge)
+        numerators = spectral_numerators(assemble_full(ell))
     except OracleStructureError as exc:
         report.fail(reason=str(exc))
         return report
-    report.details["gauge"] = list(gauge)
+    report.details["gauge"] = list(sign_gauge(ell))
     report.details["rho"] = [ratfun_to_str(over_spin_denominator(n, ell)) for n in numerators]
     for s, n_s in enumerate(numerators):
         for power, (got, expected) in enumerate(zip(n_s, fusion_numerator(ell, s), strict=True)):

@@ -325,6 +325,7 @@ class FullR:
         return SymMatrix(grid, self.labels, self.labels)
 
 
+@functools.lru_cache(maxsize=None)
 def assemble_full(ell: int) -> FullR:
     """Assemble the spin-ell/2 R-matrix from the sector entries on the spin line.
 

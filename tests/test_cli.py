@@ -156,6 +156,10 @@ def test_export_block_rejects_at_z(capsys):
     code, out, err = run(capsys, "export", "--kind", "block", "-k", "1", "--at-z", "0")
     assert code == 2 and out == ""
     assert "--at-z" in err
+    # export has no --block flag, so a negative block index is named -k
+    code, out, err = run(capsys, "export", "--kind", "block", "-k", "-2")
+    assert code == 2 and out == ""
+    assert err == "error: -k must be nonnegative\n"
 
 
 def test_compute_r_block_latex(capsys):
@@ -479,6 +483,7 @@ OUTPUT_DIGESTS = {
     "verify --suite oracle -l 4 --format json": "8aa5486989f99b5034c15ea8b57b5419ec5111e2e68452c56eb70a56cd7c2d6a",
     "verify --suite oracle -l 5 --format json": "ccb4d40e28d3bb077d2a9ca21c02d73b5582297c7ef42d89fd1092a0656394e7",
     "verify --suite oracle -l 6 --format json": "3060769068c47185ee66e1692bc2afaeaa7c159abe0aaed9f4e7e6c5afb3f834",
+    "verify --suite oracle -l 8 --format json": "0ef04b4b925e62b0cc33b03f8ce4c342b1418ef69215858eb92c2df5bd512087",
     "verify --suite unitarity -k 7 --format json": "c3ce45a6d1b4a817cd406d23b1e6663868b50c60930c69bfaf1591523c650b90",
     "verify --suite unitarity -l 4 --format json": "f31513416f04f37fb3272ce1145341390cfcab5bb9173a16711fa2523beec329",
 }

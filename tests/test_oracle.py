@@ -13,6 +13,7 @@ from spinr.oracle import (
     casimir_projectors,
     commutation_gauge,
     fusion_numerator,
+    highest_weight_vector,
     sector_action,
     sign_gauge,
     spectral_decompose,
@@ -310,6 +311,27 @@ def test_commutation_witness_names_generator_power_and_entry():
             commutation_gauge(broken)
 
 
+def test_failures_inside_and_between_sectors_report_the_lowest_power():
+    # one matrix broken twice: inside weight sector 2 at z^1 and between
+    # weights 1 and 3 at z^3; the spectrum fails at the lower power, which is
+    # where the projector reconstruction first fails, while commutation
+    # reports the H witnesses of the entry between weights alone
+    ell = 3
+    full = assemble_full(ell)
+    inside = full.labels.index((1, 1)), full.labels.index((0, 2))
+    between = full.labels.index((0, 1)), full.labels.index((2, 1))
+    broken = perturbed(perturbed(full, *inside, 1, 1), *between, 3, -2)
+    sigma = sign_gauge(ell)
+    with pytest.raises(OracleStructureError, match=r"z\^1$"):
+        spectral_numerators(broken, sigma)
+    assert trace_numerators(broken, sigma)[1] == [1, 3]
+    expected = dense_witnesses(broken, sigma)
+    assert {(w["generator"], w["power"]) for w in expected} >= {("E", 1), ("F", 1), ("H", 3)}
+    report = verify_sl2_commutation(broken)
+    assert report.failures == [w for w in expected if w["generator"] == "H"]
+    assert [w["power"] for w in report.failures] == [3]
+
+
 def test_gauge_is_weight_preserving():
     full = assemble_full(1)
     sigma = commutation_gauge(full)
@@ -323,6 +345,51 @@ def test_gauge_is_weight_preserving():
 # ---------------------------------------------------------------------------
 # spectral decomposition
 # ---------------------------------------------------------------------------
+
+
+def trace_numerators(full, sigma):
+    """Reference route: n_s,e = trace(sigma N_e sigma P_s)/(2s+1) on the dense projectors.
+
+    Returns the numerators and the powers e at which sum_s n_s,e P_s fails to
+    rebuild sigma N_e sigma, that is, where sigma N_e sigma does not commute.
+    """
+    supports = [
+        [(i, j, x) for i, row in enumerate(p) for j, x in enumerate(row) if x]
+        for p in casimir_projectors(full.ell)
+    ]
+    coeffs, failing = [[] for _ in supports], []
+    for e, n_e in enumerate(coefficient_matrices(full)):
+        g = [[sigma[r] * sigma[c] * v for c, v in enumerate(row)] for r, row in enumerate(n_e)]
+        rebuilt = [[0] * full.dim for _ in range(full.dim)]
+        for s, support in enumerate(supports):
+            n = Fraction(sum(x * g[j][i] for i, j, x in support), 2 * s + 1)
+            coeffs[s].append(n)
+            for i, j, x in support:
+                rebuilt[i][j] += n * x
+        if rebuilt != g:
+            failing.append(e)
+    return coeffs, failing
+
+
+def test_highest_weight_vectors_are_killed_by_e():
+    # u_s sits in sector ell - s with leading coefficient 1, every coefficient
+    # nonzero, and E_(ell-s) u_s = 0 for the tensor-square action
+    for ell in range(1, 9):
+        action = sector_action(ell)
+        for s in range(ell + 1):
+            u = highest_weight_vector(ell, s)
+            assert len(u) == ell - s + 1 and u[0] == 1 and all(u), (ell, s)
+            lowered = [sum(x * c for x, c in zip(row, u)) for row in action[ell - s][0]]
+            assert not any(lowered), (ell, s)
+
+
+def test_highest_weight_numerators_equal_the_projector_traces():
+    # second route: the traces against the dense Casimir projectors give the
+    # same numbers, and the projectors rebuild every sigma N_e sigma
+    for ell in range(1, 7):
+        full = assemble_full(ell)
+        coeffs, failing = trace_numerators(full, sign_gauge(ell))
+        assert failing == [] and spectral_numerators(full) == coeffs, ell
 
 
 def test_spectral_values_locked_spin_half():
@@ -447,6 +514,6 @@ def test_spectrum_suite():
 
 def test_reconstruction_failure_raises():
     full = assemble_full(1)
-    bad_gauge = [1, 1, 1, 1]  # identity gauge does not commute; projection drops data
+    bad_gauge = [1, 1, 1, 1]  # the identity gauge does not commute
     with pytest.raises(OracleStructureError):
         spectral_decompose(full, bad_gauge)

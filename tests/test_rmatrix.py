@@ -211,6 +211,7 @@ def test_spin_line_assembles_and_reduces_without_substitution(monkeypatch):
         raise AssertionError("MPoly.substitute called")
 
     monkeypatch.setattr(MPoly, "substitute", refuse)
+    assemble_full.cache_clear()  # build under the patch, not from the memo
     for ell in range(1, 5):
         full = assemble_full(ell)
         assert full.lowest_terms().rows == full.dim
@@ -285,9 +286,14 @@ def test_assembly_refuses_a_numerator_above_degree_ell(monkeypatch):
         return blocks
 
     monkeypatch.setattr(rmatrix, "specialize_block", one_entry_too_high)
-    for ell in (1, 3):
-        with pytest.raises(ValueError, match="degree"):
-            assemble_full(ell)
+    # assemble_full is memoized: a matrix built earlier would skip the patched build
+    assemble_full.cache_clear()
+    try:
+        for ell in (1, 3):
+            with pytest.raises(ValueError, match="degree"):
+                assemble_full(ell)
+    finally:
+        assemble_full.cache_clear()
 
 
 def test_full_r_refuses_an_over_degree_numerator():
