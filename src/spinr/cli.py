@@ -26,7 +26,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import golden, moduli, oracle, rmatrix, stablebasis
@@ -65,22 +64,29 @@ def _schema(name: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class RunConfig:
-    command: str
-    k: int | None = None
-    n: int | None = None
-    ell: int | None = None
-    block: int | None = None
-    inverse: bool = False
-    at_z: Fraction | None = None
-    suite: str = "all"
-    trials: int | None = None
-    seed: int | None = None
-    fmt: str = "json"
-    output: str | None = None
-    jobs: int = 1
-    quiet: bool = False
+    """The command and its flags; a flag the command does not take keeps its default."""
+
+    def __init__(
+        self,
+        command: str,
+        k: int | None = None,
+        n: int | None = None,
+        ell: int | None = None,
+        block: int | None = None,
+        inverse: bool = False,
+        at_z: Fraction | None = None,
+        suite: str = "all",
+        trials: int | None = None,
+        seed: int | None = None,
+        fmt: str = "json",
+        output: str | None = None,
+        jobs: int = 1,
+        quiet: bool = False,
+    ) -> None:
+        self.command, self.k, self.n, self.ell, self.block = command, k, n, ell, block
+        self.inverse, self.at_z, self.suite, self.trials = inverse, at_z, suite, trials
+        self.seed, self.fmt, self.output, self.jobs, self.quiet = seed, fmt, output, jobs, quiet
 
 
 def _add_common(

@@ -35,9 +35,9 @@ into one memo; every sum and comparison over factored denominators
 
 Substitution acts on polynomials only (``MPoly.substitute``); there is no
 general specialization of rational functions.  Spin specialization lives in
-``rmatrix.specialize_block`` and substitutes nothing: phi is a homogeneous
-coordinate, so factor lists bound by ``LinForm.bind_eps`` are summed and put
-over one known denominator by exact division (``mpoly_exact_div``).  Linear
+``rmatrix.specialize_block`` and uses nothing from this kernel: on the spin
+line every linear form is an int constant or +-(z + c), so the closed form
+is summed on int coefficient lists in z and divided exactly there.  Linear
 factors (z - c) at listed candidate roots are stripped by one trial-division
 helper, ``_strip_z_root``: ``residue_at`` uses it for residues, and
 ``cancel_common_z_roots`` exposes it for constant roots.  No computation in
@@ -391,10 +391,6 @@ class LinForm(NamedTuple):
 
     def flip_z(self) -> LinForm:
         return LinForm(-self.c_z, self.c_phi, self.c_eps)
-
-    def bind_eps(self, mult: int) -> LinForm:
-        """Substitute eps -> mult*phi."""
-        return LinForm(self.c_z, self.c_phi + mult * self.c_eps, 0)
 
     def __str__(self) -> str:
         return mpoly_to_str(self.to_mpoly())

@@ -14,9 +14,8 @@ coefficient is the ratio of the two weight products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .exactalg import ExactAlgError, FactoredRat, LinForm
 
@@ -29,18 +28,17 @@ class DegeneratePatchError(ExactAlgError):
     """Raised when a patch has a variable of weight zero."""
 
 
-@dataclass(frozen=True)
-class FixedPoint:
+class FixedPoint(NamedTuple("FixedPoint", [("seq", tuple[int, ...]), ("ell", int)])):
     """A torus-fixed point, labelled by Jordan block sizes along the chain."""
 
-    seq: tuple[int, ...]
-    ell: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.ell < 1:
-            raise DomainError(f"ell must be >= 1, got {self.ell}")
-        if not all(0 <= s <= self.ell for s in self.seq):
-            raise DomainError(f"entries of {self.seq} must lie in 0..{self.ell}")
+    def __new__(cls, seq: tuple[int, ...], ell: int) -> FixedPoint:
+        if ell < 1:
+            raise DomainError(f"ell must be >= 1, got {ell}")
+        if not all(0 <= s <= ell for s in seq):
+            raise DomainError(f"entries of {seq} must lie in 0..{ell}")
+        return super().__new__(cls, seq, ell)
 
     def to_json(self) -> list[int]:
         return list(self.seq)
@@ -103,16 +101,14 @@ def dim_M1(k: int, n: int, ell: int) -> int:
     return 2 * (k * n - ell * q * q - r * (2 * q + 1))
 
 
-@dataclass(frozen=True)
-class WeightedVar:
+class WeightedVar(NamedTuple):
     """A patch coordinate: its torus weight plus the coordinate it names."""
 
     form: LinForm
     tag: str
 
 
-@dataclass(frozen=True)
-class WeightTable:
+class WeightTable(NamedTuple):
     """Variable and equation weights of one complete-intersection patch."""
 
     variables: tuple[WeightedVar, ...]

@@ -27,6 +27,7 @@ construction term by term, and ``rmatrix.over_spin_denominator`` reduces rho_s.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Sequence
 
@@ -122,8 +123,12 @@ def _gauged(full: FullR, sigma: Sequence[int], indices: Sequence[int]) -> list[l
     return out
 
 
-def _commutation_witnesses(full: FullR, sigma: Sequence[int]) -> list[dict]:
+@functools.lru_cache(maxsize=None)
+def _commutation_witnesses(full: FullR, sigma: tuple[int, ...]) -> tuple[dict, ...]:
     """One witness per generator x and power e where [G, Dx] != 0, G = sigma N_e sigma.
+
+    Decided once per matrix and gauge, like ``rmatrix.constructions_mismatches``:
+    the commutation case and ``commutation_gauge`` share one verdict.
 
     The witness is the first nonzero entry of the bracket, row by row.  [G, DH]
     is G_ij (h_j - h_i), nonzero only between different weights
@@ -161,7 +166,7 @@ def _commutation_witnesses(full: FullR, sigma: Sequence[int]) -> list[dict]:
         if bad:
             entry, value = min(bad)
             witnesses.append({"generator": which, "power": e, "entry": entry, "value": str(value)})
-    return witnesses
+    return tuple(witnesses)
 
 
 def verify_sl2_commutation(full: FullR) -> Report:
@@ -215,7 +220,7 @@ def spectral_numerators(full: FullR, sigma: Sequence[int] | None = None) -> list
     """
     if sigma is None:
         sigma = commutation_gauge(full)
-    elif powers := [w["power"] for w in _commutation_witnesses(full, sigma)]:
+    elif powers := [w["power"] for w in _commutation_witnesses(full, tuple(sigma))]:
         raise OracleStructureError(f"spectral reconstruction fails at the power z^{min(powers)}")
     sectors = pair_sectors(full.ell)
     coeffs = []

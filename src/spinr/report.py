@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class Report:
     """Outcome of one verification; failures carry enough data to reproduce."""
 
-    check: str
-    params: dict[str, object] = field(default_factory=dict)
-    passed: bool = True
-    failures: list[dict[str, object]] = field(default_factory=list)
-    details: dict[str, object] = field(default_factory=dict)
+    def __init__(
+        self,
+        check: str,
+        params: dict[str, object] | None = None,
+        passed: bool = True,
+        failures: list[dict[str, object]] | None = None,
+        details: dict[str, object] | None = None,
+    ) -> None:
+        self.check, self.passed = check, passed
+        self.params = {} if params is None else params
+        self.failures: list[dict[str, object]] = [] if failures is None else failures
+        self.details = {} if details is None else details
 
     def fail(self, **witness: object) -> None:
         self.passed = False

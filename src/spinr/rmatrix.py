@@ -8,17 +8,20 @@ the triangular product S^-1 * S-tilde (``rblock_triangular``), where S-tilde
 reversal), so R = S^-1 J S(-z) holds by construction; both return the block
 as a ``fracmat.SymMatrix``.  ``rblock_closed`` is memoized: each k is built
 once per process and shared by every check that reads it, so callers must
-not mutate the block.  ``assemble_full`` builds each block entry it needs on the
-spin line in one pass (``specialize_block``): it binds eps -> -ell*phi in
-every summand's factor list, sums, multiplies by (z+phi)...(z+ell*phi) and
-divides exactly.  phi is a homogeneous coordinate, so the numerator over the
-one denominator D(z) = (z+1)...(z+ell) of the fusion spectrum is read off the
-homogeneous quotient; no generic block is expanded and nothing is substituted.
-The entry coupling source (a, b) to target (a', b') with a + b = a' + b' = k
-is block entry (b', b); everything else is zero.  ``FullR`` stores each
-numerator over D as its int coefficients, which every reader uses directly.
-``over_spin_denominator`` is the one reduction to lowest terms over D's known
-roots, for the printed matrix and the oracle's spectrum.
+not mutate the block.  Each summand of the closed form is an int scalar and
+at most seven runs of consecutive linear forms (``_entry_summands``), read in
+two ways: ``rblock_closed`` expands the runs into forms, and
+``specialize_block`` maps them to the spin line eps = -ell*phi, phi = 1,
+where a form is an int constant or +-(z + c).  So ``assemble_full`` builds
+each block entry it needs on int coefficient lists in z: the summands are
+summed over their lcm, multiplied by the one denominator D(z) = (z+1)...(z+ell)
+of the fusion spectrum and divided exactly; no generic block is expanded and
+nothing is substituted.  The entry coupling source (a, b) to target (a', b')
+with a + b = a' + b' = k is block entry (b', b); everything else is zero.
+``FullR`` stores each numerator over D as its int coefficients, which every
+reader uses directly.  ``over_spin_denominator`` is the one reduction to
+lowest terms over D's known roots, for the printed matrix and the oracle's
+spectrum.
 
 Verifications: unitarity R(z) R(-z) = Id (symbolically per block, and for the
 assembled matrix per weight sector on int polynomials), equality of the two
@@ -46,15 +49,16 @@ failure report lists its entries that differ from Id.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import fracmat
 from .exactalg import (
+    ExactAlgError,
     FactoredRat,
     LinForm,
     MPoly,
@@ -63,7 +67,6 @@ from .exactalg import (
     Scalar,
     factored_sum,
     limit_at_z_infinity,
-    mpoly_exact_div,
     ratfun_to_str,
 )
 from .fracmat import FracMat, SymMatrix
@@ -71,30 +74,36 @@ from .report import Report
 from .stablebasis import (
     S_inverse,
     S_matrix,
-    _forms,
-    _inv,
     binom,
     inverse_mismatches,
 )
 
 
-def _entry_summands(
-    k: int, i: int, j_prime: int
-) -> Iterator[tuple[int, list[tuple[LinForm, int]]]]:
-    """The closed-form block entry (i, j') as summands (scalar, raw factor list)."""
+# A run (c_z, c_eps, lo, hi, exp) is the factor prod_{r=lo..hi} (c_z*z + r*phi + c_eps*eps)^exp.
+Run = tuple[int, int, int, int, int]
+
+
+def _entry_summands(k: int, i: int, j_prime: int) -> Iterator[tuple[int, tuple[Run, ...]]]:
+    """The closed-form block entry (i, j') as summands (scalar, runs of linear forms)."""
     for j in range(max(i, k - j_prime), k + 1):
         scalar = binom(j, i) * binom(j_prime, k - j)
-        if scalar == 0:
-            continue
-        pairs: list[tuple[LinForm, int]] = []
-        pairs += _forms(i, j - 1, lambda r: LinForm(0, r, 1))
-        pairs += _forms(0, k - j - 1, lambda r: LinForm(1, r, 1))
-        pairs += _forms(k + 1 - j - i, k - j, lambda r: LinForm(1, r, 0))
-        pairs += _forms(k - j, j_prime - 1, lambda r: LinForm(0, r, 1))
-        pairs += _inv(_forms(0, j - 1, lambda r: LinForm(-1, r, 1)))
-        pairs += _inv(_forms(2 * j - k + 1, j, lambda r: LinForm(-1, r, 0)))
-        pairs += _inv(_forms(k - 2 * j + 1, j_prime - j, lambda r: LinForm(1, r, 0)))
-        yield scalar, pairs
+        if scalar:
+            yield scalar, (
+                (0, 1, i, j - 1, 1),
+                (1, 1, 0, k - j - 1, 1),
+                (1, 0, k + 1 - j - i, k - j, 1),
+                (0, 1, k - j, j_prime - 1, 1),
+                (-1, 1, 0, j - 1, -1),
+                (-1, 0, 2 * j - k + 1, j, -1),
+                (1, 0, k - 2 * j + 1, j_prime - j, -1),
+            )
+
+
+def _run_pairs(runs: Sequence[Run]) -> list[tuple[LinForm, int]]:
+    """The runs as (linear form, exponent) pairs, one per form."""
+    return [
+        (LinForm(c_z, r, c_eps), exp) for c_z, c_eps, lo, hi, exp in runs for r in range(lo, hi + 1)
+    ]
 
 
 @functools.lru_cache(maxsize=None)
@@ -108,7 +117,9 @@ def rblock_closed(k: int) -> SymMatrix:
     return SymMatrix.from_function(
         k + 1,
         k + 1,
-        lambda i, jp: factored_sum(FactoredRat(*t) for t in _entry_summands(k, i, jp)),
+        lambda i, jp: factored_sum(
+            FactoredRat(scalar, _run_pairs(runs)) for scalar, runs in _entry_summands(k, i, jp)
+        ),
     )
 
 
@@ -163,13 +174,30 @@ def verify_equal_constructions(k: int) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _z_plus(j: int) -> MPoly:
-    return MPoly({(1, 0, 0): 1, (0, 0, 0): j})
+def _times_roots(poly: list[Scalar], roots: Iterable[int]) -> list[Scalar]:
+    """poly times (z + c) for every c in roots, on coefficient lists, lowest power first."""
+    for c in roots:
+        poly = [c * x + y for x, y in zip(poly + [0], [0] + poly)]
+    return poly
+
+
+def _divide_root(poly: list[Scalar], c: int) -> tuple[list[Scalar], Scalar]:
+    """(q, r) with poly = (z + c) * q + r, by synthetic division."""
+    quotient, carry = [0] * (len(poly) - 1), 0
+    for e in range(len(poly) - 1, 0, -1):
+        carry = quotient[e - 1] = poly[e] - c * carry
+    return quotient, poly[0] - c * carry
+
+
+@functools.lru_cache(maxsize=None)
+def _monic(roots: tuple[int, ...]) -> MPoly:
+    """prod (z + c) over roots, built once per tuple of roots and shared."""
+    return z_poly(_times_roots([1], roots))
 
 
 def spin_denominator(ell: int) -> MPoly:
     """D(z) = (z+1)(z+2)...(z+ell), the common denominator of the spin-ell/2 matrix."""
-    return math.prod((_z_plus(j) for j in range(1, ell + 1)), start=MPoly.one())
+    return _monic(tuple(range(1, ell + 1)))
 
 
 def z_poly(coeffs: Sequence[Scalar]) -> MPoly:
@@ -180,19 +208,20 @@ def z_poly(coeffs: Sequence[Scalar]) -> MPoly:
 def over_spin_denominator(coeffs: Sequence[Scalar], ell: int) -> RatFun:
     """N/D in lowest terms, for N(z) = sum_e coeffs[e] z^e over D(z) = (z+1)...(z+ell).
 
-    D is squarefree with known roots, so N is divided once by the product of
-    the (z+j) at whose root -j it vanishes, and the other factors make the
-    monic denominator.  Zero comes back as 0/1.
+    D is squarefree with known roots, so N is divided by each (z+j) at whose
+    root -j it vanishes (the remainder of the synthetic division is N(-j)),
+    and the other factors make the monic denominator.  Zero comes back as 0/1.
     """
     if not any(coeffs):
-        return RatFun.zero()
-    common, rest = MPoly.one(), MPoly.one()
+        return RatFun(MPoly(), _monic(()), ())
+    num, rest = list(coeffs), []
     for j in range(1, ell + 1):
-        if sum(c * (-j) ** e for e, c in enumerate(coeffs)):
-            rest = rest * _z_plus(j)
+        quotient, value = _divide_root(num, j)
+        if value:
+            rest.append(j)
         else:
-            common = common * _z_plus(j)
-    return RatFun(mpoly_exact_div(z_poly(coeffs), common), rest)
+            num = quotient
+    return RatFun(z_poly(num), _monic(tuple(rest)))
 
 
 def pair_sectors(ell: int) -> list[list[int]]:
@@ -207,38 +236,78 @@ def pair_sectors(ell: int) -> list[list[int]]:
     ]
 
 
+def _spin_summand(
+    scalar: int, runs: Sequence[Run], ell: int
+) -> tuple[Scalar, dict[int, int]] | None:
+    """scalar * prod runs at eps = -ell*phi, phi = 1, as (constant, {c: exponent of z + c}).
+
+    A form is the constant m = r - ell*c_eps when c_z = 0, and otherwise, with
+    c_z = +-1, c_z * (z + c_z*m).  None when a numerator constant is zero.
+    """
+    roots: dict[int, int] = {}
+    for c_z, c_eps, lo, hi, exp in runs:
+        shift = -ell * c_eps
+        if c_z == 0:
+            value = math.prod(range(lo + shift, hi + shift + 1)) ** abs(exp)
+            if value == 0 and exp > 0:
+                return None
+            if value == 0:
+                raise ExactAlgError("zero linear form used as a factor")
+            scalar = scalar * value if exp > 0 else Fraction(scalar, value)
+            continue
+        if c_z < 0 and exp * (hi - lo + 1) % 2:
+            scalar = -scalar
+        for r in range(lo, hi + 1):
+            roots[c_z * (r + shift)] = roots.get(c_z * (r + shift), 0) + exp
+    return scalar, roots
+
+
 def specialize_block(k: int, ell: int) -> dict[int, dict[int, tuple[int, ...]]]:
     """The coefficients N_0, N_1, ... over D(z) of the sector-k entries at spin ell/2.
 
-    Only entries (b', b) with b', b in max(0, k-ell)..min(k, ell) are built.
-    Each summand's factor list is bound (eps -> -ell*phi) and canonicalized
-    once; a summand whose numerator gains a zero form is dropped.  phi is a
-    homogeneous coordinate: the exact quotient of (z+phi)...(z+ell*phi) times
-    the bound sum is homogeneous of degree ell, and N_e is its coefficient on
-    z^e phi^(ell-e).  That the division is exact proves that D clears the entry.
+    Only entries (b', b) with b', b in max(0, k-ell)..min(k, ell) are built,
+    on int coefficient lists in z alone: ``_spin_summand`` maps each
+    summand's runs to a constant times powers of (z + c), and a summand whose
+    numerator gains a zero constant is dropped.  The summands are put over
+    the lcm of their denominators, multiplied by D(z) = (z+1)...(z+ell) and
+    divided by the lcm one root at a time (a root of both cancels first).
+    That every division is exact proves that D clears the entry.
     """
-    forms = (LinForm(1, j, 0).to_mpoly() for j in range(1, ell + 1))
-    hom_den = math.prod(forms, start=MPoly.one())
     span = range(max(0, k - ell), min(k, ell) + 1)
-    numerators: dict[int, dict[int, tuple[int, ...]]] = {}
+    numerators: dict[int, dict[int, tuple[int, ...]]] = {bp: {} for bp in span}
     for bp in span:
-        numerators[bp] = {}
         for b in span:
-            bound: list[FactoredRat] = []
-            for scalar, pairs in _entry_summands(k, bp, b):
-                pairs = [(form.bind_eps(-ell), exp) for form, exp in pairs]
-                if not any(exp > 0 and form.is_zero for form, exp in pairs):
-                    bound.append(FactoredRat(scalar, pairs))
-            summed = factored_sum(bound)
-            terms = mpoly_exact_div(hom_den * summed.num, summed.den).terms
-            if any(ez + ephi != ell or eeps for ez, ephi, eeps in terms):
-                raise AssertionError(f"sector {k} entry ({bp}, {b}): not of degree ell = {ell}")
-            top = max((ez for ez, _, _ in terms), default=-1)
-            numerators[bp][b] = tuple(terms.get((e, ell - e, 0), 0) for e in range(top + 1))
+            summands = [
+                t for s, runs in _entry_summands(k, bp, b) if (t := _spin_summand(s, runs, ell))
+            ]
+            lcm: dict[int, int] = {}
+            for _, roots in summands:
+                for c, e in roots.items():
+                    lcm[c] = max(lcm.get(c, 0), -e)
+            acc: list[Scalar] = []
+            for scalar, roots in summands:
+                power = dict(lcm)  # the numerator times the cofactor, as powers of (z + c)
+                for c, e in roots.items():
+                    power[c] = power.get(c, 0) + e
+                poly = _times_roots([scalar], [c for c, e in power.items() for _ in range(e)])
+                acc = [x + y for x, y in itertools.zip_longest(acc, poly, fillvalue=0)]
+            for c in range(1, ell + 1):
+                if lcm.get(c):
+                    lcm[c] -= 1
+                else:
+                    acc = _times_roots(acc, (c,))
+            for c in [c for c, e in lcm.items() for _ in range(e)]:
+                acc, remainder = _divide_root(acc, c)
+                if remainder:
+                    raise AssertionError(f"sector {k} entry ({bp}, {b}): z + {c} does not divide D*sum")
+            while acc and not acc[-1]:
+                acc.pop()
+            if len(acc) > ell + 1:
+                raise AssertionError(f"sector {k} entry ({bp}, {b}): degree above ell = {ell}")
+            numerators[bp][b] = tuple(acc)
     return numerators
 
 
-@dataclass(frozen=True)
 class FullR:
     """The assembled R-matrix on the tensor square, rational in z alone.
 
@@ -250,12 +319,12 @@ class FullR:
     ``lowest_terms`` the reduced one for display.  Basis: pairs (a, b) with
     a, b in 0..ell in lexicographic order, the pair (a, b) being row/column
     (ell+1)*a + b and its label; blocks couple only equal weights a + b.
+    Immutable, and equal (and hashed) by value.
     """
 
-    ell: int
-    num: tuple[tuple[tuple[int, ...], ...], ...]
-
-    def __post_init__(self) -> None:
+    def __init__(self, ell: int, num: tuple[tuple[tuple[int, ...], ...], ...]) -> None:
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "num", num)
         n = self.dim
         if len(self.num) != n or any(len(row) != n for row in self.num):
             raise ValueError(f"num must be {n} x {n} for ell = {self.ell}")
@@ -263,6 +332,17 @@ class FullR:
             for j, coeffs in enumerate(row):
                 if len(coeffs) > self.ell + 1:
                     raise ValueError(f"entry ({i}, {j}): degree above ell = {self.ell}")
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"FullR is immutable: cannot set {name}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FullR):
+            return NotImplemented
+        return (self.ell, self.num) == (other.ell, other.num)
+
+    def __hash__(self) -> int:
+        return hash((self.ell, self.num))
 
     @property
     def dim(self) -> int:

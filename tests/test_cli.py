@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from spinr import cli, rmatrix, stablebasis
+from spinr import cli, oracle, rmatrix, stablebasis
 
 
 def run(capsys, *argv):
@@ -263,17 +263,26 @@ def test_verify_unitarity_jobs_parallel_same_bytes(tmp_path, capsys):
 
 
 def test_import_leaves_the_process_pool_out():
-    # --jobs 1, what every single-case run uses, must not pay for multiprocessing
+    # --jobs 1, what every single-case run uses, must not pay for multiprocessing;
+    # no run pays for dataclasses either, which loads inspect, ast, dis and tokenize
     src = str(Path(cli.__file__).resolve().parents[1])
-    probe = (
-        "import sys, spinr.cli; "
-        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
-    )
+    heavy = "{'multiprocessing', 'concurrent.futures.process', 'dataclasses', 'inspect'}"
+    probe = f"import sys, spinr.cli; print(sorted({heavy} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_oracle_suite_forms_the_commutation_brackets_once_per_ell(capsys, monkeypatch):
+    # the commutation case and the spectrum's gauge share one verdict per matrix
+    calls = []
+    action = oracle.sector_action
+    monkeypatch.setattr(oracle, "sector_action", lambda ell: calls.append(ell) or action(ell))
+    oracle._commutation_witnesses.cache_clear()
+    assert run(capsys, "verify", "--suite", "oracle", "-l", "3")[0] == 0
+    assert calls == [3]
 
 
 def test_worker_count_is_bounded(monkeypatch):
@@ -479,6 +488,7 @@ OUTPUT_DIGESTS = {
     "compute-r -l 3 --format latex": "ede97409ab915abee985bfa813cb451b1d91ef42b976b5cba59b8e96056c4ae6",
     "compute-r -l 3 --at-z 1/3": "f4d119dac9937e26a90cf035e307fdf0ffa6875f71f26b78980978edafda5a24",
     "compute-r -l 6 --format latex": "f19c17530f8633026a884d9785b34e3d1fd73822aaa0009125a9c3541bcca366",
+    "compute-r -l 8": "9b8ac5af052c8a90d854bbfdf4f72da7b4042b52f6decaa19e9b452c19849a05",
     "verify --suite oracle -l 3 --format json": "318b396f97d9657c52ec622276c6b4f3e6a5d94bf620552d75787290b809945c",
     "verify --suite oracle -l 4 --format json": "8aa5486989f99b5034c15ea8b57b5419ec5111e2e68452c56eb70a56cd7c2d6a",
     "verify --suite oracle -l 5 --format json": "ccb4d40e28d3bb077d2a9ca21c02d73b5582297c7ef42d89fd1092a0656394e7",

@@ -7,10 +7,14 @@ import pytest
 
 from spinr import exactalg, rmatrix
 from spinr.exactalg import (
+    FactoredRat,
+    LinForm,
     MPoly,
     PoleSpecializationError,
     RatFun,
     cancel_common_z_roots,
+    factored_sum,
+    mpoly_exact_div,
     ratfun_to_str,
 )
 from spinr.fracmat import SymMatrix, identity, mat_mul
@@ -153,8 +157,7 @@ def _specialize_expanded(entry: RatFun, ell: int) -> tuple[MPoly, MPoly, frozens
     expanded generic entry, then trial division at the bound denominator roots."""
     candidates = set()
     for form, _ in entry.den_factors:
-        bound = form.bind_eps(-ell)
-        candidates.add(Fraction(-bound.c_phi, bound.c_z))
+        candidates.add(Fraction(-(form.c_phi - ell * form.c_eps), form.c_z))
     eps, phi = {"eps": MPoly.monomial((0, 1, 0), -ell)}, {"phi": ONE}
     num = entry.num.substitute(eps).substitute(phi)
     den = entry.den.substitute(eps).substitute(phi)
@@ -203,42 +206,69 @@ def test_lowest_terms_matches_the_trial_division_route():
 
 
 def test_spin_line_assembles_and_reduces_without_substitution(monkeypatch):
-    # phi is a homogeneous coordinate, so specialization reads N off the
-    # homogeneous quotient, and the roots of D are known, so N is evaluated at
-    # them from its int coefficients; generic polynomial substitution is never
-    # needed on the whole spin line from assembly to the printed matrix
-    def refuse(self, bindings):
-        raise AssertionError("MPoly.substitute called")
+    # specialization and the lowest-terms reduction run on int coefficient
+    # lists in z, and the roots of D are known: from assembly to the printed
+    # matrix nothing is substituted, no factor list is canonicalized, no MPoly
+    # is multiplied and nothing is divided by the generic kernel
+    def refuse(*args):
+        raise AssertionError("generic kernel called on the spin line")
 
     monkeypatch.setattr(MPoly, "substitute", refuse)
+    monkeypatch.setattr(MPoly, "__mul__", refuse)
+    monkeypatch.setattr(exactalg, "_canonical_factor_items", refuse)
+    monkeypatch.setattr(exactalg, "mpoly_exact_div", refuse)
     assemble_full.cache_clear()  # build under the patch, not from the memo
     for ell in range(1, 5):
         full = assemble_full(ell)
         assert full.lowest_terms().rows == full.dim
 
 
-def test_specialization_canonicalizes_each_bound_summand_once(monkeypatch):
-    # one canonicalization per summand that survives binding; the generic
-    # summands are never canonicalized on the way
-    canonical = exactalg._canonical_factor_items
-    calls = []
-
-    def counting(scalar, pairs):
-        calls.append(scalar)
-        return canonical(scalar, pairs)
-
-    monkeypatch.setattr(exactalg, "_canonical_factor_items", counting)
-    ell, k = 3, 4
-    specialize_block(k, ell)
-    summands = kept = 0
-    span = range(k - ell, ell + 1)
+def _homogeneous_specialization(k, ell):
+    """The homogeneous route: bind eps -> -ell*phi in every summand's forms,
+    sum the survivors over their factored lcm, multiply by
+    (z+phi)...(z+ell*phi), divide exactly and read N_e off z^e phi^(ell-e)."""
+    hom_den = math.prod((LinForm(1, j, 0).to_mpoly() for j in range(1, ell + 1)), start=ONE)
+    span = range(max(0, k - ell), min(k, ell) + 1)
+    out = {}
     for bp in span:
+        out[bp] = {}
         for b in span:
-            for _, pairs in rmatrix._entry_summands(k, bp, b):
-                bound = [(form.bind_eps(-ell), exp) for form, exp in pairs]
-                summands += 1
-                kept += not any(exp > 0 and form.is_zero for form, exp in bound)
-    assert 0 < kept < summands and len(calls) == kept
+            bound = []
+            for scalar, runs in rmatrix._entry_summands(k, bp, b):
+                pairs = [
+                    (LinForm(form.c_z, form.c_phi - ell * form.c_eps, 0), exp)
+                    for form, exp in rmatrix._run_pairs(runs)
+                ]
+                if not any(exp > 0 and form.is_zero for form, exp in pairs):
+                    bound.append(FactoredRat(scalar, pairs))
+            summed = factored_sum(bound)
+            terms = mpoly_exact_div(hom_den * summed.num, summed.den).terms
+            assert all(ez + ephi == ell and not eeps for ez, ephi, eeps in terms), (k, bp, b)
+            top = max((ez for ez, _, _ in terms), default=-1)
+            out[bp][b] = tuple(terms.get((e, ell - e, 0), 0) for e in range(top + 1))
+    return out
+
+
+def test_specialization_matches_the_homogeneous_route():
+    for ell in range(1, 7):
+        for k in range(2 * ell + 1):
+            assert specialize_block(k, ell) == _homogeneous_specialization(k, ell), (ell, k)
+
+
+def test_non_exact_root_division_names_the_sector_and_entry(monkeypatch):
+    # one extra summand 1/(z + 3) in entry (1, 2) of sector 2 at ell = 2:
+    # D = (z+1)(z+2) does not clear it, so a root division leaves a remainder
+    original = rmatrix._entry_summands
+
+    def broken(k, i, j_prime):
+        yield from original(k, i, j_prime)
+        if (i, j_prime) == (1, 2):
+            yield 1, ((1, 0, 3, 3, -1),)
+
+    monkeypatch.setattr(rmatrix, "_entry_summands", broken)
+    assert specialize_block(2, 3)  # another ell, where D = (z+1)(z+2)(z+3) clears it
+    with pytest.raises(AssertionError, match=r"sector 2 entry \(1, 2\): z \+ 3 does not divide"):
+        specialize_block(2, 2)
 
 
 def test_specialization_matches_an_independent_sympy_route():
