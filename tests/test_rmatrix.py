@@ -223,6 +223,38 @@ def test_spin_line_assembles_and_reduces_without_substitution(monkeypatch):
         assert full.lowest_terms().rows == full.dim
 
 
+def test_specialization_keeps_exactly_the_summands_that_survive_binding(monkeypatch):
+    # the int route keeps a summand iff binding eps -> -ell*phi leaves no zero
+    # numerator form, as the homogeneous route decides it, and canonicalizes none
+    def refuse(*args):
+        raise AssertionError("factor list canonicalized on the spin line")
+
+    spin_summand = rmatrix._spin_summand
+    results = []
+
+    def recording(scalar, runs, ell):
+        results.append(spin_summand(scalar, runs, ell))
+        return results[-1]
+
+    monkeypatch.setattr(exactalg, "_canonical_factor_items", refuse)
+    monkeypatch.setattr(rmatrix, "_spin_summand", recording)
+    ell, k = 3, 4
+    specialize_block(k, ell)
+    summands = kept = 0
+    span = range(k - ell, ell + 1)
+    for bp in span:
+        for b in span:
+            for _, runs in rmatrix._entry_summands(k, bp, b):
+                bound = [
+                    (LinForm(form.c_z, form.c_phi - ell * form.c_eps, 0), exp)
+                    for form, exp in rmatrix._run_pairs(runs)
+                ]
+                summands += 1
+                kept += not any(exp > 0 and form.is_zero for form, exp in bound)
+    assert len(results) == summands
+    assert 0 < kept < summands and sum(r is not None for r in results) == kept
+
+
 def _homogeneous_specialization(k, ell):
     """The homogeneous route: bind eps -> -ell*phi in every summand's forms,
     sum the survivors over their factored lcm, multiply by
