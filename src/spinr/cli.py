@@ -9,13 +9,21 @@ compute-s      the stable-class matrix S (or its closed-form inverse) at k
 verify         run verification suites; exit 0 iff everything passes
 export         unified exporter routing to the writers of the commands above
 
+The parsed argparse namespace is the run's configuration: every subcommand
+carries its handler, and a flag a command does not take reads as not given.
+verify and export are each driven by one route table.  ``_SUITES`` maps a
+verify suite to the flags it reads and its cases in run order (``all`` runs
+the other rows in table order); ``_EXPORTS`` maps an export kind to the flags
+it reads, the flags it requires and its writer.  A flag given to a route
+that never reads it is a usage error, not ignored, and a new suite or export
+kind is one row.
+
 Rationals on the command line are always integers or "p/q" strings; decimal
 input is rejected.  Output is byte-deterministic for a fixed configuration:
 results are ordered by case index, never by completion time, also under
 --jobs parallelism.  Size parameters have fixed upper bounds (MAX_ELL,
-MAX_K, MAX_N, MAX_TRIALS); a larger value, a negative -k or --block, and a
-flag that the chosen verify suite or export kind never reads are usage
-errors before any work starts.
+MAX_K, MAX_N, MAX_TRIALS); a larger value and a negative -k or --block are
+usage errors before any work starts.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 """
@@ -26,7 +34,7 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
+from typing import Callable
 
 from . import golden, moduli, oracle, rmatrix, stablebasis
 from .exactalg import ExactAlgError, parse_rational, ratfun_to_str
@@ -64,39 +72,12 @@ def _schema(name: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-class RunConfig:
-    """The command and its flags; a flag the command does not take keeps its default."""
-
-    def __init__(
-        self,
-        command: str,
-        k: int | None = None,
-        n: int | None = None,
-        ell: int | None = None,
-        block: int | None = None,
-        inverse: bool = False,
-        at_z: Fraction | None = None,
-        suite: str = "all",
-        trials: int | None = None,
-        seed: int | None = None,
-        fmt: str = "json",
-        output: str | None = None,
-        jobs: int = 1,
-        quiet: bool = False,
-    ) -> None:
-        self.command, self.k, self.n, self.ell, self.block = command, k, n, ell, block
-        self.inverse, self.at_z, self.suite, self.trials = inverse, at_z, suite, trials
-        self.seed, self.fmt, self.output, self.jobs, self.quiet = seed, fmt, output, jobs, quiet
-
-
-def _add_common(
-    p: argparse.ArgumentParser, formats: list[str], default_fmt: str, seed: int | None = 7
-) -> None:
+def _add_common(p: argparse.ArgumentParser, formats: list[str], default_fmt: str) -> None:
     p.add_argument("--format", dest="fmt", choices=formats, default=default_fmt)
     p.add_argument("--output", "-o", default=None, help="write to a file instead of stdout")
     p.add_argument("--quiet", "-q", action="store_true", help="suppress per-item progress lines")
     p.add_argument("--jobs", "-j", type=int, default=1, help="worker processes for verification cases")
-    p.add_argument("--seed", type=int, default=seed, help="seed for random rational sampling")
+    p.add_argument("--seed", type=int, default=None, help="seed for random rational sampling")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,6 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spinr",
         description="Exact rational sl2 R-matrices for arbitrary spin, with symbolic verification.",
     )
+    # a flag the chosen command does not take reads as not given
+    parser.set_defaults(k=None, n=None, ell=None, block=None, inverse=False, at_z=None, trials=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fixed-points", help="enumerate torus-fixed points")
@@ -111,49 +94,51 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-l", "--ell", dest="ell", type=int, required=True)
     _add_common(p, ["json", "text"], "json")
+    p.set_defaults(run=cmd_fixed_points)
 
     p = sub.add_parser("dims", help="tabulate dimensions across k")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-l", "--ell", dest="ell", type=int, required=True)
     _add_common(p, ["json", "text", "csv"], "json")
+    p.set_defaults(run=cmd_dims)
 
     p = sub.add_parser("compute-r", help="assemble the spin-ell/2 R-matrix")
     p.add_argument("-l", "--ell", dest="ell", type=int, required=True)
     p.add_argument("--block", type=int, default=None, help="emit one generic sector block instead")
     p.add_argument("--at-z", dest="at_z", default=None, help='evaluate at a rational z ("p/q")')
     _add_common(p, ["json", "text", "csv", "latex"], "json")
+    p.set_defaults(run=cmd_compute_r)
 
     p = sub.add_parser("compute-s", help="stable-class matrix S (or its inverse) at k")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--inverse", action="store_true", help="emit the closed-form inverse instead")
     _add_common(p, ["json", "text", "latex"], "json")
+    p.set_defaults(run=cmd_compute_s)
 
     p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("--suite", choices=list(_SUITE_READS), default="all")
+    p.add_argument("--suite", choices=list(_SUITES), default="all")
     p.add_argument("-k", type=int, default=None, help="restrict to one k (default: spec range)")
     p.add_argument("-l", "--ell", dest="ell", type=int, default=None)
     p.add_argument("--trials", type=int, default=None, help=f"YBE trials (default {YBE_TRIALS})")
-    _add_common(p, ["json", "text"], "text", seed=None)
+    _add_common(p, ["json", "text"], "text")
+    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("export", help="unified exporter")
-    p.add_argument("--kind", choices=list(_EXPORT_READS), required=True)
+    p.add_argument("--kind", choices=list(_EXPORTS), required=True)
     p.add_argument("-k", type=int, default=None)
     p.add_argument("-n", type=int, default=None)
     p.add_argument("-l", "--ell", dest="ell", type=int, default=None)
     p.add_argument("--at-z", dest="at_z", default=None)
     _add_common(p, ["json", "text", "csv", "latex"], "json")
+    p.set_defaults(run=cmd_export)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in ("k", "n", "ell", "block", "inverse", "suite", "trials", "seed", "fmt", "output", "jobs", "quiet"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    at_z = getattr(args, "at_z", None)
-    if at_z is not None:
+def _config_from_args(cfg: argparse.Namespace) -> argparse.Namespace:
+    """The parsed arguments, bounds checked and --at-z parsed in place."""
+    if cfg.at_z is not None:
         try:
-            cfg.at_z = parse_rational(at_z)
+            cfg.at_z = parse_rational(cfg.at_z)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
     if cfg.jobs < 1:
@@ -176,36 +161,19 @@ def _check_upper(value: int | None, top: int, flag: str) -> None:
         raise UsageError(f"{flag} must be at most {top}, got {value}")
 
 
-# Which of -k, -n, -l, --at-z, --trials and --seed each verify suite and
-# export kind reads.  A flag given to a route that never reads it is a usage
-# error, not ignored.  Only verify checks --seed: the other commands accept
-# it and draw nothing.
-_SUITE_READS = {
-    "inverse": ("k",),
-    "linrel": ("k",),
-    "residues": ("k",),
-    "constructions": ("k",),
-    "unitarity": ("k", "ell"),
-    "ybe": ("ell", "trials", "seed"),
-    "golden": (),
-    "oracle": ("ell",),
-    "all": ("k", "ell", "trials", "seed"),
-}
-_EXPORT_READS = {
-    "r": ("ell", "at_z"),
-    "block": ("k",),
-    "s": ("k",),
-    "sinv": ("k",),
-    "fixed-points": ("k", "n", "ell"),
-    "dims": ("n", "ell"),
-}
+# The flags a verify suite or export kind may read, by namespace name, as
+# spelled in messages.
+_FLAGS = {"k": "-k", "n": "-n", "ell": "-l", "at_z": "--at-z", "trials": "--trials", "seed": "--seed"}
 
 
-def _refuse_unread(cfg: RunConfig, reads: tuple[str, ...], route: str) -> None:
-    flags = [("k", "-k"), ("n", "-n"), ("ell", "-l"), ("at_z", "--at-z"), ("trials", "--trials")]
-    if cfg.command == "verify":
-        flags.append(("seed", "--seed"))
-    for name, flag in flags:
+def _refuse_unread(cfg: argparse.Namespace, reads: tuple[str, ...], route: str) -> None:
+    """A flag given to a route that never reads it is a usage error, not ignored.
+
+    Only verify checks --seed: the other commands accept it and draw nothing.
+    """
+    for name, flag in _FLAGS.items():
+        if name == "seed" and cfg.command != "verify":
+            continue
         if name not in reads and getattr(cfg, name) is not None:
             raise UsageError(f"{route} does not read {flag}")
 
@@ -215,7 +183,7 @@ def _refuse_unread(cfg: RunConfig, reads: tuple[str, ...], route: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+def _emit(cfg: argparse.Namespace, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if cfg.output:
@@ -229,11 +197,6 @@ def _json_doc(payload: dict) -> str:
     return json.dumps(payload, indent=2)
 
 
-def _matrix_doc(name: str, matrix: SymMatrix, extra: dict) -> dict:
-    doc = {"schema": _schema(name), **extra, **matrix.to_json()}
-    return doc
-
-
 def _grid(rows: list[list[str]], fmt: str) -> str:
     """A matrix of rendered entries as csv, or as text in columns of equal width."""
     if fmt == "csv":
@@ -242,7 +205,7 @@ def _grid(rows: list[list[str]], fmt: str) -> str:
     return "\n".join("  ".join(x.ljust(width) for x in row) for row in rows)
 
 
-def _require_format(cfg: RunConfig, formats: tuple[str, ...], what: str) -> None:
+def _require_format(cfg: argparse.Namespace, formats: tuple[str, ...], what: str) -> None:
     """Reject a --format the writer for `what` cannot produce."""
     if cfg.fmt not in formats:
         raise UsageError(f"{what} has no {cfg.fmt} output (formats: {', '.join(formats)})")
@@ -253,7 +216,7 @@ def _require_format(cfg: RunConfig, formats: tuple[str, ...], what: str) -> None
 # ---------------------------------------------------------------------------
 
 
-def cmd_fixed_points(cfg: RunConfig) -> int:
+def cmd_fixed_points(cfg: argparse.Namespace) -> int:
     _require_format(cfg, ("json", "text"), "fixed-points")
     points = moduli.fixed_points(cfg.k, cfg.n, cfg.ell)
     if cfg.fmt == "json":
@@ -270,7 +233,7 @@ def cmd_fixed_points(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_dims(cfg: RunConfig) -> int:
+def cmd_dims(cfg: argparse.Namespace) -> int:
     if cfg.n < 1 or cfg.ell < 1:
         raise UsageError("-n and -l must be at least 1")
     _require_format(cfg, ("json", "text", "csv"), "dims")
@@ -297,15 +260,13 @@ def cmd_dims(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_compute_r(cfg: RunConfig) -> int:
+def cmd_compute_r(cfg: argparse.Namespace) -> int:
     if cfg.ell < 1:
         raise UsageError("spin parameter -l must be at least 1")
     if cfg.block is not None:
         if cfg.at_z is not None:
             raise UsageError("--at-z evaluates the assembled R-matrix, not a generic sector block")
-        matrix = rmatrix.rblock_closed(cfg.block)
-        extra = {"k": cfg.block, "variables": ["z", "phi", "eps"]}
-        return _emit_matrix(cfg, "r-block", matrix, extra)
+        return _emit_block(cfg, cfg.block)
     if cfg.at_z is not None:
         _require_format(cfg, ("json", "text", "csv"), "compute-r --at-z")
     full = rmatrix.assemble_full(cfg.ell)
@@ -326,9 +287,15 @@ def cmd_compute_r(cfg: RunConfig) -> int:
     return _emit_matrix(cfg, "r-matrix", full.lowest_terms(), doc_extra)
 
 
-def _emit_matrix(cfg: RunConfig, name: str, matrix: SymMatrix, extra: dict) -> int:
+def _emit_block(cfg: argparse.Namespace, k: int) -> int:
+    """The generic sector-k block, for compute-r --block and export --kind block."""
+    extra = {"k": k, "variables": ["z", "phi", "eps"]}
+    return _emit_matrix(cfg, "r-block", rmatrix.rblock_closed(k), extra)
+
+
+def _emit_matrix(cfg: argparse.Namespace, name: str, matrix: SymMatrix, extra: dict) -> int:
     if cfg.fmt == "json":
-        _emit(cfg, _json_doc(_matrix_doc(name, matrix, extra)))
+        _emit(cfg, _json_doc({"schema": _schema(name), **extra, **matrix.to_json()}))
     elif cfg.fmt == "latex":
         _emit(cfg, matrix.to_latex())
     else:
@@ -336,10 +303,11 @@ def _emit_matrix(cfg: RunConfig, name: str, matrix: SymMatrix, extra: dict) -> i
     return 0
 
 
-def cmd_compute_s(cfg: RunConfig) -> int:
-    matrix = stablebasis.S_inverse(cfg.k) if cfg.inverse else stablebasis.S_matrix(cfg.k)
-    name = "s-inverse" if cfg.inverse else "s-matrix"
-    return _emit_matrix(cfg, name, matrix, {"k": cfg.k})
+def cmd_compute_s(cfg: argparse.Namespace, inverse: bool = False) -> int:
+    """S at k, or its closed-form inverse for --inverse and export --kind sinv."""
+    inverse = inverse or cfg.inverse
+    matrix = stablebasis.S_inverse(cfg.k) if inverse else stablebasis.S_matrix(cfg.k)
+    return _emit_matrix(cfg, "s-inverse" if inverse else "s-matrix", matrix, {"k": cfg.k})
 
 
 # ---------------------------------------------------------------------------
@@ -347,72 +315,68 @@ def cmd_compute_s(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 Case = tuple[str, dict]
+CaseMaker = Callable[[argparse.Namespace], list[Case]]
 
-# The largest k each generic-block suite runs when -k is not given.
-_SUITE_DEFAULTS = {
-    "inverse": 6,
-    "linrel": 5,
-    "residues": 4,
-    "constructions": 6,
-    "unitarity": 6,
+
+def _per_k(kind: str, top: int) -> CaseMaker:
+    """One case of `kind` for -k, or for each k = 0..top when -k is not given."""
+    return lambda cfg: [(kind, {"k": k}) for k in ([cfg.k] if cfg.k is not None else range(top + 1))]
+
+
+def _per_ell(kinds: tuple[str, ...], default: tuple[int, ...]) -> CaseMaker:
+    """One case of each kind for -l, or for each ell in `default` when -l is not given."""
+    return lambda cfg: [
+        (kind, {"ell": l}) for l in ([cfg.ell] if cfg.ell else default) for kind in kinds
+    ]
+
+
+def _ybe_cases(cfg: argparse.Namespace) -> list[Case]:
+    trials = YBE_TRIALS if cfg.trials is None else cfg.trials
+    seed = YBE_SEED if cfg.seed is None else cfg.seed
+    ells = [cfg.ell] if cfg.ell else [2]
+    return [("ybe", {"ell": l, "trials": trials, "seed": seed}) for l in ells]
+
+
+# suite -> (the flags it reads, its case makers in run order).  The largest k
+# of a generic-block suite is what it runs when -k is not given.  "all" runs
+# the rows above it in table order; a row added after it stays out of it.
+_SUITES: dict[str, tuple[tuple[str, ...], tuple[CaseMaker, ...]]] = {
+    "inverse": (("k",), (_per_k("inverse", 6),)),
+    "linrel": (("k",), (_per_k("linrel", 5),)),
+    "residues": (("k",), (_per_k("residues", 4),)),
+    "constructions": (("k",), (_per_k("constructions", 6),)),
+    "unitarity": (
+        ("k", "ell"),
+        (_per_k("unitarity_block", 6), _per_ell(("unitarity_full", "identity_at_zero"), (1, 2))),
+    ),
+    "ybe": (("ell", "trials", "seed"), (_ybe_cases,)),
+    "golden": ((), (lambda cfg: [("golden", {"name": name}) for name in golden.GOLDEN_CHECKS],)),
+    "oracle": (("ell",), (_per_ell(("commutation", "spectrum"), (1, 2)),)),
 }
+_SUITES["all"] = (
+    ("k", "ell", "trials", "seed"),
+    tuple(make for _, makers in _SUITES.values() for make in makers),
+)
 
-
-def _run_golden_case(name: str) -> Report:
-    return golden.GOLDEN_CHECKS[name]()
+# case kind -> the check it runs, called with the case's keyword arguments
+_RUNNERS: dict[str, Callable[..., Report]] = {
+    "inverse": stablebasis.verify_inverse,
+    "linrel": stablebasis.verify_linrel,
+    "residues": stablebasis.verify_residues_all,
+    "constructions": rmatrix.verify_equal_constructions,
+    "unitarity_block": rmatrix.verify_unitarity_block,
+    "unitarity_full": rmatrix.verify_unitarity_full,
+    "identity_at_zero": rmatrix.verify_identity_at_zero,
+    "ybe": rmatrix.ybe_trials,
+    "golden": lambda name: golden.GOLDEN_CHECKS[name](),
+    "commutation": lambda ell: oracle.verify_sl2_commutation(rmatrix.assemble_full(ell)),
+    "spectrum": oracle.verify_spectrum,
+}
 
 
 def _run_case(case: Case) -> dict:
     kind, kwargs = case
-    runners = {
-        "inverse": stablebasis.verify_inverse,
-        "linrel": stablebasis.verify_linrel,
-        "residues": stablebasis.verify_residues_all,
-        "constructions": rmatrix.verify_equal_constructions,
-        "unitarity_block": rmatrix.verify_unitarity_block,
-        "unitarity_full": rmatrix.verify_unitarity_full,
-        "identity_at_zero": rmatrix.verify_identity_at_zero,
-        "ybe": rmatrix.ybe_trials,
-        "golden": _run_golden_case,
-        "commutation": lambda ell: oracle.verify_sl2_commutation(rmatrix.assemble_full(ell)),
-        "spectrum": oracle.verify_spectrum,
-    }
-    report = runners[kind](**kwargs)
-    return report.to_json()
-
-
-def _suite_cases(cfg: RunConfig) -> list[Case]:
-    ks = lambda top: [cfg.k] if cfg.k is not None else list(range(top + 1))
-    ell = cfg.ell
-    cases: list[Case] = []
-    suites = (
-        ["inverse", "linrel", "residues", "constructions", "unitarity", "ybe", "golden", "oracle"]
-        if cfg.suite == "all"
-        else [cfg.suite]
-    )
-    for suite in suites:
-        if suite in ("inverse", "linrel", "residues", "constructions"):
-            for k in ks(_SUITE_DEFAULTS[suite]):
-                cases.append((suite, {"k": k}))
-        elif suite == "unitarity":
-            for k in ks(_SUITE_DEFAULTS["unitarity"]):
-                cases.append(("unitarity_block", {"k": k}))
-            for l in [ell] if ell else [1, 2]:
-                cases.append(("unitarity_full", {"ell": l}))
-                cases.append(("identity_at_zero", {"ell": l}))
-        elif suite == "ybe":
-            for l in [ell] if ell else [2]:
-                trials = YBE_TRIALS if cfg.trials is None else cfg.trials
-                seed = YBE_SEED if cfg.seed is None else cfg.seed
-                cases.append(("ybe", {"ell": l, "trials": trials, "seed": seed}))
-        elif suite == "golden":
-            for name in golden.GOLDEN_CHECKS:
-                cases.append(("golden", {"name": name}))
-        elif suite == "oracle":
-            for l in [ell] if ell else [1, 2]:
-                cases.append(("commutation", {"ell": l}))
-                cases.append(("spectrum", {"ell": l}))
-    return cases
+    return _RUNNERS[kind](**kwargs).to_json()
 
 
 def worker_count(jobs: int, cases: int) -> int:
@@ -424,11 +388,12 @@ def worker_count(jobs: int, cases: int) -> int:
     return min(jobs, cases, os.cpu_count() or 1)
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     if cfg.ell is not None and cfg.ell < 1:
         raise UsageError("spin parameter -l must be at least 1")
-    _refuse_unread(cfg, _SUITE_READS[cfg.suite], f"verify --suite {cfg.suite}")
-    cases = _suite_cases(cfg)
+    reads, makers = _SUITES[cfg.suite]
+    _refuse_unread(cfg, reads, f"verify --suite {cfg.suite}")
+    cases = [case for make in makers for case in make(cfg)]
     workers = worker_count(cfg.jobs, len(cases))
     if workers > 1:
         # imported here: the pool loads multiprocessing, which a --jobs 1 run never needs
@@ -463,45 +428,31 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# export and dispatch
 # ---------------------------------------------------------------------------
 
+# kind -> (the flags it reads, the flags it requires, its writer)
+_EXPORTS: dict[str, tuple[tuple[str, ...], tuple[str, ...], Callable[[argparse.Namespace], int]]] = {
+    "r": (("ell", "at_z"), ("ell",), cmd_compute_r),
+    "block": (("k",), ("k",), lambda cfg: _emit_block(cfg, cfg.k)),
+    "s": (("k",), ("k",), cmd_compute_s),
+    "sinv": (("k",), ("k",), lambda cfg: cmd_compute_s(cfg, inverse=True)),
+    "fixed-points": (("k", "n", "ell"), ("k", "n", "ell"), cmd_fixed_points),
+    "dims": (("n", "ell"), ("n", "ell"), cmd_dims),
+}
 
-def _dispatch(cfg: RunConfig, args: argparse.Namespace) -> int:
-    if cfg.command == "fixed-points":
-        return cmd_fixed_points(cfg)
-    if cfg.command == "dims":
-        return cmd_dims(cfg)
-    if cfg.command == "compute-r":
-        return cmd_compute_r(cfg)
-    if cfg.command == "compute-s":
-        return cmd_compute_s(cfg)
-    if cfg.command == "verify":
-        return cmd_verify(cfg)
-    if cfg.command == "export":
-        kind = args.kind
-        _refuse_unread(cfg, _EXPORT_READS[kind], f"export --kind {kind}")
-        if kind == "r":
-            if cfg.ell is None:
-                raise UsageError("export --kind r requires -l")
-            return cmd_compute_r(cfg)
-        if kind in ("block", "s", "sinv"):
-            if cfg.k is None:
-                raise UsageError(f"export --kind {kind} requires -k")
-            if kind == "block":
-                cfg.block, cfg.ell = cfg.k, 1
-                return cmd_compute_r(cfg)
-            cfg.inverse = kind == "sinv"
-            return cmd_compute_s(cfg)
-        if kind == "fixed-points":
-            if None in (cfg.k, cfg.n, cfg.ell):
-                raise UsageError("export --kind fixed-points requires -k, -n, -l")
-            return cmd_fixed_points(cfg)
-        if kind == "dims":
-            if None in (cfg.n, cfg.ell):
-                raise UsageError("export --kind dims requires -n, -l")
-            return cmd_dims(cfg)
-    raise UsageError(f"unknown command {cfg.command!r}")
+
+def cmd_export(cfg: argparse.Namespace) -> int:
+    reads, requires, write = _EXPORTS[cfg.kind]
+    route = f"export --kind {cfg.kind}"
+    _refuse_unread(cfg, reads, route)
+    if any(getattr(cfg, name) is None for name in requires):
+        raise UsageError(f"{route} requires {', '.join(_FLAGS[name] for name in requires)}")
+    return write(cfg)
+
+
+def _dispatch(cfg: argparse.Namespace) -> int:
+    return cfg.run(cfg)
 
 
 def _attach_at_z(argv: list[str]) -> list[str]:
@@ -529,8 +480,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _config_from_args(args)
-        return _dispatch(cfg, args)
+        return _dispatch(_config_from_args(args))
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

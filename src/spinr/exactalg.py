@@ -482,6 +482,17 @@ def _lcm_cofactors(
     return items, cofactors
 
 
+# A run (c_z, c_eps, lo, hi, exp) is the factor prod_{r=lo..hi} (c_z*z + r*phi + c_eps*eps)^exp.
+Run = tuple[int, int, int, int, int]
+
+
+def run_pairs(runs: Sequence[Run]) -> list[tuple[LinForm, int]]:
+    """The runs as (linear form, exponent) pairs, one per form; a run with hi < lo is empty."""
+    return [
+        (LinForm(c_z, r, c_eps), exp) for c_z, c_eps, lo, hi, exp in runs for r in range(lo, hi + 1)
+    ]
+
+
 class FactoredRat:
     """A scalar times a product of canonical linear forms with integer exponents."""
 
@@ -776,9 +787,11 @@ def _strip_z_root(
 def residue_at(f: RatFun, n: int) -> RatFun:
     """Residue of f at the simple pole z = -n*phi.
 
-    Returns zero when f has no pole there; raises UnsupportedPoleOrderError for
-    a pole of order two or more.
+    Returns zero when f is zero or has no pole there; raises
+    UnsupportedPoleOrderError for a pole of order two or more.
     """
+    if f.num.is_zero:
+        return RatFun.zero()
     pole = MPoly.monomial((0, 1, 0), -n)
     m_den, (den_red,) = _strip_z_root(pole, f.den)
     if m_den == 0:

@@ -60,14 +60,15 @@ from . import fracmat
 from .exactalg import (
     ExactAlgError,
     FactoredRat,
-    LinForm,
     MPoly,
     PoleSpecializationError,
     RatFun,
+    Run,
     Scalar,
     factored_sum,
     limit_at_z_infinity,
     ratfun_to_str,
+    run_pairs,
 )
 from .fracmat import FracMat, SymMatrix
 from .report import Report
@@ -77,10 +78,6 @@ from .stablebasis import (
     binom,
     inverse_mismatches,
 )
-
-
-# A run (c_z, c_eps, lo, hi, exp) is the factor prod_{r=lo..hi} (c_z*z + r*phi + c_eps*eps)^exp.
-Run = tuple[int, int, int, int, int]
 
 
 def _entry_summands(k: int, i: int, j_prime: int) -> Iterator[tuple[int, tuple[Run, ...]]]:
@@ -99,13 +96,6 @@ def _entry_summands(k: int, i: int, j_prime: int) -> Iterator[tuple[int, tuple[R
             )
 
 
-def _run_pairs(runs: Sequence[Run]) -> list[tuple[LinForm, int]]:
-    """The runs as (linear form, exponent) pairs, one per form."""
-    return [
-        (LinForm(c_z, r, c_eps), exp) for c_z, c_eps, lo, hi, exp in runs for r in range(lo, hi + 1)
-    ]
-
-
 @functools.lru_cache(maxsize=None)
 def rblock_closed(k: int) -> SymMatrix:
     """The sector-k block from the closed-form single sum, built once per k and process.
@@ -118,7 +108,7 @@ def rblock_closed(k: int) -> SymMatrix:
         k + 1,
         k + 1,
         lambda i, jp: factored_sum(
-            FactoredRat(scalar, _run_pairs(runs)) for scalar, runs in _entry_summands(k, i, jp)
+            FactoredRat(scalar, run_pairs(runs)) for scalar, runs in _entry_summands(k, i, jp)
         ),
     )
 
@@ -464,8 +454,8 @@ def verify_unitarity_full(ell: int) -> Report:
     full = assemble_full(ell)
     labels, n = full.labels, full.num
     den = spin_denominator(ell)
-    dd = den * den.flip_z()
-    target = [dd.terms.get((e, 0, 0), 0) for e in range(2 * ell + 1)]
+    # D(z) D(-z) = (-1)^ell prod_{j=1..ell} (z + j)(z - j)
+    target = _times_roots([(-1) ** ell], [*range(1, ell + 1), *range(-ell, 0)])
     bad = {(i, j): RatFun(z_poly(n[i][j]), den) for i, j in full.cross_weight}
     for sector in pair_sectors(ell):
         for i in sector:
@@ -476,7 +466,9 @@ def verify_unitarity_full(ell: int) -> Report:
                         for f, y in enumerate(n[m][j]):
                             acc[e + f] += -x * y if f % 2 else x * y
                 if acc != (target if i == j else [0] * len(acc)):
-                    bad[i, j] = RatFun(z_poly(acc), dd) if any(acc) else RatFun.zero()
+                    bad[i, j] = (
+                        RatFun(z_poly(acc), z_poly(target)) if any(acc) else RatFun.zero()
+                    )
     for i, j in sorted(bad):
         report.fail(row=labels[i], col=labels[j], entry=ratfun_to_str(bad[i, j]))
     return report

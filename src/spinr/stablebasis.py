@@ -26,15 +26,15 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .exactalg import (
     FactoredRat,
-    LinForm,
     factored_sum,
     limit_at_z_infinity,
     ratfun_to_str,
     residue_at,
+    run_pairs,
 )
 from .fracmat import SymMatrix
 from .report import Report
@@ -47,15 +47,6 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def _forms(lo: int, hi: int, make: Callable[[int], LinForm]) -> list[tuple[LinForm, int]]:
-    """The factor list [make(r) for r in lo..hi]; empty when hi < lo."""
-    return [(make(r), 1) for r in range(lo, hi + 1)]
-
-
-def _inv(pairs: list[tuple[LinForm, int]]) -> list[tuple[LinForm, int]]:
-    return [(f, -e) for f, e in pairs]
-
-
 # ---------------------------------------------------------------------------
 # class expansions
 # ---------------------------------------------------------------------------
@@ -65,34 +56,33 @@ def zbar_coeff(k: int, j: int, j_prime: int) -> FactoredRat:
     """Coefficient of fixed point j in the closed attracting class of j'."""
     if j > j_prime or j < 0 or j_prime > k:
         return FactoredRat.zero()
-    pairs: list[tuple[LinForm, int]] = []
-    pairs += _inv(_forms(0, k - j_prime - 1, lambda r: LinForm(1, r, 1)))
-    pairs += _inv(_forms(k - 2 * j + 1, k - j, lambda r: LinForm(1, r, 0)))
-    pairs += _inv(_forms(2 * j - k + 1, j_prime - k + j, lambda r: LinForm(-1, r, 0)))
-    return FactoredRat(binom(j_prime, j), pairs)
+    runs = (
+        (1, 1, 0, k - j_prime - 1, -1),
+        (1, 0, k - 2 * j + 1, k - j, -1),
+        (-1, 0, 2 * j - k + 1, j_prime - k + j, -1),
+    )
+    return FactoredRat(binom(j_prime, j), run_pairs(runs))
 
 
 def stable_coeff(k: int, j: int, j_prime: int) -> FactoredRat:
     """Coefficient of fixed point j in the stable class of j'; entry (j, j') of S."""
     if j > j_prime or j < 0 or j_prime > k:
         return FactoredRat.zero()
-    pairs: list[tuple[LinForm, int]] = []
-    pairs += _forms(j, j_prime - 1, lambda r: LinForm(0, r, 1))
-    pairs += _inv(_forms(0, k - j - 1, lambda r: LinForm(1, r, 1)))
-    pairs += _inv(_forms(k - 2 * j + 1, k - j, lambda r: LinForm(1, r, 0)))
-    pairs += _inv(_forms(2 * j - k + 1, j_prime - k + j, lambda r: LinForm(-1, r, 0)))
-    return FactoredRat(binom(j_prime, j), pairs)
+    runs = (
+        (0, 1, j, j_prime - 1, 1),
+        (1, 1, 0, k - j - 1, -1),
+        (1, 0, k - 2 * j + 1, k - j, -1),
+        (-1, 0, 2 * j - k + 1, j_prime - k + j, -1),
+    )
+    return FactoredRat(binom(j_prime, j), run_pairs(runs))
 
 
 def sinv_entry(k: int, i: int, j: int) -> FactoredRat:
     """Entry (i, j) of the closed-form inverse of S; a polynomial."""
     if i > j or i < 0 or j > k:
         return FactoredRat.zero()
-    pairs: list[tuple[LinForm, int]] = []
-    pairs += _forms(i, j - 1, lambda r: LinForm(0, r, 1))
-    pairs += _forms(0, k - j - 1, lambda r: LinForm(1, r, 1))
-    pairs += _forms(k + 1 - j - i, k - j, lambda r: LinForm(1, r, 0))
-    return FactoredRat(binom(j, i), pairs)
+    runs = ((0, 1, i, j - 1, 1), (1, 1, 0, k - j - 1, 1), (1, 0, k + 1 - j - i, k - j, 1))
+    return FactoredRat(binom(j, i), run_pairs(runs))
 
 
 def class_Zbar(k: int, j_prime: int) -> list[FactoredRat]:

@@ -206,6 +206,12 @@ def test_residue_double_pole_rejected():
         residue_at(rf(ONE, (Z + PHI) ** 2), 1)
 
 
+def test_residue_of_zero_is_zero():
+    # a zero numerator is never stripped, so its pole order is not read
+    for den in ((Z + PHI) ** 2, Z + PHI):
+        assert residue_at(rf(MPoly.zero(), den), 1) == RatFun.zero()
+
+
 def test_limit_at_infinity():
     assert limit_at_z_infinity(rf(Z, Z + PHI)).value_eq(1)
     assert limit_at_z_infinity(rf(PHI, Z + PHI)).is_zero

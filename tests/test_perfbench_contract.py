@@ -1,8 +1,9 @@
 """What the benchmark harness relies on: traced names resolve, outputs stay pinned.
 
 ``perfbench/tracer.py`` patches the functions and methods in its ``TARGETS``
-list by name, and ``perfbench/pins.json`` pins the sha256 of the
-``compute-r`` stdout the benchmark gates on.  Both files are only read here.
+list by name, and ``perfbench/pins.json`` pins what the benchmark gates on:
+the sha256 of the ``compute-r`` stdout and the case list of
+``verify --suite all``.  Both files are only read here.
 """
 
 import hashlib
@@ -41,3 +42,11 @@ def test_compute_r_stdout_matches_pinned_digest(capsys, ell):
     assert cli.main(["compute-r", "-l", ell]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == pins[f"compute_r_l{ell}_sha256"]
+
+
+def test_verify_all_prints_the_pinned_case_list(capsys):
+    # the benchmark gates verify-all on this text (perfbench/gates.verify_text)
+    pins = json.loads((PERFBENCH / "pins.json").read_text(encoding="utf-8"))
+    assert cli.main(["verify", "--suite", "all", "--seed", "3"]) == 0
+    lines = [f"{label.format(seed=3)}: pass" for label in pins["verify_all_cases"]]
+    assert capsys.readouterr().out == "\n".join(lines + ["all checks passed"]) + "\n"

@@ -16,6 +16,7 @@ from spinr.exactalg import (
     factored_sum,
     mpoly_exact_div,
     ratfun_to_str,
+    run_pairs,
 )
 from spinr.fracmat import SymMatrix, identity, mat_mul
 from spinr.golden import spin_half_block, spin_one_full_matrix, spin_one_middle_block
@@ -247,7 +248,7 @@ def test_specialization_keeps_exactly_the_summands_that_survive_binding(monkeypa
             for _, runs in rmatrix._entry_summands(k, bp, b):
                 bound = [
                     (LinForm(form.c_z, form.c_phi - ell * form.c_eps, 0), exp)
-                    for form, exp in rmatrix._run_pairs(runs)
+                    for form, exp in run_pairs(runs)
                 ]
                 summands += 1
                 kept += not any(exp > 0 and form.is_zero for form, exp in bound)
@@ -269,7 +270,7 @@ def _homogeneous_specialization(k, ell):
             for scalar, runs in rmatrix._entry_summands(k, bp, b):
                 pairs = [
                     (LinForm(form.c_z, form.c_phi - ell * form.c_eps, 0), exp)
-                    for form, exp in rmatrix._run_pairs(runs)
+                    for form, exp in run_pairs(runs)
                 ]
                 if not any(exp > 0 and form.is_zero for form, exp in pairs):
                     bound.append(FactoredRat(scalar, pairs))

@@ -11,6 +11,7 @@ from spinr.exactalg import (
     RatFun,
     factored_sum,
     residue_at,
+    run_pairs,
 )
 from spinr.fracmat import SymMatrix
 from spinr.golden import (
@@ -22,8 +23,6 @@ from spinr.golden import (
 from spinr.stablebasis import (
     S_inverse,
     S_matrix,
-    _forms,
-    _inv,
     binom,
     candidate_poles,
     class_S,
@@ -103,16 +102,12 @@ def stable_coeff_merged(k: int, j: int, j_prime: int) -> FactoredRat:
     """
     if j > j_prime or j < 0 or j_prime > k:
         return FactoredRat.zero()
-    pairs: list[tuple[LinForm, int]] = []
-    pairs += _forms(j, j_prime - 1, lambda r: LinForm(0, r, 1))
-    pairs += _inv(_forms(0, k - j - 1, lambda r: LinForm(1, r, 1)))
-    pairs += _inv(
-        [
-            (LinForm(1, r, 0), 1)
-            for r in range(k - j - j_prime, k - j + 1)
-            if r != k - 2 * j
-        ]
-    )
+    pairs = run_pairs(((0, 1, j, j_prime - 1, 1), (1, 1, 0, k - j - 1, -1)))
+    pairs += [
+        (LinForm(1, r, 0), -1)
+        for r in range(k - j - j_prime, k - j + 1)
+        if r != k - 2 * j
+    ]
     sign = -1 if (j_prime - j) % 2 else 1
     return FactoredRat(sign * binom(j_prime, j), pairs)
 
