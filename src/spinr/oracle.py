@@ -16,8 +16,9 @@ commutation holds after conjugating by the fixed diagonal gauge
 sigma_(a,b) = (-1)^b (``sign_gauge``).  Every entry of R(z) is N(z)/D(z)
 over the one scalar polynomial D, so the checks read the int coefficients of
 N(z) = sum_e z^e N_e (``FullR.num``): each sigma N_e sigma commuting with the
-action is an exact polynomial identity, and an entry of N between different
-weights (``FullR.cross_weight``) fails it first.
+action is an exact polynomial identity.  The bracket with H vanishes by
+construction, since sigma is diagonal, DH is diagonal with the weight, and
+``FullR`` has no entry between different weights; only E and F are checked.
 Once commutation holds, each sigma N_e sigma acts on the spin-s summand of the
 multiplicity-free tensor square by one scalar (Schur's lemma), read off that
 summand's highest-weight vector: the numerator n_s over D of rho_s, exactly,
@@ -130,18 +131,12 @@ def _commutation_witnesses(full: FullR, sigma: tuple[int, ...]) -> tuple[dict, .
     Decided once per matrix and gauge, like ``rmatrix.constructions_mismatches``:
     the commutation case and ``commutation_gauge`` share one verdict.
 
-    The witness is the first nonzero entry of the bracket, row by row.  [G, DH]
-    is G_ij (h_j - h_i), nonzero only between different weights
-    (``FullR.cross_weight``); its witnesses come first.  The brackets with E and
-    F are G_(w-1) E_w - E_w G_w and G_(w+1) F_w - F_w G_w on the weight sectors
-    (``sector_action``), the whole bracket at each e where [G, DH] = 0.
+    The witness is the first nonzero entry of the bracket, row by row.  The
+    brackets with E and F are G_(w-1) E_w - E_w G_w and G_(w+1) F_w - F_w G_w
+    on the weight sectors (``sector_action``).  [G, DH] is G_ij (h_j - h_i),
+    which is zero because ``FullR`` has no entry between different weights.
     """
-    found = []
-    if full.cross_weight:
-        h = [2 * (full.ell - a - b) for a, b in full.labels]
-        for e, g in enumerate(_gauged(full, sigma, range(full.dim))):
-            bad = [((i, j), g[i][j] * (h[j] - h[i])) for i, j in full.cross_weight if g[i][j]]
-            found.append(("H", e, bad))
+    witnesses = []
     sectors = pair_sectors(full.ell)
     blocks = [_gauged(full, sigma, sector) for sector in sectors]
     action = sector_action(full.ell)
@@ -160,26 +155,22 @@ def _commutation_witnesses(full: FullR, sigma: tuple[int, ...]) -> tuple[dict, .
                         for c, v in enumerate(row)
                         if v
                     ]
-            found.append((which, e, bad))
-    witnesses = []
-    for which, e, bad in found:
-        if bad:
-            entry, value = min(bad)
-            witnesses.append({"generator": which, "power": e, "entry": entry, "value": str(value)})
+            if bad:
+                entry, value = min(bad)
+                witnesses.append(dict(generator=which, power=e, entry=entry, value=str(value)))
     return tuple(witnesses)
 
 
 def verify_sl2_commutation(full: FullR) -> Report:
-    """Check [sigma N_e sigma, Dx] = 0 for x in {E, F, H} and every power e of z.
+    """Check [sigma N_e sigma, Dx] = 0 for x in {E, F} and every power e of z.
 
     The coefficient matrices N_e are int, so this is an exact proof that
     sigma R(z) sigma commutes with the tensor-square action; the gauge is
-    recorded.  Entries between different weights fail alone, by H witnesses.
+    recorded.  The bracket with H vanishes by construction (``FullR``).
     """
     report = Report("sl2_commutation", {"ell": full.ell})
     sigma = sign_gauge(full.ell)
-    witnesses = _commutation_witnesses(full, sigma)
-    for witness in [w for w in witnesses if w["generator"] == "H"] or witnesses:
+    for witness in _commutation_witnesses(full, sigma):
         report.fail(**witness)
     if report.passed:
         report.details["gauge"] = list(sigma)

@@ -6,21 +6,16 @@ from __future__ import annotations
 class Report:
     """Outcome of one verification; failures carry enough data to reproduce."""
 
-    def __init__(
-        self,
-        check: str,
-        params: dict[str, object] | None = None,
-        passed: bool = True,
-        failures: list[dict[str, object]] | None = None,
-        details: dict[str, object] | None = None,
-    ) -> None:
-        self.check, self.passed = check, passed
-        self.params = {} if params is None else params
-        self.failures: list[dict[str, object]] = [] if failures is None else failures
-        self.details = {} if details is None else details
+    def __init__(self, check: str, params: dict[str, object]) -> None:
+        self.check, self.params = check, params
+        self.failures: list[dict[str, object]] = []
+        self.details: dict[str, object] = {}
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def fail(self, **witness: object) -> None:
-        self.passed = False
         self.failures.append(witness)
 
     def to_json(self) -> dict:

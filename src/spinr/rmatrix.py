@@ -19,9 +19,10 @@ of the fusion spectrum and divided exactly; no generic block is expanded and
 nothing is substituted.  The entry coupling source (a, b) to target (a', b')
 with a + b = a' + b' = k is block entry (b', b); everything else is zero.
 ``FullR`` stores each numerator over D as its int coefficients, which every
-reader uses directly.  ``over_spin_denominator`` is the one reduction to
-lowest terms over D's known roots, for the printed matrix and the oracle's
-spectrum.
+reader uses directly, and refuses a nonzero entry between different weights,
+so every reader may take R to conserve weight.  ``over_spin_denominator`` is
+the one reduction to lowest terms over D's known roots, for the printed
+matrix and the oracle's spectrum.
 
 Verifications: unitarity R(z) R(-z) = Id (symbolically per block, and for the
 assembled matrix per weight sector on int polynomials), equality of the two
@@ -261,7 +262,8 @@ def specialize_block(k: int, ell: int) -> dict[int, dict[int, tuple[int, ...]]]:
     numerator gains a zero constant is dropped.  The summands are put over
     the lcm of their denominators, multiplied by D(z) = (z+1)...(z+ell) and
     divided by the lcm one root at a time (a root of both cancels first).
-    That every division is exact proves that D clears the entry.
+    That every division is exact proves that D clears the entry; ``FullR``
+    checks that the degree is at most ell.
     """
     span = range(max(0, k - ell), min(k, ell) + 1)
     numerators: dict[int, dict[int, tuple[int, ...]]] = {bp: {} for bp in span}
@@ -292,8 +294,6 @@ def specialize_block(k: int, ell: int) -> dict[int, dict[int, tuple[int, ...]]]:
                     raise AssertionError(f"sector {k} entry ({bp}, {b}): z + {c} does not divide D*sum")
             while acc and not acc[-1]:
                 acc.pop()
-            if len(acc) > ell + 1:
-                raise AssertionError(f"sector {k} entry ({bp}, {b}): degree above ell = {ell}")
             numerators[bp][b] = tuple(acc)
     return numerators
 
@@ -303,12 +303,14 @@ class FullR:
 
     Entry (i, j) is N(z)/D(z) over D(z) = (z+1)...(z+ell), and ``num[i][j]``
     holds the int coefficients N_0, N_1, ... of N, trailing zeros trimmed (a
-    zero entry is ``()``).  deg N <= ell, so the poles are the roots of D;
-    construction refuses a ``num`` of another shape or degree (ValueError).
+    zero entry is ``()``).  deg N <= ell, so the poles are the roots of D.
     ``matrix`` is the derived ``SymMatrix`` of ``RatFun(N, D)``, and
     ``lowest_terms`` the reduced one for display.  Basis: pairs (a, b) with
     a, b in 0..ell in lexicographic order, the pair (a, b) being row/column
-    (ell+1)*a + b and its label; blocks couple only equal weights a + b.
+    (ell+1)*a + b and its label.  Construction refuses (ValueError) a ``num``
+    of another shape, of degree above ell, or with a nonzero entry between
+    different weights a + b: R is built one weight sector at a time, so every
+    reader relies on it conserving weight.
     Immutable, and equal (and hashed) by value.
     """
 
@@ -318,10 +320,13 @@ class FullR:
         n = self.dim
         if len(self.num) != n or any(len(row) != n for row in self.num):
             raise ValueError(f"num must be {n} x {n} for ell = {self.ell}")
+        weight = [a + b for a, b in self.labels]
         for i, row in enumerate(self.num):
             for j, coeffs in enumerate(row):
                 if len(coeffs) > self.ell + 1:
                     raise ValueError(f"entry ({i}, {j}): degree above ell = {self.ell}")
+                if coeffs and weight[i] != weight[j]:
+                    raise ValueError(f"entry ({i}, {j}): between weights {weight[i]} and {weight[j]}")
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"FullR is immutable: cannot set {name}")
@@ -342,17 +347,6 @@ class FullR:
     def labels(self) -> list[tuple[int, int]]:
         d = self.ell + 1
         return [(a, b) for a in range(d) for b in range(d)]
-
-    @functools.cached_property
-    def cross_weight(self) -> tuple[tuple[int, int], ...]:
-        """The positions (i, j), row by row, of nonzero entries between different weights."""
-        weight = [a + b for a, b in self.labels]
-        return tuple(
-            (i, j)
-            for i, row in enumerate(self.num)
-            for j, coeffs in enumerate(row)
-            if coeffs and weight[i] != weight[j]
-        )
 
     @functools.cached_property
     def coefficient_bound(self) -> int:
@@ -444,19 +438,17 @@ def verify_unitarity_full(ell: int) -> Report:
     """R(z) R(-z) == Id symbolically in z for the assembled matrix.
 
     R = N/D over the one denominator D, and R couples only equal total
-    weights, so the identity is N(z) N(-z) = D(z) D(-z) Id on each weight
-    sector: an identity of int polynomials in z, read from ``FullR.num``.
-    An entry of N between different weights must be zero, and is reported
-    as itself when it is not.  A product witness is the entry of R(z) R(-z)
-    over D(z) D(-z).
+    weights (``FullR`` refuses any other entry), so the identity is
+    N(z) N(-z) = D(z) D(-z) Id on each weight sector: an identity of int
+    polynomials in z, read from ``FullR.num``.  A witness is the entry of
+    R(z) R(-z) over D(z) D(-z).
     """
     report = Report("unitarity_full", {"ell": ell})
     full = assemble_full(ell)
     labels, n = full.labels, full.num
-    den = spin_denominator(ell)
     # D(z) D(-z) = (-1)^ell prod_{j=1..ell} (z + j)(z - j)
     target = _times_roots([(-1) ** ell], [*range(1, ell + 1), *range(-ell, 0)])
-    bad = {(i, j): RatFun(z_poly(n[i][j]), den) for i, j in full.cross_weight}
+    bad: dict[tuple[int, int], RatFun] = {}
     for sector in pair_sectors(ell):
         for i in sector:
             for j in sector:
@@ -545,32 +537,23 @@ def verify_ybe(full: FullR, z1: Fraction, z2: Fraction, z3: Fraction) -> Report:
     exactly when the integer products agree.  A witness is divided back by
     that factor, so it reports the rational entry.
 
-    The operators conserve total weight, so both sides are formed per
-    total-weight sector W of the triple tensor power, in which each embedded
-    pair operator is block-diagonal with pair-weight blocks of R.  Each row
-    of a sector matrix is held as one int, sum_q x_q 2^(s*q), starting from
-    the unit rows 2^(s*q); applying an operator combines packed rows, and
-    packing is linear, so a side's packed row is exact whatever the size of
-    the intermediate entries.  The bound: with nu = ``coefficient_bound``,
+    The operators conserve total weight (``FullR`` refuses an entry between
+    different weights), so both sides are formed per total-weight sector W
+    of the triple tensor power, in which each embedded pair operator is
+    block-diagonal with pair-weight blocks of R.  Each row of a sector matrix
+    is held as one int, sum_q x_q 2^(s*q), starting from the unit rows
+    2^(s*q); applying an operator combines packed rows, and packing is
+    linear, so a side's packed row is exact whatever the size of the
+    intermediate entries.  The bound: with nu = ``coefficient_bound``,
     an entry of q^ell N(p/q) is at most nu max(|p|, q)^ell in absolute value,
     and an entry of a side is a sum of at most (ell+1)^2 triple products, so
     it is at most B = (ell+1)^2 nu^3 prod over the three differences of
     max(|p|, q)^ell.  With s = B.bit_length() + 1 every digit lies in
     (-2^(s-1), 2^(s-1)), where balanced base-2^s digits are unique, so two
     packed rows are equal exactly when all their entries are.
-
-    Those sector blocks ignore entries of R between different weights, so
-    each such nonzero entry (``FullR.cross_weight``) fails the check first,
-    as its own witness N/D, and no product is formed.
     """
     report = Report("ybe", {"ell": full.ell, "z": [str(z1), str(z2), str(z3)]})
     ell = full.ell
-    if full.cross_weight:
-        den, labels = spin_denominator(ell), full.labels
-        for i, j in full.cross_weight:
-            entry = RatFun(z_poly(full.num[i][j]), den)
-            report.fail(row=labels[i], col=labels[j], entry=ratfun_to_str(entry))
-        return report
     sectors = pair_sectors(ell)
     blocks, scale, bound = [], 1, (ell + 1) ** 2 * full.coefficient_bound**3
     for dz in (z1 - z2, z1 - z3, z2 - z3):

@@ -395,7 +395,7 @@ OUT_OF_RANGE = [
 
 @pytest.mark.parametrize("argv", OUT_OF_RANGE, ids=" ".join)
 def test_size_parameters_have_upper_bounds(capsys, monkeypatch, argv):
-    def no_work(cfg, args):
+    def no_work(cfg):
         raise AssertionError("a command started despite an out-of-range parameter")
 
     monkeypatch.setattr(cli, "_dispatch", no_work)

@@ -279,12 +279,13 @@ def test_commutation_witness_names_generator_power_and_entry():
     # a broken coupling fails commutation, and the witnesses are those of the
     # dense brackets: the spin-1 coupling (0,1) -> (1,0) scaled by 2, then
     # seeded perturbations at ell = 1..4, every other one between different
-    # weights; such an entry fails [G, DH] first, and only that is reported
+    # weights; FullR refuses such an entry, and inside a weight sector the
+    # dense bracket with H vanishes, so every witness is one of E or F
     full = assemble_full(2)
     i, j = full.labels.index((0, 1)), full.labels.index((1, 0))
     num = [list(row) for row in full.num]
     num[i][j] = tuple(2 * c for c in num[i][j])
-    cases = [(FullR(2, tuple(map(tuple, num))), None)]
+    cases = [FullR(2, tuple(map(tuple, num)))]
     rng = random.Random(15)
     for ell in range(1, 5):
         full = assemble_full(ell)
@@ -294,42 +295,45 @@ def test_commutation_witness_names_generator_power_and_entry():
             i = rng.randrange(full.dim)
             j = rng.choice([j for j in range(full.dim) if (weight[j] != weight[i]) == crossing])
             e = rng.randrange(ell + 1)
-            broken = perturbed(full, i, j, e, rng.choice([-2, -1, 1, 3]))
-            cases.append((broken, e if crossing else None))
-    for broken, cross_power in cases:
+            delta = rng.choice([-2, -1, 1, 3])
+            if crossing:
+                with pytest.raises(ValueError, match=rf"^entry \({i}, {j}\): between weights"):
+                    perturbed(full, i, j, e, delta)
+            else:
+                cases.append(perturbed(full, i, j, e, delta))
+    for broken in cases:
         report = verify_sl2_commutation(broken)
         assert not report.passed and "gauge" not in report.details
         sigma = sign_gauge(broken.ell)
         expected = dense_witnesses(broken, sigma)
-        if cross_power is not None:
-            expected = [w for w in expected if w["generator"] == "H"]
-            assert [w["power"] for w in expected] == [cross_power]
-            with pytest.raises(OracleStructureError, match=rf"z\^{cross_power}$"):
-                spectral_numerators(broken, sigma)
+        assert expected and all(w["generator"] != "H" for w in expected)
         assert report.failures == expected
+        lowest = min(w["power"] for w in expected)
+        with pytest.raises(OracleStructureError, match=rf"z\^{lowest}$"):
+            spectral_numerators(broken, sigma)
         with pytest.raises(OracleStructureError):
             commutation_gauge(broken)
 
 
 def test_failures_inside_and_between_sectors_report_the_lowest_power():
-    # one matrix broken twice: inside weight sector 2 at z^1 and between
-    # weights 1 and 3 at z^3; the spectrum fails at the lower power, which is
+    # one matrix broken twice: inside weight sector 2 at z^1 and inside
+    # weight sector 3 at z^3; the spectrum fails at the lower power, which is
     # where the projector reconstruction first fails, while commutation
-    # reports the H witnesses of the entry between weights alone
+    # reports the witnesses of the dense brackets at both powers
     ell = 3
     full = assemble_full(ell)
     inside = full.labels.index((1, 1)), full.labels.index((0, 2))
-    between = full.labels.index((0, 1)), full.labels.index((2, 1))
-    broken = perturbed(perturbed(full, *inside, 1, 1), *between, 3, -2)
+    other = full.labels.index((0, 3)), full.labels.index((2, 1))
+    broken = perturbed(perturbed(full, *inside, 1, 1), *other, 3, -2)
     sigma = sign_gauge(ell)
     with pytest.raises(OracleStructureError, match=r"z\^1$"):
         spectral_numerators(broken, sigma)
     assert trace_numerators(broken, sigma)[1] == [1, 3]
     expected = dense_witnesses(broken, sigma)
-    assert {(w["generator"], w["power"]) for w in expected} >= {("E", 1), ("F", 1), ("H", 3)}
-    report = verify_sl2_commutation(broken)
-    assert report.failures == [w for w in expected if w["generator"] == "H"]
-    assert [w["power"] for w in report.failures] == [3]
+    assert {(w["generator"], w["power"]) for w in expected} == {
+        ("E", 1), ("F", 1), ("E", 3), ("F", 3)
+    }
+    assert verify_sl2_commutation(broken).failures == expected
 
 
 def test_gauge_is_weight_preserving():

@@ -29,7 +29,6 @@ from spinr.rmatrix import (
     s_tilde,
     sample_spectral_triples,
     specialize_block,
-    spin_denominator,
     verify_block_limit,
     verify_equal_constructions,
     verify_identity_at_zero,
@@ -368,6 +367,25 @@ def test_full_r_refuses_an_over_degree_numerator():
         FullR(1, tuple(map(tuple, num)))
 
 
+def test_full_r_refuses_an_entry_between_weights():
+    # R is built one weight sector at a time, so a nonzero entry between
+    # different weights is refused and named: (0,0) has weight 0 and (1,1)
+    # weight 2 at ell = 1, and every such entry of ell = 2 is tried in turn
+    num = [list(row) for row in assemble_full(1).num]
+    num[0][3] = (1,)
+    with pytest.raises(ValueError, match=r"^entry \(0, 3\): between weights 0 and 2$"):
+        FullR(1, tuple(map(tuple, num)))
+    full = assemble_full(2)
+    weight = [a + b for a, b in full.labels]
+    for i in range(full.dim):
+        for j in range(full.dim):
+            if weight[i] != weight[j]:
+                num = [list(row) for row in full.num]
+                num[i][j] = (0, -3)
+                with pytest.raises(ValueError, match=rf"^entry \({i}, {j}\): between weights"):
+                    FullR(2, tuple(map(tuple, num)))
+
+
 def test_full_r_refuses_a_wrongly_shaped_numerator():
     num = assemble_full(1).num
     with pytest.raises(ValueError, match="4 x 4"):
@@ -539,17 +557,6 @@ def test_balanced_digits_decode_packed_rows():
                 assert decoded == other, (s, q, digit)
 
 
-def test_ybe_rejects_a_coupling_across_weights():
-    # the sector products never read an entry between different weights, so
-    # it must fail the check by itself: (0,0) has weight 0 and (0,1) weight 1
-    broken = _broken_full(2, {(0, 1): lambda c: (5,)})
-    assert broken.cross_weight == ((0, 1),)
-    report = verify_ybe(broken, Fraction(5), Fraction(2), Fraction(-3, 7))
-    entry = RatFun(MPoly.const(5), spin_denominator(2))
-    assert report.failures == [{"row": (0, 0), "col": (0, 1), "entry": ratfun_to_str(entry)}]
-    assert assemble_full(3).cross_weight == ()
-
-
 def test_sampling_is_seeded_and_avoids_poles():
     poles = {Fraction(-1), Fraction(-2)}
     first = sample_spectral_triples(2, 10, seed=11)
@@ -718,12 +725,3 @@ def test_unitarity_full_witness_matches_dense_product(monkeypatch):
     ]
     for w, (i, j) in zip(report.failures, bad):
         assert w["entry"] == ratfun_to_str(product.entries[i][j])
-
-
-def test_unitarity_full_reports_coupling_across_weights(monkeypatch):
-    # (0,0) and (1,1) have total weights 0 and 2; R must not couple them
-    one = RatFun(MPoly.one(), spin_denominator(2))
-    broken = _broken_full(2, {(0, 4): lambda c: (1,)})
-    monkeypatch.setattr(rmatrix, "assemble_full", lambda ell: broken)
-    report = verify_unitarity_full(2)
-    assert {"row": (0, 0), "col": (1, 1), "entry": ratfun_to_str(one)} in report.failures

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from spinr import stablebasis
 from spinr.exactalg import (
     FactoredRat,
     LinForm,
@@ -220,6 +221,31 @@ def test_candidate_pole_collection():
 def test_verify_residues_all_small():
     for k in range(4):
         assert verify_residues_all(k).passed
+
+
+@pytest.mark.parametrize(
+    "key, failure",
+    [
+        # the summands of (2, 0, 1) are -eps/(z+phi) and eps/(z+phi); doubling
+        # the first leaves -eps/(z+phi), whose residue at z = -phi is -eps
+        ((2, 0, 1), {"pole": "z = -1*phi", "residue": "-eps", "i": 0, "j_prime": 1}),
+        # the diagonal entry (2, 1, 1) is the single summand 1; doubled it tends to 2
+        ((2, 1, 1), {"at": "z -> infinity", "expected": 1, "limit": "2", "i": 1, "j_prime": 1}),
+    ],
+)
+def test_residues_report_an_entry_with_a_doubled_summand(monkeypatch, key, failure):
+    terms = stablebasis._sinv_s_entry_terms
+
+    def doubled(k, i, j_prime):
+        out = terms(k, i, j_prime)
+        if (k, i, j_prime) == key:
+            out[0] = out[0].scale(2)
+        return out
+
+    monkeypatch.setattr(stablebasis, "_sinv_s_entry_terms", doubled)
+    report = verify_residues_all(2)
+    assert not report.passed
+    assert report.failures == [failure]
 
 
 def test_verify_residues_bounds():
