@@ -31,7 +31,9 @@ products of weights recur across summands, entries, sectors and checks.
 ``_expand_factor_product`` expands each distinct product once per process
 into one memo; every sum and comparison over factored denominators
 (``factored_sum``, ``FactoredRat.expand``, ``RatFun.__add__``/``value_eq``,
-``ratfun_dot``) reads it.
+``ratfun_dot``) reads it; ``_canonical`` memoizes each linear form's
+canonical form the same way.  ``factored_sum`` and ``ratfun_dot`` sum over
+the lcm in one fused loop (``_sum_of_products``), building no product MPoly.
 
 Substitution acts on polynomials only (``MPoly.substitute``); there is no
 general specialization of rational functions.  Spin specialization lives in
@@ -50,6 +52,7 @@ iteration always follow that order, so output is deterministic.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
@@ -326,6 +329,23 @@ class MPoly:
         return f"MPoly({mpoly_to_str(self)})"
 
 
+def _sum_of_products(pairs: Iterable[tuple[MPoly, MPoly]]) -> MPoly:
+    """The sum of a*b over the pairs, in one term map normalized once at the end."""
+    out: dict[Monomial, Scalar] = {}
+    get = out.get
+    for a, b in pairs:
+        a, b = a._terms, b._terms
+        if len(a) > len(b):
+            a, b = b, a
+        for (x1, y1, w1), c1 in a.items():
+            for (x2, y2, w2), c2 in b.items():
+                mono = (x1 + x2, y1 + y2, w1 + w2)
+                out[mono] = get(mono, 0) + c1 * c2
+    res = MPoly.__new__(MPoly)
+    res._terms = {m: c if type(c) is int else _coeff(c) for m, c in out.items() if c}
+    return res
+
+
 def mpoly_exact_div(a: MPoly, b: MPoly) -> MPoly:
     """Quotient q with q*b == a; raises ExactDivisionError when b does not divide a."""
     if b.is_zero:
@@ -398,6 +418,9 @@ class LinForm(NamedTuple):
 
 FactorItems = tuple[tuple[LinForm, int], ...]
 
+# ``LinForm.canonical`` of every linear form of the process, unbounded like ``_EXPANSIONS``.
+_canonical = functools.cache(LinForm.canonical)
+
 
 def _canonical_factor_items(
     scalar: Fraction, pairs: Iterable[tuple[LinForm, int]]
@@ -414,7 +437,7 @@ def _canonical_factor_items(
             continue
         if form.is_zero:
             raise ExactAlgError("zero linear form used as a factor")
-        scale, canon = form.canonical()
+        scale, canon = _canonical(form)
         if scale != 1:
             if exp > 0:
                 up *= scale**exp
@@ -687,7 +710,7 @@ class RatFun:
             sign = 1
             flipped = []
             for f, e in self.den_factors:
-                s, canon = f.flip_z().canonical()
+                s, canon = _canonical(f.flip_z())
                 if s < 0 and e % 2:
                     sign = -sign
                 flipped.append((canon, e))
@@ -721,9 +744,10 @@ def factored_sum(terms: Iterable[FactoredRat]) -> RatFun:
     if not live:
         return RatFun.zero()
     lcm, cofactors = _lcm_cofactors([dict(t.den_items()) for t in live])
-    num = MPoly.zero()
-    for t, cof in zip(live, cofactors):
-        num = num + _expand_factor_product(t.num_items()).scale(t.scalar) * cof
+    num = _sum_of_products(
+        (_expand_factor_product(t.num_items()).scale(t.scalar), cof)
+        for t, cof in zip(live, cofactors)
+    )
     return RatFun(num, _expand_factor_product(lcm), lcm)
 
 
@@ -752,9 +776,7 @@ def ratfun_dot(left: Sequence[RatFun], right: Sequence[RatFun]) -> RatFun:
             dm[f] = dm.get(f, 0) + e
         den_maps.append(dm)
     lcm, cofactors = _lcm_cofactors(den_maps)
-    num = MPoly.zero()
-    for (a, b), cof in zip(pairs, cofactors):
-        num = num + a.num * b.num * cof
+    num = _sum_of_products((a.num * b.num, cof) for (a, b), cof in zip(pairs, cofactors))
     return RatFun(num, _expand_factor_product(lcm), lcm)
 
 

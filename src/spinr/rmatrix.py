@@ -37,9 +37,9 @@ square).  The sector products apply those blocks to the rows of the
 intermediate matrix, and each row is one packed int (``verify_ybe``), so
 no operator is ever formed as a matrix, dense or embedded.
 
-Block unitarity is proven by composition: S^-1 S = Id implies S S^-1 = Id
-over the field of rational functions, hence S(-z) S^-1(-z) = Id (z -> -z is
-a ring automorphism), and with J^2 = Id and closed form = triangular form,
+Block unitarity is proven by composition: S S^-1 = Id gives S(-z) S^-1(-z)
+= Id (z -> -z is a ring automorphism) and, over the field of rational
+functions, S^-1 S = Id; with J^2 = Id and closed form = triangular form,
 R(z) R(-z) = S^-1(z) J S(-z) S^-1(-z) J S(z) = Id.  Both premises are decided
 once per process and per matrix object (``SymMatrix`` hashes by identity),
 so a verdict is reused only for the very block, S and S^-1 that unitarity
@@ -416,10 +416,10 @@ def verify_unitarity_block(k: int) -> Report:
     """R(z) R(-z) == Id symbolically in (z, phi, eps) for the sector-k block.
 
     Proven by composition from two premises about the very block, S and S^-1
-    read here: S^-1 S = Id (``inverse_mismatches``) and R = S^-1 J S(-z)
-    (``constructions_mismatches``).  Over the field of rational functions the
-    first gives S S^-1 = Id, and z -> -z is a ring automorphism, so
-    S(-z) S^-1(-z) = Id; with J^2 = Id,
+    read here: S S^-1 = Id (``inverse_mismatches``) and R = S^-1 J S(-z)
+    (``constructions_mismatches``).  z -> -z is a ring automorphism, so the
+    first gives S(-z) S^-1(-z) = Id, and over the field of rational
+    functions it gives S^-1 S = Id; with J^2 = Id,
     R(z) R(-z) = S^-1(z) J [S(-z) S^-1(-z)] J S(z) = S^-1(z) S(z) = Id.
     The premises are decided once per process and shared with the inverse
     and constructions cases.  When either fails, the product R(z) R(-z) is

@@ -9,9 +9,10 @@ once per k and process and shared by every caller, so callers must not mutate
 them.
 Three verifications are provided:
 
-* ``verify_inverse``  -- S^-1 S is the identity, entrywise and symbolically
-                         (``inverse_mismatches``, decided once per pair of
-                         matrix objects);
+* ``verify_inverse``  -- S^-1 S is the identity, entrywise and symbolically,
+                         decided as S S^-1 = Id (``inverse_mismatches``, once
+                         per pair of matrix objects): over a field a one-sided
+                         inverse is two-sided;
 * ``verify_linrel``   -- each stable class is the binomial combination of the
                          attracting classes, and the change of basis between
                          them is re-derived from the vanishing condition at
@@ -140,24 +141,30 @@ def _sinv_s_entry_terms(k: int, i: int, j_prime: int) -> list[FactoredRat]:
 
 @functools.lru_cache(maxsize=None)
 def inverse_mismatches(s_inv: SymMatrix, s: SymMatrix) -> tuple[tuple[int, int], ...]:
-    """The positions where s_inv * s differs from the identity in value.
+    """The positions where s * s_inv differs from the identity in value.
 
-    ``SymMatrix`` hashes and compares by identity, so the memo reuses a
-    verdict only for the very objects it was decided on; the memoized
-    ``S_inverse(k)`` and ``S_matrix(k)`` make that one product per k and
-    process, which ``rmatrix.verify_unitarity_block`` reuses as a premise.
+    Over the field of rational functions a one-sided inverse of a square
+    matrix is two-sided, so none also proves s_inv * s = Id.  This side is
+    cheaper: along a row of S the denominators nest, so each lcm is one of
+    its terms' own denominators; down a column they do not.  ``SymMatrix``
+    hashes and compares by identity, so the memo reuses a verdict only for
+    the very objects it was decided on; the memoized ``S_inverse(k)`` and
+    ``S_matrix(k)`` make that one product per k and process, which
+    ``rmatrix.verify_unitarity_block`` reuses as a premise.
     """
-    return tuple(s_inv.mul(s).mismatches(SymMatrix.identity(s.rows)))
+    return tuple(s.mul(s_inv).mismatches(SymMatrix.identity(s.rows)))
 
 
 def verify_inverse(k: int) -> Report:
-    """Check S_inverse(k) * S_matrix(k) == Id entrywise by value equality."""
+    """Check S^-1 S == Id at k by deciding S S^-1 == Id (``inverse_mismatches``).
+
+    On a failure the witnesses are the entries of S^-1 S that differ from Id.
+    """
     report = Report("inverse", {"k": k})
     s_inv, s = S_inverse(k), S_matrix(k)
-    bad = inverse_mismatches(s_inv, s)
-    if bad:
+    if inverse_mismatches(s_inv, s):
         product = s_inv.mul(s)
-        for i, j in bad:
+        for i, j in product.mismatches(SymMatrix.identity(k + 1)):
             report.fail(i=i, j_prime=j, entry=ratfun_to_str(product.entries[i][j]))
     return report
 

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from spinr.exactalg import (
     ExactDivisionError,
@@ -12,8 +12,10 @@ from spinr.exactalg import (
     MPoly,
     RatFun,
     UnsupportedPoleOrderError,
+    _canonical,
     _canonical_factor_items,
     _expand_factor_product,
+    _sum_of_products,
     cancel_common_z_roots,
     factored_sum,
     limit_at_z_infinity,
@@ -417,3 +419,48 @@ def test_expansion_memo_is_shared_and_never_mutated(items, p, q, x):
     assert results[-2] == expanded and results[-1] == q
     assert _expand_factor_product(items) is expanded
     assert expanded.terms == before
+
+
+def _plus_sum_of_products(pairs):
+    # second route: each product built as an MPoly and added with +
+    out = MPoly.zero()
+    for a, b in pairs:
+        out = out + a * b
+    return out
+
+
+@given(st.lists(st.tuples(mpolys, mpolys), max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_sum_of_products_equals_the_sum_built_with_plus(pairs):
+    total = _sum_of_products(pairs)
+    expected = _plus_sum_of_products(pairs)
+    assert total == expected
+    assert {m: type(x) for m, x in total.terms.items()} == {
+        m: type(x) for m, x in expected.terms.items()
+    }
+    # each pair once more with a negated factor: the sum cancels exactly
+    cancelled = _sum_of_products(pairs + [(-a, b) for a, b in pairs])
+    assert cancelled.is_zero and cancelled.terms == {}
+
+
+def test_sum_of_products_edge_cases():
+    assert _sum_of_products([]).is_zero
+    half = Fraction(1, 2)
+    # Fraction terms that add up to an integer come back as ints
+    total = _sum_of_products([(Z.scale(half), c(3)), (Z, c(half)), (PHI.scale(half), ONE)])
+    assert total == Z.scale(2) + PHI.scale(half)
+    assert type(total.terms[(1, 0, 0)]) is int
+    assert type(total.terms[(0, 1, 0)]) is Fraction
+    # z^2 - phi^2 - (z - phi)(z + phi) = 0, a cancellation across pairs
+    assert _sum_of_products([(Z, Z), (PHI, -PHI), (Z - PHI, -(Z + PHI))]).is_zero
+
+
+@given(st.builds(LinForm, st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6)))
+@example(LinForm(0, -4, 6))
+@example(LinForm(0, 0, -3))
+@example(LinForm(-2, 4, 0))
+@example(LinForm(0, 0, 0))
+@settings(max_examples=100, deadline=None)
+def test_canonical_memo_returns_canonical(form):
+    assert _canonical(form) == form.canonical()
+    assert _canonical(LinForm(*form)) == form.canonical()  # an equal key reads the memo

@@ -581,7 +581,12 @@ def test_den_factors_multiply_out_through_k6():
         built = [S_matrix(k), S_inverse(k), s_tilde(k), block, rblock_triangular(k)]
         built += [m.flip_z() for m in built]
         # the products that verify_unitarity_block and verify_inverse form
-        products = [block.mul(block.flip_z()), S_inverse(k).mul(S_matrix(k))]
+        # (S^-1 S only on a failure of S S^-1 = Id)
+        products = [
+            block.mul(block.flip_z()),
+            S_matrix(k).mul(S_inverse(k)),
+            S_inverse(k).mul(S_matrix(k)),
+        ]
         for m in built + products:
             for entry in (e for row in m.entries for e in row):
                 assert entry.den_factors is not None, k
@@ -610,16 +615,20 @@ def test_unitarity_block_direct_product_is_identity_through_k6():
 
 
 def _spy_products(monkeypatch):
-    """Record the left factor of every SymMatrix product formed from now on."""
-    left = []
+    """Record both factors of every SymMatrix product formed from now on."""
+    products = []
     plain = SymMatrix.mul
 
     def spy(self, other):
-        left.append(self)
+        products.append((self, other))
         return plain(self, other)
 
     monkeypatch.setattr(SymMatrix, "mul", spy)
-    return left
+    return products
+
+
+def _operands(products):
+    return [m for pair in products for m in pair]
 
 
 def test_negated_block_fails_constructions_but_stays_unitary(monkeypatch):
@@ -631,25 +640,25 @@ def test_negated_block_fails_constructions_but_stays_unitary(monkeypatch):
     assert not constructions.passed
     nonzero = [(i, j) for i in range(4) for j in range(4) if not block.entries[i][j].is_zero]
     assert [(w["i"], w["j_prime"]) for w in constructions.failures] == nonzero
-    left = _spy_products(monkeypatch)
+    products = _spy_products(monkeypatch)
     assert verify_unitarity_block(3).passed
-    assert negated in left
+    assert negated in _operands(products)
 
 
 def test_replaced_premise_objects_are_not_masked_by_the_memo(monkeypatch):
     k = 3
     block, s_inv, s = rblock_closed(k), S_inverse(k), S_matrix(k)
     assert verify_inverse(k).passed and verify_equal_constructions(k).passed
-    left = _spy_products(monkeypatch)
+    products = _spy_products(monkeypatch)
     assert verify_unitarity_block(k).passed
-    assert left == []  # proven from the premises, no product formed
+    assert products == []  # proven from the premises, no product formed
     # a broken block read after the premises were proven is caught
     grid = [list(row) for row in block.entries]
     grid[0][k] = grid[0][k].scale(2)
     broken = SymMatrix(grid)
     monkeypatch.setattr(rmatrix, "rblock_closed", lambda k: broken)
     report = verify_unitarity_block(k)
-    assert not report.passed and broken in left
+    assert not report.passed and broken in _operands(products)
     expected = broken.mul(broken.flip_z()).mismatches(SymMatrix.identity(k + 1))
     assert [(w["i"], w["j"]) for w in report.failures] == expected
     monkeypatch.setattr(rmatrix, "rblock_closed", lambda k: block)
@@ -658,15 +667,15 @@ def test_replaced_premise_objects_are_not_masked_by_the_memo(monkeypatch):
     grid[0][k] = grid[0][k].scale(3)
     broken_inv = SymMatrix(grid)
     monkeypatch.setattr(rmatrix, "S_inverse", lambda k: broken_inv)
-    left.clear()
+    products.clear()
     assert verify_unitarity_block(k).passed
-    assert broken_inv in left and block in left
+    assert broken_inv in _operands(products) and block in _operands(products)
     # an equal copy of S^-1 is a new object: the premises are decided for it
     copy = SymMatrix(s_inv.entries)
     monkeypatch.setattr(rmatrix, "S_inverse", lambda k: copy)
-    left.clear()
+    products.clear()
     assert verify_unitarity_block(k).passed
-    assert copy in left and block not in left
+    assert copy in _operands(products) and block not in _operands(products)
 
 
 def test_rblock_closed_is_built_once_per_k():

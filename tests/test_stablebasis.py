@@ -11,10 +11,12 @@ from spinr.exactalg import (
     MPoly,
     RatFun,
     factored_sum,
+    ratfun_to_str,
     residue_at,
     run_pairs,
 )
 from spinr.fracmat import SymMatrix
+from spinr.report import Report
 from spinr.golden import (
     attracting_matrix_k2,
     stable_inverse_k1,
@@ -187,6 +189,38 @@ def test_top_coefficient_matches_attracting_class():
 def test_verify_inverse_small():
     for k in range(5):
         assert verify_inverse(k).passed
+
+
+def test_inverse_holds_on_both_sides_through_k6():
+    # verify_inverse decides S S^-1 = Id; the other side is a second route
+    for k in range(7):
+        identity = SymMatrix.identity(k + 1)
+        assert not S_inverse(k).mul(S_matrix(k)).mismatches(identity), k
+        assert not S_matrix(k).mul(S_inverse(k)).mismatches(identity), k
+
+
+def test_inverse_failure_lists_the_entries_of_sinv_s(monkeypatch):
+    k = 4
+    s_inv, s = S_inverse(k), S_matrix(k)
+    grid = [list(row) for row in s_inv.entries]
+    grid[1][2] = grid[1][2].scale(3)
+    broken = SymMatrix(grid)
+    monkeypatch.setattr(stablebasis, "S_inverse", lambda k: broken)
+    report = verify_inverse(k)
+    identity = SymMatrix.identity(k + 1)
+    product = broken.mul(s)
+    bad = product.mismatches(identity)
+    # row 1 of S^-1 S is off from column 2 on; S S^-1 is off in column 2 only
+    assert bad == [(1, 2), (1, 3), (1, 4)]
+    assert s.mul(broken).mismatches(identity) == [(0, 2), (1, 2)]
+    assert [(w["i"], w["j_prime"]) for w in report.failures] == bad
+    for w in report.failures:
+        assert w["entry"] == ratfun_to_str(product.entries[w["i"]][w["j_prime"]])
+    # the report a check of S^-1 S = Id gives, built here by that route
+    expected = Report("inverse", {"k": k})
+    for i, j in bad:
+        expected.fail(i=i, j_prime=j, entry=ratfun_to_str(product.entries[i][j]))
+    assert report.to_json() == expected.to_json()
 
 
 def test_verify_linrel_small_and_golden_solve():
