@@ -34,6 +34,10 @@ into one memo; every sum and comparison over factored denominators
 ``ratfun_dot``) reads it; ``_canonical`` memoizes each linear form's
 canonical form the same way.  ``factored_sum`` and ``ratfun_dot`` sum over
 the lcm in one fused loop (``_sum_of_products``), building no product MPoly.
+Every weight is a linear form, so every polynomial of a generic block is
+homogeneous; the fused loop therefore keeps one flat int-indexed list per
+total degree of the sum, where the slot of a product term is the sum of its
+factors' slots, instead of hashing an exponent triple per term pair.
 
 Substitution acts on polynomials only (``MPoly.substitute``); there is no
 general specialization of rational functions.  Spin specialization lives in
@@ -329,20 +333,59 @@ class MPoly:
         return f"MPoly({mpoly_to_str(self)})"
 
 
+def _by_degree(terms: Mapping[Monomial, Scalar]) -> dict[int, list[tuple[int, int, Scalar]]]:
+    """The terms (e_z, e_phi, c) of a term map, grouped by total degree."""
+    out: dict[int, list[tuple[int, int, Scalar]]] = {}
+    for (x, y, w), c in terms.items():
+        d = x + y + w
+        group = out.get(d)
+        if group is None:
+            out[d] = [(x, y, c)]
+        else:
+            group.append((x, y, c))
+    return out
+
+
 def _sum_of_products(pairs: Iterable[tuple[MPoly, MPoly]]) -> MPoly:
-    """The sum of a*b over the pairs, in one term map normalized once at the end."""
-    out: dict[Monomial, Scalar] = {}
-    get = out.get
+    """The sum of a*b over the pairs, accumulated per total degree in flat lists.
+
+    Every weight is a linear form in (z, phi, eps), so the polynomials of a
+    generic block are homogeneous, and a product of terms of degrees d1 and d2
+    lands in degree d = d1 + d2.  Degree d of the sum is one list of (d+1)**2
+    coefficients: e_z, e_phi sit in slot e_z*(d+1) + e_phi, and e_eps is
+    d - e_z - e_phi.  In that base a product's slot is the sum of its factors'
+    slots (e_phi1 + e_phi2 <= d never carries), so the inner loop adds into a
+    list slot with no monomial tuple and no hashing.  An operand that is not
+    homogeneous just fills several lists.  The nonzero slots become the term
+    map once at the end.
+    """
+    accs: dict[int, list[Scalar]] = {}
     for a, b in pairs:
         a, b = a._terms, b._terms
         if len(a) > len(b):
             a, b = b, a
-        for (x1, y1, w1), c1 in a.items():
-            for (x2, y2, w2), c2 in b.items():
-                mono = (x1 + x2, y1 + y2, w1 + w2)
-                out[mono] = get(mono, 0) + c1 * c2
+        graded_b = _by_degree(b)
+        for da, terms_a in _by_degree(a).items():
+            for db, terms_b in graded_b.items():
+                d = da + db
+                n = d + 1
+                acc = accs.get(d)
+                if acc is None:
+                    acc = accs[d] = [0] * (n * n)
+                slots_b = [(x * n + y, c) for x, y, c in terms_b]
+                for x, y, c1 in terms_a:
+                    k1 = x * n + y
+                    for k2, c2 in slots_b:
+                        acc[k1 + k2] += c1 * c2
+    out: dict[Monomial, Scalar] = {}
+    for d, acc in accs.items():
+        n = d + 1
+        for k, c in enumerate(acc):
+            if c:
+                x, y = divmod(k, n)
+                out[(x, y, d - x - y)] = c if type(c) is int else _coeff(c)
     res = MPoly.__new__(MPoly)
-    res._terms = {m: c if type(c) is int else _coeff(c) for m, c in out.items() if c}
+    res._terms = out
     return res
 
 
@@ -931,7 +974,7 @@ def parse_rational(text: str) -> Fraction:
     """Parse "p" or "p/q" strings; decimals and a zero q are rejected."""
     text = text.strip()
     body = text[1:] if text[:1] in "+-" else text
-    if body and all(part.isdigit() and part for part in body.split("/", 1)) and body.count("/") <= 1:
+    if body and all(part.isdecimal() for part in body.split("/", 1)) and body.count("/") <= 1:
         try:
             return Fraction(text)
         except ZeroDivisionError:

@@ -248,8 +248,12 @@ def test_canonical_text_form():
 def test_parse_rational():
     assert parse_rational("3/7") == Fraction(3, 7)
     assert parse_rational("-4") == Fraction(-4)
-    for bad in ("1.5", "3/", "/7", "a", "1e3", "3 / 7", "1/0", "-3/0"):
-        with pytest.raises(ValueError):
+    # "²" passes str.isdigit but is no decimal digit, so Fraction would reject it
+    for bad in ("1.5", "3/", "/7", "a", "1e3", "3 / 7", "²", "1/²"):
+        with pytest.raises(ValueError, match="not an integer or p/q rational"):
+            parse_rational(bad)
+    for bad in ("1/0", "-3/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
             parse_rational(bad)
 
 
@@ -453,6 +457,18 @@ def test_sum_of_products_edge_cases():
     assert type(total.terms[(0, 1, 0)]) is Fraction
     # z^2 - phi^2 - (z - phi)(z + phi) = 0, a cancellation across pairs
     assert _sum_of_products([(Z, Z), (PHI, -PHI), (Z - PHI, -(Z + PHI))]).is_zero
+    cases = [
+        # products landing on every total degree from 0 to 4 in one call
+        [(c(5), c(-2)), (c(3), EPS), (Z * PHI, EPS - Z), (Z + EPS * EPS, PHI - Z * Z)],
+        # z^2 - eps^2 fills both end slots of degree 2, pure z^d and pure eps^d
+        [(Z + EPS, Z - EPS)],
+        # e_z > 0 and e_phi > 0 in both factors: the slots add in both digits
+        [(Z * PHI + Z * Z * PHI.scale(half), Z * PHI * EPS - Z * PHI * PHI.scale(3))],
+    ]
+    for pairs in cases:
+        total = _sum_of_products(pairs)
+        assert total == _plus_sum_of_products(pairs) and not total.is_zero
+    assert _sum_of_products(cases[1]).terms == {(2, 0, 0): 1, (0, 0, 2): -1}
 
 
 @given(st.builds(LinForm, st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6)))

@@ -336,6 +336,43 @@ def test_specialization_matches_an_independent_sympy_route():
                     assert coeffs == numerators[bp][b], (ell, k, bp, b)
 
 
+def test_generic_blocks_match_an_independent_sympy_route():
+    # second route for the generic (z, phi, eps) entries, outside the exact
+    # kernel: each closed-form summand as a sympy quotient of products of its
+    # own linear forms, reduced by sympy and brought over the entry's
+    # denominator by exact sympy division; the numerators must add up to the
+    # entry's numerator
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("z phi eps")
+
+    def poly(terms):
+        rep = {mono: sympy.Rational(c.numerator, c.denominator) for mono, c in terms.items()}
+        return sympy.Poly.from_dict(rep or {(0, 0, 0): 0}, *gens, domain="QQ")
+
+    for k in range(5):
+        block = rblock_closed(k).entries
+        for i in range(k + 1):
+            for jp in range(k + 1):
+                entry = block[i][jp]
+                den = poly(entry.den.terms)
+                total = poly({})
+                for scalar, runs in rmatrix._entry_summands(k, i, jp):
+                    num_s = poly({(0, 0, 0): scalar})
+                    den_s = poly({(0, 0, 0): 1})
+                    for form, exp in run_pairs(runs):
+                        factor = poly(form.to_mpoly().terms) ** abs(exp)
+                        if exp > 0:
+                            num_s *= factor
+                        else:
+                            den_s *= factor
+                    # a form with exponents of both signs cancels within the summand
+                    num_s, den_s = num_s.cancel(den_s, include=True)
+                    cofactor, rest = sympy.div(den, den_s)
+                    assert rest.is_zero, (k, i, jp)
+                    total += num_s * cofactor
+                assert total == poly(entry.num.terms), (k, i, jp)
+
+
 def test_assembly_refuses_a_numerator_above_degree_ell(monkeypatch):
     # the evaluation table of scaled_at stops at z^ell, so a larger degree
     # must stop the assembly rather than be cut off
