@@ -284,7 +284,7 @@ def cmd_compute_r(cfg: argparse.Namespace) -> int:
             _emit(cfg, _grid(numeric, cfg.fmt))
         return 0
     doc_extra = {"ell": cfg.ell, "basis_order": "lex(a,b)"}
-    return _emit_matrix(cfg, "r-matrix", full.lowest_terms(), doc_extra)
+    return _emit_matrix(cfg, "r-matrix", full.lowest_terms(), doc_extra, full.labels)
 
 
 def _emit_block(cfg: argparse.Namespace, k: int) -> int:
@@ -293,9 +293,11 @@ def _emit_block(cfg: argparse.Namespace, k: int) -> int:
     return _emit_matrix(cfg, "r-block", rmatrix.rblock_closed(k), extra)
 
 
-def _emit_matrix(cfg: argparse.Namespace, name: str, matrix: SymMatrix, extra: dict) -> int:
+def _emit_matrix(
+    cfg: argparse.Namespace, name: str, matrix: SymMatrix, extra: dict, labels: list | None = None
+) -> int:
     if cfg.fmt == "json":
-        _emit(cfg, _json_doc({"schema": _schema(name), **extra, **matrix.to_json()}))
+        _emit(cfg, _json_doc({"schema": _schema(name), **extra, **matrix.to_json(labels)}))
     elif cfg.fmt == "latex":
         _emit(cfg, matrix.to_latex())
     else:
@@ -380,11 +382,14 @@ def _run_case(case: Case) -> dict:
 
 
 def worker_count(jobs: int, cases: int) -> int:
-    """Worker processes for a verify run: at most one per case and per CPU.
+    """Worker processes for a verify run: at most one per case and per CPU it may run on.
 
     The pool forks every worker up front, so an unclamped --jobs would start
-    that many processes however few cases or CPUs there are.
+    that many processes however few cases or CPUs there are.  The CPUs are
+    those of the process's affinity mask where the platform has one.
     """
+    if hasattr(os, "sched_getaffinity"):
+        return min(jobs, cases, len(os.sched_getaffinity(0)))
     return min(jobs, cases, os.cpu_count() or 1)
 
 

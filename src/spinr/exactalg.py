@@ -41,14 +41,15 @@ factors' slots, instead of hashing an exponent triple per term pair.
 
 Substitution acts on polynomials only (``MPoly.substitute``); there is no
 general specialization of rational functions.  Spin specialization lives in
-``rmatrix.specialize_block`` and uses nothing from this kernel: on the spin
-line every linear form is an int constant or +-(z + c), so the closed form
-is summed on int coefficient lists in z and divided exactly there.  Linear
-factors (z - c) at listed candidate roots are stripped by one trial-division
-helper, ``_strip_z_root``: ``residue_at`` uses it for residues, and
-``cancel_common_z_roots`` exposes it for constant roots.  No computation in
-the package calls the latter; it is the reference that the tests hold the
-lowest-terms reduction ``rmatrix.over_spin_denominator`` against.
+``rmatrix.specialize_block`` and builds no ``MPoly``: on the spin line every
+linear form is an int constant or +-(z + c), so the closed form is summed on
+int coefficient lists in z, lowest power first.  On such lists (ints, or the
+z-free ``MPoly``s of ``MPoly.z_coeffs``) ``times_roots`` multiplies by
+factors (z + c) and ``divide_root`` is the one trial division: synthetic
+division, whose remainder is the value at z = -c.  ``residue_at`` strips
+(z + n*phi) with it.  ``cancel_common_z_roots`` divides by substitution and
+``mpoly_exact_div`` instead: no computation calls it, since it is the
+independent reference the tests hold ``rmatrix.over_spin_denominator`` against.
 
 Monomials are ordered lexicographically on (e_z, e_phi, e_eps); serialization and
 iteration always follow that order, so output is deterministic.
@@ -184,15 +185,12 @@ class MPoly:
         i = _VAR_INDEX[name]
         return max(m[i] for m in self._terms)
 
-    def leading_in_z(self) -> tuple[int, MPoly]:
-        """(d, c) with c the coefficient of z**d, d the z-degree.  Zero poly gives (-1, 0)."""
-        d = self.degree_in("z")
-        if d < 0:
-            return -1, MPoly.zero()
-        coeff = {
-            (0, m[1], m[2]): c for m, c in self._terms.items() if m[0] == d
-        }
-        return d, MPoly(coeff)
+    def z_coeffs(self) -> list[MPoly]:
+        """[c_0, c_1, ...] with self = sum_e c_e z^e and every c_e free of z; [] for zero."""
+        coeffs: list[dict[Monomial, Scalar]] = [{} for _ in range(self.degree_in("z") + 1)]
+        for (e, y, w), c in self._terms.items():
+            coeffs[e][0, y, w] = c
+        return [MPoly(c) for c in coeffs]
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -824,44 +822,49 @@ def ratfun_dot(left: Sequence[RatFun], right: Sequence[RatFun]) -> RatFun:
 
 
 # ---------------------------------------------------------------------------
-# root stripping, residues and limits
+# polynomials in z: synthetic division, residues and limits
 # ---------------------------------------------------------------------------
 
 
-def _strip_z_root(
-    root: MPoly, *polys: MPoly, cap: int | None = None
-) -> tuple[int, tuple[MPoly, ...]]:
-    """Divide every poly by (z - root) while all of them vanish at z = root.
+def times_roots(poly: list[Scalar], roots: Iterable[int]) -> list[Scalar]:
+    """poly times (z + c) for every c in roots, on coefficient lists, lowest power first."""
+    for c in roots:
+        poly = [c * x + y for x, y in zip(poly + [0], [0] + poly)]
+    return poly
 
-    root must be free of z.  Then (z - root) is monic in z, so vanishing at
-    z = root proves divisibility and every division is exact.  A zero poly is
-    never stripped.  Returns (number of divisions, quotients); cap bounds the
-    number of divisions.
+
+def divide_root(poly: list, c: Scalar | MPoly) -> tuple[list, Scalar | MPoly]:
+    """(q, r) with poly = (z + c) * q + r, by synthetic division; r is poly at z = -c.
+
+    poly lists coefficients lowest power first; they and c are all scalars
+    or all z-free ``MPoly``s.
     """
-    factor = MPoly({(1, 0, 0): 1, **(-root).terms})
-    at_root = {"z": root}
-    count = 0
-    while (cap is None or count < cap) and all(
-        not p.is_zero and p.substitute(at_root).is_zero for p in polys
-    ):
-        polys = tuple(mpoly_exact_div(p, factor) for p in polys)
-        count += 1
-    return count, polys
+    quotient, carry = [0] * (len(poly) - 1), poly[-1]
+    for e in range(len(poly) - 2, -1, -1):
+        quotient[e], carry = carry, poly[e] - c * carry
+    return quotient, carry
 
 
 def residue_at(f: RatFun, n: int) -> RatFun:
     """Residue of f at the simple pole z = -n*phi.
 
     Returns zero when f is zero or has no pole there; raises
-    UnsupportedPoleOrderError for a pole of order two or more.
+    UnsupportedPoleOrderError for a pole of order two or more.  Both sides
+    are divided by (z + n*phi) while the remainder, their value at the pole,
+    is zero; a simple pole's residue is then the ratio of the two remainders.
     """
     if f.num.is_zero:
         return RatFun.zero()
-    pole = MPoly.monomial((0, 1, 0), -n)
-    m_den, (den_red,) = _strip_z_root(pole, f.den)
-    if m_den == 0:
-        return RatFun.zero()
-    m_num, (num_red,) = _strip_z_root(pole, f.num, cap=m_den)
+    root = MPoly.monomial((0, 1, 0), n)
+
+    def strip(coeffs: list[MPoly]) -> tuple[int, MPoly]:
+        count, (quotient, value) = 0, divide_root(coeffs, root)
+        while not value:
+            count, (quotient, value) = count + 1, divide_root(quotient, root)
+        return count, value
+
+    m_den, den_value = strip(f.den.z_coeffs())
+    m_num, num_value = strip(f.num.z_coeffs())
     order = m_den - m_num
     if order <= 0:
         return RatFun.zero()
@@ -869,19 +872,17 @@ def residue_at(f: RatFun, n: int) -> RatFun:
         raise UnsupportedPoleOrderError(
             f"pole of order {order} at z = {-n}*phi (only simple poles are supported)"
         )
-    at_pole = {"z": pole}
-    return RatFun(num_red.substitute(at_pole), den_red.substitute(at_pole))
+    return RatFun(num_value, den_value)
 
 
 def limit_at_z_infinity(f: RatFun) -> RatFun | None:
     """Limit of f as z -> infinity by z-degree comparison; None when divergent."""
-    dn, lead_num = f.num.leading_in_z()
-    dd, lead_den = f.den.leading_in_z()
-    if f.num.is_zero or dn < dd:
+    num, den = f.num.z_coeffs(), f.den.z_coeffs()
+    if len(num) < len(den):
         return RatFun.zero()
-    if dn > dd:
+    if len(num) > len(den):
         return None
-    return RatFun(lead_num) / RatFun(lead_den)
+    return RatFun(num[-1]) / RatFun(den[-1])
 
 
 def cancel_common_z_roots(
@@ -894,7 +895,9 @@ def cancel_common_z_roots(
     the supplied trial set is attempted.
     """
     for root in roots:
-        _, (num, den) = _strip_z_root(MPoly.const(root), num, den)
+        factor, at_root = MPoly({(1, 0, 0): 1, _ZERO_MONO: -root}), {"z": MPoly.const(root)}
+        while all(not p.is_zero and p.substitute(at_root).is_zero for p in (num, den)):
+            num, den = mpoly_exact_div(num, factor), mpoly_exact_div(den, factor)
     return num, den
 
 
@@ -979,4 +982,6 @@ def parse_rational(text: str) -> Fraction:
             return Fraction(text)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in rational: {text!r}") from None
+        except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+            raise ValueError(f"rational of {len(body)} characters is too long to parse") from None
     raise ValueError(f"not an integer or p/q rational: {text!r}")

@@ -8,8 +8,9 @@ Two kinds of matrix live here.
   matrix stays integer under ``mat_mul``, ``mat_add`` and ``mat_sub``.  No
   Kronecker product is formed: every tensor-power operator of spinr acts
   block by block on weight sectors.
-* ``SymMatrix`` -- a labelled matrix of rational functions in (z, phi, eps):
-  the stable-basis change S, the sector blocks and the assembled R(z).  Its
+* ``SymMatrix`` -- a matrix of rational functions in (z, phi, eps): the
+  stable-basis change S, the sector blocks and the assembled R(z).  It has
+  no basis labels; ``to_json`` takes them (``FullR.labels`` for R(z)).  Its
   ``mismatches`` is the one entrywise comparison every symbolic check uses,
   and ``mul`` sums each entry over one factored denominator
   (``exactalg.ratfun_dot``).
@@ -21,7 +22,7 @@ naive algorithms are fine.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .exactalg import RatFun, ratfun_dot, ratfun_to_latex, ratfun_to_str
 
@@ -64,30 +65,20 @@ def mat_scale(a: FracMat, c: Fraction) -> FracMat:
 
 
 class SymMatrix:
-    """Dense rectangular matrix of rational functions with index labels.
+    """Dense rectangular matrix of rational functions, rows and columns numbered from 0.
 
     ``==`` and ``hash`` are those of ``object``, by identity: values are
     compared with ``mismatches`` or ``value_eq``, and the memoized verdicts
     of ``stablebasis`` and ``rmatrix`` are keyed on the matrix objects.
     """
 
-    __slots__ = ("entries", "row_labels", "col_labels")
+    __slots__ = ("entries",)
 
-    def __init__(
-        self,
-        entries: Sequence[Sequence[RatFun]],
-        row_labels: Sequence[object] | None = None,
-        col_labels: Sequence[object] | None = None,
-    ):
+    def __init__(self, entries: Sequence[Sequence[RatFun]]):
         self.entries: tuple[tuple[RatFun, ...], ...] = tuple(tuple(row) for row in entries)
-        rows = len(self.entries)
-        cols = len(self.entries[0]) if rows else 0
+        cols = len(self.entries[0]) if self.entries else 0
         if any(len(row) != cols for row in self.entries):
             raise ValueError("ragged matrix")
-        self.row_labels = tuple(row_labels) if row_labels is not None else tuple(range(rows))
-        self.col_labels = tuple(col_labels) if col_labels is not None else tuple(range(cols))
-        if len(self.row_labels) != rows or len(self.col_labels) != cols:
-            raise ValueError("label count does not match matrix shape")
 
     @property
     def rows(self) -> int:
@@ -98,29 +89,14 @@ class SymMatrix:
         return len(self.entries[0]) if self.entries else 0
 
     @classmethod
-    def identity(cls, n: int, labels: Sequence[object] | None = None) -> SymMatrix:
+    def identity(cls, n: int) -> SymMatrix:
         grid = [
             [RatFun.one() if i == j else RatFun.zero() for j in range(n)] for i in range(n)
         ]
-        return cls(grid, labels, labels)
-
-    @classmethod
-    def from_function(
-        cls,
-        rows: int,
-        cols: int,
-        fn: Callable[[int, int], RatFun],
-        row_labels: Sequence[object] | None = None,
-        col_labels: Sequence[object] | None = None,
-    ) -> SymMatrix:
-        return cls(
-            [[fn(i, j) for j in range(cols)] for i in range(rows)], row_labels, col_labels
-        )
+        return cls(grid)
 
     def flip_z(self) -> SymMatrix:
-        return SymMatrix(
-            [[e.flip_z() for e in row] for row in self.entries], self.row_labels, self.col_labels
-        )
+        return SymMatrix([[e.flip_z() for e in row] for row in self.entries])
 
     def mul(self, other: SymMatrix) -> SymMatrix:
         """The product self*other; each entry is one ``exactalg.ratfun_dot``."""
@@ -128,7 +104,7 @@ class SymMatrix:
             raise ValueError("shape mismatch in matrix product")
         columns = list(zip(*other.entries))
         out = [[ratfun_dot(row, col) for col in columns] for row in self.entries]
-        return SymMatrix(out, self.row_labels, other.col_labels)
+        return SymMatrix(out)
 
     def value_eq(self, other: SymMatrix) -> bool:
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -146,11 +122,12 @@ class SymMatrix:
             if not self.entries[i][j].value_eq(other.entries[i][j])
         ]
 
-    def to_json(self) -> dict:
+    def to_json(self, labels: Sequence[object] | None = None) -> dict:
+        """The matrix as JSON, its rows and columns labelled by labels (default 0, 1, ...)."""
         return {
             "shape": [self.rows, self.cols],
-            "row_labels": [str(l) for l in self.row_labels],
-            "col_labels": [str(l) for l in self.col_labels],
+            "row_labels": [str(l) for l in labels or range(self.rows)],
+            "col_labels": [str(l) for l in labels or range(self.cols)],
             "entries": [[ratfun_to_str(e) for e in row] for row in self.entries],
         }
 

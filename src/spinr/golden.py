@@ -151,8 +151,7 @@ def spin_one_full_matrix() -> SymMatrix:
         [o, o, o, o, o, b, o, a, o],
         [o, o, o, o, o, o, o, o, one],
     ]
-    labels = [(i // 3, i % 3) for i in range(9)]
-    return SymMatrix(grid, labels, labels)
+    return SymMatrix(grid)
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import fracmat
-from .exactalg import RatFun, ratfun_to_str
+from .exactalg import RatFun, ratfun_to_str, times_roots
 from .fracmat import FracMat
 from .report import Report
-from .rmatrix import FullR, _times_roots, assemble_full, over_spin_denominator, pair_sectors
+from .rmatrix import FullR, assemble_full, over_spin_denominator, pair_sectors
 
 
 class OracleStructureError(Exception):
@@ -229,7 +229,7 @@ def spectral_decompose(full: FullR, sigma: Sequence[int] | None = None) -> list[
 
 def fusion_numerator(ell: int, s: int) -> list[int]:
     """The coefficients of prod_{j=1..s} (z+j) * prod_{j=s+1..ell} (j-z), lowest power first."""
-    return _times_roots([(-1) ** (ell - s)], [*range(1, s + 1), *range(-ell, -s)])
+    return times_roots([(-1) ** (ell - s)], [*range(1, s + 1), *range(-ell, -s)])
 
 
 def verify_spectrum(ell: int) -> Report:

@@ -15,9 +15,10 @@ two ways: ``rblock_closed`` expands the runs into forms, and
 where a form is an int constant or +-(z + c).  So ``assemble_full`` builds
 each block entry it needs on int coefficient lists in z: the summands are
 summed over their lcm, multiplied by the one denominator D(z) = (z+1)...(z+ell)
-of the fusion spectrum and divided exactly; no generic block is expanded and
-nothing is substituted.  The entry coupling source (a, b) to target (a', b')
-with a + b = a' + b' = k is block entry (b', b); everything else is zero.
+of the fusion spectrum and divided exactly (``exactalg.times_roots`` and
+``exactalg.divide_root``); no generic block is expanded and nothing is
+substituted.  The entry coupling source (a, b) to target (a', b') with
+a + b = a' + b' = k is block entry (b', b); everything else is zero.
 ``FullR`` stores each numerator over D as its int coefficients, which every
 reader uses directly, and refuses a nonzero entry between different weights,
 so every reader may take R to conserve weight.  ``over_spin_denominator`` is
@@ -55,7 +56,7 @@ import math
 import operator
 import random
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import fracmat
 from .exactalg import (
@@ -66,10 +67,12 @@ from .exactalg import (
     RatFun,
     Run,
     Scalar,
+    divide_root,
     factored_sum,
     limit_at_z_infinity,
     ratfun_to_str,
     run_pairs,
+    times_roots,
 )
 from .fracmat import FracMat, SymMatrix
 from .report import Report
@@ -105,13 +108,13 @@ def rblock_closed(k: int) -> SymMatrix:
     """
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    return SymMatrix.from_function(
-        k + 1,
-        k + 1,
-        lambda i, jp: factored_sum(
+
+    def entry(i: int, jp: int) -> RatFun:
+        return factored_sum(
             FactoredRat(scalar, run_pairs(runs)) for scalar, runs in _entry_summands(k, i, jp)
-        ),
-    )
+        )
+
+    return SymMatrix([[entry(i, jp) for jp in range(k + 1)] for i in range(k + 1)])
 
 
 def _tilde(s: SymMatrix) -> SymMatrix:
@@ -165,25 +168,10 @@ def verify_equal_constructions(k: int) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _times_roots(poly: list[Scalar], roots: Iterable[int]) -> list[Scalar]:
-    """poly times (z + c) for every c in roots, on coefficient lists, lowest power first."""
-    for c in roots:
-        poly = [c * x + y for x, y in zip(poly + [0], [0] + poly)]
-    return poly
-
-
-def _divide_root(poly: list[Scalar], c: int) -> tuple[list[Scalar], Scalar]:
-    """(q, r) with poly = (z + c) * q + r, by synthetic division."""
-    quotient, carry = [0] * (len(poly) - 1), 0
-    for e in range(len(poly) - 1, 0, -1):
-        carry = quotient[e - 1] = poly[e] - c * carry
-    return quotient, poly[0] - c * carry
-
-
 @functools.lru_cache(maxsize=None)
 def _monic(roots: tuple[int, ...]) -> MPoly:
     """prod (z + c) over roots, built once per tuple of roots and shared."""
-    return z_poly(_times_roots([1], roots))
+    return z_poly(times_roots([1], roots))
 
 
 def spin_denominator(ell: int) -> MPoly:
@@ -207,7 +195,7 @@ def over_spin_denominator(coeffs: Sequence[Scalar], ell: int) -> RatFun:
         return RatFun(MPoly(), _monic(()), ())
     num, rest = list(coeffs), []
     for j in range(1, ell + 1):
-        quotient, value = _divide_root(num, j)
+        quotient, value = divide_root(num, j)
         if value:
             rest.append(j)
         else:
@@ -281,15 +269,15 @@ def specialize_block(k: int, ell: int) -> dict[int, dict[int, tuple[int, ...]]]:
                 power = dict(lcm)  # the numerator times the cofactor, as powers of (z + c)
                 for c, e in roots.items():
                     power[c] = power.get(c, 0) + e
-                poly = _times_roots([scalar], [c for c, e in power.items() for _ in range(e)])
+                poly = times_roots([scalar], [c for c, e in power.items() for _ in range(e)])
                 acc = [x + y for x, y in itertools.zip_longest(acc, poly, fillvalue=0)]
             for c in range(1, ell + 1):
                 if lcm.get(c):
                     lcm[c] -= 1
                 else:
-                    acc = _times_roots(acc, (c,))
+                    acc = times_roots(acc, (c,))
             for c in [c for c, e in lcm.items() for _ in range(e)]:
-                acc, remainder = _divide_root(acc, c)
+                acc, remainder = divide_root(acc, c)
                 if remainder:
                     raise AssertionError(f"sector {k} entry ({bp}, {b}): z + {c} does not divide D*sum")
             while acc and not acc[-1]:
@@ -357,8 +345,7 @@ class FullR:
     def matrix(self) -> SymMatrix:
         """The entries as ``RatFun(N, D)``, all over one shared D; read-only."""
         den = spin_denominator(self.ell)
-        grid = [[RatFun(z_poly(c), den) for c in row] for row in self.num]
-        return SymMatrix(grid, self.labels, self.labels)
+        return SymMatrix([[RatFun(z_poly(c), den) for c in row] for row in self.num])
 
     def scaled_at(self, value: Fraction) -> tuple[list[list[int]], int]:
         """(q^ell * N(p/q), q^ell * D(p/q)) at z = p/q: an int matrix and an int.
@@ -385,8 +372,7 @@ class FullR:
 
     def lowest_terms(self) -> SymMatrix:
         """The matrix with each entry reduced to lowest terms (monic denominator)."""
-        grid = [[over_spin_denominator(c, self.ell) for c in row] for row in self.num]
-        return SymMatrix(grid, self.labels, self.labels)
+        return SymMatrix([[over_spin_denominator(c, self.ell) for c in row] for row in self.num])
 
 
 @functools.lru_cache(maxsize=None)
@@ -447,7 +433,7 @@ def verify_unitarity_full(ell: int) -> Report:
     full = assemble_full(ell)
     labels, n = full.labels, full.num
     # D(z) D(-z) = (-1)^ell prod_{j=1..ell} (z + j)(z - j)
-    target = _times_roots([(-1) ** ell], [*range(1, ell + 1), *range(-ell, 0)])
+    target = times_roots([(-1) ** ell], [*range(1, ell + 1), *range(-ell, 0)])
     bad: dict[tuple[int, int], RatFun] = {}
     for sector in pair_sectors(ell):
         for i in sector:

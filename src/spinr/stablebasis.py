@@ -113,8 +113,8 @@ def S_matrix(k: int) -> SymMatrix:
     """The upper triangular stable-class matrix, (k+1) x (k+1), built once per k."""
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    return SymMatrix.from_function(
-        k + 1, k + 1, lambda j, jp: stable_coeff(k, j, jp).expand()
+    return SymMatrix(
+        [[stable_coeff(k, j, jp).expand() for jp in range(k + 1)] for j in range(k + 1)]
     )
 
 
@@ -123,7 +123,7 @@ def S_inverse(k: int) -> SymMatrix:
     """The closed-form inverse of S_matrix(k), built once per k; entries are polynomials."""
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    return SymMatrix.from_function(k + 1, k + 1, lambda i, j: sinv_entry(k, i, j).expand())
+    return SymMatrix([[sinv_entry(k, i, j).expand() for j in range(k + 1)] for i in range(k + 1)])
 
 
 # ---------------------------------------------------------------------------

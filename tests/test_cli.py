@@ -122,6 +122,16 @@ def test_compute_r_rejects_zero_denominator(capsys):
     assert "'1/0'" in err
 
 
+def test_compute_r_rejects_an_overlong_rational_without_echoing_it(capsys):
+    # beyond the interpreter's int conversion limit (4300 digits by default)
+    for value in ("7" * 5000, "1/" + "3" * 5000, "-" + "9" * 4400 + "/7"):
+        code, out, err = run(capsys, "compute-r", "-l", "1", "--at-z", value)
+        assert code == 2 and out == ""
+        assert err.startswith("error: rational of ") and "too long" in err
+        assert "7777" not in err and "3333" not in err and "9999" not in err
+        assert "set_int_max_str_digits" not in err
+
+
 def test_compute_r_rejects_bad_spin(capsys):
     assert run(capsys, "compute-r", "-l", "0")[0] == 2
 
@@ -287,12 +297,19 @@ def test_oracle_suite_forms_the_commutation_brackets_once_per_ell(capsys, monkey
 
 def test_worker_count_is_bounded(monkeypatch):
     # computed directly: a pool of the requested size is never started
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert cli.worker_count(10000, 47) == 2
     assert cli.worker_count(10000, 1) == 1
     assert cli.worker_count(1, 47) == 1
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     assert cli.worker_count(10**9, 3) == 3
+    # pinned to one CPU of four: one worker, not one per CPU of the machine
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli.worker_count(4, 10) == 1
+    # without an affinity mask the machine's CPU count is the bound
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    assert cli.worker_count(10000, 47) == 4
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert cli.worker_count(10000, 47) == 1
 

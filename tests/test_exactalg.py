@@ -17,6 +17,7 @@ from spinr.exactalg import (
     _expand_factor_product,
     _sum_of_products,
     cancel_common_z_roots,
+    divide_root,
     factored_sum,
     limit_at_z_infinity,
     mpoly_exact_div,
@@ -480,3 +481,86 @@ def test_sum_of_products_edge_cases():
 def test_canonical_memo_returns_canonical(form):
     assert _canonical(form) == form.canonical()
     assert _canonical(LinForm(*form)) == form.canonical()  # an equal key reads the memo
+
+
+# ---------------------------------------------------------------------------
+# polynomials in z: coefficient lists, synthetic division, residues
+# ---------------------------------------------------------------------------
+
+z_free_mpolys = st.dictionaries(
+    st.tuples(st.just(0), st.integers(0, 2), st.integers(0, 2)), small_fractions, max_size=3
+).map(MPoly)
+
+
+def from_z_coeffs(coeffs):
+    out = MPoly.zero()
+    for e, c_e in enumerate(coeffs):
+        out = out + c_e * Z**e
+    return out
+
+
+@given(mpolys)
+@example(MPoly.zero())
+@example(PHI * EPS + c(3))
+@settings(max_examples=100, deadline=None)
+def test_z_coeffs_round_trip(p):
+    coeffs = p.z_coeffs()
+    assert all(c_e.degree_in("z") <= 0 for c_e in coeffs)
+    assert len(coeffs) == p.degree_in("z") + 1
+    assert from_z_coeffs(coeffs) == p
+
+
+@given(nonzero_mpolys, z_free_mpolys)
+@example(Z**2 * PHI + EPS, MPoly.zero())
+@example(c(7), PHI)
+@settings(max_examples=100, deadline=None)
+def test_divide_root_on_z_free_coefficients(p, root):
+    # second routes: the remainder is p at z = -root, and p - r is divisible
+    # by z + root with the quotient that mpoly_exact_div finds
+    quotient, remainder = divide_root(p.z_coeffs(), root)
+    assert remainder.degree_in("z") <= 0
+    assert remainder == p.substitute({"z": -root})
+    assert from_z_coeffs(quotient) == mpoly_exact_div(p - remainder, Z + root)
+
+
+def to_sympy(p, symbols):
+    import sympy
+
+    z, phi, eps = symbols
+    return sympy.Add(
+        *(
+            sympy.Rational(c_.numerator, c_.denominator) * z**a * phi**b * eps**e
+            for (a, b, e), c_ in p.terms.items()
+        )
+    )
+
+
+@given(
+    nonzero_mpolys,
+    nonzero_mpolys,
+    st.integers(-3, 3),
+    st.sampled_from([(0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 0), (1, 1), (2, 1)]),
+)
+@example(ONE, Z - PHI, 1, (2, 3))
+@example(EPS, Z + EPS, 0, (0, 1))
+@settings(max_examples=40, deadline=None)
+def test_residue_matches_an_independent_sympy_route(a, b, n, powers):
+    # f = a (z + n phi)^i / (b (z + n phi)^j) with a, b nonzero at z = -n phi:
+    # a pole of order j - i; sympy's residue of a simple pole is
+    # ((z + n phi) f) cancelled, then taken at z = -n phi
+    sympy = pytest.importorskip("sympy")
+    symbols = z, phi, _ = sympy.symbols("z phi eps")
+    a_s, b_s = to_sympy(a, symbols), to_sympy(b, symbols)
+    assume(sympy.expand(a_s.subs(z, -n * phi)) != 0 and sympy.expand(b_s.subs(z, -n * phi)) != 0)
+    i, j = powers
+    factor = Z + PHI.scale(n)
+    f = RatFun(a * factor**i, b * factor**j)
+    if j - i >= 2:
+        with pytest.raises(UnsupportedPoleOrderError):
+            residue_at(f, n)
+        return
+    expected = sympy.cancel((z + n * phi) * a_s * (z + n * phi) ** (i - j) / b_s).subs(z, -n * phi)
+    got = residue_at(f, n)
+    assert sympy.cancel(to_sympy(got.num, symbols) / to_sympy(got.den, symbols) - expected) == 0
+    if j - i <= 0:
+        assert got.is_zero

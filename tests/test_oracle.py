@@ -340,8 +340,8 @@ def test_gauge_is_weight_preserving():
     full = assemble_full(1)
     sigma = commutation_gauge(full)
     # conjugation by a diagonal sign matrix preserves the sector structure
-    for i, (ap, bp) in enumerate(full.matrix.row_labels):
-        for j, (a, b) in enumerate(full.matrix.row_labels):
+    for i, (ap, bp) in enumerate(full.labels):
+        for j, (a, b) in enumerate(full.labels):
             if ap + bp != a + b:
                 assert full.matrix.entries[i][j].scale(sigma[i] * sigma[j]).is_zero
 

@@ -129,7 +129,7 @@ def test_assembled_9x9_matches_reference():
 
 def test_block_structure_cross_sector_zero():
     full = assemble_full(2)
-    basis = full.matrix.row_labels
+    basis = full.labels
     for i, (ap, bp) in enumerate(basis):
         for j, (a, b) in enumerate(basis):
             if ap + bp != a + b:
@@ -635,8 +635,11 @@ def test_s_tilde_is_reversed_flipped_s():
     # factored stable coefficient, flipped before it is expanded
     for k in range(7):
         tilde = s_tilde(k)
-        expected = SymMatrix.from_function(
-            k + 1, k + 1, lambda j, jp: stable_coeff(k, k - j, jp).flip_z().expand()
+        expected = SymMatrix(
+            [
+                [stable_coeff(k, k - j, jp).flip_z().expand() for jp in range(k + 1)]
+                for j in range(k + 1)
+            ]
         )
         assert not tilde.mismatches(expected), k
         for row_t, row_e in zip(tilde.entries, expected.entries):
@@ -765,7 +768,7 @@ def test_unitarity_full_witness_matches_dense_product(monkeypatch):
     # second route: the dense RatFun product over all index triples
     product = broken.matrix.mul(broken.matrix.flip_z())
     bad = product.mismatches(SymMatrix.identity(broken.dim))
-    labels = broken.matrix.row_labels
+    labels = broken.labels
     assert bad and [(w["row"], w["col"]) for w in report.failures] == [
         (labels[i], labels[j]) for i, j in bad
     ]

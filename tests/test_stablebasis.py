@@ -305,6 +305,8 @@ def test_symmatrix_json_and_latex():
     assert doc["shape"] == [2, 2]
     assert doc["entries"][0][0] == "1/(eps + z)"
     assert doc["entries"][1][0] == "0"
+    assert doc["row_labels"] == doc["col_labels"] == ["0", "1"]
+    assert s.to_json([(0, 1), (1, 0)])["col_labels"] == ["(0, 1)", "(1, 0)"]
     tex = s.to_latex()
     assert tex.startswith("\\begin{pmatrix}") and "\\varepsilon" in tex
 
@@ -312,5 +314,3 @@ def test_symmatrix_json_and_latex():
 def test_symmatrix_shape_validation():
     with pytest.raises(ValueError):
         SymMatrix([[RatFun.one()], [RatFun.one(), RatFun.zero()]])
-    with pytest.raises(ValueError):
-        SymMatrix([[RatFun.one()]], row_labels=[0, 1])
