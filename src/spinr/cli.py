@@ -22,8 +22,8 @@ Rationals on the command line are always integers or "p/q" strings; decimal
 input is rejected.  Output is byte-deterministic for a fixed configuration:
 results are ordered by case index, never by completion time, also under
 --jobs parallelism.  Size parameters have fixed upper bounds (MAX_ELL,
-MAX_K, MAX_N, MAX_TRIALS); a larger value and a negative -k or --block are
-usage errors before any work starts.
+MAX_K, MAX_N, MAX_TRIALS, MAX_AT_Z_DIGITS); a larger value and a negative -k
+or --block are usage errors before any work starts.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 """
@@ -53,6 +53,12 @@ MAX_ELL = 12
 MAX_K = 24
 MAX_N = 6
 MAX_TRIALS = 10000
+# Digits of the numerator and of the denominator of --at-z.  At MAX_ELL an
+# evaluated entry is q^12 N(p/q) / (q^12 D(p/q)), and both ints are at most
+# 13! max(|p|, q)^12 in absolute value (13! bounds the sum of the |N_e| and
+# prod (1 + j)), so at most 12 * 350 + 10 = 4210 digits: every entry prints
+# within Python's default int-to-str limit of 4300 digits.
+MAX_AT_Z_DIGITS = 350
 
 # The YBE sampling that verify runs when --trials or --seed is not given.
 YBE_TRIALS = 20
@@ -141,6 +147,10 @@ def _config_from_args(cfg: argparse.Namespace) -> argparse.Namespace:
             cfg.at_z = parse_rational(cfg.at_z)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
+        if max(abs(cfg.at_z.numerator), cfg.at_z.denominator) >= 10**MAX_AT_Z_DIGITS:
+            raise UsageError(
+                f"--at-z must have at most {MAX_AT_Z_DIGITS} digits in its numerator and denominator"
+            )
     if cfg.jobs < 1:
         raise UsageError("--jobs must be at least 1")
     if cfg.trials is not None and cfg.trials < 1:

@@ -38,6 +38,21 @@ square).  The sector products apply those blocks to the rows of the
 intermediate matrix, and each row is one packed int (``verify_ybe``), so
 no operator is ever formed as a matrix, dense or embedded.
 
+Both checks on the assembled matrix read half of the weight sectors.  R(z)
+intertwines sl2 modules, so it commutes with the Weyl element w (x) w, which
+maps weight a to ell - a.  In the code's basis the symmetry reads
+(M (x) M) R(z) = R(z) (M (x) M) with M: e_a -> a!/(ell-a)! e_(ell-a), an int
+identity on the stored coefficients that ``FullR.mirror_symmetric`` decides
+once per matrix object and only when first read.
+When it holds, M (x) M commutes with R(z) R(-z) and maps pair sector w onto
+2*ell - w by a monomial matrix (a permutation times nonzero scales), and
+M (x) M (x) M commutes with R12, R13 and R23 and maps triple sector W onto
+3*ell - W.  So the defect of unitarity (of the YBE) on the mirrored sector
+is a monomial conjugate of the defect on sector w (W), and one is zero
+exactly when the other is: sectors w <= ell (W <= 3*ell // 2) decide the
+identity, and the check stays a proof.  On a failure the other sectors are
+checked too, so the witnesses are the same whether or not the premise holds.
+
 Block unitarity is proven by composition: S S^-1 = Id gives S(-z) S^-1(-z)
 = Id (z -> -z is a ring automorphism) and, over the field of rational
 functions, S^-1 S = Id; with J^2 = Id and closed form = triangular form,
@@ -342,6 +357,29 @@ class FullR:
         return max(sum(map(abs, coeffs)) for row in self.num for coeffs in row)
 
     @functools.cached_property
+    def mirror_symmetric(self) -> bool:
+        """Whether M (x) M commutes with R(z), for M: e_a -> a!/(ell-a)! e_(ell-a).
+
+        Entrywise that is N[m(i)][m(j)] T(j) == N[i][j] T(i) coefficient by
+        coefficient, with m(i) = dim-1-i the index of (ell-a, ell-b) for
+        i = (a, b), and T(a, b) = f(a) f(b), f(a) = a! ell!/(ell-a)! (the
+        scale of M (x) M at (a, b) times ell!^2, so every factor is an int).
+        Entries between different weights are zero and m maps weight w to
+        2*ell - w, so only pair sectors are read, and of each mirror pair of
+        sectors one, since the identity for (i, j) is that for (m(i), m(j)).
+        Decided on first read, never by the constructor.
+        """
+        ell, n, last = self.ell, self.num, self.dim - 1
+        f = [math.factorial(a) * math.perm(ell, a) for a in range(ell + 1)]
+        t = [f[a] * f[b] for a, b in self.labels]
+        return all(
+            [x * t[j] for x in n[last - i][last - j]] == [x * t[i] for x in n[i][j]]
+            for sector in pair_sectors(ell)[: ell + 1]
+            for i in sector
+            for j in sector
+        )
+
+    @functools.cached_property
     def matrix(self) -> SymMatrix:
         """The entries as ``RatFun(N, D)``, all over one shared D; read-only."""
         den = spin_denominator(self.ell)
@@ -354,6 +392,16 @@ class FullR:
         because construction refuses a numerator of degree above ell = deg D.
         A pole (the int D-value is 0) raises PoleSpecializationError.
         """
+        table, den = self.powers_at(value)
+        nums = [[sum(map(operator.mul, c, table)) if c else 0 for c in row] for row in self.num]
+        return nums, den
+
+    def powers_at(self, value: Fraction) -> tuple[list[int], int]:
+        """(the table p^e * q^(ell-e), e = 0..ell, and q^ell * D(p/q)) at z = p/q.
+
+        The dot product of ``num[i][j]`` with the table is q^ell * N(p/q).
+        A pole (the int D-value is 0) raises PoleSpecializationError.
+        """
         p, q, ell = value.numerator, value.denominator, self.ell
         den = math.prod(p + j * q for j in range(1, ell + 1))
         if den == 0:
@@ -361,9 +409,7 @@ class FullR:
                 f"z = {value} lies on the pole set of the assembled matrix "
                 f"(factor z - ({value}))"
             )
-        table = [p**e * q ** (ell - e) for e in range(ell + 1)]
-        nums = [[sum(map(operator.mul, c, table)) if c else 0 for c in row] for row in self.num]
-        return nums, den
+        return [p**e * q ** (ell - e) for e in range(ell + 1)], den
 
     def at_z(self, value: Fraction) -> FracMat:
         """Exact numeric matrix at a rational spectral parameter."""
@@ -428,6 +474,12 @@ def verify_unitarity_full(ell: int) -> Report:
     N(z) N(-z) = D(z) D(-z) Id on each weight sector: an identity of int
     polynomials in z, read from ``FullR.num``.  A witness is the entry of
     R(z) R(-z) over D(z) D(-z).
+
+    When ``FullR.mirror_symmetric`` holds, M (x) M commutes with R(z) R(-z)
+    and maps sector w onto 2*ell - w by a monomial matrix, so the identity on
+    one is the identity on the other, and sectors w <= ell decide it (see
+    the module docstring).  Once a sector fails, every sector is checked, so
+    the witnesses do not depend on the premise.
     """
     report = Report("unitarity_full", {"ell": ell})
     full = assemble_full(ell)
@@ -435,7 +487,9 @@ def verify_unitarity_full(ell: int) -> Report:
     # D(z) D(-z) = (-1)^ell prod_{j=1..ell} (z + j)(z - j)
     target = times_roots([(-1) ** ell], [*range(1, ell + 1), *range(-ell, 0)])
     bad: dict[tuple[int, int], RatFun] = {}
-    for sector in pair_sectors(ell):
+    for w, sector in enumerate(pair_sectors(ell)):
+        if w > ell and not bad and full.mirror_symmetric:
+            break
         for i in sector:
             for j in sector:
                 acc = [0] * (2 * ell + 1)
@@ -537,19 +591,33 @@ def verify_ybe(full: FullR, z1: Fraction, z2: Fraction, z3: Fraction) -> Report:
     max(|p|, q)^ell.  With s = B.bit_length() + 1 every digit lies in
     (-2^(s-1), 2^(s-1)), where balanced base-2^s digits are unique, so two
     packed rows are equal exactly when all their entries are.
+
+    When ``FullR.mirror_symmetric`` holds, M (x) M (x) M commutes with R12,
+    R13 and R23 and maps sector W onto 3*ell - W by a monomial matrix, so
+    the difference of the two sides vanishes on one exactly when it does on
+    the other, and sectors W <= 3*ell // 2 decide the relation (see the
+    module docstring).  Once a sector fails, every sector is checked, so the
+    witnesses do not depend on the premise.
     """
     report = Report("ybe", {"ell": full.ell, "z": [str(z1), str(z2), str(z3)]})
-    ell = full.ell
+    ell, num = full.ell, full.num
     sectors = pair_sectors(ell)
     blocks, scale, bound = [], 1, (ell + 1) ** 2 * full.coefficient_bound**3
     for dz in (z1 - z2, z1 - z3, z2 - z3):
-        nums, den = full.scaled_at(dz)
-        blocks.append([[[nums[i][j] for j in sector] for i in sector] for sector in sectors])
+        table, den = full.powers_at(dz)
+        blocks.append(
+            [
+                [[sum(map(operator.mul, num[i][j], table)) for j in sector] for i in sector]
+                for sector in sectors
+            ]
+        )
         scale *= den
         bound *= max(abs(dz.numerator), dz.denominator) ** ell
     r12, r13, r23 = blocks
     s = bound.bit_length() + 1
-    for indices, slot12, slot23 in _ybe_layout(ell):
+    for weight, (indices, slot12, slot23) in enumerate(_ybe_layout(ell)):
+        if weight > 3 * ell // 2 and report.passed and full.mirror_symmetric:
+            break
         n = len(indices)
         unit = [1 << (s * q) for q in range(n)]
         lhs = _apply(slot12, r23, _apply(slot23, r13, _apply(slot12, r12, unit)))

@@ -132,6 +132,27 @@ def test_compute_r_rejects_an_overlong_rational_without_echoing_it(capsys):
         assert "set_int_max_str_digits" not in err
 
 
+def test_at_z_digits_are_bounded_so_that_every_entry_prints(capsys):
+    # at the bound, the largest entries at MAX_ELL stay within the default
+    # int-to-str limit of 4300 digits; one digit more is a usage error
+    top = cli.MAX_AT_Z_DIGITS
+    at_bound = "-" + "9" * top + "/" + "9" * (top - 1) + "8"
+    argv = ("compute-r", "-l", str(cli.MAX_ELL), "--at-z", at_bound, "--format", "csv")
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    cells = out.replace("\n", ",").split(",")
+    longest = max(len(part) for cell in cells for part in cell.split("/"))
+    assert 12 * (top - 1) < longest <= 4300
+    over = ("1" + "0" * top, "1/" + "1" * (top + 1), "-" + "7" * (top + 1) + "/3")
+    for value in over:
+        for route in (("compute-r", "-l", "1"), ("export", "--kind", "r", "-l", "1")):
+            code, out, err = run(capsys, *route, "--at-z", value)
+            assert code == 2 and out == ""
+            assert err == (
+                f"error: --at-z must have at most {top} digits in its numerator and denominator\n"
+            )
+
+
 def test_compute_r_rejects_bad_spin(capsys):
     assert run(capsys, "compute-r", "-l", "0")[0] == 2
 

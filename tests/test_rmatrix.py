@@ -541,6 +541,26 @@ def kron(a, b):
     ]
 
 
+def _triple_weight(index, ell):
+    return sum(index // (ell + 1) ** p % (ell + 1) for p in range(3))
+
+
+def _dense_ybe_witnesses(full, z1, z2, z3):
+    """Second route: both sides on the whole triple tensor power, in Fractions
+    from the unscaled matrices, as the witnesses of ``verify_ybe``."""
+    ell = full.ell
+    r12, r13, r23 = (full.at_z(dz) for dz in (z1 - z2, z1 - z3, z2 - z3))
+    eye, n = identity(ell + 1), (ell + 1) ** 3
+    lhs = mat_mul(mat_mul(kron(r23, eye), kron(eye, r13)), kron(r12, eye))
+    rhs = mat_mul(mat_mul(kron(eye, r12), kron(r13, eye)), kron(eye, r23))
+    differing = [(r, c) for r in range(n) for c in range(n) if lhs[r][c] != rhs[r][c]]
+    # witnesses come sector by sector, then row by row
+    differing.sort(key=lambda rc: (_triple_weight(rc[0], ell), rc))
+    return [
+        {"row": r, "col": c, "lhs": str(lhs[r][c]), "rhs": str(rhs[r][c])} for r, c in differing
+    ]
+
+
 def test_ybe_failure_witnesses_match_fraction_products():
     # corrupt one same-weight coupling; at ell = 3 the factor 10**6 gives
     # entries of 93 bits against a bound of 121, so a digit width from a bound
@@ -556,23 +576,7 @@ def test_ybe_failure_witnesses_match_fraction_products():
         broken = _broken_full(ell, {(i, j): lambda c: tuple(factor * x for x in c)})
         report = verify_ybe(broken, z1, z2, z3)
         assert not report.passed, ell
-        # second route: both sides on the whole triple tensor power, in
-        # Fractions from the unscaled matrices
-        r12, r13, r23 = (broken.at_z(dz) for dz in (z1 - z2, z1 - z3, z2 - z3))
-        eye, n = identity(ell + 1), (ell + 1) ** 3
-        lhs = mat_mul(mat_mul(kron(r23, eye), kron(eye, r13)), kron(r12, eye))
-        rhs = mat_mul(mat_mul(kron(eye, r12), kron(r13, eye)), kron(eye, r23))
-        differing = [(r, c) for r in range(n) for c in range(n) if lhs[r][c] != rhs[r][c]]
-
-        def weight(index):
-            return sum(index // (ell + 1) ** p % (ell + 1) for p in range(3))
-
-        # witnesses come sector by sector, then row by row
-        differing.sort(key=lambda rc: (weight(rc[0]), rc))
-        assert [(w["row"], w["col"]) for w in report.failures] == differing, ell
-        for w in report.failures:
-            assert w["lhs"] == str(lhs[w["row"]][w["col"]])
-            assert w["rhs"] == str(rhs[w["row"]][w["col"]])
+        assert report.failures == _dense_ybe_witnesses(broken, z1, z2, z3), ell
 
 
 def test_balanced_digits_decode_packed_rows():
@@ -760,17 +764,140 @@ def _broken_full(ell, changes):
     return FullR(ell, tuple(map(tuple, num)))
 
 
+def _dense_unitarity_witnesses(full):
+    """Second route: the dense RatFun product over all index triples, as the
+    witnesses of ``verify_unitarity_full``."""
+    product = full.matrix.mul(full.matrix.flip_z())
+    labels = full.labels
+    return [
+        {"row": labels[i], "col": labels[j], "entry": ratfun_to_str(product.entries[i][j])}
+        for i, j in product.mismatches(SymMatrix.identity(full.dim))
+    ]
+
+
 def test_unitarity_full_witness_matches_dense_product(monkeypatch):
     # scale the (0,1) -> (1,0) coupling of the spin-1 matrix by 2
     broken = _broken_full(2, {(1, 3): lambda c: tuple(2 * x for x in c)})
     monkeypatch.setattr(rmatrix, "assemble_full", lambda ell: broken)
     report = verify_unitarity_full(2)
-    # second route: the dense RatFun product over all index triples
-    product = broken.matrix.mul(broken.matrix.flip_z())
-    bad = product.mismatches(SymMatrix.identity(broken.dim))
-    labels = broken.labels
-    assert bad and [(w["row"], w["col"]) for w in report.failures] == [
-        (labels[i], labels[j]) for i, j in bad
+    assert report.failures and report.failures == _dense_unitarity_witnesses(broken)
+
+
+# ---------------------------------------------------------------------------
+# the spin-reversal symmetry and the half-sector checks
+# ---------------------------------------------------------------------------
+
+
+def _weyl(ell):
+    """M: e_a -> a!/(ell-a)! e_(ell-a) as a dense Fraction matrix (column a)."""
+    d = ell + 1
+    return [
+        [
+            Fraction(math.factorial(a), math.factorial(ell - a)) if r == ell - a else Fraction(0)
+            for a in range(d)
+        ]
+        for r in range(d)
     ]
-    for w, (i, j) in zip(report.failures, bad):
-        assert w["entry"] == ratfun_to_str(product.entries[i][j])
+
+
+def _commutes_with_weyl_pair(full):
+    """(M (x) M) R(z) == R(z) (M (x) M) in Fractions at three rational z."""
+    mm = kron(_weyl(full.ell), _weyl(full.ell))
+    points = (Fraction(3, 7), Fraction(-5, 2), Fraction(11))
+    return all(mat_mul(mm, full.at_z(z)) == mat_mul(full.at_z(z), mm) for z in points)
+
+
+def _mirror_scaled(ell, i, j, factor):
+    """assemble_full(ell) with entry (i, j) and its mirror both scaled by factor."""
+    last = (ell + 1) ** 2 - 1
+    scale = lambda c: tuple(factor * x for x in c)  # noqa: E731
+    return _broken_full(ell, {(i, j): scale, (last - i, last - j): scale})
+
+
+def test_mirror_premise_holds_through_max_ell():
+    for ell in range(1, 13):
+        assert assemble_full(ell).mirror_symmetric, ell
+
+
+def test_mirror_premise_agrees_with_dense_commutation():
+    for ell in range(1, 5):
+        assert _commutes_with_weyl_pair(assemble_full(ell)), ell
+    broken = _broken_full(2, {(1, 3): lambda c: tuple(2 * x for x in c)})
+    assert not broken.mirror_symmetric and not _commutes_with_weyl_pair(broken)
+    scaled = _mirror_scaled(2, 1, 3, 2)
+    assert scaled.mirror_symmetric and _commutes_with_weyl_pair(scaled)
+
+
+def test_mirror_premise_refuses_one_corrupted_entry():
+    # (an entry between self-mirrored pairs, such as (1,1) -> (1,1) at ell = 2,
+    # is not constrained by the symmetry, so none is corrupted here)
+    for ell, (i, j) in ((1, (1, 2)), (2, (2, 4)), (3, (6, 9)), (3, (0, 0))):
+        assert assemble_full(ell).num[i][j]
+        broken = _broken_full(ell, {(i, j): lambda c: c[:-1] + (c[-1] + 1,)})
+        assert not broken.mirror_symmetric, (ell, i, j)
+
+
+def test_mirror_premise_is_decided_only_when_read():
+    full = FullR(3, assemble_full(3).num)
+    full.lowest_terms(), full.scaled_at(Fraction(2))
+    assert "mirror_symmetric" not in vars(full)
+    assert full.mirror_symmetric and "mirror_symmetric" in vars(full)
+
+
+def test_half_sector_failures_match_the_dense_routes(monkeypatch):
+    # the premise still holds, so the checks start on the lower half, find a
+    # failure there and then check every sector: the witnesses, upper half
+    # included, are those of the dense routes, in the same order
+    cases = [
+        (1, (1, 2), 2, (Fraction(5, 3), Fraction(2, 7), Fraction(-3, 4))),
+        (2, (1, 3), -1, (Fraction(5), Fraction(2), Fraction(-3, 7))),
+        (2, (4, 4), 3, (Fraction(1, 2), Fraction(-9, 4), Fraction(7, 3))),
+        (3, (6, 9), 10**6, (Fraction(11, 5), Fraction(-4, 3), Fraction(2, 9))),
+    ]
+    for ell, (i, j), factor, zs in cases:
+        broken = _mirror_scaled(ell, i, j, factor)
+        assert broken.mirror_symmetric
+        report = verify_ybe(broken, *zs)
+        assert report.failures and report.failures == _dense_ybe_witnesses(broken, *zs)
+        # a failing sector fails with its mirror
+        weights = {_triple_weight(w["row"], ell) for w in report.failures}
+        assert weights == {3 * ell - w for w in weights}
+        monkeypatch.setattr(rmatrix, "assemble_full", lambda ell: broken)
+        report = verify_unitarity_full(ell)
+        assert report.failures and report.failures == _dense_unitarity_witnesses(broken)
+        weights = {sum(w["row"]) for w in report.failures}
+        assert weights == {2 * ell - w for w in weights}
+
+
+def _applied_weights(monkeypatch, ell, run):
+    """The triple sector weights that ``_apply`` is called on while run() runs."""
+    weight = {
+        id(blocks): w
+        for w, (_, slot12, slot23) in enumerate(rmatrix._ybe_layout(ell))
+        for blocks in (slot12, slot23)
+    }
+    seen, apply = [], rmatrix._apply
+    monkeypatch.setattr(
+        rmatrix,
+        "_apply",
+        lambda blocks, *rest: seen.append(weight[id(blocks)]) or apply(blocks, *rest),
+    )
+    run()
+    monkeypatch.setattr(rmatrix, "_apply", apply)
+    return sorted(set(seen)), len(seen)
+
+
+def test_ybe_applies_only_the_lower_half_when_the_premise_holds(monkeypatch):
+    zs = (Fraction(11, 5), Fraction(-4, 3), Fraction(2, 9))
+    for ell in (1, 2, 3, 4):
+        full = assemble_full(ell)
+        passed = []
+        weights, calls = _applied_weights(
+            monkeypatch, ell, lambda: passed.append(verify_ybe(full, *zs).passed)
+        )
+        half = 3 * ell // 2
+        assert passed == [True] and weights == list(range(half + 1)) and calls == 6 * (half + 1)
+    # a failure makes it apply every sector
+    broken = _mirror_scaled(3, 6, 9, 2)
+    weights, calls = _applied_weights(monkeypatch, 3, lambda: verify_ybe(broken, *zs))
+    assert weights == list(range(10)) and calls == 60
