@@ -8,7 +8,6 @@ from .exactalg import (
     MPoly,
     PoleSpecializationError,
     RatFun,
-    Rational,
     UnsupportedPoleOrderError,
     factored_sum,
     mpoly_exact_div,

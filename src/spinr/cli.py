@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute-s", help="stable-class matrix S (or its inverse) at k")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--inverse", action="store_true", help="emit the closed-form inverse instead")
-    _add_common(p, ["json", "text", "latex"], "json")
+    _add_common(p, ["json", "text", "csv", "latex"], "json")
     p.set_defaults(run=cmd_compute_s)
 
     p = sub.add_parser("verify", help="run verification suites")
@@ -215,10 +215,11 @@ def _grid(rows: list[list[str]], fmt: str) -> str:
     return "\n".join("  ".join(x.ljust(width) for x in row) for row in rows)
 
 
-def _require_format(cfg: argparse.Namespace, formats: tuple[str, ...], what: str) -> None:
-    """Reject a --format the writer for `what` cannot produce."""
+def _require_format(cfg: argparse.Namespace, formats: tuple[str, ...], flag: str = "") -> None:
+    """Reject a --format the writer cannot produce, naming the route as typed plus `flag`."""
     if cfg.fmt not in formats:
-        raise UsageError(f"{what} has no {cfg.fmt} output (formats: {', '.join(formats)})")
+        route = f"export --kind {cfg.kind}" if cfg.command == "export" else cfg.command
+        raise UsageError(f"{route}{flag} has no {cfg.fmt} output (formats: {', '.join(formats)})")
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +228,7 @@ def _require_format(cfg: argparse.Namespace, formats: tuple[str, ...], what: str
 
 
 def cmd_fixed_points(cfg: argparse.Namespace) -> int:
-    _require_format(cfg, ("json", "text"), "fixed-points")
+    _require_format(cfg, ("json", "text"))
     points = moduli.fixed_points(cfg.k, cfg.n, cfg.ell)
     if cfg.fmt == "json":
         doc = {
@@ -246,7 +247,7 @@ def cmd_fixed_points(cfg: argparse.Namespace) -> int:
 def cmd_dims(cfg: argparse.Namespace) -> int:
     if cfg.n < 1 or cfg.ell < 1:
         raise UsageError("-n and -l must be at least 1")
-    _require_format(cfg, ("json", "text", "csv"), "dims")
+    _require_format(cfg, ("json", "text", "csv"))
     rows = []
     for k in range(cfg.n * cfg.ell + 1):
         rows.append(
@@ -278,7 +279,7 @@ def cmd_compute_r(cfg: argparse.Namespace) -> int:
             raise UsageError("--at-z evaluates the assembled R-matrix, not a generic sector block")
         return _emit_block(cfg, cfg.block)
     if cfg.at_z is not None:
-        _require_format(cfg, ("json", "text", "csv"), "compute-r --at-z")
+        _require_format(cfg, ("json", "text", "csv"), " --at-z")
     full = rmatrix.assemble_full(cfg.ell)
     if cfg.at_z is not None:
         numeric = [[str(x) for x in row] for row in full.at_z(cfg.at_z)]

@@ -1,10 +1,12 @@
 """Exact arithmetic kernel: sparse polynomials and rational functions in z, phi, eps.
 
 Everything is computed over arbitrary-precision rationals; there is no floating
-point anywhere.  A polynomial coefficient is a Python ``int`` when it is
-integral and a ``fractions.Fraction`` otherwise, never a float: the paper's
-blocks are built from integer linear forms, so almost every coefficient is an
-integer, and an ``int`` product costs no gcd and no allocation of a Fraction.
+point anywhere.  A ``Scalar`` (a polynomial coefficient or the scalar of a
+``FactoredRat``) is a Python ``int`` when it is integral and a
+``fractions.Fraction`` otherwise (``_coeff`` normalizes it), never a float:
+the paper's blocks are built from integer linear forms, so almost every
+scalar is an integer, and an ``int`` product costs no gcd and no allocation
+of a Fraction.
 ``int == Fraction`` compares by value and ``str(Fraction(n)) == str(n)``, so
 the representation never shows in output.  The building blocks are:
 
@@ -61,8 +63,6 @@ import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
-
-Rational = Fraction
 
 VARS = ("z", "phi", "eps")
 _VAR_INDEX = {name: i for i, name in enumerate(VARS)}
@@ -464,12 +464,13 @@ _canonical = functools.cache(LinForm.canonical)
 
 
 def _canonical_factor_items(
-    scalar: Fraction, pairs: Iterable[tuple[LinForm, int]]
-) -> tuple[Fraction, FactorItems]:
+    scalar: Scalar, pairs: Iterable[tuple[LinForm, int]]
+) -> tuple[Scalar, FactorItems]:
     """The scalar times the forms' int contents, and the merged canonical factors.
 
     The contents of the forms with positive and negative exponents are
-    accumulated as the ints ``up`` and ``down`` and applied to the scalar once.
+    accumulated as the ints ``up`` and ``down`` and applied to the scalar once;
+    the scalar comes back normalized by ``_coeff``.
     """
     merged: dict[LinForm, int] = {}
     up = down = 1
@@ -485,10 +486,8 @@ def _canonical_factor_items(
             else:
                 down *= scale ** (-exp)
         merged[canon] = merged.get(canon, 0) + exp
-    if up != 1 or down != 1:
-        scalar *= Fraction(up, down)
     items = tuple(sorted((f, e) for f, e in merged.items() if e))
-    return scalar, items
+    return _coeff(scalar * up if down == 1 else Fraction(scalar * up, down)), items
 
 
 # Every expanded factor product of the process, keyed by its factor items.
@@ -563,12 +562,11 @@ class FactoredRat:
     __slots__ = ("scalar", "factors")
 
     def __init__(self, scalar: Scalar, pairs: Iterable[tuple[LinForm, int]] = ()):
-        s = Fraction(scalar)
-        if s == 0:
-            self.scalar = Fraction(0)
+        if scalar == 0:
+            self.scalar: Scalar = 0
             self.factors: FactorItems = ()
             return
-        self.scalar, self.factors = _canonical_factor_items(s, pairs)
+        self.scalar, self.factors = _canonical_factor_items(scalar, pairs)
 
     @classmethod
     def zero(cls) -> FactoredRat:
@@ -593,11 +591,10 @@ class FactoredRat:
         return out
 
     def scale(self, c: Scalar) -> FactoredRat:
-        c = Fraction(c)
         if c == 0 or self.is_zero:
             return FactoredRat.zero()
         out = FactoredRat.__new__(FactoredRat)
-        out.scalar, out.factors = self.scalar * c, self.factors
+        out.scalar, out.factors = _coeff(self.scalar * c), self.factors
         return out
 
     def flip_z(self) -> FactoredRat:
@@ -734,15 +731,9 @@ class RatFun:
         return RatFun(self.num * other.num, self.den * other.den, factors)
 
     def scale(self, c: Scalar) -> RatFun:
-        c = Fraction(c)
         if not c:
             return RatFun.zero()
         return RatFun(self.num.scale(c), self.den, self.den_factors)
-
-    def __truediv__(self, other: RatFun) -> RatFun:
-        if other.num.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFun(self.num * other.den, self.den * other.num, None)
 
     def flip_z(self) -> RatFun:
         factors = None
@@ -882,7 +873,7 @@ def limit_at_z_infinity(f: RatFun) -> RatFun | None:
         return RatFun.zero()
     if len(num) > len(den):
         return None
-    return RatFun(num[-1]) / RatFun(den[-1])
+    return RatFun(num[-1], den[-1])
 
 
 def cancel_common_z_roots(

@@ -14,7 +14,6 @@ coefficient is the ratio of the two weight products.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Literal, NamedTuple
 
 from .exactalg import ExactAlgError, FactoredRat, LinForm
@@ -183,7 +182,7 @@ def complete_intersection_coeff(table: WeightTable, multiplicity: int = 1) -> Fa
         if e.is_zero:
             raise DegeneratePatchError("equation with zero weight")
         pairs.append((e, 1))
-    return FactoredRat(Fraction(multiplicity), pairs)
+    return FactoredRat(multiplicity, pairs)
 
 
 def duality_involution(p: FixedPoint) -> FixedPoint:

@@ -128,8 +128,9 @@ def _gauged(full: FullR, sigma: Sequence[int], indices: Sequence[int]) -> list[l
 def _commutation_witnesses(full: FullR, sigma: tuple[int, ...]) -> tuple[dict, ...]:
     """One witness per generator x and power e where [G, Dx] != 0, G = sigma N_e sigma.
 
-    Decided once per matrix and gauge, like ``rmatrix.constructions_mismatches``:
-    the commutation case and ``commutation_gauge`` share one verdict.
+    Decided once per matrix object and gauge (``FullR`` hashes by identity),
+    like ``rmatrix.constructions_mismatches``: the commutation case and
+    ``commutation_gauge`` share one verdict.
 
     The witness is the first nonzero entry of the bracket, row by row.  The
     brackets with E and F are G_(w-1) E_w - E_w G_w and G_(w+1) F_w - F_w G_w

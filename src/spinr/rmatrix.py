@@ -73,9 +73,7 @@ import random
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from . import fracmat
 from .exactalg import (
-    ExactAlgError,
     FactoredRat,
     MPoly,
     PoleSpecializationError,
@@ -232,22 +230,24 @@ def pair_sectors(ell: int) -> list[list[int]]:
 
 def _spin_summand(
     scalar: int, runs: Sequence[Run], ell: int
-) -> tuple[Scalar, dict[int, int]] | None:
-    """scalar * prod runs at eps = -ell*phi, phi = 1, as (constant, {c: exponent of z + c}).
+) -> tuple[int, dict[int, int]] | None:
+    """scalar * prod runs at eps = -ell*phi, phi = 1, as (int, {c: exponent of z + c}).
 
     A form is the constant m = r - ell*c_eps when c_z = 0, and otherwise, with
-    c_z = +-1, c_z * (z + c_z*m).  None when a numerator constant is zero.
+    c_z = +-1, c_z * (z + c_z*m).  None when a numerator constant is zero.  The
+    denominator runs of ``_entry_summands`` are all +-(z + c), so the constant
+    is an int, and a constant run with a negative exponent raises ValueError.
     """
     roots: dict[int, int] = {}
     for c_z, c_eps, lo, hi, exp in runs:
         shift = -ell * c_eps
         if c_z == 0:
-            value = math.prod(range(lo + shift, hi + shift + 1)) ** abs(exp)
-            if value == 0 and exp > 0:
-                return None
+            if exp < 0:
+                raise ValueError(f"constant run {lo + shift}..{hi + shift} in a denominator")
+            value = math.prod(range(lo + shift, hi + shift + 1)) ** exp
             if value == 0:
-                raise ExactAlgError("zero linear form used as a factor")
-            scalar = scalar * value if exp > 0 else Fraction(scalar, value)
+                return None
+            scalar *= value
             continue
         if c_z < 0 and exp * (hi - lo + 1) % 2:
             scalar = -scalar
@@ -279,7 +279,7 @@ def specialize_block(k: int, ell: int) -> dict[int, dict[int, tuple[int, ...]]]:
             for _, roots in summands:
                 for c, e in roots.items():
                     lcm[c] = max(lcm.get(c, 0), -e)
-            acc: list[Scalar] = []
+            acc: list[int] = []
             for scalar, roots in summands:
                 power = dict(lcm)  # the numerator times the cofactor, as powers of (z + c)
                 for c, e in roots.items():
@@ -313,8 +313,8 @@ class FullR:
     (ell+1)*a + b and its label.  Construction refuses (ValueError) a ``num``
     of another shape, of degree above ell, or with a nonzero entry between
     different weights a + b: R is built one weight sector at a time, so every
-    reader relies on it conserving weight.
-    Immutable, and equal (and hashed) by value.
+    reader relies on it conserving weight.  Immutable, and compared by identity
+    like ``SymMatrix``.
     """
 
     def __init__(self, ell: int, num: tuple[tuple[tuple[int, ...], ...], ...]) -> None:
@@ -333,14 +333,6 @@ class FullR:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"FullR is immutable: cannot set {name}")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FullR):
-            return NotImplemented
-        return (self.ell, self.num) == (other.ell, other.num)
-
-    def __hash__(self) -> int:
-        return hash((self.ell, self.num))
 
     @property
     def dim(self) -> int:
@@ -385,22 +377,13 @@ class FullR:
         den = spin_denominator(self.ell)
         return SymMatrix([[RatFun(z_poly(c), den) for c in row] for row in self.num])
 
-    def scaled_at(self, value: Fraction) -> tuple[list[list[int]], int]:
-        """(q^ell * N(p/q), q^ell * D(p/q)) at z = p/q: an int matrix and an int.
-
-        Both come from one table p^e * q^(ell-e), e = 0..ell, which suffices
-        because construction refuses a numerator of degree above ell = deg D.
-        A pole (the int D-value is 0) raises PoleSpecializationError.
-        """
-        table, den = self.powers_at(value)
-        nums = [[sum(map(operator.mul, c, table)) if c else 0 for c in row] for row in self.num]
-        return nums, den
-
     def powers_at(self, value: Fraction) -> tuple[list[int], int]:
         """(the table p^e * q^(ell-e), e = 0..ell, and q^ell * D(p/q)) at z = p/q.
 
-        The dot product of ``num[i][j]`` with the table is q^ell * N(p/q).
-        A pole (the int D-value is 0) raises PoleSpecializationError.
+        The dot product of ``num[i][j]`` with the table is q^ell * N(p/q); the
+        table suffices because construction refuses a numerator of degree
+        above ell = deg D.  A pole (the int D-value is 0) raises
+        PoleSpecializationError.
         """
         p, q, ell = value.numerator, value.denominator, self.ell
         den = math.prod(p + j * q for j in range(1, ell + 1))
@@ -412,9 +395,9 @@ class FullR:
         return [p**e * q ** (ell - e) for e in range(ell + 1)], den
 
     def at_z(self, value: Fraction) -> FracMat:
-        """Exact numeric matrix at a rational spectral parameter."""
-        nums, den = self.scaled_at(value)
-        return [[Fraction(x, den) for x in row] for row in nums]
+        """Exact numeric matrix at a rational z: each entry q^ell N(p/q) / (q^ell D(p/q))."""
+        table, den = self.powers_at(value)
+        return [[Fraction(sum(map(operator.mul, c, table)), den) for c in row] for row in self.num]
 
     def lowest_terms(self) -> SymMatrix:
         """The matrix with each entry reduced to lowest terms (monic denominator)."""
@@ -507,11 +490,15 @@ def verify_unitarity_full(ell: int) -> Report:
 
 
 def verify_identity_at_zero(ell: int) -> Report:
-    """R(0) == Id for the assembled matrix."""
+    """R(0) == Id for the assembled matrix, decided on ``FullR.num`` as N_0 == ell! Id.
+
+    R = N/D and D(0) = ell!, so R(0) is the identity exactly when every
+    diagonal entry has constant coefficient ell! and every other entry 0.
+    """
     report = Report("identity_at_zero", {"ell": ell})
-    full = assemble_full(ell)
-    numeric = full.at_z(Fraction(0))
-    if numeric != fracmat.identity(full.dim):
+    full, top = assemble_full(ell), math.factorial(ell)
+    n0 = [[c[0] if c else 0 for c in row] for row in full.num]
+    if n0 != [[top * (i == j) for j in range(full.dim)] for i in range(full.dim)]:
         report.fail(reason="R(0) is not the identity")
     return report
 
@@ -571,8 +558,8 @@ def verify_ybe(full: FullR, z1: Fraction, z2: Fraction, z3: Fraction) -> Report:
     """Exact Yang-Baxter check at one rational triple, on integer matrices.
 
     R(z1-z2), R(z1-z3) and R(z2-z3) are taken as the integer matrices
-    q^ell * N(p/q) of ``FullR.scaled_at``, with integer scales d12, d13, d23
-    (the values q^ell * D(p/q)).  Each side of the relation is a product of
+    q^ell * N(p/q) from the table of ``FullR.powers_at``, with integer scales
+    d12, d13, d23 (the values q^ell * D(p/q)).  Each side is a product of
     one of each, so both sides carry the same factor d12*d13*d23 and agree
     exactly when the integer products agree.  A witness is divided back by
     that factor, so it reports the rational entry.

@@ -309,6 +309,25 @@ factored = st.builds(
 )
 
 
+scalars = st.one_of(st.integers(-6, 6), small_fractions)
+
+
+def assert_canonical_scalar(f):
+    # int exactly when integral (also a zero scalar), and the value the same
+    # as with the scalar taken as a Fraction
+    assert type(f.scalar) is (int if Fraction(f.scalar).denominator == 1 else Fraction), f
+    num = naive_product(f.num_items()).scale(Fraction(f.scalar))
+    assert f.expand() == RatFun(num, naive_product(f.den_items())), f
+
+
+@given(scalars, st.lists(st.tuples(linforms, st.integers(-2, 2)), max_size=4), factored, scalars)
+@settings(max_examples=100, deadline=None)
+def test_factored_scalar_is_an_int_exactly_when_integral(s, pairs, g, t):
+    f = FactoredRat(s, pairs)
+    for h in (f, f * g, g * f, f.scale(t), g.scale(t), f.flip_z(), g.flip_z(), FactoredRat(t)):
+        assert_canonical_scalar(h)
+
+
 @given(mpolys, mpolys, mpolys)
 @settings(max_examples=60, deadline=None)
 def test_ring_axioms(a, b, c_):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from spinr import exactalg, rmatrix
+from spinr import cli, exactalg, rmatrix
 from spinr.exactalg import (
     FactoredRat,
     LinForm,
@@ -374,7 +374,7 @@ def test_generic_blocks_match_an_independent_sympy_route():
 
 
 def test_assembly_refuses_a_numerator_above_degree_ell(monkeypatch):
-    # the evaluation table of scaled_at stops at z^ell, so a larger degree
+    # the evaluation table of powers_at stops at z^ell, so a larger degree
     # must stop the assembly rather than be cut off
     specialize = rmatrix.specialize_block
 
@@ -396,7 +396,7 @@ def test_assembly_refuses_a_numerator_above_degree_ell(monkeypatch):
 
 
 def test_full_r_refuses_an_over_degree_numerator():
-    # (1, 0, 5) is 1 + 5z^2 at ell = 1: scaled_at(1) would cut it to 1
+    # (1, 0, 5) is 1 + 5z^2 at ell = 1: at_z(1) would cut it to 1
     # instead of 6
     num = [[()] * 4 for _ in range(4)]
     num[0][0] = (1, 0, 5)
@@ -455,8 +455,8 @@ def test_at_z_refuses_pole_and_names_it():
 
 
 def test_coefficients_are_a_second_route_to_the_numerators():
-    # sum_e p^e q^(ell-e) N_e is q^ell N(p/q), which scaled_at reads from the
-    # sparse terms; at z = 0 that is N_0 = D(0) R(0) = ell! Id
+    # sum_e p^e q^(ell-e) N_e is q^ell N(p/q), which is at_z times the int
+    # q^ell D(p/q) of powers_at; at z = 0 that is N_0 = D(0) R(0) = ell! Id
     for ell in range(1, 6):
         full = assemble_full(ell)
         coeffs = [[[0] * full.dim for _ in range(full.dim)] for _ in range(ell + 1)]
@@ -472,7 +472,8 @@ def test_coefficients_are_a_second_route_to_the_numerators():
         ]
         for z in (Fraction(0), Fraction(1, 3), Fraction(-7, 2), Fraction(5)):
             p, q = z.numerator, z.denominator
-            nums, _ = full.scaled_at(z)
+            _, den = full.powers_at(z)
+            nums = [[x * den for x in row] for row in full.at_z(z)]
             expected = [
                 [sum(p**e * q ** (ell - e) * n_e[i][j] for e, n_e in enumerate(coeffs))
                  for j in range(full.dim)]
@@ -511,9 +512,24 @@ def test_block_and_assembled_coefficients_are_ints():
         for poly in (entry.num, entry.den):
             assert all(type(x) is int for x in poly.terms.values()), entry
     # the stored numerators: int coefficient tuples with trailing zeros trimmed
-    for coeffs in (c for row in assemble_full(3).num for c in row):
-        assert type(coeffs) is tuple and all(type(x) is int for x in coeffs)
-        assert not coeffs or coeffs[-1] != 0
+    for ell in range(1, cli.MAX_ELL + 1):
+        for coeffs in (c for row in assemble_full(ell).num for c in row):
+            assert type(coeffs) is tuple and all(type(x) is int for x in coeffs), ell
+            assert not coeffs or coeffs[-1] != 0
+
+
+def test_spin_line_constants_are_numerators():
+    # every denominator run of the closed form is +-(z + c), so the spin line
+    # only ever multiplies its int scalar by constants; a constant run with a
+    # negative exponent, which would divide it, is refused
+    for k in range(2 * cli.MAX_ELL + 1):
+        for i in range(k + 1):
+            for jp in range(k + 1):
+                for _, runs in rmatrix._entry_summands(k, i, jp):
+                    assert all(c_z or exp > 0 for c_z, _, _, _, exp in runs), (k, i, jp)
+    for run in ((0, 1, 1, 2, -1), (0, 0, 3, 3, -1), (0, 1, 2, 2, -2)):
+        with pytest.raises(ValueError, match="constant run .* in a denominator"):
+            rmatrix._spin_summand(1, ((1, 0, 0, 0, 1), run), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -775,6 +791,21 @@ def _dense_unitarity_witnesses(full):
     ]
 
 
+def test_identity_at_zero_fails_on_a_corrupted_constant_coefficient(monkeypatch):
+    # N_0 = ell! Id decides R(0) = Id; the dense route at_z(0) must agree, also
+    # when only a higher coefficient is corrupted, which leaves R(0) alone
+    bump = {0: lambda c: (c[0] + 1,) + c[1:] if c else (1,), 1: lambda c: (c[0], c[1] + 1) + c[2:]}
+    cases = [(2, (4, 4), 0), (2, (1, 3), 0), (3, (6, 9), 0), (3, (0, 0), 0), (3, (6, 9), 1)]
+    for ell, (i, j), power in cases:
+        broken = _broken_full(ell, {(i, j): bump[power]})
+        monkeypatch.setattr(rmatrix, "assemble_full", lambda ell: broken)
+        report = verify_identity_at_zero(ell)
+        dense = broken.at_z(Fraction(0)) == identity(broken.dim)
+        assert report.passed == dense == (power > 0), (ell, i, j, power)
+        if power == 0:
+            assert report.failures == [{"reason": "R(0) is not the identity"}]
+
+
 def test_unitarity_full_witness_matches_dense_product(monkeypatch):
     # scale the (0,1) -> (1,0) coupling of the spin-1 matrix by 2
     broken = _broken_full(2, {(1, 3): lambda c: tuple(2 * x for x in c)})
@@ -839,7 +870,7 @@ def test_mirror_premise_refuses_one_corrupted_entry():
 
 def test_mirror_premise_is_decided_only_when_read():
     full = FullR(3, assemble_full(3).num)
-    full.lowest_terms(), full.scaled_at(Fraction(2))
+    full.lowest_terms(), full.at_z(Fraction(2))
     assert "mirror_symmetric" not in vars(full)
     assert full.mirror_symmetric and "mirror_symmetric" in vars(full)
 
