@@ -4,10 +4,10 @@ Two kinds of matrix live here.
 
 * ``FracMat`` -- a plain list of lists whose entries are ``int`` or
   ``Fraction``: numeric values such as R(z) at a rational point, the sl2
-  blocks between weight sectors and the Casimir projectors.  An integer
-  matrix stays integer under ``mat_mul``, ``mat_add`` and ``mat_sub``.  No
-  Kronecker product is formed: every tensor-power operator of spinr acts
-  block by block on weight sectors.
+  blocks between weight sectors and the Casimir projectors.  The numeric
+  toolkit is ``mat_mul`` and ``mat_sub``, and an integer matrix stays
+  integer under both.  No Kronecker product is formed: every tensor-power
+  operator of spinr acts block by block on weight sectors.
 * ``SymMatrix`` -- a matrix of rational functions in (z, phi, eps): the
   stable-basis change S, the sector blocks and the assembled R(z).  It has
   no basis labels; ``to_json`` takes them (``FullR.labels`` for R(z)).  Its
@@ -29,14 +29,6 @@ from .exactalg import RatFun, ratfun_dot, ratfun_to_latex, ratfun_to_str
 FracMat = list[list[int | Fraction]]
 
 
-def zeros(rows: int, cols: int) -> FracMat:
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
-def identity(n: int) -> FracMat:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
 def mat_mul(a: FracMat, b: FracMat) -> FracMat:
     """The product a*b; accumulators start at int 0, so int inputs give an int result."""
     n, m = len(a), len(b[0])
@@ -52,16 +44,8 @@ def mat_mul(a: FracMat, b: FracMat) -> FracMat:
     return out
 
 
-def mat_add(a: FracMat, b: FracMat) -> FracMat:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_sub(a: FracMat, b: FracMat) -> FracMat:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a: FracMat, c: Fraction) -> FracMat:
-    return [[x * c for x in row] for row in a]
 
 
 class SymMatrix:

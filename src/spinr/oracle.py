@@ -6,9 +6,11 @@ the raising operator (E e_a = a(ell-a+1) e_{a-1}); this keeps every matrix
 integer-valued.  The tensor-square action x -> x(x)1 + 1(x)x moves the weight
 w = a + b of e_(a,b) by one (E down, F up), so it is held as int blocks
 between adjacent weight sectors (``sector_action``); no Kronecker product is
-formed.  The quadratic Casimir EF + FE + H^2/2 has eigenvalue 2s(s+1) on the
-spin-s summand, which yields exact projectors by Lagrange interpolation, one
-weight sector at a time.
+formed.  E and F are adjoint for the form T(a, b) = f(a) f(b)
+(``rmatrix.contravariant_form``), so the spin-s summands are T-orthogonal,
+and each meets sector w = ell-s+j in the line of F^j u_s (u_s the int
+highest-weight vector): each projector is rank-one per sector, with no
+Casimir formed (``casimir_projectors``).
 
 The assembled R-matrix must commute with that action.  The stable basis puts
 the sign (-1)^b on the basis vector e_b of the second tensor factor, so
@@ -21,14 +23,15 @@ construction, since sigma is diagonal, DH is diagonal with the weight, and
 ``FullR`` has no entry between different weights; only E and F are checked.
 Once commutation holds, each sigma N_e sigma acts on the spin-s summand of the
 multiplicity-free tensor square by one scalar (Schur's lemma), read off that
-summand's highest-weight vector: the numerator n_s over D of rho_s, exactly,
-one power of z at a time.  Each n_s must equal the closed form of the fusion
+summand's highest-weight vector: the int numerator n_s over D of rho_s, one
+power of z at a time.  Each n_s must equal the closed form of the fusion
 construction term by term, and ``rmatrix.over_spin_denominator`` reduces rho_s.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -36,7 +39,7 @@ from . import fracmat
 from .exactalg import RatFun, ratfun_to_str, times_roots
 from .fracmat import FracMat
 from .report import Report
-from .rmatrix import FullR, assemble_full, over_spin_denominator, pair_sectors
+from .rmatrix import FullR, assemble_full, contravariant_form, over_spin_denominator, pair_sectors
 
 
 class OracleStructureError(Exception):
@@ -72,34 +75,28 @@ def sector_action(ell: int) -> list[tuple[list[list[int]], list[list[int]]]]:
 def casimir_projectors(ell: int) -> tuple[FracMat, ...]:
     """Projectors onto the spin-s summands of the tensor square, s = 0..ell.
 
-    The Casimir conserves the total weight w = a + b; its block on sector w
-    is E_(w+1) F_w + F_(w-1) E_w + 2(ell-w)^2 Id (``sector_action``), with
-    spectrum 2t(t+1) for the spins t = |ell-w|..ell present there.  Each
-    projector is the Lagrange interpolation of the sector blocks at that
-    spectrum, scattered back into one dense matrix.
+    The spin-s summand meets sector w = ell-s+j, j = 0..2s, in the line of
+    v = F^j u_s (``highest_weight_vector``, the F blocks of ``sector_action``).
+    E and F are adjoint for the diagonal form T(a, b) = f(a) f(b)
+    (``rmatrix.contravariant_form``), so the Casimir is self-adjoint, its
+    summands are T-orthogonal, and P_s on sector w is v v^T T / (v^T T v).
+    Entries are ints when integral and Fractions otherwise.
     """
     d = ell + 1
-    eigenvalue = [Fraction(2 * s * (s + 1)) for s in range(d)]
-    projectors = tuple(fracmat.zeros(d * d, d * d) for _ in range(d))
-    action = sector_action(ell)
-    for w, sector in enumerate(pair_sectors(ell)):
-        eye = fracmat.identity(len(sector))
-        block = fracmat.mat_scale(eye, 2 * (ell - w) ** 2)
-        if w < 2 * ell:
-            block = fracmat.mat_add(block, fracmat.mat_mul(action[w + 1][0], action[w][1]))
-        if w:
-            block = fracmat.mat_add(block, fracmat.mat_mul(action[w - 1][1], action[w][0]))
-        spins = range(abs(ell - w), d)
-        for s in spins:
-            p = eye
-            for t in spins:
-                if t != s:
-                    shifted = fracmat.mat_sub(block, fracmat.mat_scale(eye, eigenvalue[t]))
-                    gap = eigenvalue[s] - eigenvalue[t]
-                    p = fracmat.mat_scale(fracmat.mat_mul(p, shifted), 1 / gap)
-            for i, row in zip(sector, p):
-                for j, x in zip(sector, row):
-                    projectors[s][i][j] = x
+    f = contravariant_form(ell)
+    t = [f[a] * f[b] for a in range(d) for b in range(d)]
+    sectors, action = pair_sectors(ell), sector_action(ell)
+    projectors = tuple([[0] * (d * d) for _ in range(d * d)] for _ in range(d))
+    for s, p in enumerate(projectors):
+        v = highest_weight_vector(ell, s)
+        for w in range(ell - s, ell + s + 1):
+            sector = sectors[w]
+            norm = sum(t[i] * x * x for i, x in zip(sector, v))
+            for i, x in zip(sector, v):
+                for j, y in zip(sector, v):
+                    entry = Fraction(x * y * t[j], norm)
+                    p[i][j] = entry.numerator if entry.denominator == 1 else entry
+            v = [sum(map(operator.mul, row, v)) for row in action[w][1]]
     return projectors
 
 
@@ -191,24 +188,29 @@ def commutation_gauge(full: FullR) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def highest_weight_vector(ell: int, s: int) -> list[Fraction]:
-    """u_s = sum_a c_a e_(a, w-a) on sector w = ell - s, a = 0..w, c_0 = 1, E u_s = 0.
+def highest_weight_vector(ell: int, s: int) -> list[int]:
+    """u_s = sum_a c_a e_(a, w-a) on sector w = ell - s, a = 0..w, with E u_s = 0.
 
-    E u_s = 0 reads a(ell-a+1) c_a + (w-a+1)(ell-w+a) c_(a-1) = 0.
+    E u_s = 0 reads a(ell-a+1) c_a + (w-a+1)(ell-w+a) c_(a-1) = 0.  Scaled by
+    c_0 = f(w) (``rmatrix.contravariant_form``), every c_a is an int, and each
+    step divides exactly: the divisors a(ell-a+1) of the steps up to a
+    multiply out to f(a), and f(a) divides f(w).
     """
-    w, c = ell - s, [Fraction(1)]
+    w, c = ell - s, [contravariant_form(ell)[ell - s]]
     for a in range(1, w + 1):
-        c.append(-c[-1] * (w - a + 1) * (ell - w + a) / (a * (ell - a + 1)))
+        c.append(-c[-1] * (w - a + 1) * (ell - w + a) // (a * (ell - a + 1)))
     return c
 
 
-def spectral_numerators(full: FullR, sigma: Sequence[int] | None = None) -> list[list[Fraction]]:
-    """coeffs[s][e] = n_s,e, the coefficient of z^e in the numerator over D of rho_s.
+def spectral_numerators(full: FullR, sigma: Sequence[int] | None = None) -> list[list[int]]:
+    """coeffs[s][e] = n_s,e, the int coefficient of z^e in the numerator over D of rho_s.
 
     Commutation is checked first, by ``commutation_gauge`` when no gauge is
     supplied; under a supplied sigma a failure raises OracleStructureError at
-    the lowest failing power.  Then sigma N_e sigma u_s = n_s,e u_s, and u_s
-    (``highest_weight_vector``) is 1 at e_(0, ell-s), so n_s,e is read there.
+    the lowest failing power.  Then sigma N_e sigma u_s = n_s,e u_s
+    (``highest_weight_vector``), so n_s,e is the row of e_(0, ell-s) applied
+    to u_s, divided by u_s's entry c_0 there.  That int division is exact
+    because commutation was decided first: it makes u_s an eigenvector.
     """
     if sigma is None:
         sigma = commutation_gauge(full)
@@ -219,7 +221,7 @@ def spectral_numerators(full: FullR, sigma: Sequence[int] | None = None) -> list
     for s in range(full.ell + 1):
         u = highest_weight_vector(full.ell, s)
         rows = [g[0] for g in _gauged(full, sigma, sectors[full.ell - s])]
-        coeffs.append([sum(x * c for x, c in zip(row, u)) for row in rows])
+        coeffs.append([sum(map(operator.mul, row, u)) // u[0] for row in rows])
     return coeffs
 
 

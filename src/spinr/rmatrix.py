@@ -228,6 +228,15 @@ def pair_sectors(ell: int) -> list[list[int]]:
     ]
 
 
+def contravariant_form(ell: int) -> list[int]:
+    """f(a) = a! ell!/(ell-a)! = <e_a, e_a>, a = 0..ell, the form making E adjoint to F.
+
+    <E e_a, e_(a-1)> = <e_a, F e_(a-1)> reads f(a) = a(ell-a+1) f(a-1), f(0) = 1;
+    f is also ell!^2 times the scale of M (x) M (``FullR.mirror_symmetric``).
+    """
+    return [math.factorial(a) * math.perm(ell, a) for a in range(ell + 1)]
+
+
 def _spin_summand(
     scalar: int, runs: Sequence[Run], ell: int
 ) -> tuple[int, dict[int, int]] | None:
@@ -354,15 +363,15 @@ class FullR:
 
         Entrywise that is N[m(i)][m(j)] T(j) == N[i][j] T(i) coefficient by
         coefficient, with m(i) = dim-1-i the index of (ell-a, ell-b) for
-        i = (a, b), and T(a, b) = f(a) f(b), f(a) = a! ell!/(ell-a)! (the
-        scale of M (x) M at (a, b) times ell!^2, so every factor is an int).
+        i = (a, b), and T(a, b) = f(a) f(b) with f = ``contravariant_form``
+        (the scale of M (x) M at (a, b) times ell!^2, so every factor is an int).
         Entries between different weights are zero and m maps weight w to
         2*ell - w, so only pair sectors are read, and of each mirror pair of
         sectors one, since the identity for (i, j) is that for (m(i), m(j)).
         Decided on first read, never by the constructor.
         """
         ell, n, last = self.ell, self.num, self.dim - 1
-        f = [math.factorial(a) * math.perm(ell, a) for a in range(ell + 1)]
+        f = contravariant_form(ell)
         t = [f[a] * f[b] for a, b in self.labels]
         return all(
             [x * t[j] for x in n[last - i][last - j]] == [x * t[i] for x in n[i][j]]
@@ -584,27 +593,27 @@ def verify_ybe(full: FullR, z1: Fraction, z2: Fraction, z3: Fraction) -> Report:
     the difference of the two sides vanishes on one exactly when it does on
     the other, and sectors W <= 3*ell // 2 decide the relation (see the
     module docstring).  Once a sector fails, every sector is checked, so the
-    witnesses do not depend on the premise.
+    witnesses do not depend on the premise.  A pair block of weight w is
+    evaluated when sector W = w first reads it, so the half pass evaluates
+    only w <= 3*ell // 2.
     """
     report = Report("ybe", {"ell": full.ell, "z": [str(z1), str(z2), str(z3)]})
     ell, num = full.ell, full.num
     sectors = pair_sectors(ell)
-    blocks, scale, bound = [], 1, (ell + 1) ** 2 * full.coefficient_bound**3
+    tables, scale, bound = [], 1, (ell + 1) ** 2 * full.coefficient_bound**3
     for dz in (z1 - z2, z1 - z3, z2 - z3):
         table, den = full.powers_at(dz)
-        blocks.append(
-            [
-                [[sum(map(operator.mul, num[i][j], table)) for j in sector] for i in sector]
-                for sector in sectors
-            ]
-        )
+        tables.append(table)
         scale *= den
         bound *= max(abs(dz.numerator), dz.denominator) ** ell
-    r12, r13, r23 = blocks
+    r12, r13, r23 = blocks = [], [], []
     s = bound.bit_length() + 1
     for weight, (indices, slot12, slot23) in enumerate(_ybe_layout(ell)):
         if weight > 3 * ell // 2 and report.passed and full.mirror_symmetric:
             break
+        for table, op in zip(tables, blocks):
+            for sector in sectors[len(op) : weight + 1]:
+                op.append([[sum(map(operator.mul, num[i][j], table)) for j in sector] for i in sector])
         n = len(indices)
         unit = [1 << (s * q) for q in range(n)]
         lhs = _apply(slot12, r23, _apply(slot23, r13, _apply(slot12, r12, unit)))

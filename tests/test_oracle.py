@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from spinr import fracmat, oracle
+from spinr import fracmat, oracle, rmatrix
+from spinr.cli import MAX_ELL
 from spinr.exactalg import MPoly, RatFun, cancel_common_z_roots, ratfun_to_str
 from spinr.oracle import (
     OracleStructureError,
@@ -34,6 +35,25 @@ Z = MPoly.var("z")
 ONE = MPoly.one()
 
 
+# the dense reference routes keep their own matrix helpers: src has only mat_mul and mat_sub
+
+
+def zeros(rows, cols):
+    return [[0] * cols for _ in range(rows)]
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_scale(a, c):
+    return [[x * c for x in row] for row in a]
+
+
 def bracket(a, b):
     return fracmat.mat_sub(fracmat.mat_mul(a, b), fracmat.mat_mul(b, a))
 
@@ -46,7 +66,7 @@ def bracket(a, b):
 def sl2_rep(ell):
     """(E, F, H) of the spin-ell/2 irreducible on e_0..e_ell, as exact matrices."""
     d = ell + 1
-    e, f, h = fracmat.zeros(d, d), fracmat.zeros(d, d), fracmat.zeros(d, d)
+    e, f, h = zeros(d, d), zeros(d, d), zeros(d, d)
     for a in range(d):
         h[a][a] = Fraction(ell - 2 * a)
         if a < ell:
@@ -66,21 +86,21 @@ def kron(a, b):
 def coproduct(ell, which):
     """The tensor-square action x(x)1 + 1(x)x of one generator."""
     x = sl2_rep(ell)["EFH".index(which)]
-    eye = fracmat.identity(ell + 1)
-    return fracmat.mat_add(kron(x, eye), kron(eye, x))
+    eye = identity(ell + 1)
+    return mat_add(kron(x, eye), kron(eye, x))
 
 
 def casimir_matrix(ell):
     de, df, dh = coproduct(ell, "E"), coproduct(ell, "F"), coproduct(ell, "H")
-    quad = fracmat.mat_add(fracmat.mat_mul(de, df), fracmat.mat_mul(df, de))
-    return fracmat.mat_add(quad, fracmat.mat_scale(fracmat.mat_mul(dh, dh), Fraction(1, 2)))
+    quad = mat_add(fracmat.mat_mul(de, df), fracmat.mat_mul(df, de))
+    return mat_add(quad, mat_scale(fracmat.mat_mul(dh, dh), Fraction(1, 2)))
 
 
 def test_bracket_relations_exact():
     for ell in range(1, 7):
         e, f, h = sl2_rep(ell)
-        assert bracket(h, e) == fracmat.mat_scale(e, Fraction(2))
-        assert bracket(h, f) == fracmat.mat_scale(f, Fraction(-2))
+        assert bracket(h, e) == mat_scale(e, Fraction(2))
+        assert bracket(h, f) == mat_scale(f, Fraction(-2))
         assert bracket(e, f) == h
 
 
@@ -94,7 +114,7 @@ def test_coproduct_is_algebra_map():
     for ell in (1, 2, 3):
         de, df, dh = coproduct(ell, "E"), coproduct(ell, "F"), coproduct(ell, "H")
         assert bracket(de, df) == dh
-        assert bracket(dh, de) == fracmat.mat_scale(de, Fraction(2))
+        assert bracket(dh, de) == mat_scale(de, Fraction(2))
 
 
 def test_coproduct_lowering_action():
@@ -126,12 +146,12 @@ def test_sector_action_brackets_to_the_weight():
         action = sector_action(ell)
         for w, sector in enumerate(pair_sectors(ell)):
             n = len(sector)
-            ef = fe = fracmat.zeros(n, n)
+            ef = fe = zeros(n, n)
             if w < 2 * ell:
                 ef = fracmat.mat_mul(action[w + 1][0], action[w][1])
             if w:
                 fe = fracmat.mat_mul(action[w - 1][1], action[w][0])
-            weight = fracmat.mat_scale(fracmat.identity(n), 2 * (ell - w))
+            weight = mat_scale(identity(n), 2 * (ell - w))
             assert fracmat.mat_sub(ef, fe) == weight, (ell, w)
 
 
@@ -179,16 +199,16 @@ def test_projector_ranks():
 def _dense_projectors(ell):
     # reference route: Lagrange interpolation on the whole (ell+1)^2-dimensional Casimir
     c = casimir_matrix(ell)
-    eye = fracmat.identity((ell + 1) ** 2)
+    eye = identity((ell + 1) ** 2)
     eigenvalue = [Fraction(2 * s * (s + 1)) for s in range(ell + 1)]
     projectors = []
     for s in range(ell + 1):
         p = eye
         for t in range(ell + 1):
             if t != s:
-                shifted = fracmat.mat_sub(c, fracmat.mat_scale(eye, eigenvalue[t]))
+                shifted = fracmat.mat_sub(c, mat_scale(eye, eigenvalue[t]))
                 gap = eigenvalue[s] - eigenvalue[t]
-                p = fracmat.mat_scale(fracmat.mat_mul(p, shifted), 1 / gap)
+                p = mat_scale(fracmat.mat_mul(p, shifted), 1 / gap)
         projectors.append(p)
     return projectors
 
@@ -199,26 +219,26 @@ def test_projector_algebra():
         if ell <= 4:
             assert list(projs) == _dense_projectors(ell)
         dim = (ell + 1) ** 2
-        total = fracmat.zeros(dim, dim)
+        total = zeros(dim, dim)
         for s, p in enumerate(projs):
             assert fracmat.mat_mul(p, p) == p
             assert rank(p) == 2 * s + 1
             for t, q in enumerate(projs):
                 if t < s:
-                    assert fracmat.mat_mul(p, q) == fracmat.zeros(dim, dim)
-            total = fracmat.mat_add(total, p)
-        assert total == fracmat.identity(dim)
+                    assert fracmat.mat_mul(p, q) == zeros(dim, dim)
+            total = mat_add(total, p)
+        assert total == identity(dim)
 
 
 def test_casimir_spectrum():
     for ell in (1, 2, 3):
         c = casimir_matrix(ell)
         dim = (ell + 1) ** 2
-        product = fracmat.identity(dim)
+        product = identity(dim)
         for s in range(ell + 1):
-            shift = fracmat.mat_scale(fracmat.identity(dim), Fraction(2 * s * (s + 1)))
+            shift = mat_scale(identity(dim), Fraction(2 * s * (s + 1)))
             product = fracmat.mat_mul(product, fracmat.mat_sub(c, shift))
-        assert product == fracmat.zeros(dim, dim)
+        assert product == zeros(dim, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -376,15 +396,33 @@ def trace_numerators(full, sigma):
 
 
 def test_highest_weight_vectors_are_killed_by_e():
-    # u_s sits in sector ell - s with leading coefficient 1, every coefficient
-    # nonzero, and E_(ell-s) u_s = 0 for the tensor-square action
-    for ell in range(1, 9):
+    # u_s sits in sector w = ell - s with leading coefficient f(w) = w! ell!/(ell-w)!,
+    # every coefficient a nonzero int, and E_w u_s = 0 for the tensor-square
+    # action; every spectral numerator is an int too, through MAX_ELL
+    for ell in range(1, MAX_ELL + 1):
         action = sector_action(ell)
         for s in range(ell + 1):
-            u = highest_weight_vector(ell, s)
-            assert len(u) == ell - s + 1 and u[0] == 1 and all(u), (ell, s)
-            lowered = [sum(x * c for x, c in zip(row, u)) for row in action[ell - s][0]]
+            u, w = highest_weight_vector(ell, s), ell - s
+            assert all(type(c) is int and c for c in u), (ell, s)
+            assert len(u) == w + 1 and u[0] == math.factorial(w) * math.perm(ell, w), (ell, s)
+            lowered = [sum(x * c for x, c in zip(row, u)) for row in action[w][0]]
             assert not any(lowered), (ell, s)
+        numerators = spectral_numerators(assemble_full(ell))
+        assert all(type(n) is int for row in numerators for n in row), ell
+
+
+def _form_without_factorial(ell):
+    return [math.perm(ell, a) for a in range(ell + 1)]
+
+
+def test_a_contravariant_form_without_its_factorial_is_caught(monkeypatch):
+    # the mutant f(a) = ell!/(ell-a)! of the shared form (equal to f at ell = 1):
+    # the mirror premise reads False on a fresh matrix at ell = 2, and the
+    # projectors leave the dense route
+    monkeypatch.setattr(rmatrix, "contravariant_form", _form_without_factorial)
+    monkeypatch.setattr(oracle, "contravariant_form", _form_without_factorial)
+    assert not FullR(2, assemble_full(2).num).mirror_symmetric
+    assert list(casimir_projectors(2)) != _dense_projectors(2)
 
 
 def test_highest_weight_numerators_equal_the_projector_traces():

@@ -18,7 +18,7 @@ from spinr.exactalg import (
     ratfun_to_str,
     run_pairs,
 )
-from spinr.fracmat import SymMatrix, identity, mat_mul
+from spinr.fracmat import SymMatrix, mat_mul
 from spinr.golden import spin_half_block, spin_one_full_matrix, spin_one_middle_block
 from spinr.stablebasis import S_inverse, S_matrix, stable_coeff, verify_inverse
 from spinr.rmatrix import (
@@ -548,6 +548,10 @@ def test_ybe_single_point_spin_one():
 
 def test_ybe_trials_spin_half():
     assert ybe_trials(1, 20, seed=7).passed
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def kron(a, b):
