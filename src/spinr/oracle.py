@@ -17,10 +17,10 @@ the sign (-1)^b on the basis vector e_b of the second tensor factor, so
 commutation holds after conjugating by the fixed diagonal gauge
 sigma_(a,b) = (-1)^b (``sign_gauge``).  Every entry of R(z) is N(z)/D(z)
 over the one scalar polynomial D, so the checks read the int coefficients of
-N(z) = sum_e z^e N_e (``FullR.num``): each sigma N_e sigma commuting with the
-action is an exact polynomial identity.  The bracket with H vanishes by
-construction, since sigma is diagonal, DH is diagonal with the weight, and
-``FullR`` has no entry between different weights; only E and F are checked.
+N(z) = sum_e z^e N_e on the sector blocks (``FullR.blocks``): each sigma N_e
+sigma commuting with the action is an exact polynomial identity.  The bracket
+with H vanishes by construction, since sigma is diagonal, DH is diagonal with
+the weight, and ``FullR`` holds only pair sectors; only E and F are checked.
 Once commutation holds, each sigma N_e sigma acts on the spin-s summand of the
 multiplicity-free tensor square by one scalar (Schur's lemma), read off that
 summand's highest-weight vector: the int numerator n_s over D of rho_s, one
@@ -111,12 +111,13 @@ def sign_gauge(ell: int) -> tuple[int, ...]:
     return tuple((-1) ** b for a in range(d) for b in range(d))
 
 
-def _gauged(full: FullR, sigma: Sequence[int], indices: Sequence[int]) -> list[list[list[int]]]:
-    """sigma N_e sigma on the given rows and columns, for e = 0..ell, as int matrices."""
-    out = [[[0] * len(indices) for _ in indices] for _ in range(full.ell + 1)]
-    for r, i in enumerate(indices):
-        for c, j in enumerate(indices):
-            for e, x in enumerate(full.num[i][j]):
+def _gauged(full: FullR, sigma: Sequence[int], w: int) -> list[list[list[int]]]:
+    """sigma N_e sigma on pair sector w, for e = 0..ell, as int matrices."""
+    sector = pair_sectors(full.ell)[w]
+    out = [[[0] * len(sector) for _ in sector] for _ in range(full.ell + 1)]
+    for r, (i, row) in enumerate(zip(sector, full.blocks[w])):
+        for c, (j, coeffs) in enumerate(zip(sector, row)):
+            for e, x in enumerate(coeffs):
                 out[e][r][c] = sigma[i] * sigma[j] * x
     return out
 
@@ -132,11 +133,11 @@ def _commutation_witnesses(full: FullR, sigma: tuple[int, ...]) -> tuple[dict, .
     The witness is the first nonzero entry of the bracket, row by row.  The
     brackets with E and F are G_(w-1) E_w - E_w G_w and G_(w+1) F_w - F_w G_w
     on the weight sectors (``sector_action``).  [G, DH] is G_ij (h_j - h_i),
-    which is zero because ``FullR`` has no entry between different weights.
+    which is zero because ``FullR`` stores only the pair sectors.
     """
     witnesses = []
     sectors = pair_sectors(full.ell)
-    blocks = [_gauged(full, sigma, sector) for sector in sectors]
+    blocks = [_gauged(full, sigma, w) for w in range(2 * full.ell + 1)]
     action = sector_action(full.ell)
     for which, side, step in (("E", 0, -1), ("F", 1, 1)):
         for e in range(full.ell + 1):
@@ -208,20 +209,21 @@ def spectral_numerators(full: FullR, sigma: Sequence[int] | None = None) -> list
     Commutation is checked first, by ``commutation_gauge`` when no gauge is
     supplied; under a supplied sigma a failure raises OracleStructureError at
     the lowest failing power.  Then sigma N_e sigma u_s = n_s,e u_s
-    (``highest_weight_vector``), so n_s,e is the row of e_(0, ell-s) applied
-    to u_s, divided by u_s's entry c_0 there.  That int division is exact
-    because commutation was decided first: it makes u_s an eigenvector.
+    (``highest_weight_vector``), so n_s,e is row 0 of sector ell-s, the row of
+    e_(0, ell-s), applied to u_s and divided by u_s's entry c_0 there: exactly,
+    since commutation, decided first, makes u_s an eigenvector.
     """
     if sigma is None:
         sigma = commutation_gauge(full)
     elif powers := [w["power"] for w in _commutation_witnesses(full, tuple(sigma))]:
         raise OracleStructureError(f"spectral reconstruction fails at the power z^{min(powers)}")
-    sectors = pair_sectors(full.ell)
-    coeffs = []
-    for s in range(full.ell + 1):
-        u = highest_weight_vector(full.ell, s)
-        rows = [g[0] for g in _gauged(full, sigma, sectors[full.ell - s])]
-        coeffs.append([sum(map(operator.mul, row, u)) // u[0] for row in rows])
+    ell, coeffs = full.ell, []
+    for s, sector in enumerate(pair_sectors(ell)[ell::-1]):  # sector ell - s
+        u, n_s = highest_weight_vector(ell, s), [0] * (ell + 1)
+        for j, entry, x in zip(sector, full.blocks[ell - s][0], u):
+            for e, y in enumerate(entry):
+                n_s[e] += sigma[sector[0]] * sigma[j] * y * x
+        coeffs.append([n // u[0] for n in n_s])
     return coeffs
 
 

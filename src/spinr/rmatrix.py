@@ -18,12 +18,12 @@ summed over their lcm, multiplied by the one denominator D(z) = (z+1)...(z+ell)
 of the fusion spectrum and divided exactly (``exactalg.times_roots`` and
 ``exactalg.divide_root``); no generic block is expanded and nothing is
 substituted.  The entry coupling source (a, b) to target (a', b') with
-a + b = a' + b' = k is block entry (b', b); everything else is zero.
-``FullR`` stores each numerator over D as its int coefficients, which every
-reader uses directly, and refuses a nonzero entry between different weights,
-so every reader may take R to conserve weight.  ``over_spin_denominator`` is
-the one reduction to lowest terms over D's known roots, for the printed
-matrix and the oracle's spectrum.
+a + b = a' + b' = k is block entry (b', b); everything else is zero.  So
+``FullR`` stores only the pair-sector blocks of ``specialize_block``, each
+numerator over D as its int coefficients, which every check reads directly;
+an entry between different weights cannot be written down.
+``over_spin_denominator`` is the one reduction to lowest terms over D's known
+roots, for the printed matrix and the oracle's spectrum.
 
 Verifications: unitarity R(z) R(-z) = Id (symbolically per block, and for the
 assembled matrix per weight sector on int polynomials), equality of the two
@@ -95,6 +95,8 @@ from .stablebasis import (
     binom,
     inverse_mismatches,
 )
+
+Block = tuple[tuple[tuple[int, ...], ...], ...]  # a square of int coefficient tuples
 
 
 def _entry_summands(k: int, i: int, j_prime: int) -> Iterator[tuple[int, tuple[Run, ...]]]:
@@ -265,80 +267,76 @@ def _spin_summand(
     return scalar, roots
 
 
-def specialize_block(k: int, ell: int) -> dict[int, dict[int, tuple[int, ...]]]:
-    """The coefficients N_0, N_1, ... over D(z) of the sector-k entries at spin ell/2.
+def specialize_block(k: int, ell: int) -> Block:
+    """The coefficients N_0, N_1, ... over D(z) of pair sector k at spin ell/2.
 
-    Only entries (b', b) with b', b in max(0, k-ell)..min(k, ell) are built,
-    on int coefficient lists in z alone: ``_spin_summand`` maps each
-    summand's runs to a constant times powers of (z + c), and a summand whose
-    numerator gains a zero constant is dropped.  The summands are put over
-    the lcm of their denominators, multiplied by D(z) = (z+1)...(z+ell) and
-    divided by the lcm one root at a time (a root of both cancels first).
-    That every division is exact proves that D clears the entry; ``FullR``
-    checks that the degree is at most ell.
+    Rows and columns follow ``pair_sectors(ell)[k]``; the entry from (a, b)
+    to (a', b') is closed-form entry (b', b), built on int coefficient lists
+    in z: ``_spin_summand`` maps each summand's runs to a constant times
+    powers of (z + c), and drops a summand whose numerator gains a zero
+    constant.  The summands are put over the lcm of their denominators,
+    multiplied by D(z) = (z+1)...(z+ell) and divided by the lcm one root at a
+    time (a root of both cancels first).  That every division is exact
+    proves that D clears the entry; ``FullR`` checks that deg <= ell.
     """
-    span = range(max(0, k - ell), min(k, ell) + 1)
-    numerators: dict[int, dict[int, tuple[int, ...]]] = {bp: {} for bp in span}
-    for bp in span:
-        for b in span:
-            summands = [
-                t for s, runs in _entry_summands(k, bp, b) if (t := _spin_summand(s, runs, ell))
-            ]
-            lcm: dict[int, int] = {}
-            for _, roots in summands:
-                for c, e in roots.items():
-                    lcm[c] = max(lcm.get(c, 0), -e)
-            acc: list[int] = []
-            for scalar, roots in summands:
-                power = dict(lcm)  # the numerator times the cofactor, as powers of (z + c)
-                for c, e in roots.items():
-                    power[c] = power.get(c, 0) + e
-                poly = times_roots([scalar], [c for c, e in power.items() for _ in range(e)])
-                acc = [x + y for x, y in itertools.zip_longest(acc, poly, fillvalue=0)]
-            for c in range(1, ell + 1):
-                if lcm.get(c):
-                    lcm[c] -= 1
-                else:
-                    acc = times_roots(acc, (c,))
-            for c in [c for c, e in lcm.items() for _ in range(e)]:
-                acc, remainder = divide_root(acc, c)
-                if remainder:
-                    raise AssertionError(f"sector {k} entry ({bp}, {b}): z + {c} does not divide D*sum")
-            while acc and not acc[-1]:
-                acc.pop()
-            numerators[bp][b] = tuple(acc)
-    return numerators
+    order = range(min(k, ell), max(0, k - ell) - 1, -1)  # b = k - a, a ascending
+
+    def entry(bp: int, b: int) -> tuple[int, ...]:
+        summands = [t for s, rs in _entry_summands(k, bp, b) if (t := _spin_summand(s, rs, ell))]
+        lcm: dict[int, int] = {}
+        for _, roots in summands:
+            for c, e in roots.items():
+                lcm[c] = max(lcm.get(c, 0), -e)
+        acc: list[int] = []
+        for scalar, roots in summands:
+            power = dict(lcm)  # the numerator times the cofactor, as powers of (z + c)
+            for c, e in roots.items():
+                power[c] = power.get(c, 0) + e
+            poly = times_roots([scalar], [c for c, e in power.items() for _ in range(e)])
+            acc = [x + y for x, y in itertools.zip_longest(acc, poly, fillvalue=0)]
+        for c in range(1, ell + 1):
+            if lcm.get(c):
+                lcm[c] -= 1
+            else:
+                acc = times_roots(acc, (c,))
+        for c in [c for c, e in lcm.items() for _ in range(e)]:
+            acc, remainder = divide_root(acc, c)
+            if remainder:
+                raise AssertionError(f"sector {k} entry ({bp}, {b}): z + {c} does not divide D*sum")
+        while acc and not acc[-1]:
+            acc.pop()
+        return tuple(acc)
+
+    return tuple(tuple(entry(bp, b) for b in order) for bp in order)
 
 
 class FullR:
     """The assembled R-matrix on the tensor square, rational in z alone.
 
-    Entry (i, j) is N(z)/D(z) over D(z) = (z+1)...(z+ell), and ``num[i][j]``
-    holds the int coefficients N_0, N_1, ... of N, trailing zeros trimmed (a
-    zero entry is ``()``).  deg N <= ell, so the poles are the roots of D.
-    ``matrix`` is the derived ``SymMatrix`` of ``RatFun(N, D)``, and
-    ``lowest_terms`` the reduced one for display.  Basis: pairs (a, b) with
-    a, b in 0..ell in lexicographic order, the pair (a, b) being row/column
-    (ell+1)*a + b and its label.  Construction refuses (ValueError) a ``num``
-    of another shape, of degree above ell, or with a nonzero entry between
-    different weights a + b: R is built one weight sector at a time, so every
-    reader relies on it conserving weight.  Immutable, and compared by identity
-    like ``SymMatrix``.
+    Entry (i, j) is N(z)/D(z) over D(z) = (z+1)...(z+ell), N held as its int
+    coefficients N_0, N_1, ..., trailing zeros trimmed (a zero entry is
+    ``()``).  R conserves the weight a + b, so only ``blocks[w]``, the block
+    of pair sector w in ``pair_sectors(ell)[w]`` order (``specialize_block``),
+    is stored, and ``num`` is the dense view, built on first read.  As
+    deg N <= ell, the poles are the roots of D.  ``matrix`` is the
+    ``SymMatrix`` of ``RatFun(N, D)``, ``lowest_terms`` the reduced one.
+    Basis: pairs (a, b) with a, b in 0..ell in lexicographic order, the pair
+    (a, b) being row/column (ell+1)*a + b and its label.  Construction
+    refuses (ValueError) blocks of other shapes or a numerator of degree
+    above ell.  Immutable, and compared by identity like ``SymMatrix``.
     """
 
-    def __init__(self, ell: int, num: tuple[tuple[tuple[int, ...], ...], ...]) -> None:
+    def __init__(self, ell: int, blocks: tuple[Block, ...]) -> None:
         object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "num", num)
-        n = self.dim
-        if len(self.num) != n or any(len(row) != n for row in self.num):
-            raise ValueError(f"num must be {n} x {n} for ell = {self.ell}")
-        weight = [a + b for a, b in self.labels]
-        for i, row in enumerate(self.num):
-            for j, coeffs in enumerate(row):
-                if len(coeffs) > self.ell + 1:
-                    raise ValueError(f"entry ({i}, {j}): degree above ell = {self.ell}")
-                if coeffs and weight[i] != weight[j]:
-                    raise ValueError(f"entry ({i}, {j}): between weights {weight[i]} and {weight[j]}")
+        object.__setattr__(self, "blocks", blocks)
+        sectors = pair_sectors(ell)
+        if [[len(row) for row in b] for b in blocks] != [[len(s)] * len(s) for s in sectors]:
+            raise ValueError(f"blocks must be the {len(sectors)} pair sectors for ell = {ell}")
+        for sector, block in zip(sectors, blocks):
+            for i, row in zip(sector, block):
+                for j, coeffs in zip(sector, row):
+                    if len(coeffs) > ell + 1:
+                        raise ValueError(f"entry ({i}, {j}): degree above ell = {ell}")
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"FullR is immutable: cannot set {name}")
@@ -349,36 +347,43 @@ class FullR:
 
     @property
     def labels(self) -> list[tuple[int, int]]:
-        d = self.ell + 1
-        return [(a, b) for a in range(d) for b in range(d)]
+        return list(itertools.product(range(self.ell + 1), repeat=2))
 
     @functools.cached_property
     def coefficient_bound(self) -> int:
         """nu = max over entries of sum_e |N_e|, so |q^ell N(p/q)| <= nu max(|p|, q)^ell."""
-        return max(sum(map(abs, coeffs)) for row in self.num for coeffs in row)
+        return max(sum(map(abs, c)) for block in self.blocks for row in block for c in row)
 
     @functools.cached_property
     def mirror_symmetric(self) -> bool:
         """Whether M (x) M commutes with R(z), for M: e_a -> a!/(ell-a)! e_(ell-a).
 
         Entrywise that is N[m(i)][m(j)] T(j) == N[i][j] T(i) coefficient by
-        coefficient, with m(i) = dim-1-i the index of (ell-a, ell-b) for
-        i = (a, b), and T(a, b) = f(a) f(b) with f = ``contravariant_form``
-        (the scale of M (x) M at (a, b) times ell!^2, so every factor is an int).
-        Entries between different weights are zero and m maps weight w to
-        2*ell - w, so only pair sectors are read, and of each mirror pair of
-        sectors one, since the identity for (i, j) is that for (m(i), m(j)).
-        Decided on first read, never by the constructor.
+        coefficient, with m(i) the index of (ell-a, ell-b) for i = (a, b), and
+        T(a, b) = f(a) f(b) with f = ``contravariant_form`` (the scale of
+        M (x) M at (a, b) times ell!^2, so every factor is an int).  m maps
+        sector w onto 2*ell - w reversed, position r to position ~r, and of
+        each mirror pair of sectors one is read, since the identity for (i, j)
+        is that for (m(i), m(j)).  Decided on first read, never on construction.
         """
-        ell, n, last = self.ell, self.num, self.dim - 1
-        f = contravariant_form(ell)
+        ell, blocks, f = self.ell, self.blocks, contravariant_form(self.ell)
         t = [f[a] * f[b] for a, b in self.labels]
         return all(
-            [x * t[j] for x in n[last - i][last - j]] == [x * t[i] for x in n[i][j]]
-            for sector in pair_sectors(ell)[: ell + 1]
-            for i in sector
-            for j in sector
+            [x * t[j] for x in blocks[2 * ell - w][~r][~c]] == [x * t[i] for x in blocks[w][r][c]]
+            for w, sector in enumerate(pair_sectors(ell)[: ell + 1])
+            for r, i in enumerate(sector)
+            for c, j in enumerate(sector)
         )
+
+    @functools.cached_property
+    def num(self) -> Block:
+        """The dense square of the tuples of ``blocks``, ``()`` between different weights."""
+        num = [[()] * self.dim for _ in range(self.dim)]
+        for sector, block in zip(pair_sectors(self.ell), self.blocks):
+            for i, row in zip(sector, block):
+                for j, coeffs in zip(sector, row):
+                    num[i][j] = coeffs
+        return tuple(map(tuple, num))
 
     @functools.cached_property
     def matrix(self) -> SymMatrix:
@@ -389,17 +394,17 @@ class FullR:
     def powers_at(self, value: Fraction) -> tuple[list[int], int]:
         """(the table p^e * q^(ell-e), e = 0..ell, and q^ell * D(p/q)) at z = p/q.
 
-        The dot product of ``num[i][j]`` with the table is q^ell * N(p/q); the
-        table suffices because construction refuses a numerator of degree
-        above ell = deg D.  A pole (the int D-value is 0) raises
-        PoleSpecializationError.
+        The dot product of an entry's coefficients with the table is
+        q^ell * N(p/q); the table suffices because construction refuses a
+        numerator of degree above ell = deg D.  A pole (the int D-value is 0)
+        raises PoleSpecializationError naming the vanishing factor of D.
         """
         p, q, ell = value.numerator, value.denominator, self.ell
         den = math.prod(p + j * q for j in range(1, ell + 1))
         if den == 0:
             raise PoleSpecializationError(
                 f"z = {value} lies on the pole set of the assembled matrix "
-                f"(factor z - ({value}))"
+                f"(factor (z + {-value}) of D)"
             )
         return [p**e * q ** (ell - e) for e in range(ell + 1)], den
 
@@ -422,13 +427,7 @@ def assemble_full(ell: int) -> FullR:
     """
     if ell < 1:
         raise ValueError(f"need ell >= 1, got {ell}")
-    d = ell + 1
-    num: list[list[tuple[int, ...]]] = [[()] * (d * d) for _ in range(d * d)]
-    for k in range(2 * ell + 1):
-        for bp, row in specialize_block(k, ell).items():
-            for b, coeffs in row.items():
-                num[d * (k - bp) + bp][d * (k - b) + b] = coeffs
-    return FullR(ell, tuple(map(tuple, num)))
+    return FullR(ell, tuple(specialize_block(k, ell) for k in range(2 * ell + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +461,9 @@ def verify_unitarity_full(ell: int) -> Report:
     """R(z) R(-z) == Id symbolically in z for the assembled matrix.
 
     R = N/D over the one denominator D, and R couples only equal total
-    weights (``FullR`` refuses any other entry), so the identity is
-    N(z) N(-z) = D(z) D(-z) Id on each weight sector: an identity of int
-    polynomials in z, read from ``FullR.num``.  A witness is the entry of
-    R(z) R(-z) over D(z) D(-z).
+    weights, so the identity is N(z) N(-z) = D(z) D(-z) Id on each weight
+    sector: an identity of int polynomials in z, read from ``FullR.blocks``.
+    A witness is the entry of R(z) R(-z) over D(z) D(-z).
 
     When ``FullR.mirror_symmetric`` holds, M (x) M commutes with R(z) R(-z)
     and maps sector w onto 2*ell - w by a monomial matrix, so the identity on
@@ -475,19 +473,19 @@ def verify_unitarity_full(ell: int) -> Report:
     """
     report = Report("unitarity_full", {"ell": ell})
     full = assemble_full(ell)
-    labels, n = full.labels, full.num
+    labels = full.labels
     # D(z) D(-z) = (-1)^ell prod_{j=1..ell} (z + j)(z - j)
     target = times_roots([(-1) ** ell], [*range(1, ell + 1), *range(-ell, 0)])
     bad: dict[tuple[int, int], RatFun] = {}
-    for w, sector in enumerate(pair_sectors(ell)):
+    for w, (sector, block) in enumerate(zip(pair_sectors(ell), full.blocks)):
         if w > ell and not bad and full.mirror_symmetric:
             break
-        for i in sector:
-            for j in sector:
+        for i, row in zip(sector, block):
+            for c, j in enumerate(sector):
                 acc = [0] * (2 * ell + 1)
-                for m in sector:
-                    for e, x in enumerate(n[i][m]):
-                        for f, y in enumerate(n[m][j]):
+                for left, right in zip(row, block):
+                    for e, x in enumerate(left):
+                        for f, y in enumerate(right[c]):
                             acc[e + f] += -x * y if f % 2 else x * y
                 if acc != (target if i == j else [0] * len(acc)):
                     bad[i, j] = (
@@ -499,15 +497,15 @@ def verify_unitarity_full(ell: int) -> Report:
 
 
 def verify_identity_at_zero(ell: int) -> Report:
-    """R(0) == Id for the assembled matrix, decided on ``FullR.num`` as N_0 == ell! Id.
+    """R(0) == Id for the assembled matrix, decided as N_0 == ell! Id on ``FullR.blocks``.
 
     R = N/D and D(0) = ell!, so R(0) is the identity exactly when every
     diagonal entry has constant coefficient ell! and every other entry 0.
     """
     report = Report("identity_at_zero", {"ell": ell})
     full, top = assemble_full(ell), math.factorial(ell)
-    n0 = [[c[0] if c else 0 for c in row] for row in full.num]
-    if n0 != [[top * (i == j) for j in range(full.dim)] for i in range(full.dim)]:
+    n0 = [[[c[0] if c else 0 for c in row] for row in block] for block in full.blocks]
+    if n0 != [[[top * (r == c) for c in range(len(b))] for r in range(len(b))] for b in n0]:
         report.fail(reason="R(0) is not the identity")
     return report
 
@@ -573,9 +571,9 @@ def verify_ybe(full: FullR, z1: Fraction, z2: Fraction, z3: Fraction) -> Report:
     exactly when the integer products agree.  A witness is divided back by
     that factor, so it reports the rational entry.
 
-    The operators conserve total weight (``FullR`` refuses an entry between
-    different weights), so both sides are formed per total-weight sector W
-    of the triple tensor power, in which each embedded pair operator is
+    The operators conserve total weight (``FullR`` stores only the pair
+    sectors), so both sides are formed per total-weight sector W of the
+    triple tensor power, in which each embedded pair operator is
     block-diagonal with pair-weight blocks of R.  Each row of a sector matrix
     is held as one int, sum_q x_q 2^(s*q), starting from the unit rows
     2^(s*q); applying an operator combines packed rows, and packing is
@@ -598,22 +596,21 @@ def verify_ybe(full: FullR, z1: Fraction, z2: Fraction, z3: Fraction) -> Report:
     only w <= 3*ell // 2.
     """
     report = Report("ybe", {"ell": full.ell, "z": [str(z1), str(z2), str(z3)]})
-    ell, num = full.ell, full.num
-    sectors = pair_sectors(ell)
+    ell = full.ell
     tables, scale, bound = [], 1, (ell + 1) ** 2 * full.coefficient_bound**3
     for dz in (z1 - z2, z1 - z3, z2 - z3):
         table, den = full.powers_at(dz)
         tables.append(table)
         scale *= den
         bound *= max(abs(dz.numerator), dz.denominator) ** ell
-    r12, r13, r23 = blocks = [], [], []
+    r12, r13, r23 = ops = [], [], []
     s = bound.bit_length() + 1
     for weight, (indices, slot12, slot23) in enumerate(_ybe_layout(ell)):
         if weight > 3 * ell // 2 and report.passed and full.mirror_symmetric:
             break
-        for table, op in zip(tables, blocks):
-            for sector in sectors[len(op) : weight + 1]:
-                op.append([[sum(map(operator.mul, num[i][j], table)) for j in sector] for i in sector])
+        for table, op in zip(tables, ops):
+            for block in full.blocks[len(op) : weight + 1]:
+                op.append([[sum(map(operator.mul, c, table)) for c in row] for row in block])
         n = len(indices)
         unit = [1 << (s * q) for q in range(n)]
         lhs = _apply(slot12, r23, _apply(slot23, r13, _apply(slot12, r12, unit)))

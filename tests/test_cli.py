@@ -158,9 +158,12 @@ def test_compute_r_rejects_bad_spin(capsys):
 
 
 def test_compute_r_pole_hit_is_reported(capsys):
+    # the vanishing factor of D is named as D is written, (z + 1)...(z + ell)
     code, _, err = run(capsys, "compute-r", "-l", "1", "--at-z", "-1")
     assert code == 1
-    assert "pole" in err
+    assert "pole" in err and "(factor (z + 1) of D)" in err
+    code, _, err = run(capsys, "compute-r", "-l", "3", "--at-z", "-2")
+    assert code == 1 and "(factor (z + 2) of D)" in err
 
 
 def test_compute_r_takes_a_negative_rational_after_at_z(capsys):
@@ -560,9 +563,12 @@ OUTPUT_DIGESTS = {
     "verify --suite oracle -l 5 --format json": "ccb4d40e28d3bb077d2a9ca21c02d73b5582297c7ef42d89fd1092a0656394e7",
     "verify --suite oracle -l 6 --format json": "3060769068c47185ee66e1692bc2afaeaa7c159abe0aaed9f4e7e6c5afb3f834",
     "verify --suite oracle -l 8 --format json": "0ef04b4b925e62b0cc33b03f8ce4c342b1418ef69215858eb92c2df5bd512087",
+    "verify --suite oracle -l 10 --format json": "405a9e4a318c134e9985bd712fb91f0c378ba84decf512d6de1d4e67c6a48744",
     "verify --suite unitarity -k 7 --format json": "c3ce45a6d1b4a817cd406d23b1e6663868b50c60930c69bfaf1591523c650b90",
     "verify --suite unitarity -l 4 --format json": "f31513416f04f37fb3272ce1145341390cfcab5bb9173a16711fa2523beec329",
     "verify --suite unitarity -l 6 --format json": "6c4db0c4ad30a4cbc42afeae1eadb47616454e5e0b569e97d07041d4e11d1352",
+    "verify --suite unitarity -l 10 --format json": "80f844f14ce04e9918a0c252159cc7c05aeee4745afcb9b935c1f7beac71fe38",
+    "verify --suite ybe -l 4 --trials 3 --format json": "3c7908c39f3e70dce935e736975b2cf409e165d6360ca0052b5495274b72797f",
 }
 
 

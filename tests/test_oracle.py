@@ -1,7 +1,6 @@
 """Tensor-square representation theory: brackets, projectors, spectra."""
 
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -284,43 +283,45 @@ def dense_witnesses(full, sigma):
     return witnesses
 
 
+def edited(full, i, j, change):
+    """full with entry (i, j), which lies in a pair sector, replaced by change(entry)."""
+    blocks = [[list(row) for row in block] for block in full.blocks]
+    sectors = pair_sectors(full.ell)
+    place = {x: (w, r) for w, sector in enumerate(sectors) for r, x in enumerate(sector)}
+    (w, r), (v, c) = place[i], place[j]
+    assert w == v, (i, j)
+    blocks[w][r][c] = change(blocks[w][r][c])
+    return FullR(full.ell, tuple(tuple(map(tuple, block)) for block in blocks))
+
+
 def perturbed(full, i, j, e, delta):
     """full with delta added to the coefficient of z^e in entry (i, j)."""
-    num = [list(row) for row in full.num]
-    coeffs = list(num[i][j]) + [0] * (full.ell + 1 - len(num[i][j]))
-    coeffs[e] += delta
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    num[i][j] = tuple(coeffs)
-    return FullR(full.ell, tuple(map(tuple, num)))
+
+    def change(entry):
+        coeffs = list(entry) + [0] * (full.ell + 1 - len(entry))
+        coeffs[e] += delta
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        return tuple(coeffs)
+
+    return edited(full, i, j, change)
 
 
 def test_commutation_witness_names_generator_power_and_entry():
     # a broken coupling fails commutation, and the witnesses are those of the
     # dense brackets: the spin-1 coupling (0,1) -> (1,0) scaled by 2, then
-    # seeded perturbations at ell = 1..4, every other one between different
-    # weights; FullR refuses such an entry, and inside a weight sector the
-    # dense bracket with H vanishes, so every witness is one of E or F
+    # perturbations (ell, i, j, e, delta) inside weight sectors at ell = 1..4;
+    # there the dense bracket with H vanishes, so every witness is one of E or F
     full = assemble_full(2)
     i, j = full.labels.index((0, 1)), full.labels.index((1, 0))
-    num = [list(row) for row in full.num]
-    num[i][j] = tuple(2 * c for c in num[i][j])
-    cases = [FullR(2, tuple(map(tuple, num)))]
-    rng = random.Random(15)
-    for ell in range(1, 5):
-        full = assemble_full(ell)
-        weight = [a + b for a, b in full.labels]
-        for trial in range(6):
-            crossing = trial % 2 == 1
-            i = rng.randrange(full.dim)
-            j = rng.choice([j for j in range(full.dim) if (weight[j] != weight[i]) == crossing])
-            e = rng.randrange(ell + 1)
-            delta = rng.choice([-2, -1, 1, 3])
-            if crossing:
-                with pytest.raises(ValueError, match=rf"^entry \({i}, {j}\): between weights"):
-                    perturbed(full, i, j, e, delta)
-            else:
-                cases.append(perturbed(full, i, j, e, delta))
+    cases = [edited(full, i, j, lambda c: tuple(2 * x for x in c))]
+    trials = [
+        (1, 1, 1, 0, -1), (1, 2, 1, 0, 1), (1, 3, 3, 1, -1),
+        (2, 4, 6, 2, 3), (2, 7, 5, 1, 1), (2, 6, 2, 1, -2),
+        (3, 0, 0, 3, -1), (3, 2, 5, 2, 3), (3, 7, 10, 2, -1),
+        (4, 14, 14, 2, 3), (4, 12, 4, 2, -2), (4, 1, 5, 1, 3),
+    ]
+    cases += [perturbed(assemble_full(ell), i, j, e, delta) for ell, i, j, e, delta in trials]
     for broken in cases:
         report = verify_sl2_commutation(broken)
         assert not report.passed and "gauge" not in report.details
@@ -421,7 +422,7 @@ def test_a_contravariant_form_without_its_factorial_is_caught(monkeypatch):
     # projectors leave the dense route
     monkeypatch.setattr(rmatrix, "contravariant_form", _form_without_factorial)
     monkeypatch.setattr(oracle, "contravariant_form", _form_without_factorial)
-    assert not FullR(2, assemble_full(2).num).mirror_symmetric
+    assert not FullR(2, assemble_full(2).blocks).mirror_symmetric
     assert list(casimir_projectors(2)) != _dense_projectors(2)
 
 
@@ -533,8 +534,11 @@ def test_spectrum_checks_the_closed_form_coefficients(monkeypatch):
     # closed form of the fusion numerators tells it from R
     ell = 3
     mirrored = tuple(
-        tuple(tuple(-c if e % 2 else c for e, c in enumerate(coeffs)) for coeffs in row)
-        for row in assemble_full(ell).num
+        tuple(
+            tuple(tuple(-c if e % 2 else c for e, c in enumerate(coeffs)) for coeffs in row)
+            for row in block
+        )
+        for block in assemble_full(ell).blocks
     )
     broken = FullR(ell, mirrored)
     assert verify_sl2_commutation(broken).passed

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from spinr import cli, exactalg, rmatrix
+from spinr import cli, exactalg, oracle, rmatrix
 from spinr.exactalg import (
     FactoredRat,
     LinForm,
@@ -24,6 +24,7 @@ from spinr.stablebasis import S_inverse, S_matrix, stable_coeff, verify_inverse
 from spinr.rmatrix import (
     FullR,
     assemble_full,
+    pair_sectors,
     rblock_closed,
     rblock_triangular,
     s_tilde,
@@ -258,13 +259,15 @@ def test_specialization_keeps_exactly_the_summands_that_survive_binding(monkeypa
 def _homogeneous_specialization(k, ell):
     """The homogeneous route: bind eps -> -ell*phi in every summand's forms,
     sum the survivors over their factored lcm, multiply by
-    (z+phi)...(z+ell*phi), divide exactly and read N_e off z^e phi^(ell-e)."""
+    (z+phi)...(z+ell*phi), divide exactly and read N_e off z^e phi^(ell-e).
+    Rows and columns follow pair sector k, entry (b', b) for the pairs
+    (a', b') and (a, b)."""
     hom_den = math.prod((LinForm(1, j, 0).to_mpoly() for j in range(1, ell + 1)), start=ONE)
-    span = range(max(0, k - ell), min(k, ell) + 1)
-    out = {}
-    for bp in span:
-        out[bp] = {}
-        for b in span:
+    order = [i % (ell + 1) for i in pair_sectors(ell)[k]]
+    out = []
+    for bp in order:
+        out.append([])
+        for b in order:
             bound = []
             for scalar, runs in rmatrix._entry_summands(k, bp, b):
                 pairs = [
@@ -277,8 +280,8 @@ def _homogeneous_specialization(k, ell):
             terms = mpoly_exact_div(hom_den * summed.num, summed.den).terms
             assert all(ez + ephi == ell and not eeps for ez, ephi, eeps in terms), (k, bp, b)
             top = max((ez for ez, _, _ in terms), default=-1)
-            out[bp][b] = tuple(terms.get((e, ell - e, 0), 0) for e in range(top + 1))
-    return out
+            out[-1].append(tuple(terms.get((e, ell - e, 0), 0) for e in range(top + 1)))
+    return tuple(map(tuple, out))
 
 
 def test_specialization_matches_the_homogeneous_route():
@@ -322,18 +325,19 @@ def test_specialization_matches_an_independent_sympy_route():
         for k in range(2 * ell + 1):
             block = rblock_closed(k).entries
             numerators = specialize_block(k, ell)
-            span = range(max(0, k - ell), min(k, ell) + 1)
-            assert list(numerators) == list(span)
-            for bp in span:
-                assert list(numerators[bp]) == list(span)
-                for b in span:
+            sector = pair_sectors(ell)[k]
+            assert len(numerators) == len(sector)
+            for row, i in zip(numerators, sector):
+                assert len(row) == len(sector)
+                for got_coeffs, j in zip(row, sector):
+                    bp, b = i % (ell + 1), j % (ell + 1)
                     entry = block[bp][b]
                     value = (to_sympy(entry.num) / to_sympy(entry.den)).subs(eps, -ell * phi)
                     got = sympy.cancel(value.subs(phi, 1) * d_z)
                     assert got.is_polynomial(z), (ell, k, bp, b, got)
                     poly = sympy.Poly(got, z)
                     coeffs = () if poly.is_zero else tuple(reversed(poly.all_coeffs()))
-                    assert coeffs == numerators[bp][b], (ell, k, bp, b)
+                    assert coeffs == got_coeffs, (ell, k, bp, b)
 
 
 def test_generic_blocks_match_an_independent_sympy_route():
@@ -379,10 +383,10 @@ def test_assembly_refuses_a_numerator_above_degree_ell(monkeypatch):
     specialize = rmatrix.specialize_block
 
     def one_entry_too_high(k, ell):
-        blocks = specialize(k, ell)
+        block = [list(row) for row in specialize(k, ell)]
         if k == ell:
-            blocks[ell][ell] = (0,) * (ell + 1) + (1,)
-        return blocks
+            block[0][0] = (0,) * (ell + 1) + (1,)  # the entry of the pair (0, ell)
+        return tuple(map(tuple, block))
 
     monkeypatch.setattr(rmatrix, "specialize_block", one_entry_too_high)
     # assemble_full is memoized: a matrix built earlier would skip the patched build
@@ -397,40 +401,24 @@ def test_assembly_refuses_a_numerator_above_degree_ell(monkeypatch):
 
 def test_full_r_refuses_an_over_degree_numerator():
     # (1, 0, 5) is 1 + 5z^2 at ell = 1: at_z(1) would cut it to 1
-    # instead of 6
-    num = [[()] * 4 for _ in range(4)]
-    num[0][0] = (1, 0, 5)
-    with pytest.raises(ValueError, match=r"entry \(0, 0\): degree"):
-        FullR(1, tuple(map(tuple, num)))
-
-
-def test_full_r_refuses_an_entry_between_weights():
-    # R is built one weight sector at a time, so a nonzero entry between
-    # different weights is refused and named: (0,0) has weight 0 and (1,1)
-    # weight 2 at ell = 1, and every such entry of ell = 2 is tried in turn
-    num = [list(row) for row in assemble_full(1).num]
-    num[0][3] = (1,)
-    with pytest.raises(ValueError, match=r"^entry \(0, 3\): between weights 0 and 2$"):
-        FullR(1, tuple(map(tuple, num)))
-    full = assemble_full(2)
-    weight = [a + b for a, b in full.labels]
-    for i in range(full.dim):
-        for j in range(full.dim):
-            if weight[i] != weight[j]:
-                num = [list(row) for row in full.num]
-                num[i][j] = (0, -3)
-                with pytest.raises(ValueError, match=rf"^entry \({i}, {j}\): between weights"):
-                    FullR(2, tuple(map(tuple, num)))
+    # instead of 6; the refusal names the entry's global row and column
+    for w, r, c, entry in ((0, 0, 0, (0, 0)), (1, 0, 1, (1, 2)), (2, 0, 0, (3, 3))):
+        blocks = [[[()] * len(sector) for _ in sector] for sector in pair_sectors(1)]
+        blocks[w][r][c] = (1, 0, 5)
+        with pytest.raises(ValueError, match=rf"^entry \({entry[0]}, {entry[1]}\): degree"):
+            FullR(1, tuple(tuple(map(tuple, block)) for block in blocks))
 
 
 def test_full_r_refuses_a_wrongly_shaped_numerator():
-    num = assemble_full(1).num
-    with pytest.raises(ValueError, match="4 x 4"):
-        FullR(1, num[:3])
-    with pytest.raises(ValueError, match="4 x 4"):
-        FullR(1, tuple(row[:3] for row in num))
-    with pytest.raises(ValueError, match="9 x 9"):
-        FullR(2, num)
+    # a wrong sector count, a ragged block, and a block of another sector's size
+    blocks = assemble_full(1).blocks
+    ragged = blocks[:1] + ((blocks[1][0], blocks[1][1][:1]),) + blocks[2:]
+    resized = blocks[:1] + (assemble_full(2).blocks[2],) + blocks[2:]  # 3 x 3 for 2 x 2
+    for wrong in (blocks[:2], ragged, resized):
+        with pytest.raises(ValueError, match="^blocks must be the 3 pair sectors for ell = 1$"):
+            FullR(1, wrong)
+    with pytest.raises(ValueError, match="5 pair sectors"):
+        FullR(2, blocks)
 
 
 def test_assembled_poles_and_identity_at_zero_through_spin_5_2():
@@ -777,11 +765,17 @@ def test_unitarity_block_witness_matches_plain_product(monkeypatch):
 
 
 def _broken_full(ell, changes):
-    """assemble_full(ell) with the numerator coefficients of some entries replaced."""
-    num = [list(row) for row in assemble_full(ell).num]
+    """assemble_full(ell) with the numerator coefficients of some entries (i, j) replaced.
+
+    Each entry lies in a pair sector, and is edited at its place in the block.
+    """
+    blocks = [[list(row) for row in block] for block in assemble_full(ell).blocks]
+    place = {x: (w, r) for w, sector in enumerate(pair_sectors(ell)) for r, x in enumerate(sector)}
     for (i, j), coeffs in changes.items():
-        num[i][j] = coeffs(num[i][j])
-    return FullR(ell, tuple(map(tuple, num)))
+        (w, r), (v, c) = place[i], place[j]
+        assert w == v, (i, j)
+        blocks[w][r][c] = coeffs(blocks[w][r][c])
+    return FullR(ell, tuple(tuple(map(tuple, block)) for block in blocks))
 
 
 def _dense_unitarity_witnesses(full):
@@ -873,10 +867,34 @@ def test_mirror_premise_refuses_one_corrupted_entry():
 
 
 def test_mirror_premise_is_decided_only_when_read():
-    full = FullR(3, assemble_full(3).num)
+    full = FullR(3, assemble_full(3).blocks)
     full.lowest_terms(), full.at_z(Fraction(2))
     assert "mirror_symmetric" not in vars(full)
     assert full.mirror_symmetric and "mirror_symmetric" in vars(full)
+
+
+def test_the_dense_view_shares_the_blocks_and_no_check_builds_it(monkeypatch):
+    # num holds the very coefficient tuples of the blocks at their sector
+    # positions, and () between different weights
+    for ell in range(1, cli.MAX_ELL + 1):
+        full = assemble_full(ell)
+        weight = [a + b for a, b in full.labels]
+        for w, sector in enumerate(pair_sectors(ell)):
+            for r, i in enumerate(sector):
+                for c, j in enumerate(sector):
+                    assert full.num[i][j] is full.blocks[w][r][c], (ell, w, r, c)
+        between = [
+            full.num[i][j] for i in range(full.dim) for j in range(full.dim) if weight[i] != weight[j]
+        ]
+        assert between and set(between) == {()}, ell
+    # the checks read the blocks: on a fresh matrix the dense view is never built
+    full = FullR(3, assemble_full(3).blocks)
+    monkeypatch.setattr(rmatrix, "assemble_full", lambda ell: full)
+    monkeypatch.setattr(oracle, "assemble_full", lambda ell: full)
+    assert verify_unitarity_full(3).passed and verify_identity_at_zero(3).passed
+    assert oracle.verify_sl2_commutation(full).passed and oracle.verify_spectrum(3).passed
+    assert verify_ybe(full, Fraction(11, 5), Fraction(-4, 3), Fraction(2, 9)).passed
+    assert "num" not in vars(full)
 
 
 def test_half_sector_failures_match_the_dense_routes(monkeypatch):
