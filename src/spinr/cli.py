@@ -497,10 +497,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _dispatch(_config_from_args(args))
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except moduli.DomainError as exc:
+    except (UsageError, moduli.DomainError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except OSError as exc:

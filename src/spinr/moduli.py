@@ -166,12 +166,11 @@ def patch_weights(k: int, j: int, j_prime: int, variant: Variant) -> WeightTable
     return WeightTable(tuple(variables), tuple(equations))
 
 
-def complete_intersection_coeff(table: WeightTable, multiplicity: int = 1) -> FactoredRat:
+def complete_intersection_coeff(table: WeightTable) -> FactoredRat:
     """Localization coefficient of a complete-intersection patch.
 
     The product of the equation weights divided by the product of the variable
-    weights, times an optional combinatorial multiplicity supplied by the
-    caller.  A zero variable weight means the patch is degenerate.
+    weights.  A zero variable weight means the patch is degenerate.
     """
     pairs: list[tuple[LinForm, int]] = []
     for v in table.variables:
@@ -182,7 +181,7 @@ def complete_intersection_coeff(table: WeightTable, multiplicity: int = 1) -> Fa
         if e.is_zero:
             raise DegeneratePatchError("equation with zero weight")
         pairs.append((e, 1))
-    return FactoredRat(multiplicity, pairs)
+    return FactoredRat(1, pairs)
 
 
 def duality_involution(p: FixedPoint) -> FixedPoint:

@@ -209,21 +209,19 @@ def spectral_numerators(full: FullR, sigma: Sequence[int] | None = None) -> list
     Commutation is checked first, by ``commutation_gauge`` when no gauge is
     supplied; under a supplied sigma a failure raises OracleStructureError at
     the lowest failing power.  Then sigma N_e sigma u_s = n_s,e u_s
-    (``highest_weight_vector``), so n_s,e is row 0 of sector ell-s, the row of
-    e_(0, ell-s), applied to u_s and divided by u_s's entry c_0 there: exactly,
-    since commutation, decided first, makes u_s an eigenvector.
+    (``highest_weight_vector``), so n_s,e is row 0 of sigma N_e sigma on
+    sector ell-s (``_gauged``), the row of e_(0, ell-s), applied to u_s and
+    divided by u_s's entry c_0 there: exactly, since commutation, decided
+    first, makes u_s an eigenvector.
     """
     if sigma is None:
         sigma = commutation_gauge(full)
     elif powers := [w["power"] for w in _commutation_witnesses(full, tuple(sigma))]:
         raise OracleStructureError(f"spectral reconstruction fails at the power z^{min(powers)}")
-    ell, coeffs = full.ell, []
-    for s, sector in enumerate(pair_sectors(ell)[ell::-1]):  # sector ell - s
-        u, n_s = highest_weight_vector(ell, s), [0] * (ell + 1)
-        for j, entry, x in zip(sector, full.blocks[ell - s][0], u):
-            for e, y in enumerate(entry):
-                n_s[e] += sigma[sector[0]] * sigma[j] * y * x
-        coeffs.append([n // u[0] for n in n_s])
+    coeffs = []
+    for s in range(full.ell + 1):
+        u, gauged = highest_weight_vector(full.ell, s), _gauged(full, sigma, full.ell - s)
+        coeffs.append([sum(map(operator.mul, n_e[0], u)) // u[0] for n_e in gauged])
     return coeffs
 
 

@@ -71,7 +71,7 @@ import math
 import operator
 import random
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .exactalg import (
     FactoredRat,
@@ -218,16 +218,17 @@ def over_spin_denominator(coeffs: Sequence[Scalar], ell: int) -> RatFun:
     return RatFun(z_poly(num), _monic(tuple(rest)))
 
 
-def pair_sectors(ell: int) -> list[list[int]]:
+@functools.lru_cache(maxsize=None)
+def pair_sectors(ell: int) -> tuple[tuple[int, ...], ...]:
     """For each pair weight w = 0..2*ell, the indices a*(ell+1) + b with a + b = w.
 
-    They come in ascending a, which is ascending index.
+    They come in ascending a, which is ascending index; built once per ell.
     """
     d = ell + 1
-    return [
-        [a * d + w - a for a in range(max(0, w - ell), min(w, ell) + 1)]
+    return tuple(
+        tuple(a * d + w - a for a in range(max(0, w - ell), min(w, ell) + 1))
         for w in range(2 * ell + 1)
-    ]
+    )
 
 
 def contravariant_form(ell: int) -> list[int]:
@@ -317,9 +318,9 @@ class FullR:
     coefficients N_0, N_1, ..., trailing zeros trimmed (a zero entry is
     ``()``).  R conserves the weight a + b, so only ``blocks[w]``, the block
     of pair sector w in ``pair_sectors(ell)[w]`` order (``specialize_block``),
-    is stored, and ``num`` is the dense view, built on first read.  As
-    deg N <= ell, the poles are the roots of D.  ``matrix`` is the
-    ``SymMatrix`` of ``RatFun(N, D)``, ``lowest_terms`` the reduced one.
+    is stored.  As deg N <= ell, the poles are the roots of D.  ``matrix``
+    is the ``SymMatrix`` of ``RatFun(N, D)``, ``lowest_terms`` the reduced
+    one; they and ``at_z`` are the only dense squares, built from the blocks.
     Basis: pairs (a, b) with a, b in 0..ell in lexicographic order, the pair
     (a, b) being row/column (ell+1)*a + b and its label.  Construction
     refuses (ValueError) blocks of other shapes or a numerator of degree
@@ -375,21 +376,20 @@ class FullR:
             for c, j in enumerate(sector)
         )
 
-    @functools.cached_property
-    def num(self) -> Block:
-        """The dense square of the tuples of ``blocks``, ``()`` between different weights."""
-        num = [[()] * self.dim for _ in range(self.dim)]
+    def _dense(self, entry: Callable[[tuple[int, ...]], object], zero: object) -> list[list]:
+        """The dense square of entry(N) on the blocks, and ``zero`` between different weights."""
+        dense = [[zero] * self.dim for _ in range(self.dim)]
         for sector, block in zip(pair_sectors(self.ell), self.blocks):
             for i, row in zip(sector, block):
                 for j, coeffs in zip(sector, row):
-                    num[i][j] = coeffs
-        return tuple(map(tuple, num))
+                    dense[i][j] = entry(coeffs)
+        return dense
 
     @functools.cached_property
     def matrix(self) -> SymMatrix:
         """The entries as ``RatFun(N, D)``, all over one shared D; read-only."""
         den = spin_denominator(self.ell)
-        return SymMatrix([[RatFun(z_poly(c), den) for c in row] for row in self.num])
+        return SymMatrix(self._dense(lambda c: RatFun(z_poly(c), den), RatFun(MPoly(), den)))
 
     def powers_at(self, value: Fraction) -> tuple[list[int], int]:
         """(the table p^e * q^(ell-e), e = 0..ell, and q^ell * D(p/q)) at z = p/q.
@@ -411,11 +411,12 @@ class FullR:
     def at_z(self, value: Fraction) -> FracMat:
         """Exact numeric matrix at a rational z: each entry q^ell N(p/q) / (q^ell D(p/q))."""
         table, den = self.powers_at(value)
-        return [[Fraction(sum(map(operator.mul, c, table)), den) for c in row] for row in self.num]
+        return self._dense(lambda c: Fraction(sum(map(operator.mul, c, table)), den), Fraction(0))
 
     def lowest_terms(self) -> SymMatrix:
         """The matrix with each entry reduced to lowest terms (monic denominator)."""
-        return SymMatrix([[over_spin_denominator(c, self.ell) for c in row] for row in self.num])
+        reduce = functools.partial(over_spin_denominator, ell=self.ell)
+        return SymMatrix(self._dense(reduce, reduce(())))
 
 
 @functools.lru_cache(maxsize=None)

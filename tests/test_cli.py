@@ -548,15 +548,18 @@ def test_upper_bounds_admit_their_limits():
 # coefficient matrices, and the unitarity suite (the factored block product
 # and the per-sector check of the assembled matrix)
 OUTPUT_DIGESTS = {
+    "compute-r -l 12": "4d77a5096f9646a7d7d8c1acdabb155834fa1d9e2fcd0edd63e45a2e9df01ed0",
     "compute-r -l 12 --at-z 2/3 --format text": "07f17adb313376d85d99b6f3caaae9e00872b47819f7998d39dc073f8ca2d080",
     "compute-r -l 3 --at-z 1/3": "f4d119dac9937e26a90cf035e307fdf0ffa6875f71f26b78980978edafda5a24",
     "compute-r -l 3 --format latex": "ede97409ab915abee985bfa813cb451b1d91ef42b976b5cba59b8e96056c4ae6",
+    "compute-r -l 5 --format text": "899b386545bdd9e836e61eae13fe3a8e42209274463da6f0e9e180674fb9a761",
     "compute-r -l 6 --format latex": "f19c17530f8633026a884d9785b34e3d1fd73822aaa0009125a9c3541bcca366",
     "compute-r -l 8": "9b8ac5af052c8a90d854bbfdf4f72da7b4042b52f6decaa19e9b452c19849a05",
     "compute-r -l 8 --at-z -7/2 --format csv": "69d98e71ac76449b49bf0cf37667b3c2146345051d856e6febfff4bc55aa3424",
     "export --kind block -k 10": "ffc9cbec62bee6c3bd5ff7e504d1885fbbc866146a8f8c15dd2c1275f0f452dd",
     "export --kind s -k 8": "03e971bf55c375545a82a1cd32e5849d8470954810811b656d732771a6f4151e",
     "export --kind sinv -k 8 --format latex": "2f0753dbf78cb6e125a486205f9a26698d809fd1defb581b0d8301c39a881454",
+    "verify --suite golden --format json": "b96de2dc157a7370dae3adbc5b68fcb7452cd3ba0956639c01c81fca11e92752",
     "verify --suite linrel --format json": "f830f56dd11599ffb55bc1e389c0d64f4e4dbce1e6b546365e0b183f59fbb160",
     "verify --suite oracle -l 3 --format json": "318b396f97d9657c52ec622276c6b4f3e6a5d94bf620552d75787290b809945c",
     "verify --suite oracle -l 4 --format json": "8aa5486989f99b5034c15ea8b57b5419ec5111e2e68452c56eb70a56cd7c2d6a",
@@ -564,6 +567,7 @@ OUTPUT_DIGESTS = {
     "verify --suite oracle -l 6 --format json": "3060769068c47185ee66e1692bc2afaeaa7c159abe0aaed9f4e7e6c5afb3f834",
     "verify --suite oracle -l 8 --format json": "0ef04b4b925e62b0cc33b03f8ce4c342b1418ef69215858eb92c2df5bd512087",
     "verify --suite oracle -l 10 --format json": "405a9e4a318c134e9985bd712fb91f0c378ba84decf512d6de1d4e67c6a48744",
+    "verify --suite oracle -l 12 --format json": "9443180e9ab083a129bd750aefbe7b633a33ea5cf21ea13f8bc868ca4a7107b0",
     "verify --suite unitarity -k 7 --format json": "c3ce45a6d1b4a817cd406d23b1e6663868b50c60930c69bfaf1591523c650b90",
     "verify --suite unitarity -l 4 --format json": "f31513416f04f37fb3272ce1145341390cfcab5bb9173a16711fa2523beec329",
     "verify --suite unitarity -l 6 --format json": "6c4db0c4ad30a4cbc42afeae1eadb47616454e5e0b569e97d07041d4e11d1352",

@@ -256,13 +256,14 @@ def test_commutation_needs_one_sign_flip_per_column():
 
 
 def coefficient_matrices(full):
-    """N_0..N_ell as dense int matrices, read from the stored coefficient tuples."""
+    """N_0..N_ell as dense int matrices, scattered from the stored sector blocks."""
     n = full.dim
     out = [[[0] * n for _ in range(n)] for _ in range(full.ell + 1)]
-    for i, row in enumerate(full.num):
-        for j, coeffs in enumerate(row):
-            for e, c in enumerate(coeffs):
-                out[e][i][j] = c
+    for sector, block in zip(pair_sectors(full.ell), full.blocks):
+        for i, row in zip(sector, block):
+            for j, coeffs in zip(sector, row):
+                for e, c in enumerate(coeffs):
+                    out[e][i][j] = c
     return out
 
 

@@ -24,12 +24,14 @@ from spinr.stablebasis import S_inverse, S_matrix, stable_coeff, verify_inverse
 from spinr.rmatrix import (
     FullR,
     assemble_full,
+    over_spin_denominator,
     pair_sectors,
     rblock_closed,
     rblock_triangular,
     s_tilde,
     sample_spectral_triples,
     specialize_block,
+    spin_denominator,
     verify_block_limit,
     verify_equal_constructions,
     verify_identity_at_zero,
@@ -37,6 +39,7 @@ from spinr.rmatrix import (
     verify_unitarity_full,
     verify_ybe,
     ybe_trials,
+    z_poly,
 )
 
 Z = MPoly.var("z")
@@ -448,10 +451,11 @@ def test_coefficients_are_a_second_route_to_the_numerators():
     for ell in range(1, 6):
         full = assemble_full(ell)
         coeffs = [[[0] * full.dim for _ in range(full.dim)] for _ in range(ell + 1)]
-        for i, row in enumerate(full.num):
-            for j, entry in enumerate(row):
-                for e, c in enumerate(entry):
-                    coeffs[e][i][j] = c
+        for sector, block in zip(pair_sectors(ell), full.blocks):
+            for i, row in zip(sector, block):
+                for j, entry in zip(sector, row):
+                    for e, c in enumerate(entry):
+                        coeffs[e][i][j] = c
         assert len(coeffs) == ell + 1
         assert {type(x) for n_e in coeffs for row in n_e for x in row} == {int}
         assert coeffs[0] == [
@@ -501,7 +505,7 @@ def test_block_and_assembled_coefficients_are_ints():
             assert all(type(x) is int for x in poly.terms.values()), entry
     # the stored numerators: int coefficient tuples with trailing zeros trimmed
     for ell in range(1, cli.MAX_ELL + 1):
-        for coeffs in (c for row in assemble_full(ell).num for c in row):
+        for coeffs in (c for block in assemble_full(ell).blocks for row in block for c in row):
             assert type(coeffs) is tuple and all(type(x) is int for x in coeffs), ell
             assert not coeffs or coeffs[-1] != 0
 
@@ -580,7 +584,7 @@ def test_ybe_failure_witnesses_match_fraction_products():
         (3, (6, 9), 10**6, (Fraction(11, 5), Fraction(-4, 3), Fraction(2, 9))),
     ]
     for ell, (i, j), factor, (z1, z2, z3) in cases:
-        assert _broken_full(ell, {}).num[i][j]
+        assert _stored(assemble_full(ell), i, j)
         broken = _broken_full(ell, {(i, j): lambda c: tuple(factor * x for x in c)})
         report = verify_ybe(broken, z1, z2, z3)
         assert not report.passed, ell
@@ -764,18 +768,30 @@ def test_unitarity_block_witness_matches_plain_product(monkeypatch):
     assert verify_unitarity_block(3).passed
 
 
+def _place(ell, i, j):
+    """(w, r, c): entry (i, j), which lies in a pair sector, is blocks[w][r][c]."""
+    place = {x: (w, r) for w, sector in enumerate(pair_sectors(ell)) for r, x in enumerate(sector)}
+    (w, r), (v, c) = place[i], place[j]
+    assert w == v, (i, j)
+    return w, r, c
+
+
 def _broken_full(ell, changes):
     """assemble_full(ell) with the numerator coefficients of some entries (i, j) replaced.
 
     Each entry lies in a pair sector, and is edited at its place in the block.
     """
     blocks = [[list(row) for row in block] for block in assemble_full(ell).blocks]
-    place = {x: (w, r) for w, sector in enumerate(pair_sectors(ell)) for r, x in enumerate(sector)}
     for (i, j), coeffs in changes.items():
-        (w, r), (v, c) = place[i], place[j]
-        assert w == v, (i, j)
+        w, r, c = _place(ell, i, j)
         blocks[w][r][c] = coeffs(blocks[w][r][c])
     return FullR(ell, tuple(tuple(map(tuple, block)) for block in blocks))
+
+
+def _stored(full, i, j):
+    """The stored coefficient tuple of entry (i, j), which lies in a pair sector."""
+    w, r, c = _place(full.ell, i, j)
+    return full.blocks[w][r][c]
 
 
 def _dense_unitarity_witnesses(full):
@@ -861,7 +877,7 @@ def test_mirror_premise_refuses_one_corrupted_entry():
     # (an entry between self-mirrored pairs, such as (1,1) -> (1,1) at ell = 2,
     # is not constrained by the symmetry, so none is corrupted here)
     for ell, (i, j) in ((1, (1, 2)), (2, (2, 4)), (3, (6, 9)), (3, (0, 0))):
-        assert assemble_full(ell).num[i][j]
+        assert _stored(assemble_full(ell), i, j)
         broken = _broken_full(ell, {(i, j): lambda c: c[:-1] + (c[-1] + 1,)})
         assert not broken.mirror_symmetric, (ell, i, j)
 
@@ -873,28 +889,66 @@ def test_mirror_premise_is_decided_only_when_read():
     assert full.mirror_symmetric and "mirror_symmetric" in vars(full)
 
 
-def test_the_dense_view_shares_the_blocks_and_no_check_builds_it(monkeypatch):
-    # num holds the very coefficient tuples of the blocks at their sector
-    # positions, and () between different weights
+def test_dense_outputs_read_the_blocks_and_no_check_builds_them(monkeypatch):
+    # matrix, lowest_terms and at_z hold each stored entry at its sector
+    # position, and zero between different weights
+    z = Fraction(2, 3)
     for ell in range(1, cli.MAX_ELL + 1):
         full = assemble_full(ell)
+        dense = full.matrix.entries, full.lowest_terms().entries, full.at_z(z)
+        table, den = full.powers_at(z)
         weight = [a + b for a, b in full.labels]
         for w, sector in enumerate(pair_sectors(ell)):
             for r, i in enumerate(sector):
                 for c, j in enumerate(sector):
-                    assert full.num[i][j] is full.blocks[w][r][c], (ell, w, r, c)
-        between = [
-            full.num[i][j] for i in range(full.dim) for j in range(full.dim) if weight[i] != weight[j]
-        ]
-        assert between and set(between) == {()}, ell
-    # the checks read the blocks: on a fresh matrix the dense view is never built
+                    coeffs = full.blocks[w][r][c]
+                    matrix, reduced, value = (d[i][j] for d in dense)
+                    assert matrix.num == z_poly(coeffs) and matrix.den == spin_denominator(ell)
+                    reduced_again = over_spin_denominator(coeffs, ell)
+                    assert (reduced.num, reduced.den) == (reduced_again.num, reduced_again.den)
+                    assert value == Fraction(sum(x * t for x, t in zip(coeffs, table)), den)
+        between = [(i, j) for i, u in enumerate(weight) for j, v in enumerate(weight) if u != v]
+        assert between, ell
+        for i, j in between:
+            assert dense[0][i][j].is_zero and dense[1][i][j].is_zero and dense[2][i][j] == 0
+            assert dense[0][i][j].den == spin_denominator(ell)
+    # the checks read the blocks: on a fresh matrix no dense square is built
     full = FullR(3, assemble_full(3).blocks)
     monkeypatch.setattr(rmatrix, "assemble_full", lambda ell: full)
     monkeypatch.setattr(oracle, "assemble_full", lambda ell: full)
     assert verify_unitarity_full(3).passed and verify_identity_at_zero(3).passed
     assert oracle.verify_sl2_commutation(full).passed and oracle.verify_spectrum(3).passed
     assert verify_ybe(full, Fraction(11, 5), Fraction(-4, 3), Fraction(2, 9)).passed
-    assert "num" not in vars(full)
+    assert "matrix" not in vars(full)
+
+
+def test_dense_outputs_work_only_on_sector_entries(monkeypatch):
+    # sum over sectors of |sector|^2 entries at ell = 12, against 13^4 = 28561
+    # for the dense square, plus at most one call for the shared zero; the
+    # sector layout is built once per ell
+    calls = []
+
+    def counted(coeffs, ell):
+        calls.append(coeffs)
+        return over_spin_denominator(coeffs, ell)
+
+    monkeypatch.setattr(rmatrix, "over_spin_denominator", counted)
+    sizes = sum(len(sector) ** 2 for sector in pair_sectors(12))
+    assert sizes == 1469
+    assemble_full(12).lowest_terms()
+    assert sizes <= len(calls) <= sizes + 1
+    for ell in (1, 4, 12):
+        assert pair_sectors(ell) is pair_sectors(ell) and type(pair_sectors(ell)) is tuple
+
+
+def test_full_r_refuses_mutation():
+    # the memoized commutation verdict and the cached premises assume that a
+    # FullR never changes
+    full = FullR(1, assemble_full(1).blocks)
+    for name, value in (("ell", 2), ("blocks", assemble_full(2).blocks), ("fresh", 0)):
+        with pytest.raises(AttributeError, match=f"^FullR is immutable: cannot set {name}$"):
+            setattr(full, name, value)
+    assert full.ell == 1 and full.blocks is assemble_full(1).blocks and "fresh" not in vars(full)
 
 
 def test_half_sector_failures_match_the_dense_routes(monkeypatch):
