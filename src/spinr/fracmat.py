@@ -4,10 +4,11 @@ Two kinds of matrix live here.
 
 * ``FracMat`` -- a plain list of lists whose entries are ``int`` or
   ``Fraction``: numeric values such as R(z) at a rational point, the sl2
-  blocks between weight sectors and the Casimir projectors.  The numeric
-  toolkit is ``mat_mul`` and ``mat_sub``, and an integer matrix stays
-  integer under both.  No Kronecker product is formed: every tensor-power
-  operator of spinr acts block by block on weight sectors.
+  blocks between weight sectors and the Casimir projectors.  ``mat_mul``
+  multiplies two of them, and an integer product stays integer; no src
+  check calls it (the tests' dense reference routes do).  No Kronecker
+  product is formed: every tensor-power operator of spinr acts block by
+  block on weight sectors.
 * ``SymMatrix`` -- a matrix of rational functions in (z, phi, eps): the
   stable-basis change S, the sector blocks and the assembled R(z).  It has
   no basis labels; ``to_json`` takes them (``FullR.labels`` for R(z)).  Its
@@ -42,10 +43,6 @@ def mat_mul(a: FracMat, b: FracMat) -> FracMat:
                 if x:
                     oi[j] += c * x
     return out
-
-
-def mat_sub(a: FracMat, b: FracMat) -> FracMat:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 class SymMatrix:

@@ -23,21 +23,13 @@ EPS = MPoly.var("eps")
 ONE = MPoly.one()
 
 
-def _c(value: int) -> MPoly:
-    return MPoly.const(value)
-
-
-def _rf(num: MPoly, den: MPoly | None = None) -> RatFun:
-    return RatFun(num, den)
-
-
 def spin_half_block() -> SymMatrix:
     """The 2 x 2 sector block of the cotangent-bundle-of-P1 case, generic eps."""
     den = EPS - Z
     return SymMatrix(
         [
-            [_rf(EPS, den), _rf(Z, den)],
-            [_rf(Z, den), _rf(EPS, den)],
+            [RatFun(EPS, den), RatFun(Z, den)],
+            [RatFun(Z, den), RatFun(EPS, den)],
         ]
     )
 
@@ -48,19 +40,19 @@ def spin_one_middle_block() -> SymMatrix:
     return SymMatrix(
         [
             [
-                _rf(EPS * (PHI + EPS), den),
-                _rf(Z * EPS, den),
-                _rf(-(Z * (PHI - Z)), den),
+                RatFun(EPS * (PHI + EPS), den),
+                RatFun(Z * EPS, den),
+                RatFun(-(Z * (PHI - Z)), den),
             ],
             [
-                _rf(_c(2) * Z * (PHI + EPS), den),
-                _rf(PHI * EPS + PHI * Z + EPS * EPS + Z * Z, den),
-                _rf(_c(2) * Z * (PHI + EPS), den),
+                RatFun(MPoly.const(2) * Z * (PHI + EPS), den),
+                RatFun(PHI * EPS + PHI * Z + EPS * EPS + Z * Z, den),
+                RatFun(MPoly.const(2) * Z * (PHI + EPS), den),
             ],
             [
-                _rf(-(Z * (PHI - Z)), den),
-                _rf(Z * EPS, den),
-                _rf(EPS * (PHI + EPS), den),
+                RatFun(-(Z * (PHI - Z)), den),
+                RatFun(Z * EPS, den),
+                RatFun(EPS * (PHI + EPS), den),
             ],
         ]
     )
@@ -70,8 +62,8 @@ def stable_matrix_k1() -> SymMatrix:
     """S at k = 1 (hand evaluation of the product ranges)."""
     return SymMatrix(
         [
-            [_rf(ONE, EPS + Z), _rf(-EPS, Z * (EPS + Z))],
-            [RatFun.zero(), _rf(ONE, Z)],
+            [RatFun(ONE, EPS + Z), RatFun(-EPS, Z * (EPS + Z))],
+            [RatFun.zero(), RatFun(ONE, Z)],
         ]
     )
 
@@ -79,8 +71,8 @@ def stable_matrix_k1() -> SymMatrix:
 def stable_inverse_k1() -> SymMatrix:
     return SymMatrix(
         [
-            [_rf(EPS + Z), _rf(EPS)],
-            [RatFun.zero(), _rf(Z)],
+            [RatFun(EPS + Z), RatFun(EPS)],
+            [RatFun.zero(), RatFun(Z)],
         ]
     )
 
@@ -90,16 +82,16 @@ def stable_matrix_k2() -> SymMatrix:
     return SymMatrix(
         [
             [
-                _rf(ONE, (EPS + Z) * (PHI + EPS + Z)),
-                _rf(-EPS, (EPS + Z) * (PHI + Z) * (PHI + EPS + Z)),
-                _rf(EPS * (PHI + EPS), Z * (EPS + Z) * (PHI + Z) * (PHI + EPS + Z)),
+                RatFun(ONE, (EPS + Z) * (PHI + EPS + Z)),
+                RatFun(-EPS, (EPS + Z) * (PHI + Z) * (PHI + EPS + Z)),
+                RatFun(EPS * (PHI + EPS), Z * (EPS + Z) * (PHI + Z) * (PHI + EPS + Z)),
             ],
             [
                 RatFun.zero(),
-                _rf(ONE, (EPS + Z) * (PHI + Z)),
-                _rf(_c(2) * (PHI + EPS), (EPS + Z) * (PHI - Z) * (PHI + Z)),
+                RatFun(ONE, (EPS + Z) * (PHI + Z)),
+                RatFun(MPoly.const(2) * (PHI + EPS), (EPS + Z) * (PHI - Z) * (PHI + Z)),
             ],
-            [RatFun.zero(), RatFun.zero(), _rf(-ONE, Z * (PHI - Z))],
+            [RatFun.zero(), RatFun.zero(), RatFun(-ONE, Z * (PHI - Z))],
         ]
     )
 
@@ -109,16 +101,16 @@ def attracting_matrix_k2() -> SymMatrix:
     return SymMatrix(
         [
             [
-                _rf(ONE, (EPS + Z) * (PHI + EPS + Z)),
-                _rf(-ONE, (EPS + Z) * (PHI + Z)),
-                _rf(ONE, Z * (PHI + Z)),
+                RatFun(ONE, (EPS + Z) * (PHI + EPS + Z)),
+                RatFun(-ONE, (EPS + Z) * (PHI + Z)),
+                RatFun(ONE, Z * (PHI + Z)),
             ],
             [
                 RatFun.zero(),
-                _rf(ONE, (EPS + Z) * (PHI + Z)),
-                _rf(_c(2), (PHI - Z) * (PHI + Z)),
+                RatFun(ONE, (EPS + Z) * (PHI + Z)),
+                RatFun(MPoly.const(2), (PHI - Z) * (PHI + Z)),
             ],
-            [RatFun.zero(), RatFun.zero(), _rf(-ONE, Z * (PHI - Z))],
+            [RatFun.zero(), RatFun.zero(), RatFun(-ONE, Z * (PHI - Z))],
         ]
     )
 
@@ -128,16 +120,16 @@ CHANGE_OF_BASIS_K2 = [[1, 1, 1], [0, 1, 2], [0, 0, 1]]
 
 def spin_one_full_matrix() -> SymMatrix:
     """The assembled 9 x 9 spin-1 matrix, rational in z, basis lex(a, b)."""
-    zp1 = Z + _c(1)
-    zp2 = Z + _c(2)
+    zp1 = Z + MPoly.const(1)
+    zp2 = Z + MPoly.const(2)
     d1 = zp2
     d2 = zp1 * zp2
-    a = _rf(_c(2), d1)
-    b = _rf(-Z, d1)
-    cc = _rf(_c(2), d2)
-    dd = _rf(_c(-2) * Z, d2)
-    ee = _rf(Z * (Z - _c(1)), d2)
-    ff = _rf(Z * Z + Z + _c(2), d2)
+    a = RatFun(MPoly.const(2), d1)
+    b = RatFun(-Z, d1)
+    cc = RatFun(MPoly.const(2), d2)
+    dd = RatFun(MPoly.const(-2) * Z, d2)
+    ee = RatFun(Z * (Z - MPoly.const(1)), d2)
+    ff = RatFun(Z * Z + Z + MPoly.const(2), d2)
     one = RatFun.one()
     o = RatFun.zero()
     grid = [

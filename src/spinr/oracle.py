@@ -17,10 +17,13 @@ the sign (-1)^b on the basis vector e_b of the second tensor factor, so
 commutation holds after conjugating by the fixed diagonal gauge
 sigma_(a,b) = (-1)^b (``sign_gauge``).  Every entry of R(z) is N(z)/D(z)
 over the one scalar polynomial D, so the checks read the int coefficients of
-N(z) = sum_e z^e N_e on the sector blocks (``FullR.blocks``): each sigma N_e
-sigma commuting with the action is an exact polynomial identity.  The bracket
-with H vanishes by construction, since sigma is diagonal, DH is diagonal with
-the weight, and ``FullR`` holds only pair sectors; only E and F are checked.
+N(z) = sum_e z^e N_e where they are stored, in the coefficient tuples of the
+sector blocks (``FullR.blocks``), and sign each entry as it is read,
+(sigma N sigma)_ij = sigma_i sigma_j N_ij; no per-power matrix is formed.
+Each sigma N_e sigma commuting with the action is an exact polynomial
+identity.  The bracket with H vanishes by construction, since sigma is
+diagonal, DH is diagonal with the weight, and ``FullR`` holds only pair
+sectors; only E and F are checked.
 Once commutation holds, each sigma N_e sigma acts on the spin-s summand of the
 multiplicity-free tensor square by one scalar (Schur's lemma), read off that
 summand's highest-weight vector: the int numerator n_s over D of rho_s, one
@@ -35,7 +38,6 @@ import operator
 from fractions import Fraction
 from typing import Sequence
 
-from . import fracmat
 from .exactalg import RatFun, ratfun_to_str, times_roots
 from .fracmat import FracMat
 from .report import Report
@@ -111,17 +113,6 @@ def sign_gauge(ell: int) -> tuple[int, ...]:
     return tuple((-1) ** b for a in range(d) for b in range(d))
 
 
-def _gauged(full: FullR, sigma: Sequence[int], w: int) -> list[list[list[int]]]:
-    """sigma N_e sigma on pair sector w, for e = 0..ell, as int matrices."""
-    sector = pair_sectors(full.ell)[w]
-    out = [[[0] * len(sector) for _ in sector] for _ in range(full.ell + 1)]
-    for r, (i, row) in enumerate(zip(sector, full.blocks[w])):
-        for c, (j, coeffs) in enumerate(zip(sector, row)):
-            for e, x in enumerate(coeffs):
-                out[e][r][c] = sigma[i] * sigma[j] * x
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def _commutation_witnesses(full: FullR, sigma: tuple[int, ...]) -> tuple[dict, ...]:
     """One witness per generator x and power e where [G, Dx] != 0, G = sigma N_e sigma.
@@ -130,33 +121,41 @@ def _commutation_witnesses(full: FullR, sigma: tuple[int, ...]) -> tuple[dict, .
     like ``rmatrix.constructions_mismatches``: the commutation case and
     ``commutation_gauge`` share one verdict.
 
-    The witness is the first nonzero entry of the bracket, row by row.  The
-    brackets with E and F are G_(w-1) E_w - E_w G_w and G_(w+1) F_w - F_w G_w
-    on the weight sectors (``sector_action``).  [G, DH] is G_ij (h_j - h_i),
-    which is zero because ``FullR`` stores only the pair sectors.
+    The brackets with E and F are G_(w-1) E_w - E_w G_w and G_(w+1) F_w - F_w G_w
+    on the weight sectors (``sector_action``), each formed once for all powers
+    from the coefficient tuples of ``FullR.blocks``, G_ij = sigma_i sigma_j N_ij.
+    A power's witness is its first nonzero bracket entry, row by row.  [G, DH]
+    is G_ij (h_j - h_i), zero because ``FullR`` stores only the pair sectors.
     """
     witnesses = []
-    sectors = pair_sectors(full.ell)
-    blocks = [_gauged(full, sigma, w) for w in range(2 * full.ell + 1)]
-    action = sector_action(full.ell)
+    sectors, action = pair_sectors(full.ell), sector_action(full.ell)
     for which, side, step in (("E", 0, -1), ("F", 1, 1)):
-        for e in range(full.ell + 1):
-            bad = []
-            for w, cols in enumerate(sectors):
-                x = action[w][side]
-                if x:
-                    g_to, g_from = blocks[w + step][e], blocks[w][e]
-                    comm = fracmat.mat_sub(fracmat.mat_mul(g_to, x), fracmat.mat_mul(x, g_from))
-                    rows = sectors[w + step]
-                    bad += [
-                        ((rows[r], cols[c]), v)
-                        for r, row in enumerate(comm)
-                        for c, v in enumerate(row)
-                        if v
-                    ]
-            if bad:
-                entry, value = min(bad)
-                witnesses.append(dict(generator=which, power=e, entry=entry, value=str(value)))
+        lowest: dict[int, tuple[tuple[int, int], int]] = {}
+        for w, cols in enumerate(sectors):
+            x_w = action[w][side]
+            if not x_w:
+                continue
+            rows, g_to, g_from = sectors[w + step], full.blocks[w + step], full.blocks[w]
+            comm = [[[0] * (full.ell + 1) for _ in cols] for _ in rows]
+            for r, x_row in enumerate(x_w):
+                for k, x in enumerate(x_row):
+                    if not x:
+                        continue
+                    for i, g_row in enumerate(g_to):  # (G_to X)_ik += G_ir x
+                        for e, v in enumerate(g_row[r]):
+                            comm[i][k][e] += sigma[rows[i]] * sigma[rows[r]] * v * x
+                    for j, coeffs in enumerate(g_from[k]):  # (X G_from)_rj += x G_kj
+                        for e, v in enumerate(coeffs):
+                            comm[r][j][e] -= x * sigma[cols[k]] * sigma[cols[j]] * v
+            for r, comm_row in enumerate(comm):
+                for c, coeffs in enumerate(comm_row):
+                    for e, v in enumerate(coeffs):
+                        if v and (e not in lowest or (rows[r], cols[c]) < lowest[e][0]):
+                            lowest[e] = (rows[r], cols[c]), v
+        witnesses += [
+            dict(generator=which, power=e, entry=entry, value=str(v))
+            for e, (entry, v) in sorted(lowest.items())
+        ]
     return tuple(witnesses)
 
 
@@ -210,9 +209,9 @@ def spectral_numerators(full: FullR, sigma: Sequence[int] | None = None) -> list
     supplied; under a supplied sigma a failure raises OracleStructureError at
     the lowest failing power.  Then sigma N_e sigma u_s = n_s,e u_s
     (``highest_weight_vector``), so n_s,e is row 0 of sigma N_e sigma on
-    sector ell-s (``_gauged``), the row of e_(0, ell-s), applied to u_s and
-    divided by u_s's entry c_0 there: exactly, since commutation, decided
-    first, makes u_s an eigenvector.
+    sector ell-s, the row of e_(0, ell-s), applied to u_s and divided by u_s's
+    entry c_0 there: exactly, since commutation, decided first, makes u_s an
+    eigenvector.  The row is read from ``FullR.blocks``, signed entry by entry.
     """
     if sigma is None:
         sigma = commutation_gauge(full)
@@ -220,8 +219,12 @@ def spectral_numerators(full: FullR, sigma: Sequence[int] | None = None) -> list
         raise OracleStructureError(f"spectral reconstruction fails at the power z^{min(powers)}")
     coeffs = []
     for s in range(full.ell + 1):
-        u, gauged = highest_weight_vector(full.ell, s), _gauged(full, sigma, full.ell - s)
-        coeffs.append([sum(map(operator.mul, n_e[0], u)) // u[0] for n_e in gauged])
+        w, u, n = full.ell - s, highest_weight_vector(full.ell, s), [0] * (full.ell + 1)
+        sector = pair_sectors(full.ell)[w]
+        for j, c, entry in zip(sector, u, full.blocks[w][0]):
+            for e, v in enumerate(entry):
+                n[e] += sigma[sector[0]] * sigma[j] * v * c
+        coeffs.append([n_e // u[0] for n_e in n])
     return coeffs
 
 

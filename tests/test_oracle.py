@@ -34,7 +34,7 @@ Z = MPoly.var("z")
 ONE = MPoly.one()
 
 
-# the dense reference routes keep their own matrix helpers: src has only mat_mul and mat_sub
+# the dense reference routes keep their own matrix helpers: src has only mat_mul
 
 
 def zeros(rows, cols):
@@ -49,12 +49,16 @@ def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
 def mat_scale(a, c):
     return [[x * c for x in row] for row in a]
 
 
 def bracket(a, b):
-    return fracmat.mat_sub(fracmat.mat_mul(a, b), fracmat.mat_mul(b, a))
+    return mat_sub(fracmat.mat_mul(a, b), fracmat.mat_mul(b, a))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +155,7 @@ def test_sector_action_brackets_to_the_weight():
             if w:
                 fe = fracmat.mat_mul(action[w - 1][1], action[w][0])
             weight = mat_scale(identity(n), 2 * (ell - w))
-            assert fracmat.mat_sub(ef, fe) == weight, (ell, w)
+            assert mat_sub(ef, fe) == weight, (ell, w)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +209,7 @@ def _dense_projectors(ell):
         p = eye
         for t in range(ell + 1):
             if t != s:
-                shifted = fracmat.mat_sub(c, mat_scale(eye, eigenvalue[t]))
+                shifted = mat_sub(c, mat_scale(eye, eigenvalue[t]))
                 gap = eigenvalue[s] - eigenvalue[t]
                 p = mat_scale(fracmat.mat_mul(p, shifted), 1 / gap)
         projectors.append(p)
@@ -236,7 +240,7 @@ def test_casimir_spectrum():
         product = identity(dim)
         for s in range(ell + 1):
             shift = mat_scale(identity(dim), Fraction(2 * s * (s + 1)))
-            product = fracmat.mat_mul(product, fracmat.mat_sub(c, shift))
+            product = fracmat.mat_mul(product, mat_sub(c, shift))
         assert product == zeros(dim, dim)
 
 
@@ -356,6 +360,21 @@ def test_failures_inside_and_between_sectors_report_the_lowest_power():
         ("E", 1), ("F", 1), ("E", 3), ("F", 3)
     }
     assert verify_sl2_commutation(broken).failures == expected
+
+
+def test_witnesses_follow_the_gauge_entry_by_entry():
+    # the sign of each bracket entry comes from sigma_i sigma_j: without the
+    # gauge R does not commute, and the witnesses are those of the dense
+    # brackets; under (-1)^a, which agrees with (-1)^b up to the sign
+    # (-1)^w of the whole sector w, every bracket vanishes
+    for ell in range(1, 5):
+        full = assemble_full(ell)
+        d = ell + 1
+        identity_gauge = (1,) * full.dim
+        witnesses = list(oracle._commutation_witnesses(full, identity_gauge))
+        assert len(witnesses) == 2 * ell and witnesses == dense_witnesses(full, identity_gauge)
+        row_gauge = tuple((-1) ** a for a in range(d) for b in range(d))
+        assert oracle._commutation_witnesses(full, row_gauge) == ()
 
 
 def test_gauge_is_weight_preserving():

@@ -101,6 +101,7 @@ NEVER_CALLED_BY_THE_CLI = {
     "exactalg.RatFun.__repr__": DISPLAY,
     "exactalg.residue_at.<locals>.strip": "failure path: an S^-1 S entry that is not 0",
     "exactalg.cancel_common_z_roots": TRACER,
+    "fracmat.mat_mul": TRACER,
     "fracmat.SymMatrix.value_eq": "acceptance: criteria 1 and 2 compare whole matrices",
     "fracmat.SymMatrix.__repr__": DISPLAY,
     "moduli.patch_weights": "acceptance: criterion 10",
