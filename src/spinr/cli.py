@@ -10,20 +10,25 @@ verify         run verification suites; exit 0 iff everything passes
 export         unified exporter routing to the writers of the commands above
 
 The parsed argparse namespace is the run's configuration: every subcommand
-carries its handler, and a flag a command does not take reads as not given.
-verify and export are each driven by one route table.  ``_SUITES`` maps a
-verify suite to the flags it reads and its cases in run order (``all`` runs
-the other rows in table order); ``_EXPORTS`` maps an export kind to the flags
-it reads, the flags it requires and its writer.  A flag given to a route
-that never reads it is a usage error, not ignored, and a new suite or export
-kind is one row.
+carries its handler and takes only the flags it reads (a flag it does not
+take reads as not given).  --quiet is verify's alone; verify and compute-r
+take --jobs and --seed, compute-r only because the benchmark harness
+(perfbench/run.py) passes --seed S --jobs 1 to every op.  verify, export and
+compute-r check their route with ``_check_route``, against ``_SUITES``
+(suite -> the flags it reads and its cases in run order; ``all`` runs the
+other rows in table order), ``_EXPORTS`` (kind -> the flags it reads, the
+flags it requires and its writer) and compute-r's two routes (-l, --at-z and
+--seed with -l required; --block reads only --seed).  A flag given to a
+route that never reads it is a usage error, not ignored, and a new suite or
+export kind is one row.
 
 Rationals on the command line are always integers or "p/q" strings; decimal
 input is rejected.  Output is byte-deterministic for a fixed configuration:
 results are ordered by case index, never by completion time, also under
---jobs parallelism.  Size parameters have fixed upper bounds (MAX_ELL,
-MAX_K, MAX_N, MAX_TRIALS, MAX_AT_Z_DIGITS); a larger value and a negative -k
-or --block are usage errors before any work starts.
+--jobs parallelism.  One table, ``_RANGES``, holds the least and greatest
+value of every integer flag (MAX_ELL, MAX_K, MAX_N, MAX_TRIALS), and --at-z
+has at most MAX_AT_Z_DIGITS digits; a value outside them is a usage error
+before any work starts.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 """
@@ -81,9 +86,6 @@ def _schema(name: str) -> str:
 def _add_common(p: argparse.ArgumentParser, formats: list[str], default_fmt: str) -> None:
     p.add_argument("--format", dest="fmt", choices=formats, default=default_fmt)
     p.add_argument("--output", "-o", default=None, help="write to a file instead of stdout")
-    p.add_argument("--quiet", "-q", action="store_true", help="suppress per-item progress lines")
-    p.add_argument("--jobs", "-j", type=int, default=1, help="worker processes for verification cases")
-    p.add_argument("--seed", type=int, default=None, help="seed for random rational sampling")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,7 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact rational sl2 R-matrices for arbitrary spin, with symbolic verification.",
     )
     # a flag the chosen command does not take reads as not given
-    parser.set_defaults(k=None, n=None, ell=None, block=None, inverse=False, at_z=None, trials=None)
+    parser.set_defaults(
+        k=None, n=None, ell=None, block=None, inverse=False, at_z=None, trials=None, jobs=None, seed=None
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fixed-points", help="enumerate torus-fixed points")
@@ -109,9 +113,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_dims)
 
     p = sub.add_parser("compute-r", help="assemble the spin-ell/2 R-matrix")
-    p.add_argument("-l", "--ell", dest="ell", type=int, required=True)
+    p.add_argument("-l", "--ell", dest="ell", type=int, default=None, help="required without --block")
     p.add_argument("--block", type=int, default=None, help="emit one generic sector block instead")
     p.add_argument("--at-z", dest="at_z", default=None, help='evaluate at a rational z ("p/q")')
+    p.add_argument("--jobs", "-j", type=int, default=1, help="unused; perfbench/run.py passes it")
+    p.add_argument("--seed", type=int, default=None, help="unused; perfbench/run.py passes it")
     _add_common(p, ["json", "text", "csv", "latex"], "json")
     p.set_defaults(run=cmd_compute_r)
 
@@ -126,6 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, default=None, help="restrict to one k (default: spec range)")
     p.add_argument("-l", "--ell", dest="ell", type=int, default=None)
     p.add_argument("--trials", type=int, default=None, help=f"YBE trials (default {YBE_TRIALS})")
+    p.add_argument("--seed", type=int, default=None, help="seed for random rational sampling")
+    p.add_argument("--jobs", "-j", type=int, default=1, help="worker processes for verification cases")
+    p.add_argument("--quiet", "-q", action="store_true", help="suppress per-item progress lines")
     _add_common(p, ["json", "text"], "text")
     p.set_defaults(run=cmd_verify)
 
@@ -140,8 +149,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Every integer flag: its namespace name, its spelling in messages, its
+# least value and its greatest (None: worker_count clamps --jobs instead).
+_RANGES = (
+    ("ell", "-l", 1, MAX_ELL),
+    ("k", "-k", 0, MAX_K),
+    ("n", "-n", 1, MAX_N),
+    ("block", "--block", 0, MAX_K),
+    ("trials", "--trials", 1, MAX_TRIALS),
+    ("jobs", "--jobs", 1, None),
+)
+
+
 def _config_from_args(cfg: argparse.Namespace) -> argparse.Namespace:
-    """The parsed arguments, bounds checked and --at-z parsed in place."""
+    """The parsed arguments, ranges checked and --at-z parsed in place."""
     if cfg.at_z is not None:
         try:
             cfg.at_z = parse_rational(cfg.at_z)
@@ -151,41 +172,28 @@ def _config_from_args(cfg: argparse.Namespace) -> argparse.Namespace:
             raise UsageError(
                 f"--at-z must have at most {MAX_AT_Z_DIGITS} digits in its numerator and denominator"
             )
-    if cfg.jobs < 1:
-        raise UsageError("--jobs must be at least 1")
-    if cfg.trials is not None and cfg.trials < 1:
-        raise UsageError("--trials must be at least 1")
-    _check_upper(cfg.ell, MAX_ELL, "-l")
-    _check_upper(cfg.k, MAX_K, "-k")
-    _check_upper(cfg.n, MAX_N, "-n")
-    _check_upper(cfg.block, MAX_K, "--block")
-    _check_upper(cfg.trials, MAX_TRIALS, "--trials")
-    for value, flag in ((cfg.k, "-k"), (cfg.block, "--block")):
-        if value is not None and value < 0:
-            raise UsageError(f"{flag} must be nonnegative")
+    for name, flag, least, top in _RANGES:
+        value = getattr(cfg, name)
+        if value is not None and value < least:
+            raise UsageError(f"{flag} must be " + ("nonnegative" if least == 0 else f"at least {least}"))
+        if value is not None and top is not None and value > top:
+            raise UsageError(f"{flag} must be at most {top}, got {value}")
     return cfg
 
 
-def _check_upper(value: int | None, top: int, flag: str) -> None:
-    if value is not None and value > top:
-        raise UsageError(f"{flag} must be at most {top}, got {value}")
-
-
-# The flags a verify suite or export kind may read, by namespace name, as
-# spelled in messages.
+# The flags a route may read or require, by namespace name, as spelled in messages.
 _FLAGS = {"k": "-k", "n": "-n", "ell": "-l", "at_z": "--at-z", "trials": "--trials", "seed": "--seed"}
 
 
-def _refuse_unread(cfg: argparse.Namespace, reads: tuple[str, ...], route: str) -> None:
-    """A flag given to a route that never reads it is a usage error, not ignored.
-
-    Only verify checks --seed: the other commands accept it and draw nothing.
-    """
+def _check_route(
+    cfg: argparse.Namespace, reads: tuple[str, ...], requires: tuple[str, ...], route: str
+) -> None:
+    """Refuse a given flag that `route` never reads, then a missing one it requires."""
     for name, flag in _FLAGS.items():
-        if name == "seed" and cfg.command != "verify":
-            continue
         if name not in reads and getattr(cfg, name) is not None:
             raise UsageError(f"{route} does not read {flag}")
+    if any(getattr(cfg, name) is None for name in requires):
+        raise UsageError(f"{route} requires {', '.join(_FLAGS[name] for name in requires)}")
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +253,6 @@ def cmd_fixed_points(cfg: argparse.Namespace) -> int:
 
 
 def cmd_dims(cfg: argparse.Namespace) -> int:
-    if cfg.n < 1 or cfg.ell < 1:
-        raise UsageError("-n and -l must be at least 1")
     _require_format(cfg, ("json", "text", "csv"))
     rows = []
     for k in range(cfg.n * cfg.ell + 1):
@@ -272,12 +278,10 @@ def cmd_dims(cfg: argparse.Namespace) -> int:
 
 
 def cmd_compute_r(cfg: argparse.Namespace) -> int:
-    if cfg.ell < 1:
-        raise UsageError("spin parameter -l must be at least 1")
     if cfg.block is not None:
-        if cfg.at_z is not None:
-            raise UsageError("--at-z evaluates the assembled R-matrix, not a generic sector block")
+        _check_route(cfg, ("seed",), (), "compute-r --block")
         return _emit_block(cfg, cfg.block)
+    _check_route(cfg, ("ell", "at_z", "seed"), ("ell",), "compute-r")
     if cfg.at_z is not None:
         _require_format(cfg, ("json", "text", "csv"), " --at-z")
     full = rmatrix.assemble_full(cfg.ell)
@@ -405,10 +409,8 @@ def worker_count(jobs: int, cases: int) -> int:
 
 
 def cmd_verify(cfg: argparse.Namespace) -> int:
-    if cfg.ell is not None and cfg.ell < 1:
-        raise UsageError("spin parameter -l must be at least 1")
     reads, makers = _SUITES[cfg.suite]
-    _refuse_unread(cfg, reads, f"verify --suite {cfg.suite}")
+    _check_route(cfg, reads, (), f"verify --suite {cfg.suite}")
     cases = [case for make in makers for case in make(cfg)]
     workers = worker_count(cfg.jobs, len(cases))
     if workers > 1:
@@ -460,10 +462,7 @@ _EXPORTS: dict[str, tuple[tuple[str, ...], tuple[str, ...], Callable[[argparse.N
 
 def cmd_export(cfg: argparse.Namespace) -> int:
     reads, requires, write = _EXPORTS[cfg.kind]
-    route = f"export --kind {cfg.kind}"
-    _refuse_unread(cfg, reads, route)
-    if any(getattr(cfg, name) is None for name in requires):
-        raise UsageError(f"{route} requires {', '.join(_FLAGS[name] for name in requires)}")
+    _check_route(cfg, reads, requires, f"export --kind {cfg.kind}")
     return write(cfg)
 
 

@@ -180,7 +180,7 @@ def test_compute_r_takes_a_negative_rational_after_at_z(capsys):
 
 def test_compute_r_block_rejects_at_z(capsys):
     code, out, err = run(
-        capsys, "compute-r", "-l", "1", "--block", "1", "--at-z", "0", "--format", "csv"
+        capsys, "compute-r", "--block", "1", "--at-z", "0", "--format", "csv"
     )
     assert code == 2 and out == ""
     assert "--at-z" in err
@@ -197,7 +197,7 @@ def test_export_block_rejects_at_z(capsys):
 
 
 def test_compute_r_block_latex(capsys):
-    code, out, _ = run(capsys, "compute-r", "-l", "1", "--block", "1", "--format", "latex")
+    code, out, _ = run(capsys, "compute-r", "--block", "1", "--format", "latex")
     assert code == 0
     assert out.startswith("\\begin{pmatrix}")
     assert "\\varepsilon" in out
@@ -443,7 +443,7 @@ OUT_OF_RANGE = [
     ("export", "--kind", "fixed-points", "-k", "2", "-n", "7", "-l", "2"),
     ("export", "--kind", "dims", "-n", "2", "-l", "13"),
     ("compute-r", "-l", "13"),
-    ("compute-r", "-l", "1", "--block", "25"),
+    ("compute-r", "--block", "25"),
     ("compute-s", "-k", "25"),
     ("verify", "--suite", "all", "-l", "13"),
     ("verify", "--suite", "inverse", "-k", "25"),
@@ -517,20 +517,98 @@ def test_ybe_sampling_defaults_apply_only_where_read(capsys, monkeypatch):
 
 
 def test_other_commands_still_accept_seed(capsys):
-    # the benchmark passes --seed to compute-r, which draws nothing
-    for argv in (
-        ("compute-r", "-l", "1", "--seed", "3"),
-        ("compute-s", "-k", "1", "--seed", "3"),
-        ("export", "--kind", "block", "-k", "1", "--seed", "3"),
-    ):
-        code, out, _ = run(capsys, *argv)
+    # the benchmark passes --seed and --jobs to compute-r, which draws nothing
+    for argv in (("compute-r", "-l", "1"), ("compute-r", "--block", "1")):
+        code, out, _ = run(capsys, *argv, "--seed", "3", "--jobs", "1")
         assert code == 0 and out, argv
+
+
+def _refuse_dispatch(monkeypatch):
+    def no_work(cfg):
+        raise AssertionError("a command started despite a usage error")
+
+    monkeypatch.setattr(cli, "_dispatch", no_work)
+
+
+BELOW_RANGE = [
+    (("verify", "-j", "0"), "--jobs must be at least 1"),
+    (("verify", "--suite", "ybe", "-l", "1", "--trials", "0"), "--trials must be at least 1"),
+    (("verify", "-l", "0"), "-l must be at least 1"),
+    (("verify", "--suite", "inverse", "-k", "-1"), "-k must be nonnegative"),
+    (("compute-r", "-l", "0"), "-l must be at least 1"),
+    (("compute-r", "--block", "-1"), "--block must be nonnegative"),
+    (("dims", "-n", "0", "-l", "2"), "-n must be at least 1"),
+    (("dims", "-n", "2", "-l", "-3"), "-l must be at least 1"),
+    (("fixed-points", "-k", "1", "-n", "0", "-l", "1"), "-n must be at least 1"),
+    (("fixed-points", "-k", "2", "-n", "0", "-l", "2"), "-n must be at least 1"),
+    (("fixed-points", "-k", "2", "-n", "2", "-l", "0"), "-l must be at least 1"),
+    (("export", "--kind", "dims", "-n", "2", "-l", "0"), "-l must be at least 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", BELOW_RANGE, ids=[" ".join(argv) for argv, _ in BELOW_RANGE]
+)
+def test_size_parameters_have_lower_bounds(capsys, monkeypatch, argv, message):
+    # one range table decides every integer flag before any command starts
+    _refuse_dispatch(monkeypatch)
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+COMPUTE_R_ROUTES = [
+    (("compute-r", "-l", "2", "--block", "1"), "compute-r --block does not read -l"),
+    (("compute-r", "--block", "0", "--at-z", "1/2"), "compute-r --block does not read --at-z"),
+    (("compute-r",), "compute-r requires -l"),
+    (("compute-r", "--at-z", "2", "--seed", "1"), "compute-r requires -l"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", COMPUTE_R_ROUTES, ids=[" ".join(argv) for argv, _ in COMPUTE_R_ROUTES]
+)
+def test_compute_r_routes_read_and_require_their_flags(capsys, monkeypatch, argv, message):
+    def no_build(*args):
+        raise AssertionError("compute-r built a matrix despite a usage error")
+
+    monkeypatch.setattr(rmatrix, "assemble_full", no_build)
+    monkeypatch.setattr(rmatrix, "rblock_closed", no_build)
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_compute_r_block_needs_no_spin(capsys):
+    # the block route writes what export --kind block writes, with no -l
+    for fmt in ("json", "text", "csv", "latex"):
+        direct = run(capsys, "compute-r", "--block", "2", "--format", fmt)
+        exported = run(capsys, "export", "--kind", "block", "-k", "2", "--format", fmt)
+        assert direct[0] == 0 and direct == exported, fmt
+
+
+TAKE_NO_SAMPLING_FLAGS = [
+    ("fixed-points", "-k", "1", "-n", "2", "-l", "1"),
+    ("dims", "-n", "2", "-l", "2"),
+    ("compute-s", "-k", "1"),
+    ("export", "--kind", "s", "-k", "1"),
+    ("export", "--kind", "block", "-k", "1"),
+]
+
+
+@pytest.mark.parametrize("argv", TAKE_NO_SAMPLING_FLAGS, ids=" ".join)
+def test_quiet_jobs_and_seed_belong_to_the_commands_that_read_them(capsys, monkeypatch, argv):
+    # --quiet is verify's alone; --jobs and --seed are verify's and compute-r's
+    _refuse_dispatch(monkeypatch)
+    for flag in (("-q",), ("--quiet",), ("-j", "2"), ("--jobs", "1"), ("--seed", "3")):
+        code, out, err = run(capsys, *argv, *flag)
+        assert code == 2 and out == "", flag
+        assert "unrecognized arguments" in err, flag
+    for flag in ("-q", "--quiet"):
+        code, out, err = run(capsys, "compute-r", "-l", "1", flag)
+        assert code == 2 and out == "" and "unrecognized arguments" in err
 
 
 def test_upper_bounds_admit_their_limits():
     parser = cli.build_parser()
     for argv in (
-        ["compute-r", "-l", "12", "--block", "24"],
+        ["compute-r", "--block", "24"],
         ["compute-s", "-k", "24"],
         ["verify", "-l", "12", "-k", "24", "--trials", "10000"],
         ["export", "--kind", "r", "-l", "12"],

@@ -53,7 +53,7 @@ runs += [["verify", "--suite", "all", "--format", "json"]]
 runs += [["fixed-points", "-k", "2", "-n", "2", "-l", "2", "--format", f] for f in ("json", "text")]
 runs += [["dims", "-n", "2", "-l", "2", "--format", f] for f in ("json", "text", "csv")]
 for f in every:
-    runs += [["compute-r", "-l", "2", "--format", f], ["compute-r", "-l", "1", "--block", "2", "--format", f]]
+    runs += [["compute-r", "-l", "2", "--format", f], ["compute-r", "--block", "2", "--format", f]]
     runs += [["compute-s", "-k", "2", *inverse, "--format", f] for inverse in ([], ["--inverse"])]
 for f in ("json", "text", "csv"):
     runs += [["compute-r", "-l", "2", "--at-z", "-1/3", "--format", f]]

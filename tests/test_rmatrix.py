@@ -591,6 +591,21 @@ def test_ybe_failure_witnesses_match_fraction_products():
         assert report.failures == _dense_ybe_witnesses(broken, z1, z2, z3), ell
 
 
+def test_ybe_trials_reports_each_failing_triple_with_its_first_witness(monkeypatch):
+    # every sampled triple that fails is one witness, carrying the first
+    # witness of verify_ybe at that triple
+    broken = _broken_full(2, {(1, 3): lambda c: tuple(2 * x for x in c)})
+    monkeypatch.setattr(rmatrix, "assemble_full", lambda ell: broken)
+    report = ybe_trials(2, 4, seed=5)
+    expected = []
+    for zs in sample_spectral_triples(2, 4, 5):
+        sub = verify_ybe(broken, *zs)
+        if not sub.passed:
+            expected.append({"z": [str(z) for z in zs], "first": sub.failures[0]})
+    assert len(expected) > 1 and report.failures == expected
+    assert report.params == {"ell": 2, "trials": 4, "seed": 5}
+
+
 def test_balanced_digits_decode_packed_rows():
     # balanced base-2^s digits are unique in [-2^(s-1), 2^(s-1)); verify_ybe
     # packs rows whose digits stay within +-(2^(s-1) - 1)
