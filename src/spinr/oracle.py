@@ -119,7 +119,7 @@ def _commutation_witnesses(full: FullR, sigma: tuple[int, ...]) -> tuple[dict, .
 
     Decided once per matrix object and gauge (``FullR`` hashes by identity),
     like ``rmatrix.constructions_mismatches``: the commutation case and
-    ``commutation_gauge`` share one verdict.
+    ``spectral_numerators`` share one verdict.
 
     The brackets with E and F are G_(w-1) E_w - E_w G_w and G_(w+1) F_w - F_w G_w
     on the weight sectors (``sector_action``), each formed once for all powers
@@ -205,17 +205,17 @@ def highest_weight_vector(ell: int, s: int) -> list[int]:
 def spectral_numerators(full: FullR, sigma: Sequence[int] | None = None) -> list[list[int]]:
     """coeffs[s][e] = n_s,e, the int coefficient of z^e in the numerator over D of rho_s.
 
-    Commutation is checked first, by ``commutation_gauge`` when no gauge is
-    supplied; under a supplied sigma a failure raises OracleStructureError at
-    the lowest failing power.  Then sigma N_e sigma u_s = n_s,e u_s
+    Commutation under sigma (``sign_gauge`` when none is supplied) is
+    checked first; a failure raises OracleStructureError at the lowest
+    failing power.  Then sigma N_e sigma u_s = n_s,e u_s
     (``highest_weight_vector``), so n_s,e is row 0 of sigma N_e sigma on
     sector ell-s, the row of e_(0, ell-s), applied to u_s and divided by u_s's
     entry c_0 there: exactly, since commutation, decided first, makes u_s an
     eigenvector.  The row is read from ``FullR.blocks``, signed entry by entry.
     """
     if sigma is None:
-        sigma = commutation_gauge(full)
-    elif powers := [w["power"] for w in _commutation_witnesses(full, tuple(sigma))]:
+        sigma = sign_gauge(full.ell)
+    if powers := [w["power"] for w in _commutation_witnesses(full, tuple(sigma))]:
         raise OracleStructureError(f"spectral reconstruction fails at the power z^{min(powers)}")
     coeffs = []
     for s in range(full.ell + 1):

@@ -38,6 +38,18 @@ square).  The sector products apply those blocks to the rows of the
 intermediate matrix, and each row is one packed int (``verify_ybe``), so
 no operator is ever formed as a matrix, dense or embedded.
 
+The Yang-Baxter check is a proof when it may evaluate (2*ell)^2 points
+(``ybe_trials`` with that many trials or more): with u = z1 - z2 and
+v = z2 - z3, the difference of the two int sides has degree <= 2*ell in u
+and in v, since ``FullR`` refuses a numerator of degree above ell; when
+R(0) = Id (N_0 = ell! Id, ``FullR.identity_at_zero``) it is divisible by
+u*v, and the quotient, of degree <= 2*ell - 1 in each variable, vanishes
+identically once it vanishes on the grid u, v in {1..2*ell} (Alon's
+Combinatorial Nullstellensatz, 1999, Lemma 2.1).  So ``ybe_grid`` decides
+the equation at the pole-free integer triples (u+v, v, 0); below that many
+trials, or when the premise fails, the check is a screen at seeded random
+rational triples.
+
 Both checks on the assembled matrix read half of the weight sectors.  R(z)
 intertwines sl2 modules, so it commutes with the Weyl element w (x) w, which
 maps weight a to ell - a.  In the code's basis the symmetry reads
@@ -356,6 +368,21 @@ class FullR:
         return max(sum(map(abs, c)) for block in self.blocks for row in block for c in row)
 
     @functools.cached_property
+    def identity_at_zero(self) -> bool:
+        """Whether N_0 == ell! Id, that is R(0) = Id, since D(0) = ell!.
+
+        Every diagonal entry must have constant coefficient ell! and every
+        other entry 0; decided on the blocks once per matrix object.
+        """
+        top = math.factorial(self.ell)
+        return all(
+            (coeffs[0] if coeffs else 0) == top * (r == c)
+            for block in self.blocks
+            for r, row in enumerate(block)
+            for c, coeffs in enumerate(row)
+        )
+
+    @functools.cached_property
     def mirror_symmetric(self) -> bool:
         """Whether M (x) M commutes with R(z), for M: e_a -> a!/(ell-a)! e_(ell-a).
 
@@ -498,15 +525,9 @@ def verify_unitarity_full(ell: int) -> Report:
 
 
 def verify_identity_at_zero(ell: int) -> Report:
-    """R(0) == Id for the assembled matrix, decided as N_0 == ell! Id on ``FullR.blocks``.
-
-    R = N/D and D(0) = ell!, so R(0) is the identity exactly when every
-    diagonal entry has constant coefficient ell! and every other entry 0.
-    """
+    """R(0) == Id for the assembled matrix: N_0 == ell! Id (``FullR.identity_at_zero``)."""
     report = Report("identity_at_zero", {"ell": ell})
-    full, top = assemble_full(ell), math.factorial(ell)
-    n0 = [[[c[0] if c else 0 for c in row] for row in block] for block in full.blocks]
-    if n0 != [[[top * (r == c) for c in range(len(b))] for r in range(len(b))] for b in n0]:
+    if not assemble_full(ell).identity_at_zero:
         report.fail(reason="R(0) is not the identity")
     return report
 
@@ -653,14 +674,60 @@ def sample_spectral_triples(
     return out
 
 
+def ybe_grid(full: FullR) -> list[dict] | None:
+    """The Yang-Baxter equation decided on the (2*ell)^2 grid triples (u+v, v, 0).
+
+    None when the premise ``FullR.identity_at_zero`` fails, so the grid
+    proves nothing; otherwise [] when the grid proves the equation, or the
+    first failing triple as [{"z": ..., "first": its first ``verify_ybe``
+    witness}], u and v running over 1..2*ell, v fastest.  See ``ybe_trials``.
+    """
+    if not full.identity_at_zero:
+        return None
+    n = 2 * full.ell
+    for u, v in itertools.product(range(1, n + 1), repeat=2):
+        zs = Fraction(u + v), Fraction(v), Fraction(0)
+        sub = verify_ybe(full, *zs)
+        if not sub.passed:
+            return [{"z": [str(z) for z in zs], "first": sub.failures[0]}]
+    return []
+
+
 def ybe_trials(ell: int, trials: int, seed: int) -> Report:
-    """Yang-Baxter at ``trials`` seeded random rational triples."""
+    """Yang-Baxter at ``trials`` seeded random rational triples, or by proof on a grid.
+
+    When trials >= (2*ell)^2 and N_0 = ell! Id, ``ybe_grid`` decides the
+    equation for every triple off the poles.  Set u = z1 - z2, v = z2 - z3,
+    so z1 - z3 = u + v.  ``verify_ybe`` compares two int matrices, each a
+    product of N(u), N(u+v) and N(v) in some order (N the numerator over D),
+    and ``FullR`` refuses an entry of degree above ell, so every entry of
+    their difference Delta(u, v) has degree <= 2*ell in u and in v.  As
+    N_0 = ell! Id, both sides are ell! B12(N(v)) B23(N(v)) at u = 0 and
+    ell! B23(N(u)) B12(N(u)) at v = 0 (B12, B23 the pair operator embedded
+    on slots 12, 23), so u*v divides every entry of Delta, and the quotient
+    has degree <= 2*ell - 1 in each variable.  If Delta vanishes on the grid
+    u, v in {1..2*ell}, so does the quotient, which is then zero (Alon,
+    Combinatorial Nullstellensatz, Combin. Probab. Comput. 8, 1999,
+    Lemma 2.1).  The grid triples are (u+v, v, 0): every difference is at
+    least 1, so none is a pole.
+
+    A proof returns the passing report without sampling.  Otherwise (fewer
+    trials, a failed premise or a failing grid triple) each sampled triple
+    that fails is one witness {"z", "first"}; when the grid failed and no
+    sample does, the failing grid triple is the one witness, so a known
+    counterexample is never reported as a pass.
+    """
     report = Report("ybe_trials", {"ell": ell, "trials": trials, "seed": seed})
     full = assemble_full(ell)
+    grid = ybe_grid(full) if trials >= (2 * ell) ** 2 else None
+    if grid == []:
+        return report
     for z1, z2, z3 in sample_spectral_triples(ell, trials, seed):
         sub = verify_ybe(full, z1, z2, z3)
         if not sub.passed:
             report.fail(z=[str(z1), str(z2), str(z3)], first=sub.failures[0])
+    if grid and report.passed:
+        report.fail(**grid[0])
     return report
 
 

@@ -623,8 +623,9 @@ def test_upper_bounds_admit_their_limits():
 # sha256 of stdout for outputs that route through the common-denominator
 # form of the assembled matrix: the lowest-terms printer, the evaluator, the
 # oracle's commutation check and spectral decomposition on the int
-# coefficient matrices, and the unitarity suite (the factored block product
-# and the per-sector check of the assembled matrix)
+# coefficient matrices, the unitarity suite (the factored block product
+# and the per-sector check of the assembled matrix), and the Yang-Baxter
+# suite just below and at its grid-proof threshold of (2l)^2 trials
 OUTPUT_DIGESTS = {
     "compute-r -l 12": "4d77a5096f9646a7d7d8c1acdabb155834fa1d9e2fcd0edd63e45a2e9df01ed0",
     "compute-r -l 12 --at-z 2/3 --format text": "07f17adb313376d85d99b6f3caaae9e00872b47819f7998d39dc073f8ca2d080",
@@ -650,7 +651,11 @@ OUTPUT_DIGESTS = {
     "verify --suite unitarity -l 4 --format json": "f31513416f04f37fb3272ce1145341390cfcab5bb9173a16711fa2523beec329",
     "verify --suite unitarity -l 6 --format json": "6c4db0c4ad30a4cbc42afeae1eadb47616454e5e0b569e97d07041d4e11d1352",
     "verify --suite unitarity -l 10 --format json": "80f844f14ce04e9918a0c252159cc7c05aeee4745afcb9b935c1f7beac71fe38",
+    "verify --suite ybe -l 2 --trials 15 --format json": "3dadbf8487bf5f9c58f3ab5c4108112862ea207299e0d8f17692d0d0feb9b27b",
+    "verify --suite ybe -l 2 --trials 16 --format json": "f0494947ca33207b6f0c55d6b5a1611a9cbc33557896791155c2f60194da93a1",
+    "verify --suite ybe -l 3 --trials 100 --seed 1 --format json": "d7e0757b65db789dbad8600d413d9119ce3bc88d026786229555cf37d8fb060b",
     "verify --suite ybe -l 4 --trials 3 --format json": "3c7908c39f3e70dce935e736975b2cf409e165d6360ca0052b5495274b72797f",
+    "verify --suite ybe -l 4 --trials 64 --seed 3 --format json": "6afd0b79d123c877b173c2d2dbf7a558827e7568feb9e9112d0555f8fa525675",
 }
 
 

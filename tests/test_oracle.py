@@ -364,15 +364,15 @@ def test_failures_inside_and_between_sectors_report_the_lowest_power():
 
 def test_spectrum_suite_reports_a_commutation_failure_without_rho(monkeypatch):
     # one broken entry inside weight sector 2, at z^1: commutation fails
-    # before any eigenvalue is read, so the suite reports one reason and
-    # neither rho nor the gauge
+    # before any eigenvalue is read, so the suite reports one reason, which
+    # names that power, and neither rho nor the gauge
     ell = 3
     full = assemble_full(ell)
     broken = perturbed(full, full.labels.index((1, 1)), full.labels.index((0, 2)), 1, 1)
     assert {w["power"] for w in verify_sl2_commutation(broken).failures} == {1}
     monkeypatch.setattr(oracle, "assemble_full", lambda ell: broken)
     report = verify_spectrum(ell)
-    assert report.failures == [{"reason": "R does not commute with the coproduct action"}]
+    assert report.failures == [{"reason": "spectral reconstruction fails at the power z^1"}]
     assert report.details == {}
 
 

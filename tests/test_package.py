@@ -49,6 +49,7 @@ import spinr.cli as cli
 
 every = ("json", "text", "csv", "latex")
 runs = [["verify", "--suite", suite, "-q"] for suite in cli._SUITES]
+runs += [["verify", "--suite", "ybe", "-l", "3", "-q"]]  # 20 trials < 36: samples, no grid
 runs += [["verify", "--suite", "all", "--format", "json"]]
 runs += [["fixed-points", "-k", "2", "-n", "2", "-l", "2", "--format", f] for f in ("json", "text")]
 runs += [["dims", "-n", "2", "-l", "2", "--format", f] for f in ("json", "text", "csv")]
@@ -108,6 +109,7 @@ NEVER_CALLED_BY_THE_CLI = {
     "moduli.complete_intersection_coeff": "acceptance: criterion 10",
     "moduli.duality_involution": "acceptance: criterion 9",
     "oracle.casimir_projectors": "acceptance: criterion 11",
+    "oracle.commutation_gauge": "acceptance: criterion 11 reads the gauge",
     "oracle.spectral_decompose": "acceptance: criterion 11",
     "report.Report.fail": "failure path: records a witness",
     "report.Report.summary": "acceptance: the message of a failed criterion",

@@ -593,17 +593,119 @@ def test_ybe_failure_witnesses_match_fraction_products():
 
 def test_ybe_trials_reports_each_failing_triple_with_its_first_witness(monkeypatch):
     # every sampled triple that fails is one witness, carrying the first
-    # witness of verify_ybe at that triple
+    # witness of verify_ybe at that triple; with trials >= 16 the grid fails
+    # first, and the witnesses are still those of the sampled triples
     broken = _broken_full(2, {(1, 3): lambda c: tuple(2 * x for x in c)})
     monkeypatch.setattr(rmatrix, "assemble_full", lambda ell: broken)
-    report = ybe_trials(2, 4, seed=5)
-    expected = []
-    for zs in sample_spectral_triples(2, 4, 5):
-        sub = verify_ybe(broken, *zs)
-        if not sub.passed:
-            expected.append({"z": [str(z) for z in zs], "first": sub.failures[0]})
-    assert len(expected) > 1 and report.failures == expected
-    assert report.params == {"ell": 2, "trials": 4, "seed": 5}
+    for trials in (4, 20):
+        report = ybe_trials(2, trials, seed=5)
+        expected = []
+        for zs in sample_spectral_triples(2, trials, 5):
+            sub = verify_ybe(broken, *zs)
+            if not sub.passed:
+                expected.append({"z": [str(z) for z in zs], "first": sub.failures[0]})
+        assert len(expected) > 1 and report.failures == expected, trials
+        assert report.params == {"ell": 2, "trials": trials, "seed": 5}
+
+
+def _grid(ell):
+    """The grid triples (u+v, v, 0), u and v in 1..2l, v fastest."""
+    n = range(1, 2 * ell + 1)
+    return [(Fraction(u + v), Fraction(v), Fraction(0)) for u in n for v in n]
+
+
+def _record_ybe_points(monkeypatch):
+    """Route verify_ybe through a recorder; returns the list of points it is called at."""
+    points, inner = [], rmatrix.verify_ybe
+
+    def recorded(full, *zs):
+        points.append(zs)
+        return inner(full, *zs)
+
+    monkeypatch.setattr(rmatrix, "verify_ybe", recorded)
+    return points
+
+
+def test_ybe_trials_proves_on_the_grid_without_sampling(monkeypatch):
+    # trials >= (2l)^2: exactly the grid triples (u+v, v, 0), and no sample
+    points = _record_ybe_points(monkeypatch)
+
+    def never(*args):
+        raise AssertionError("sampled although the grid decides")
+
+    monkeypatch.setattr(rmatrix, "sample_spectral_triples", never)
+    for ell, trials in ((1, 4), (1, 100), (2, 16), (3, 36), (4, 64), (4, 10000)):
+        points.clear()
+        report = ybe_trials(ell, trials, seed=3)
+        assert report.passed and report.params == {"ell": ell, "trials": trials, "seed": 3}
+        assert points == _grid(ell), (ell, trials)
+
+
+def test_ybe_trials_below_the_grid_size_samples_as_before(monkeypatch):
+    points = _record_ybe_points(monkeypatch)
+    for ell in range(1, 5):
+        points.clear()
+        trials = (2 * ell) ** 2 - 1
+        assert ybe_trials(ell, trials, seed=3).passed
+        assert points == sample_spectral_triples(ell, trials, 3), ell
+
+
+def test_ybe_trials_samples_when_r_at_zero_is_not_the_identity(monkeypatch):
+    # 2R solves the Yang-Baxter equation, but 2R(0) != Id, so the grid
+    # proves nothing and the sampled route decides
+    doubled = FullR(
+        2,
+        tuple(
+            tuple(tuple(tuple(2 * x for x in c) for c in row) for row in block)
+            for block in assemble_full(2).blocks
+        ),
+    )
+    assert not doubled.identity_at_zero and rmatrix.ybe_grid(doubled) is None
+    monkeypatch.setattr(rmatrix, "assemble_full", lambda ell: doubled)
+    points = _record_ybe_points(monkeypatch)
+    assert ybe_trials(2, 20, seed=3).passed
+    assert points == sample_spectral_triples(2, 20, 3)
+
+
+def test_every_doubled_entry_fails_the_grid():
+    # each stored entry doubled, at l = 2 and 3: a diagonal one breaks
+    # R(0) = Id, every other one has a failing grid triple, whose witness is
+    # the first of verify_ybe there
+    mutants = 0
+    for ell in (2, 3):
+        full = assemble_full(ell)
+        for w, sector in enumerate(pair_sectors(ell)):
+            for r, i in enumerate(sector):
+                for c, j in enumerate(sector):
+                    assert full.blocks[w][r][c], (ell, i, j)
+                    broken = _broken_full(ell, {(i, j): lambda n: tuple(2 * x for x in n)})
+                    mutants += 1
+                    grid = rmatrix.ybe_grid(broken)
+                    if i == j:
+                        assert grid is None and not broken.identity_at_zero, (ell, i)
+                        continue
+                    assert broken.identity_at_zero and grid and len(grid) == 1, (ell, i, j)
+                    zs = tuple(Fraction(z) for z in grid[0]["z"])
+                    assert zs in _grid(ell)
+                    assert grid[0]["first"] == verify_ybe(broken, *zs).failures[0]
+    assert mutants == 63
+
+
+def test_ybe_trials_reports_a_failing_grid_triple_that_no_sample_finds(monkeypatch):
+    # equal-point triples (z, z, z) pass for any R with R(0) = Id, so only
+    # the grid knows a counterexample: it is the one witness
+    broken = _broken_full(2, {(1, 3): lambda c: tuple(2 * x for x in c)})
+    monkeypatch.setattr(rmatrix, "assemble_full", lambda ell: broken)
+    monkeypatch.setattr(
+        rmatrix,
+        "sample_spectral_triples",
+        lambda ell, trials, seed: [(Fraction(k, 3),) * 3 for k in range(trials)],
+    )
+    assert ybe_trials(2, 15, seed=5).passed
+    report = ybe_trials(2, 16, seed=5)
+    assert report.failures == rmatrix.ybe_grid(broken) and len(report.failures) == 1
+    zs = tuple(Fraction(z) for z in report.failures[0]["z"])
+    assert zs in _grid(2) and report.failures[0]["first"] == verify_ybe(broken, *zs).failures[0]
 
 
 def test_balanced_digits_decode_packed_rows():
