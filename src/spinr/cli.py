@@ -131,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=list(_SUITES), default="all")
     p.add_argument("-k", type=int, default=None, help="restrict to one k (default: spec range)")
     p.add_argument("-l", "--ell", dest="ell", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None, help=f"YBE trials (default {YBE_TRIALS})")
+    proof = "(2l)^2 or more make the verdict a proof"
+    p.add_argument("--trials", type=int, default=None, help=f"YBE trials (default {YBE_TRIALS}); {proof}")
     p.add_argument("--seed", type=int, default=None, help="seed for random rational sampling")
     p.add_argument("--jobs", "-j", type=int, default=1, help="worker processes for verification cases")
     p.add_argument("--quiet", "-q", action="store_true", help="suppress per-item progress lines")

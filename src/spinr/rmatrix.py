@@ -45,8 +45,10 @@ and in v, since ``FullR`` refuses a numerator of degree above ell; when
 R(0) = Id (N_0 = ell! Id, ``FullR.identity_at_zero``) it is divisible by
 u*v, and the quotient, of degree <= 2*ell - 1 in each variable, vanishes
 identically once it vanishes on the grid u, v in {1..2*ell} (Alon's
-Combinatorial Nullstellensatz, 1999, Lemma 2.1).  So ``ybe_grid`` decides
-the equation at the pole-free integer triples (u+v, v, 0); below that many
+Combinatorial Nullstellensatz, 1999, Lemma 2.1).  So the grid route is a
+proof: it checks the pole-free integer triples (u+v, v, 0), and its
+witnesses are the failing grid triples, each of which replays with
+``verify --suite ybe -l L --trials (2L)^2`` under any seed.  Below that many
 trials, or when the premise fails, the check is a screen at seeded random
 rational triples.
 
@@ -674,29 +676,10 @@ def sample_spectral_triples(
     return out
 
 
-def ybe_grid(full: FullR) -> list[dict] | None:
-    """The Yang-Baxter equation decided on the (2*ell)^2 grid triples (u+v, v, 0).
-
-    None when the premise ``FullR.identity_at_zero`` fails, so the grid
-    proves nothing; otherwise [] when the grid proves the equation, or the
-    first failing triple as [{"z": ..., "first": its first ``verify_ybe``
-    witness}], u and v running over 1..2*ell, v fastest.  See ``ybe_trials``.
-    """
-    if not full.identity_at_zero:
-        return None
-    n = 2 * full.ell
-    for u, v in itertools.product(range(1, n + 1), repeat=2):
-        zs = Fraction(u + v), Fraction(v), Fraction(0)
-        sub = verify_ybe(full, *zs)
-        if not sub.passed:
-            return [{"z": [str(z) for z in zs], "first": sub.failures[0]}]
-    return []
-
-
 def ybe_trials(ell: int, trials: int, seed: int) -> Report:
     """Yang-Baxter at ``trials`` seeded random rational triples, or by proof on a grid.
 
-    When trials >= (2*ell)^2 and N_0 = ell! Id, ``ybe_grid`` decides the
+    When trials >= (2*ell)^2 and N_0 = ell! Id, the grid triples decide the
     equation for every triple off the poles.  Set u = z1 - z2, v = z2 - z3,
     so z1 - z3 = u + v.  ``verify_ybe`` compares two int matrices, each a
     product of N(u), N(u+v) and N(v) in some order (N the numerator over D),
@@ -711,23 +694,24 @@ def ybe_trials(ell: int, trials: int, seed: int) -> Report:
     Lemma 2.1).  The grid triples are (u+v, v, 0): every difference is at
     least 1, so none is a pole.
 
-    A proof returns the passing report without sampling.  Otherwise (fewer
-    trials, a failed premise or a failing grid triple) each sampled triple
-    that fails is one witness {"z", "first"}; when the grid failed and no
-    sample does, the failing grid triple is the one witness, so a known
-    counterexample is never reported as a pass.
+    The triples are the grid when trials >= (2*ell)^2 and the premise
+    holds, and ``sample_spectral_triples`` otherwise; each failing triple is
+    one witness {"z", "first"}, with the first ``verify_ybe`` witness there.
+    So the grid route is a proof, and its witnesses are the failing grid
+    triples, u and v running over 1..2*ell, v fastest; each replays with
+    ``verify --suite ybe -l L --trials (2L)^2`` under any seed.
     """
     report = Report("ybe_trials", {"ell": ell, "trials": trials, "seed": seed})
     full = assemble_full(ell)
-    grid = ybe_grid(full) if trials >= (2 * ell) ** 2 else None
-    if grid == []:
-        return report
-    for z1, z2, z3 in sample_spectral_triples(ell, trials, seed):
-        sub = verify_ybe(full, z1, z2, z3)
+    n = range(1, 2 * ell + 1)
+    if trials >= (2 * ell) ** 2 and full.identity_at_zero:
+        triples = [(Fraction(u + v), Fraction(v), Fraction(0)) for u in n for v in n]
+    else:
+        triples = sample_spectral_triples(ell, trials, seed)
+    for zs in triples:
+        sub = verify_ybe(full, *zs)
         if not sub.passed:
-            report.fail(z=[str(z1), str(z2), str(z3)], first=sub.failures[0])
-    if grid and report.passed:
-        report.fail(**grid[0])
+            report.fail(z=[str(z) for z in zs], first=sub.failures[0])
     return report
 
 

@@ -119,7 +119,8 @@ def test_criterion_06_construction_cross_check():
 
 
 def test_criterion_07_yang_baxter():
-    with _Budget(7, "Yang-Baxter at 20 seeded triples, ell in {1,2,3}", 300.0):
+    label = "Yang-Baxter proven on the 4- and 16-point grid (ell 1, 2), at 20 seeded triples (ell 3)"
+    with _Budget(7, label, 300.0):
         for ell in (1, 2, 3):
             report = ybe_trials(ell, trials=20, seed=7)
             assert report.passed, report.summary()

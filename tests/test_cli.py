@@ -635,9 +635,12 @@ OUTPUT_DIGESTS = {
     "compute-r -l 6 --format latex": "f19c17530f8633026a884d9785b34e3d1fd73822aaa0009125a9c3541bcca366",
     "compute-r -l 8": "9b8ac5af052c8a90d854bbfdf4f72da7b4042b52f6decaa19e9b452c19849a05",
     "compute-r -l 8 --at-z -7/2 --format csv": "69d98e71ac76449b49bf0cf37667b3c2146345051d856e6febfff4bc55aa3424",
+    "dims -n 2 -l 3 --format csv": "6ee4ce01de665475aa1cf4b9fd353e1e88ac9b23de621964ab2cab5a7e991869",
+    "dims -n 2 -l 3 --format text": "19b26f68f72cbd637fe541d053c1e23ab5b8dce5a51908ed0096e2f5c430cc3d",
     "export --kind block -k 10": "ffc9cbec62bee6c3bd5ff7e504d1885fbbc866146a8f8c15dd2c1275f0f452dd",
     "export --kind s -k 8": "03e971bf55c375545a82a1cd32e5849d8470954810811b656d732771a6f4151e",
     "export --kind sinv -k 8 --format latex": "2f0753dbf78cb6e125a486205f9a26698d809fd1defb581b0d8301c39a881454",
+    "fixed-points -k 2 -n 2 -l 2 --format text": "4fd56ea08a9dfc20efb77173d2bf40f8944438e32a33a43d871e15bf8dc993c9",
     "verify --suite golden --format json": "b96de2dc157a7370dae3adbc5b68fcb7452cd3ba0956639c01c81fca11e92752",
     "verify --suite linrel --format json": "f830f56dd11599ffb55bc1e389c0d64f4e4dbce1e6b546365e0b183f59fbb160",
     "verify --suite oracle -l 3 --format json": "318b396f97d9657c52ec622276c6b4f3e6a5d94bf620552d75787290b809945c",

@@ -591,19 +591,25 @@ def test_ybe_failure_witnesses_match_fraction_products():
         assert report.failures == _dense_ybe_witnesses(broken, z1, z2, z3), ell
 
 
+def _witnesses(full, triples):
+    """One {"z", "first"} per failing triple, in order, as ``ybe_trials`` reports them."""
+    out = []
+    for zs in triples:
+        sub = verify_ybe(full, *zs)
+        if not sub.passed:
+            out.append({"z": [str(z) for z in zs], "first": sub.failures[0]})
+    return out
+
+
 def test_ybe_trials_reports_each_failing_triple_with_its_first_witness(monkeypatch):
-    # every sampled triple that fails is one witness, carrying the first
-    # witness of verify_ybe at that triple; with trials >= 16 the grid fails
-    # first, and the witnesses are still those of the sampled triples
+    # every failing triple is one witness, carrying the first witness of
+    # verify_ybe at that triple: the sampled triples below (2l)^2 = 16
+    # trials, the grid triples from there on
     broken = _broken_full(2, {(1, 3): lambda c: tuple(2 * x for x in c)})
     monkeypatch.setattr(rmatrix, "assemble_full", lambda ell: broken)
-    for trials in (4, 20):
+    for trials, triples in ((4, sample_spectral_triples(2, 4, 5)), (20, _grid(2))):
         report = ybe_trials(2, trials, seed=5)
-        expected = []
-        for zs in sample_spectral_triples(2, trials, 5):
-            sub = verify_ybe(broken, *zs)
-            if not sub.passed:
-                expected.append({"z": [str(z) for z in zs], "first": sub.failures[0]})
+        expected = _witnesses(broken, triples)
         assert len(expected) > 1 and report.failures == expected, trials
         assert report.params == {"ell": 2, "trials": trials, "seed": 5}
 
@@ -660,17 +666,18 @@ def test_ybe_trials_samples_when_r_at_zero_is_not_the_identity(monkeypatch):
             for block in assemble_full(2).blocks
         ),
     )
-    assert not doubled.identity_at_zero and rmatrix.ybe_grid(doubled) is None
+    assert not doubled.identity_at_zero
     monkeypatch.setattr(rmatrix, "assemble_full", lambda ell: doubled)
     points = _record_ybe_points(monkeypatch)
     assert ybe_trials(2, 20, seed=3).passed
     assert points == sample_spectral_triples(2, 20, 3)
 
 
-def test_every_doubled_entry_fails_the_grid():
-    # each stored entry doubled, at l = 2 and 3: a diagonal one breaks
-    # R(0) = Id, every other one has a failing grid triple, whose witness is
-    # the first of verify_ybe there
+def test_every_doubled_entry_fails_the_grid(monkeypatch):
+    # each stored entry doubled, at l = 2 and 3, checked with (2l)^2 trials:
+    # a diagonal one breaks R(0) = Id and fails on the sampled triples, every
+    # other one reports exactly its failing grid triples, each with the first
+    # witness of verify_ybe there
     mutants = 0
     for ell in (2, 3):
         full = assemble_full(ell)
@@ -679,21 +686,23 @@ def test_every_doubled_entry_fails_the_grid():
                 for c, j in enumerate(sector):
                     assert full.blocks[w][r][c], (ell, i, j)
                     broken = _broken_full(ell, {(i, j): lambda n: tuple(2 * x for x in n)})
+                    monkeypatch.setattr(rmatrix, "assemble_full", lambda ell: broken)
                     mutants += 1
-                    grid = rmatrix.ybe_grid(broken)
+                    report = ybe_trials(ell, (2 * ell) ** 2, seed=3)
+                    assert report.failures, (ell, i, j)
                     if i == j:
-                        assert grid is None and not broken.identity_at_zero, (ell, i)
+                        assert not broken.identity_at_zero, (ell, i)
                         continue
-                    assert broken.identity_at_zero and grid and len(grid) == 1, (ell, i, j)
-                    zs = tuple(Fraction(z) for z in grid[0]["z"])
-                    assert zs in _grid(ell)
-                    assert grid[0]["first"] == verify_ybe(broken, *zs).failures[0]
+                    assert broken.identity_at_zero, (ell, i, j)
+                    assert report.failures == _witnesses(broken, _grid(ell)), (ell, i, j)
     assert mutants == 63
 
 
 def test_ybe_trials_reports_a_failing_grid_triple_that_no_sample_finds(monkeypatch):
-    # equal-point triples (z, z, z) pass for any R with R(0) = Id, so only
-    # the grid knows a counterexample: it is the one witness
+    # equal-point triples (z, z, z) pass for any R with R(0) = Id, so no such
+    # sample finds the broken entry; from (2l)^2 trials on no triple is
+    # sampled even though the grid fails, and the witnesses are exactly the
+    # failing grid triples in grid order
     broken = _broken_full(2, {(1, 3): lambda c: tuple(2 * x for x in c)})
     monkeypatch.setattr(rmatrix, "assemble_full", lambda ell: broken)
     monkeypatch.setattr(
@@ -702,10 +711,15 @@ def test_ybe_trials_reports_a_failing_grid_triple_that_no_sample_finds(monkeypat
         lambda ell, trials, seed: [(Fraction(k, 3),) * 3 for k in range(trials)],
     )
     assert ybe_trials(2, 15, seed=5).passed
-    report = ybe_trials(2, 16, seed=5)
-    assert report.failures == rmatrix.ybe_grid(broken) and len(report.failures) == 1
-    zs = tuple(Fraction(z) for z in report.failures[0]["z"])
-    assert zs in _grid(2) and report.failures[0]["first"] == verify_ybe(broken, *zs).failures[0]
+
+    def never(*args):
+        raise AssertionError("sampled although the grid decides")
+
+    monkeypatch.setattr(rmatrix, "sample_spectral_triples", never)
+    expected = _witnesses(broken, _grid(2))
+    assert expected
+    for trials in (16, 100):
+        assert ybe_trials(2, trials, seed=5).failures == expected, trials
 
 
 def test_balanced_digits_decode_packed_rows():
