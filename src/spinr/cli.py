@@ -11,9 +11,10 @@ export         unified exporter routing to the writers of the commands above
 
 The parsed argparse namespace is the run's configuration: every subcommand
 carries its handler and takes only the flags it reads (a flag it does not
-take reads as not given).  --quiet is verify's alone; verify and compute-r
-take --jobs and --seed, compute-r only because the benchmark harness
-(perfbench/run.py) passes --seed S --jobs 1 to every op.  verify, export and
+take reads as not given).  --quiet is verify's alone, and verify's --seed
+seeds its YBE sampling.  verify and compute-r take --jobs, and compute-r
+takes --seed, only because the benchmark harness (perfbench/run.py) passes
+--seed S --jobs 1 to every op; no command reads --jobs.  verify, export and
 compute-r check their route with ``_check_route``, against ``_SUITES``
 (suite -> the flags it reads and its cases in run order; ``all`` runs the
 other rows in table order), ``_EXPORTS`` (kind -> the flags it reads, the
@@ -24,11 +25,11 @@ export kind is one row.
 
 Rationals on the command line are always integers or "p/q" strings; decimal
 input is rejected.  Output is byte-deterministic for a fixed configuration:
-results are ordered by case index, never by completion time, also under
---jobs parallelism.  One table, ``_RANGES``, holds the least and greatest
-value of every integer flag (MAX_ELL, MAX_K, MAX_N, MAX_TRIALS), and --at-z
-has at most MAX_AT_Z_DIGITS digits; a value outside them is a usage error
-before any work starts.
+verify runs its cases in one process, in case order, so every case reuses
+the memos of those before it.  One table, ``_RANGES``, holds the least and
+greatest value of every integer flag (MAX_ELL, MAX_K, MAX_N, MAX_TRIALS),
+and --at-z has at most MAX_AT_Z_DIGITS digits; a value outside them is a
+usage error before any work starts.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 """
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Callable
 
@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     proof = "(2l)^2 or more make the verdict a proof"
     p.add_argument("--trials", type=int, default=None, help=f"YBE trials (default {YBE_TRIALS}); {proof}")
     p.add_argument("--seed", type=int, default=None, help="seed for random rational sampling")
-    p.add_argument("--jobs", "-j", type=int, default=1, help="worker processes for verification cases")
+    p.add_argument("--jobs", "-j", type=int, default=1, help="unused; perfbench/run.py passes it")
     p.add_argument("--quiet", "-q", action="store_true", help="suppress per-item progress lines")
     _add_common(p, ["json", "text"], "text")
     p.set_defaults(run=cmd_verify)
@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Every integer flag: its namespace name, its spelling in messages, its
-# least value and its greatest (None: worker_count clamps --jobs instead).
+# least value and its greatest (None: no command reads --jobs).
 _RANGES = (
     ("ell", "-l", 1, MAX_ELL),
     ("k", "-k", 0, MAX_K),
@@ -397,31 +397,11 @@ def _run_case(case: Case) -> dict:
     return _RUNNERS[kind](**kwargs).to_json()
 
 
-def worker_count(jobs: int, cases: int) -> int:
-    """Worker processes for a verify run: at most one per case and per CPU it may run on.
-
-    The pool forks every worker up front, so an unclamped --jobs would start
-    that many processes however few cases or CPUs there are.  The CPUs are
-    those of the process's affinity mask where the platform has one.
-    """
-    if hasattr(os, "sched_getaffinity"):
-        return min(jobs, cases, len(os.sched_getaffinity(0)))
-    return min(jobs, cases, os.cpu_count() or 1)
-
-
 def cmd_verify(cfg: argparse.Namespace) -> int:
     reads, makers = _SUITES[cfg.suite]
     _check_route(cfg, reads, (), f"verify --suite {cfg.suite}")
     cases = [case for make in makers for case in make(cfg)]
-    workers = worker_count(cfg.jobs, len(cases))
-    if workers > 1:
-        # imported here: the pool loads multiprocessing, which a --jobs 1 run never needs
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_case, cases))
-    else:
-        results = [_run_case(c) for c in cases]
+    results = [_run_case(c) for c in cases]
     all_passed = all(r["status"] == "pass" for r in results)
     if cfg.fmt == "json":
         doc = {

@@ -113,7 +113,7 @@ class MPoly:
     that comes out integral back into an int.
 
     Immutable by convention: the internal term map is never mutated after
-    construction, so values can be shared freely (including across processes).
+    construction, so values can be shared freely.
     The expanded factor products of ``_expand_factor_product`` rely on this:
     its cached values are shared by every caller in the process.
     """

@@ -285,7 +285,7 @@ def test_verify_jobs_parallel_same_bytes(tmp_path, capsys):
 
 
 def test_verify_unitarity_jobs_parallel_same_bytes(tmp_path, capsys):
-    # forked workers start with empty premise memos and decide them cold
+    # the premise memos are cleared, so that both runs decide them cold
     stablebasis.inverse_mismatches.cache_clear()
     rmatrix.constructions_mismatches.cache_clear()
     args = ["verify", "--suite", "unitarity", "-k", "5", "--format", "json"]
@@ -317,25 +317,6 @@ def test_oracle_suite_forms_the_commutation_brackets_once_per_ell(capsys, monkey
     oracle._commutation_witnesses.cache_clear()
     assert run(capsys, "verify", "--suite", "oracle", "-l", "3")[0] == 0
     assert calls == [3]
-
-
-def test_worker_count_is_bounded(monkeypatch):
-    # computed directly: a pool of the requested size is never started
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert cli.worker_count(10000, 47) == 2
-    assert cli.worker_count(10000, 1) == 1
-    assert cli.worker_count(1, 47) == 1
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-    assert cli.worker_count(10**9, 3) == 3
-    # pinned to one CPU of four: one worker, not one per CPU of the machine
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert cli.worker_count(4, 10) == 1
-    # without an affinity mask the machine's CPU count is the bound
-    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
-    assert cli.worker_count(10000, 47) == 4
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    assert cli.worker_count(10000, 47) == 1
 
 
 def test_verify_seeded_ybe(capsys):

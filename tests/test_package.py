@@ -28,6 +28,31 @@ def test_no_module_imports_a_private_name_of_another():
     assert private == []
 
 
+# Modules that start threads or processes, and the os functions that start a process.
+_CONCURRENCY = {"multiprocessing", "concurrent", "subprocess", "threading"}
+_OS_SPAWNERS = {"fork", "forkpty", "posix_spawn", "posix_spawnp", "system", "popen"}
+
+
+def test_no_module_starts_a_process_or_a_thread():
+    # read from the source, so that nothing is started to check it: every
+    # verify case runs in the one process and shares its memos
+    found = []
+    for path in sorted(Path(spinr.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+                found += [name for name in names if name.split(".")[0] in _CONCURRENCY]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                if node.module.split(".")[0] in _CONCURRENCY:
+                    found.append(node.module)
+                elif node.module == "os":
+                    found += [f"os.{a.name}" for a in node.names if a.name in _OS_SPAWNERS]
+            elif isinstance(node, ast.Attribute) and node.attr in _OS_SPAWNERS:
+                if isinstance(node.value, ast.Name) and node.value.id == "os":
+                    found.append(f"os.{node.attr}")
+    assert found == []
+
+
 # Runs the CLI in a fresh interpreter, so every memo starts cold, with a
 # tracer that is on before spinr.cli is imported.  Prints the (file, name,
 # first line) of every spinr code object called, as JSON.
