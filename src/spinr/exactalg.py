@@ -773,8 +773,6 @@ def factored_sum(terms: Iterable[FactoredRat]) -> RatFun:
     single term instead of the product of all denominators.
     """
     live = [t for t in terms if not t.is_zero]
-    if not live:
-        return RatFun.zero()
     lcm, cofactors = _lcm_cofactors([dict(t.den_items()) for t in live])
     num = _sum_of_products(
         (_expand_factor_product(t.num_items()).scale(t.scalar), cof)

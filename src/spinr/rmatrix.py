@@ -1,15 +1,19 @@
 """Construction and verification of the spin-ell/2 R-matrix.
 
 Each total-weight sector k carries a (k+1) x (k+1) block in the generic
-variables (z, phi, eps).  Two independent constructions are provided: the
-closed-form single sum over products of linear forms (``rblock_closed``) and
-the triangular product S^-1 * S-tilde (``rblock_triangular``), where S-tilde
-= J * S(-z) is ``S_matrix`` at -z with its rows reversed (J the index
-reversal), so R = S^-1 J S(-z) holds by construction; both return the block
-as a ``fracmat.SymMatrix``.  ``rblock_closed`` is memoized: each k is built
-once per process and shared by every check that reads it, so callers must
-not mutate the block.  Each summand of the closed form is an int scalar and
-at most seven runs of consecutive linear forms (``_entry_summands``), read in
+variables (z, phi, eps), built two ways as a ``fracmat.SymMatrix``.  The
+triangular block (``rblock_triangular``) is the product S^-1 J S(-z) of the
+stable basis (J the index reversal), multiplied out from expanded entries
+through ``exactalg.ratfun_dot``.  The closed form (``rblock_closed``) is that
+product factored: summand j of entry (i, j') is sinv_entry(k, i, j) times
+stable_coeff(k, k-j, j') at -z, and ``exactalg.factored_sum`` sums the
+summands over their lcm.  So the two agree by construction; they are
+independent in the arithmetic and in the run tables, which
+``_entry_summands`` and ``stablebasis`` transcribe separately.  Both are
+memoized, the closed form per k and the product per pair of S^-1 and S
+objects, so each is built once per process and shared by every check that
+reads it, and callers must not mutate it.  Each summand of the closed form
+is an int scalar and at most seven runs of consecutive linear forms, read in
 two ways: ``rblock_closed`` expands the runs into forms, and
 ``specialize_block`` maps them to the spin line eps = -ell*phi, phi = 1,
 where a form is an int constant or +-(z + c).  So ``assemble_full`` builds
@@ -133,7 +137,8 @@ def _entry_summands(k: int, i: int, j_prime: int) -> Iterator[tuple[int, tuple[R
 def rblock_closed(k: int) -> SymMatrix:
     """The sector-k block from the closed-form single sum, built once per k and process.
 
-    The block is immutable by convention, so every caller shares one copy.
+    Entry (i, j') is the factored (S^-1 J S(-z))_(i, j'): ``factored_sum`` of
+    its ``_entry_summands``.  The block is immutable by convention, so callers share it.
     """
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
@@ -146,49 +151,38 @@ def rblock_closed(k: int) -> SymMatrix:
     return SymMatrix([[entry(i, jp) for jp in range(k + 1)] for i in range(k + 1)])
 
 
-def _tilde(s: SymMatrix) -> SymMatrix:
-    """J * S(-z): s at -z with its rows in reverse order (J the index reversal)."""
-    return SymMatrix(s.flip_z().entries[::-1])
-
-
-def s_tilde(k: int) -> SymMatrix:
-    """S with rows reversed and z negated: entry (j, j') is S_{k-j, j'} at -z."""
-    return _tilde(S_matrix(k))
+@functools.lru_cache(maxsize=None)
+def _triangular(s_inv: SymMatrix, s: SymMatrix) -> SymMatrix:
+    """s_inv * J * s(-z) (J the index reversal), formed once per pair of matrix objects."""
+    return s_inv.mul(SymMatrix(s.flip_z().entries[::-1]))
 
 
 def rblock_triangular(k: int) -> SymMatrix:
-    """The sector-k block as the triangular product S^-1 * S-tilde."""
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
-    return S_inverse(k).mul(s_tilde(k))
+    """The sector-k block as the triangular product S^-1 * J * S(-z) of the memoized S, S^-1."""
+    return _triangular(S_inverse(k), S_matrix(k))
 
 
 @functools.lru_cache(maxsize=None)
-def constructions_mismatches(
-    block: SymMatrix, s_inv: SymMatrix, s: SymMatrix
-) -> tuple[tuple[int, int], ...]:
-    """The positions where block differs in value from s_inv * J * s(-z).
+def constructions_mismatches(block: SymMatrix, tri: SymMatrix) -> tuple[tuple[int, int], ...]:
+    """The positions where block differs in value from the triangular block tri.
 
-    Like ``stablebasis.inverse_mismatches``, decided once per triple of
-    matrix objects (``SymMatrix`` hashes by identity).
+    Like ``stablebasis.inverse_mismatches``, decided once per pair of matrix
+    objects (``SymMatrix`` hashes by identity).
     """
-    return tuple(block.mismatches(s_inv.mul(_tilde(s))))
+    return tuple(block.mismatches(tri))
 
 
 def verify_equal_constructions(k: int) -> Report:
     """Entrywise value equality of the closed-form and triangular blocks."""
     report = Report("equal_constructions", {"k": k})
-    closed, s_inv, s = rblock_closed(k), S_inverse(k), S_matrix(k)
-    bad = constructions_mismatches(closed, s_inv, s)
-    if bad:
-        tri = s_inv.mul(_tilde(s))
-        for i, j in bad:
-            report.fail(
-                i=i,
-                j_prime=j,
-                closed=ratfun_to_str(closed.entries[i][j]),
-                triangular=ratfun_to_str(tri.entries[i][j]),
-            )
+    closed, tri = rblock_closed(k), rblock_triangular(k)
+    for i, j in constructions_mismatches(closed, tri):
+        report.fail(
+            i=i,
+            j_prime=j,
+            closed=ratfun_to_str(closed.entries[i][j]),
+            triangular=ratfun_to_str(tri.entries[i][j]),
+        )
     return report
 
 
@@ -470,7 +464,8 @@ def verify_unitarity_block(k: int) -> Report:
 
     Proven by composition from two premises about the very block, S and S^-1
     read here: S S^-1 = Id (``inverse_mismatches``) and R = S^-1 J S(-z)
-    (``constructions_mismatches``).  z -> -z is a ring automorphism, so the
+    (``constructions_mismatches`` against ``rblock_triangular``, the product
+    of those same memoized S and S^-1).  z -> -z is a ring automorphism, so the
     first gives S(-z) S^-1(-z) = Id, and over the field of rational
     functions it gives S^-1 S = Id; with J^2 = Id,
     R(z) R(-z) = S^-1(z) J [S(-z) S^-1(-z)] J S(z) = S^-1(z) S(z) = Id.
@@ -479,8 +474,9 @@ def verify_unitarity_block(k: int) -> Report:
     formed directly, and its entries that differ from Id are the witnesses.
     """
     report = Report("unitarity_block", {"k": k})
-    block, s_inv, s = rblock_closed(k), S_inverse(k), S_matrix(k)
-    if inverse_mismatches(s_inv, s) or constructions_mismatches(block, s_inv, s):
+    block = rblock_closed(k)
+    inverse = inverse_mismatches(S_inverse(k), S_matrix(k))
+    if inverse or constructions_mismatches(block, rblock_triangular(k)):
         product = block.mul(block.flip_z())
         for i, j in product.mismatches(SymMatrix.identity(k + 1)):
             report.fail(i=i, j=j, entry=ratfun_to_str(product.entries[i][j]))

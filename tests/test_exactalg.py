@@ -175,6 +175,13 @@ def test_factored_sum_keeps_common_denominator():
     assert total == rf(PHI + ONE, Z * PHI)
 
 
+def test_factored_sum_of_nothing_is_zero_over_one():
+    # no live term: the lcm of no denominators is 1, with no factors
+    for terms in ([], [FactoredRat.zero()]):
+        total = factored_sum(terms)
+        assert (total.num, total.den, total.den_factors) == (MPoly.zero(), ONE, ())
+
+
 # ---------------------------------------------------------------------------
 # residues and limits
 # ---------------------------------------------------------------------------

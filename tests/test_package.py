@@ -138,8 +138,6 @@ NEVER_CALLED_BY_THE_CLI = {
     "oracle.spectral_decompose": "acceptance: criterion 11",
     "report.Report.fail": "failure path: records a witness",
     "report.Report.summary": "acceptance: the message of a failed criterion",
-    "rmatrix.s_tilde": "the right factor of rblock_triangular, " + TRACER,
-    "rmatrix.rblock_triangular": TRACER,
     "rmatrix.FullR.__setattr__": "failure path: refuses mutation",
     "rmatrix._balanced_digits": "failure path: decodes a YBE witness",
     "rmatrix.verify_block_limit": "a reference route of the tests: R(inf) = (-1)^k P per block",

@@ -20,7 +20,7 @@ from spinr.exactalg import (
 )
 from spinr.fracmat import SymMatrix, mat_mul
 from spinr.golden import spin_half_block, spin_one_full_matrix, spin_one_middle_block
-from spinr.stablebasis import S_inverse, S_matrix, stable_coeff, verify_inverse
+from spinr.stablebasis import S_inverse, S_matrix, sinv_entry, stable_coeff, verify_inverse
 from spinr.rmatrix import (
     FullR,
     assemble_full,
@@ -28,7 +28,6 @@ from spinr.rmatrix import (
     pair_sectors,
     rblock_closed,
     rblock_triangular,
-    s_tilde,
     sample_spectral_triples,
     specialize_block,
     spin_denominator,
@@ -46,6 +45,11 @@ Z = MPoly.var("z")
 PHI = MPoly.var("phi")
 EPS = MPoly.var("eps")
 ONE = MPoly.one()
+
+
+def s_tilde(k):
+    # J * S(-z), the right factor of the triangular block: S at -z, rows reversed
+    return SymMatrix(S_matrix(k).flip_z().entries[::-1])
 
 
 def naive_product(items):
@@ -91,6 +95,28 @@ def test_s_tilde_k1_hand_values():
 def test_triangular_equals_closed_small():
     for k in range(5):
         assert verify_equal_constructions(k).passed
+
+
+def test_closed_summands_are_the_triangular_product_term_by_term():
+    # summand j of closed-form entry (i, j') is (S^-1)_(i, j) * (J S(-z))_(j, j'),
+    # as factored terms: drift in either run table shows at its summand
+    for k in range(9):
+        for i in range(k + 1):
+            for jp in range(k + 1):
+                closed = [
+                    FactoredRat(scalar, run_pairs(runs))
+                    for scalar, runs in rmatrix._entry_summands(k, i, jp)
+                ]
+                products = (
+                    sinv_entry(k, i, j) * stable_coeff(k, k - j, jp).flip_z() for j in range(k + 1)
+                )
+                assert closed == [t for t in products if not t.is_zero], (k, i, jp)
+
+
+@pytest.mark.parametrize("build", [rblock_closed, rblock_triangular, S_matrix, S_inverse])
+def test_block_builders_refuse_negative_k(build):
+    with pytest.raises(ValueError, match=r"^need k >= 0, got -1$"):
+        build(-1)
 
 
 def test_block_limit_is_signed_reversal():
@@ -778,8 +804,9 @@ def test_den_factors_multiply_out_through_k6():
 
 
 def test_s_tilde_is_reversed_flipped_s():
-    # s_tilde is J * S(-z) by construction; second route: each entry from the
-    # factored stable coefficient, flipped before it is expanded
+    # J * S(-z) is S at -z with its rows reversed; second route: each entry
+    # from the factored stable coefficient, flipped before it is expanded,
+    # and the triangular block is S^-1 times exactly that factor
     for k in range(7):
         tilde = s_tilde(k)
         expected = SymMatrix(
@@ -791,6 +818,10 @@ def test_s_tilde_is_reversed_flipped_s():
         assert not tilde.mismatches(expected), k
         for row_t, row_e in zip(tilde.entries, expected.entries):
             for x, y in zip(row_t, row_e):
+                assert (x.num, x.den, x.den_factors) == (y.num, y.den, y.den_factors), k
+        direct = S_inverse(k).mul(expected)
+        for row_t, row_d in zip(rblock_triangular(k).entries, direct.entries):
+            for x, y in zip(row_t, row_d):
                 assert (x.num, x.den, x.den_factors) == (y.num, y.den, y.den_factors), k
 
 
@@ -830,6 +861,24 @@ def test_negated_block_fails_constructions_but_stays_unitary(monkeypatch):
     products = _spy_products(monkeypatch)
     assert verify_unitarity_block(3).passed
     assert negated in _operands(products)
+
+
+def test_constructions_and_unitarity_form_one_triangular_product(monkeypatch):
+    k = 4
+    rmatrix._triangular.cache_clear()  # form the product under the spy
+    products = _spy_products(monkeypatch)
+    assert verify_equal_constructions(k).passed and verify_unitarity_block(k).passed
+    assert sum(left is S_inverse(k) for left, _ in products) == 1
+    # a failing block reads the same product for its witnesses
+    block = rblock_closed(k)
+    negated = SymMatrix([[e.scale(-1) for e in row] for row in block.entries])
+    monkeypatch.setattr(rmatrix, "rblock_closed", lambda k: negated)
+    products.clear()
+    report = verify_equal_constructions(k)
+    assert not report.passed and products == []
+    tri = rblock_triangular(k)
+    for w in report.failures:
+        assert w["triangular"] == ratfun_to_str(tri.entries[w["i"]][w["j_prime"]])
 
 
 def test_replaced_premise_objects_are_not_masked_by_the_memo(monkeypatch):
