@@ -48,10 +48,8 @@ from .stablebasis import (
     S_inverse,
     S_matrix,
     class_S,
-    class_Zbar,
     verify_inverse,
     verify_linrel,
-    verify_residues,
     verify_residues_all,
 )
 

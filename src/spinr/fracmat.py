@@ -49,8 +49,8 @@ class SymMatrix:
     """Dense rectangular matrix of rational functions, rows and columns numbered from 0.
 
     ``==`` and ``hash`` are those of ``object``, by identity: values are
-    compared with ``mismatches`` or ``value_eq``, and the memoized verdicts
-    of ``stablebasis`` and ``rmatrix`` are keyed on the matrix objects.
+    compared with ``mismatches``, and the memoized verdicts of
+    ``stablebasis`` and ``rmatrix`` are keyed on the matrix objects.
     """
 
     __slots__ = ("entries",)
@@ -86,11 +86,6 @@ class SymMatrix:
         columns = list(zip(*other.entries))
         out = [[ratfun_dot(row, col) for col in columns] for row in self.entries]
         return SymMatrix(out)
-
-    def value_eq(self, other: SymMatrix) -> bool:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        return not self.mismatches(other)
 
     def mismatches(self, other: SymMatrix) -> list[tuple[int, int]]:
         """The positions (i, j), row by row, where the entries differ in value."""

@@ -175,14 +175,6 @@ def verify_sl2_commutation(full: FullR) -> Report:
     return report
 
 
-def commutation_gauge(full: FullR) -> tuple[int, ...]:
-    """The gauge under which R commutes with the coproduct, as a sign vector."""
-    sigma = sign_gauge(full.ell)
-    if _commutation_witnesses(full, sigma):
-        raise OracleStructureError("R does not commute with the coproduct action")
-    return sigma
-
-
 # ---------------------------------------------------------------------------
 # spectral decomposition
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Localization expansions of attracting and stable classes at n = 2.
 
 The two families of classes expand over the fixed-point basis with factored
-rational-function coefficients (``class_Zbar`` and ``class_S``).  Collecting
-the stable-class coefficients columnwise gives the upper triangular change of
-basis ``S_matrix``; its inverse has the closed polynomial form ``S_inverse``.
+rational-function coefficients (``zbar_coeff`` and ``stable_coeff``).
+Collecting the stable-class coefficients columnwise gives the upper triangular
+change of basis ``S_matrix``; its inverse has the closed polynomial form
+``S_inverse``.
 Both are ``SymMatrix`` values from ``fracmat``, the one matrix module, built
 once per k and process and shared by every caller, so callers must not mutate
 them.
@@ -17,9 +18,9 @@ Three verifications are provided:
                          attracting classes, and the change of basis between
                          them is re-derived from the vanishing condition at
                          phi = eps = 0 (triangular solve) instead of assumed;
-* ``verify_residues`` -- every candidate simple pole of an entry of S^-1 S has
-                         vanishing residue and the entry tends to delta_{ij'}
-                         at z -> infinity.
+* ``verify_residues_all`` -- every candidate simple pole of every entry of
+                         S^-1 S has vanishing residue and the entry tends to
+                         delta_{ij'} at z -> infinity.
 """
 
 from __future__ import annotations
@@ -86,21 +87,11 @@ def sinv_entry(k: int, i: int, j: int) -> FactoredRat:
     return FactoredRat(binom(j, i), run_pairs(runs))
 
 
-def class_Zbar(k: int, j_prime: int) -> list[FactoredRat]:
-    """Expansion of the closed attracting class of j' over fixed points 0..j'."""
-    _check_column(k, j_prime)
-    return [zbar_coeff(k, j, j_prime) for j in range(j_prime + 1)]
-
-
 def class_S(k: int, j_prime: int) -> list[FactoredRat]:
     """Expansion of the stable class of j' over fixed points 0..j'."""
-    _check_column(k, j_prime)
-    return [stable_coeff(k, j, j_prime) for j in range(j_prime + 1)]
-
-
-def _check_column(k: int, j_prime: int) -> None:
     if not 0 <= j_prime <= k:
         raise ValueError(f"need 0 <= j' <= k, got j'={j_prime}, k={k}")
+    return [stable_coeff(k, j, j_prime) for j in range(j_prime + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +204,8 @@ def verify_linrel(k: int) -> Report:
     Also re-derives the change-of-basis matrix by the triangular solve of
     ``solve_change_of_basis`` and requires it to be the binomial matrix.
     """
+    if k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
     report = Report("linrel", {"k": k})
     for jp in range(k + 1):
         stable = class_S(k, jp)
@@ -248,43 +241,37 @@ def candidate_poles(terms: Iterable[FactoredRat]) -> list[int]:
     return sorted(out)
 
 
-def verify_residues(k: int, i: int, j_prime: int) -> Report:
-    """Residue and large-z checks for the entry (i, j') of S^-1 S.
-
-    Every candidate simple pole z = -n*phi must have zero residue, and the
-    z -> infinity limit must be delta_{i j'} (checked by degree comparison).
-    This is the ``factored_sum`` route to S^-1 S = Id: the sum cancels a
-    correct off-diagonal entry to exactly 0, and no diagonal entry has a
-    candidate pole, so the residue machinery runs only on an entry that fails.
-    """
-    if not 0 <= i <= j_prime <= k:
-        raise ValueError(f"need 0 <= i <= j' <= k, got i={i}, j'={j_prime}, k={k}")
-    report = Report("residues", {"k": k, "i": i, "j_prime": j_prime})
-    terms = _sinv_s_entry_terms(k, i, j_prime)
-    entry = factored_sum(terms)
-    for n in candidate_poles(terms):
-        res = residue_at(entry, n)
-        if not res.is_zero:
-            report.fail(pole=f"z = {-n}*phi", residue=ratfun_to_str(res))
-    limit = limit_at_z_infinity(entry)
-    expected = 1 if i == j_prime else 0
-    if limit is None or not limit.value_eq(expected):
-        report.fail(
-            at="z -> infinity",
-            expected=expected,
-            limit="divergent" if limit is None else ratfun_to_str(limit),
-        )
-    return report
-
-
 def verify_residues_all(k: int) -> Report:
-    """Residue and large-z checks for every entry (i <= j') of S^-1 S."""
+    """Residue and large-z checks for every entry (i <= j') of S^-1 S.
+
+    Every candidate simple pole z = -n*phi of an entry must have zero residue,
+    and its z -> infinity limit must be delta_{i j'} (checked by degree
+    comparison); each witness names its entry by i and j'.  This is the
+    ``factored_sum`` route to S^-1 S = Id: the sum cancels a correct
+    off-diagonal entry to exactly 0, and no diagonal entry has a candidate
+    pole, so the residue machinery runs only on an entry that fails.
+    """
+    if k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
     report = Report("residues_all", {"k": k})
     for j_prime in range(k + 1):
         for i in range(j_prime + 1):
-            sub = verify_residues(k, i, j_prime)
-            if not sub.passed:
-                report.failures.extend(
-                    {**w, "i": i, "j_prime": j_prime} for w in sub.failures
+            terms = _sinv_s_entry_terms(k, i, j_prime)
+            entry = factored_sum(terms)
+            for n in candidate_poles(terms):
+                res = residue_at(entry, n)
+                if not res.is_zero:
+                    report.fail(
+                        pole=f"z = {-n}*phi", residue=ratfun_to_str(res), i=i, j_prime=j_prime
+                    )
+            limit = limit_at_z_infinity(entry)
+            expected = 1 if i == j_prime else 0
+            if limit is None or not limit.value_eq(expected):
+                report.fail(
+                    at="z -> infinity",
+                    expected=expected,
+                    limit="divergent" if limit is None else ratfun_to_str(limit),
+                    i=i,
+                    j_prime=j_prime,
                 )
     return report

@@ -623,7 +623,9 @@ OUTPUT_DIGESTS = {
     "export --kind s -k 8": "03e971bf55c375545a82a1cd32e5849d8470954810811b656d732771a6f4151e",
     "export --kind sinv -k 8 --format latex": "2f0753dbf78cb6e125a486205f9a26698d809fd1defb581b0d8301c39a881454",
     "fixed-points -k 2 -n 2 -l 2 --format text": "4fd56ea08a9dfc20efb77173d2bf40f8944438e32a33a43d871e15bf8dc993c9",
+    "verify --suite constructions --format json": "5212cda49f6f7ba27909d65ceaf563e224ec5b9edf97f1d3b3d348c2de3c5449",
     "verify --suite golden --format json": "b96de2dc157a7370dae3adbc5b68fcb7452cd3ba0956639c01c81fca11e92752",
+    "verify --suite inverse --format json": "cb39842d8709e1e70394ece25a852dc6fbd9971ac81d77f69ba23ffe21ea1efe",
     "verify --suite linrel --format json": "f830f56dd11599ffb55bc1e389c0d64f4e4dbce1e6b546365e0b183f59fbb160",
     "verify --suite oracle -l 3 --format json": "318b396f97d9657c52ec622276c6b4f3e6a5d94bf620552d75787290b809945c",
     "verify --suite oracle -l 4 --format json": "8aa5486989f99b5034c15ea8b57b5419ec5111e2e68452c56eb70a56cd7c2d6a",
@@ -632,6 +634,7 @@ OUTPUT_DIGESTS = {
     "verify --suite oracle -l 8 --format json": "0ef04b4b925e62b0cc33b03f8ce4c342b1418ef69215858eb92c2df5bd512087",
     "verify --suite oracle -l 10 --format json": "405a9e4a318c134e9985bd712fb91f0c378ba84decf512d6de1d4e67c6a48744",
     "verify --suite oracle -l 12 --format json": "9443180e9ab083a129bd750aefbe7b633a33ea5cf21ea13f8bc868ca4a7107b0",
+    "verify --suite residues --format json": "3e1bf75e122c62d7c9d35c6d52df90d1b395f161439d7d0f527f4255c788ff58",
     "verify --suite unitarity -k 7 --format json": "c3ce45a6d1b4a817cd406d23b1e6663868b50c60930c69bfaf1591523c650b90",
     "verify --suite unitarity -l 4 --format json": "f31513416f04f37fb3272ce1145341390cfcab5bb9173a16711fa2523beec329",
     "verify --suite unitarity -l 6 --format json": "6c4db0c4ad30a4cbc42afeae1eadb47616454e5e0b569e97d07041d4e11d1352",

@@ -72,6 +72,13 @@ def test_zero_pruning():
     assert MPoly({(1, 0, 0): 0}).is_zero
 
 
+def test_mpoly_equals_a_scalar_by_its_constant_term():
+    assert MPoly.const(3) == 3
+    assert MPoly() == 0
+    assert MPoly.const(Fraction(1, 2)) == Fraction(1, 2)
+    assert MPoly.var("z") != 3
+
+
 def test_pow_and_scale():
     assert (Z + PHI) ** 2 == Z * Z + Z * PHI * c(2) + PHI * PHI
     assert Z.scale(Fraction(1, 2)) + Z.scale(Fraction(1, 2)) == Z

@@ -11,7 +11,6 @@ from spinr.exactalg import MPoly, RatFun, cancel_common_z_roots, ratfun_to_str
 from spinr.oracle import (
     OracleStructureError,
     casimir_projectors,
-    commutation_gauge,
     fusion_numerator,
     highest_weight_vector,
     sector_action,
@@ -337,8 +336,6 @@ def test_commutation_witness_names_generator_power_and_entry():
         lowest = min(w["power"] for w in expected)
         with pytest.raises(OracleStructureError, match=rf"z\^{lowest}$"):
             spectral_numerators(broken, sigma)
-        with pytest.raises(OracleStructureError):
-            commutation_gauge(broken)
 
 
 def test_failures_inside_and_between_sectors_report_the_lowest_power():
@@ -393,7 +390,7 @@ def test_witnesses_follow_the_gauge_entry_by_entry():
 
 def test_gauge_is_weight_preserving():
     full = assemble_full(1)
-    sigma = commutation_gauge(full)
+    sigma = sign_gauge(full.ell)
     # conjugation by a diagonal sign matrix preserves the sector structure
     for i, (ap, bp) in enumerate(full.labels):
         for j, (a, b) in enumerate(full.labels):

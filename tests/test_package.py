@@ -128,20 +128,17 @@ NEVER_CALLED_BY_THE_CLI = {
     "exactalg.residue_at.<locals>.strip": "failure path: an S^-1 S entry that is not 0",
     "exactalg.cancel_common_z_roots": TRACER,
     "fracmat.mat_mul": TRACER,
-    "fracmat.SymMatrix.value_eq": "acceptance: criteria 1 and 2 compare whole matrices",
     "fracmat.SymMatrix.__repr__": DISPLAY,
     "moduli.patch_weights": "acceptance: criterion 10",
     "moduli.complete_intersection_coeff": "acceptance: criterion 10",
     "moduli.duality_involution": "acceptance: criterion 9",
     "oracle.casimir_projectors": "acceptance: criterion 11",
-    "oracle.commutation_gauge": "acceptance: criterion 11 reads the gauge",
     "oracle.spectral_decompose": "acceptance: criterion 11",
     "report.Report.fail": "failure path: records a witness",
     "report.Report.summary": "acceptance: the message of a failed criterion",
     "rmatrix.FullR.__setattr__": "failure path: refuses mutation",
     "rmatrix._balanced_digits": "failure path: decodes a YBE witness",
     "rmatrix.verify_block_limit": "a reference route of the tests: R(inf) = (-1)^k P per block",
-    "stablebasis.class_Zbar": "public API: the attracting classes of the paper",
 }
 
 

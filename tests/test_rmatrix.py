@@ -71,7 +71,7 @@ def test_block_k0_is_one():
 
 
 def test_block_k1_matches_reference():
-    assert rblock_closed(1).value_eq(spin_half_block())
+    assert not rblock_closed(1).mismatches(spin_half_block())
 
 
 def test_block_k2_corner_entry():
@@ -81,7 +81,7 @@ def test_block_k2_corner_entry():
 
 
 def test_block_k2_matches_reference():
-    assert rblock_closed(2).value_eq(spin_one_middle_block())
+    assert not rblock_closed(2).mismatches(spin_one_middle_block())
 
 
 def test_s_tilde_k1_hand_values():
@@ -126,6 +126,26 @@ def test_block_limit_is_signed_reversal():
         assert verify_block_limit(k).passed
 
 
+def test_block_limit_reports_a_wrong_or_a_divergent_entry(monkeypatch):
+    # the k = 2 corner (0, 2) tends to 1, so doubled it tends to 2; an entry
+    # whose numerator outgrows its denominator in z has no limit at all
+    block = rblock_closed(2)
+
+    def edited(i, j, entry):
+        rows = [list(row) for row in block.entries]
+        rows[i][j] = entry
+        return SymMatrix(rows)
+
+    doubled = edited(0, 2, block.entries[0][2].scale(2))
+    monkeypatch.setattr(rmatrix, "rblock_closed", lambda k: doubled)
+    assert verify_block_limit(2).failures == [{"i": 0, "j_prime": 2, "expected": 1, "limit": "2"}]
+    divergent = edited(1, 0, RatFun(Z * Z, Z + ONE))
+    monkeypatch.setattr(rmatrix, "rblock_closed", lambda k: divergent)
+    assert verify_block_limit(2).failures == [
+        {"i": 1, "j_prime": 0, "expected": 0, "limit": "divergent"}
+    ]
+
+
 # ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------
@@ -148,13 +168,13 @@ def test_assembled_4x4_hand_values():
             [RatFun.zero(), RatFun.zero(), RatFun.zero(), RatFun.one()],
         ]
     )
-    assert full.matrix.value_eq(expected)
+    assert not full.matrix.mismatches(expected)
     # the one pole is -1, the root of D(z) = z + 1
     assert full.matrix.entries[0][0].den == Z + ONE
 
 
 def test_assembled_9x9_matches_reference():
-    assert assemble_full(2).matrix.value_eq(spin_one_full_matrix())
+    assert not assemble_full(2).matrix.mismatches(spin_one_full_matrix())
 
 
 def test_block_structure_cross_sector_zero():

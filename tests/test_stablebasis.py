@@ -1,5 +1,6 @@
 """Stable-class expansions, the triangular matrix S, its inverse, residues."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -29,13 +30,11 @@ from spinr.stablebasis import (
     binom,
     candidate_poles,
     class_S,
-    class_Zbar,
     sinv_entry,
     solve_change_of_basis,
     stable_coeff,
     verify_inverse,
     verify_linrel,
-    verify_residues,
     verify_residues_all,
     zbar_coeff,
     _sinv_s_entry_terms,
@@ -55,9 +54,8 @@ ONE = MPoly.one()
 def test_zbar_column_k2():
     expected = attracting_matrix_k2()
     for jp in range(3):
-        column = class_Zbar(2, jp)
         for j in range(jp + 1):
-            assert column[j].expand() == expected.entries[j][jp]
+            assert zbar_coeff(2, j, jp).expand() == expected.entries[j][jp]
 
 
 def test_zbar_middle_entry_value():
@@ -94,7 +92,7 @@ def test_column_bounds():
     with pytest.raises(ValueError):
         class_S(2, 3)
     with pytest.raises(ValueError):
-        class_Zbar(2, -1)
+        class_S(2, -1)
 
 
 def stable_coeff_merged(k: int, j: int, j_prime: int) -> FactoredRat:
@@ -135,12 +133,12 @@ def test_s_matrix_k0_is_identity_entry():
 
 
 def test_s_matrix_k1_hand_values():
-    assert S_matrix(1).value_eq(stable_matrix_k1())
-    assert S_inverse(1).value_eq(stable_inverse_k1())
+    assert not S_matrix(1).mismatches(stable_matrix_k1())
+    assert not S_inverse(1).mismatches(stable_inverse_k1())
 
 
 def test_s_matrix_k2_printed():
-    assert S_matrix(2).value_eq(stable_matrix_k2())
+    assert not S_matrix(2).mismatches(stable_matrix_k2())
 
 
 def test_sinv_entry_k2_02():
@@ -249,12 +247,31 @@ def test_candidate_pole_collection():
     poles = candidate_poles(terms)
     assert poles == sorted(poles)
     assert all(isinstance(n, int) for n in poles)
-    assert verify_residues(2, 0, 1).passed
+    entry = factored_sum(terms)
+    assert poles and all(residue_at(entry, n).is_zero for n in poles)
 
 
 def test_verify_residues_all_small():
     for k in range(4):
         assert verify_residues_all(k).passed
+
+
+@pytest.mark.parametrize("check", [verify_linrel, verify_residues_all])
+def test_checks_refuse_negative_k(check):
+    with pytest.raises(ValueError, match=r"^need k >= 0, got -1$"):
+        check(-1)
+
+
+# the JSON text of each failing report below: dict equality ignores key
+# order, the text does not; the witness keys come first, then i and j'
+DOUBLED_SUMMAND_JSON = {
+    (2, 0, 1): '{"check": "residues_all", "params": {"k": 2}, "status": "fail", '
+    '"witness": {"pole": "z = -1*phi", "residue": "-eps", "i": 0, "j_prime": 1}, '
+    '"failures": [{"pole": "z = -1*phi", "residue": "-eps", "i": 0, "j_prime": 1}]}',
+    (2, 1, 1): '{"check": "residues_all", "params": {"k": 2}, "status": "fail", '
+    '"witness": {"at": "z -> infinity", "expected": 1, "limit": "2", "i": 1, "j_prime": 1}, '
+    '"failures": [{"at": "z -> infinity", "expected": 1, "limit": "2", "i": 1, "j_prime": 1}]}',
+}
 
 
 @pytest.mark.parametrize(
@@ -280,11 +297,7 @@ def test_residues_report_an_entry_with_a_doubled_summand(monkeypatch, key, failu
     report = verify_residues_all(2)
     assert not report.passed
     assert report.failures == [failure]
-
-
-def test_verify_residues_bounds():
-    with pytest.raises(ValueError):
-        verify_residues(2, 2, 1)
+    assert json.dumps(report.to_json()) == DOUBLED_SUMMAND_JSON[key]
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +308,8 @@ def test_verify_residues_bounds():
 def test_symmatrix_product_and_identity():
     s = S_matrix(2)
     prod = S_inverse(2).mul(s)
-    assert prod.value_eq(SymMatrix.identity(3))
-    assert SymMatrix.identity(3).value_eq(SymMatrix.identity(3))
+    assert not prod.mismatches(SymMatrix.identity(3))
+    assert not SymMatrix.identity(3).mismatches(SymMatrix.identity(3))
 
 
 def test_symmatrix_json_and_latex():
