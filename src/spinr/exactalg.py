@@ -31,7 +31,7 @@ the representation never shows in output.  The building blocks are:
 The paper's coefficients come from equivariant localization, so the same
 products of weights recur across summands, entries, sectors and checks.
 ``_expand_factor_product`` expands each distinct product once per process
-into one memo; every sum and comparison over factored denominators
+(``functools.cache``); every sum and comparison over factored denominators
 (``factored_sum``, ``FactoredRat.expand``, ``RatFun.__add__``/``value_eq``,
 ``ratfun_dot``) reads it; ``_canonical`` memoizes each linear form's
 canonical form the same way.  ``factored_sum`` and ``ratfun_dot`` sum over
@@ -459,7 +459,7 @@ class LinForm(NamedTuple):
 
 FactorItems = tuple[tuple[LinForm, int], ...]
 
-# ``LinForm.canonical`` of every linear form of the process, unbounded like ``_EXPANSIONS``.
+# ``LinForm.canonical`` of every form of the process, unbounded like ``_expand_factor_product``.
 _canonical = functools.cache(LinForm.canonical)
 
 
@@ -490,10 +490,7 @@ def _canonical_factor_items(
     return _coeff(scalar * up if down == 1 else Fraction(scalar * up, down)), items
 
 
-# Every expanded factor product of the process, keyed by its factor items.
-_EXPANSIONS: dict[FactorItems, MPoly] = {}
-
-
+@functools.cache
 def _expand_factor_product(items: FactorItems) -> MPoly:
     """The product of form**exp over items, expanded once per process.
 
@@ -502,21 +499,16 @@ def _expand_factor_product(items: FactorItems) -> MPoly:
     one key.  The product is the expanded items[:-1] times the power
     items[-1:], both read through the memo, so every power and every leading
     partial product is expanded once as well.  The memo is unbounded, like
-    the ``rblock_closed`` and ``S_matrix`` memos.  Callers share the returned
+    those of ``rblock_closed`` and ``S_matrix``.  Callers share the returned
     MPoly, which is safe only because an MPoly is never mutated after
     construction.
     """
-    out = _EXPANSIONS.get(items)
-    if out is None:
-        if not items:
-            out = MPoly.one()
-        elif len(items) == 1:
-            ((form, exp),) = items
-            out = form.to_mpoly() ** exp
-        else:
-            out = _expand_factor_product(items[:-1]) * _expand_factor_product(items[-1:])
-        _EXPANSIONS[items] = out
-    return out
+    if not items:
+        return MPoly.one()
+    if len(items) == 1:
+        ((form, exp),) = items
+        return form.to_mpoly() ** exp
+    return _expand_factor_product(items[:-1]) * _expand_factor_product(items[-1:])
 
 
 def _lcm_cofactors(
@@ -797,8 +789,6 @@ def ratfun_dot(left: Sequence[RatFun], right: Sequence[RatFun]) -> RatFun:
         for a, b in pairs:
             acc = acc + a * b
         return acc
-    if not pairs:
-        return RatFun.zero()
     den_maps = []
     for a, b in pairs:
         dm = dict(a.den_factors)

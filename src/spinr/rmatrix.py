@@ -326,9 +326,10 @@ class FullR:
     coefficients N_0, N_1, ..., trailing zeros trimmed (a zero entry is
     ``()``).  R conserves the weight a + b, so only ``blocks[w]``, the block
     of pair sector w in ``pair_sectors(ell)[w]`` order (``specialize_block``),
-    is stored.  As deg N <= ell, the poles are the roots of D.  ``matrix``
-    is the ``SymMatrix`` of ``RatFun(N, D)``, ``lowest_terms`` the reduced
-    one; they and ``at_z`` are the only dense squares, built from the blocks.
+    is stored.  As deg N <= ell, the poles are the roots of D.  ``evaluate``
+    reads R at a point, for ``at_z``, ``identity_at_zero`` and the YBE.
+    ``matrix`` is the ``SymMatrix`` of ``RatFun(N, D)``, ``lowest_terms``
+    the reduced one; they and ``at_z`` are the only dense squares.
     Basis: pairs (a, b) with a, b in 0..ell in lexicographic order, the pair
     (a, b) being row/column (ell+1)*a + b and its label.  Construction
     refuses (ValueError) blocks of other shapes or a numerator of degree
@@ -359,23 +360,11 @@ class FullR:
         return list(itertools.product(range(self.ell + 1), repeat=2))
 
     @functools.cached_property
-    def coefficient_bound(self) -> int:
-        """nu = max over entries of sum_e |N_e|, so |q^ell N(p/q)| <= nu max(|p|, q)^ell."""
-        return max(sum(map(abs, c)) for block in self.blocks for row in block for c in row)
-
-    @functools.cached_property
     def identity_at_zero(self) -> bool:
-        """Whether N_0 == ell! Id, that is R(0) = Id, since D(0) = ell!.
-
-        Every diagonal entry must have constant coefficient ell! and every
-        other entry 0; decided on the blocks once per matrix object.
-        """
-        top = math.factorial(self.ell)
+        """Whether R(0) = Id, that is ``evaluate(0)`` is D(0) Id; decided once per object."""
+        blocks, den = self.evaluate(Fraction(0))
         return all(
-            (coeffs[0] if coeffs else 0) == top * (r == c)
-            for block in self.blocks
-            for r, row in enumerate(block)
-            for c, coeffs in enumerate(row)
+            x == den * (r == c) for b in blocks for r, row in enumerate(b) for c, x in enumerate(row)
         )
 
     @functools.cached_property
@@ -399,28 +388,30 @@ class FullR:
             for c, j in enumerate(sector)
         )
 
-    def _dense(self, entry: Callable[[tuple[int, ...]], object], zero: object) -> list[list]:
-        """The dense square of entry(N) on the blocks, and ``zero`` between different weights."""
+    def _dense(self, blocks: Sequence, entry: Callable, zero: object) -> list[list]:
+        """The dense square of entry(x) on the sector blocks, ``zero`` between different weights."""
         dense = [[zero] * self.dim for _ in range(self.dim)]
-        for sector, block in zip(pair_sectors(self.ell), self.blocks):
+        for sector, block in zip(pair_sectors(self.ell), blocks):
             for i, row in zip(sector, block):
-                for j, coeffs in zip(sector, row):
-                    dense[i][j] = entry(coeffs)
+                for j, x in zip(sector, row):
+                    dense[i][j] = entry(x)
         return dense
 
     @functools.cached_property
     def matrix(self) -> SymMatrix:
         """The entries as ``RatFun(N, D)``, all over one shared D; read-only."""
         den = spin_denominator(self.ell)
-        return SymMatrix(self._dense(lambda c: RatFun(z_poly(c), den), RatFun(MPoly(), den)))
+        dense = self._dense(self.blocks, lambda c: RatFun(z_poly(c), den), RatFun(MPoly(), den))
+        return SymMatrix(dense)
 
-    def powers_at(self, value: Fraction) -> tuple[list[int], int]:
-        """(the table p^e * q^(ell-e), e = 0..ell, and q^ell * D(p/q)) at z = p/q.
+    def evaluate(self, value: Fraction) -> tuple[tuple[list[list[int]], ...], int]:
+        """(the pair-sector blocks of q^ell * N(p/q) as ints, and q^ell * D(p/q)) at z = p/q.
 
-        The dot product of an entry's coefficients with the table is
-        q^ell * N(p/q); the table suffices because construction refuses a
-        numerator of degree above ell = deg D.  A pole (the int D-value is 0)
-        raises PoleSpecializationError naming the vanishing factor of D.
+        An entry is the dot product of its coefficients with the table
+        p^e * q^(ell-e), e = 0..ell, which suffices because construction
+        refuses a numerator of degree above ell = deg D.  A pole (the int
+        D-value is 0) raises PoleSpecializationError naming the vanishing
+        factor of D.
         """
         p, q, ell = value.numerator, value.denominator, self.ell
         den = math.prod(p + j * q for j in range(1, ell + 1))
@@ -429,17 +420,19 @@ class FullR:
                 f"z = {value} lies on the pole set of the assembled matrix "
                 f"(factor (z + {-value}) of D)"
             )
-        return [p**e * q ** (ell - e) for e in range(ell + 1)], den
+        table = [p**e * q ** (ell - e) for e in range(ell + 1)]
+        rows = ([[sum(map(operator.mul, c, table)) for c in row] for row in b] for b in self.blocks)
+        return tuple(rows), den
 
     def at_z(self, value: Fraction) -> FracMat:
         """Exact numeric matrix at a rational z: each entry q^ell N(p/q) / (q^ell D(p/q))."""
-        table, den = self.powers_at(value)
-        return self._dense(lambda c: Fraction(sum(map(operator.mul, c, table)), den), Fraction(0))
+        blocks, den = self.evaluate(value)
+        return self._dense(blocks, lambda x: Fraction(x, den), Fraction(0))
 
     def lowest_terms(self) -> SymMatrix:
         """The matrix with each entry reduced to lowest terms (monic denominator)."""
         reduce = functools.partial(over_spin_denominator, ell=self.ell)
-        return SymMatrix(self._dense(reduce, reduce(())))
+        return SymMatrix(self._dense(self.blocks, reduce, reduce(())))
 
 
 @functools.lru_cache(maxsize=None)
@@ -584,12 +577,12 @@ def _balanced_digits(x: int, s: int, n: int) -> list[int]:
 def verify_ybe(full: FullR, z1: Fraction, z2: Fraction, z3: Fraction) -> Report:
     """Exact Yang-Baxter check at one rational triple, on integer matrices.
 
-    R(z1-z2), R(z1-z3) and R(z2-z3) are taken as the integer matrices
-    q^ell * N(p/q) from the table of ``FullR.powers_at``, with integer scales
-    d12, d13, d23 (the values q^ell * D(p/q)).  Each side is a product of
-    one of each, so both sides carry the same factor d12*d13*d23 and agree
-    exactly when the integer products agree.  A witness is divided back by
-    that factor, so it reports the rational entry.
+    R(z1-z2), R(z1-z3) and R(z2-z3) are taken as the integer blocks
+    q^ell * N(p/q) of ``FullR.evaluate``, with integer scales d12, d13, d23
+    (the values q^ell * D(p/q)).  Each side is a product of one of each, so
+    both sides carry the same factor d12*d13*d23 and agree exactly when the
+    integer products agree.  A witness is divided back by that factor, so it
+    reports the rational entry.
 
     The operators conserve total weight (``FullR`` stores only the pair
     sectors), so both sides are formed per total-weight sector W of the
@@ -598,39 +591,34 @@ def verify_ybe(full: FullR, z1: Fraction, z2: Fraction, z3: Fraction) -> Report:
     is held as one int, sum_q x_q 2^(s*q), starting from the unit rows
     2^(s*q); applying an operator combines packed rows, and packing is
     linear, so a side's packed row is exact whatever the size of the
-    intermediate entries.  The bound: with nu = ``coefficient_bound``,
-    an entry of q^ell N(p/q) is at most nu max(|p|, q)^ell in absolute value,
-    and an entry of a side is a sum of at most (ell+1)^2 triple products, so
-    it is at most B = (ell+1)^2 nu^3 prod over the three differences of
-    max(|p|, q)^ell.  With s = B.bit_length() + 1 every digit lies in
-    (-2^(s-1), 2^(s-1)), where balanced base-2^s digits are unique, so two
-    packed rows are equal exactly when all their entries are.
+    intermediate entries.  The bound is measured on the evaluated blocks: a
+    row of an embedded operator has at most ell+1 nonzero entries, so an
+    entry of a side is a sum of at most (ell+1)^2 products of one entry of
+    each operator, and it is at most B = (ell+1)^2 times the product of the
+    three largest absolute entries.  With s = B.bit_length() + 1 every digit
+    lies in (-2^(s-1), 2^(s-1)), where balanced base-2^s digits are unique,
+    so two packed rows are equal exactly when all their entries are.
 
     When ``FullR.mirror_symmetric`` holds, M (x) M (x) M commutes with R12,
     R13 and R23 and maps sector W onto 3*ell - W by a monomial matrix, so
     the difference of the two sides vanishes on one exactly when it does on
     the other, and sectors W <= 3*ell // 2 decide the relation (see the
     module docstring).  Once a sector fails, every sector is checked, so the
-    witnesses do not depend on the premise.  A pair block of weight w is
-    evaluated when sector W = w first reads it, so the half pass evaluates
-    only w <= 3*ell // 2.
+    witnesses do not depend on the premise.
     """
     report = Report("ybe", {"ell": full.ell, "z": [str(z1), str(z2), str(z3)]})
     ell = full.ell
-    tables, scale, bound = [], 1, (ell + 1) ** 2 * full.coefficient_bound**3
+    ops, scale, bound = [], 1, (ell + 1) ** 2
     for dz in (z1 - z2, z1 - z3, z2 - z3):
-        table, den = full.powers_at(dz)
-        tables.append(table)
+        blocks, den = full.evaluate(dz)
+        ops.append(blocks)
         scale *= den
-        bound *= max(abs(dz.numerator), dz.denominator) ** ell
-    r12, r13, r23 = ops = [], [], []
+        bound *= max(abs(x) for block in blocks for row in block for x in row)
+    r12, r13, r23 = ops
     s = bound.bit_length() + 1
     for weight, (indices, slot12, slot23) in enumerate(_ybe_layout(ell)):
         if weight > 3 * ell // 2 and report.passed and full.mirror_symmetric:
             break
-        for table, op in zip(tables, ops):
-            for block in full.blocks[len(op) : weight + 1]:
-                op.append([[sum(map(operator.mul, c, table)) for c in row] for row in block])
         n = len(indices)
         unit = [1 << (s * q) for q in range(n)]
         lhs = _apply(slot12, r23, _apply(slot23, r13, _apply(slot12, r12, unit)))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from spinr.exactalg import (
+    ExactAlgError,
     ExactDivisionError,
     FactoredRat,
     LinForm,
@@ -23,6 +24,7 @@ from spinr.exactalg import (
     mpoly_exact_div,
     mpoly_to_str,
     parse_rational,
+    ratfun_dot,
     ratfun_to_str,
     residue_at,
 )
@@ -82,6 +84,14 @@ def test_mpoly_equals_a_scalar_by_its_constant_term():
 def test_pow_and_scale():
     assert (Z + PHI) ** 2 == Z * Z + Z * PHI * c(2) + PHI * PHI
     assert Z.scale(Fraction(1, 2)) + Z.scale(Fraction(1, 2)) == Z
+    # the square-and-multiply loop would never end on a negative exponent
+    with pytest.raises(ValueError, match="^negative power of a polynomial$"):
+        Z**-1
+
+
+def test_eval_rational_refuses_an_unbound_variable():
+    with pytest.raises(ExactAlgError, match="^variable z unbound in rational evaluation$"):
+        Z.eval_rational({"phi": 1})
 
 
 def test_exact_div_difference_of_squares():
@@ -183,9 +193,15 @@ def test_factored_sum_keeps_common_denominator():
 
 
 def test_factored_sum_of_nothing_is_zero_over_one():
-    # no live term: the lcm of no denominators is 1, with no factors
-    for terms in ([], [FactoredRat.zero()]):
-        total = factored_sum(terms)
+    # no live term: the lcm of no denominators is 1, with no factors, for a
+    # factored sum and for a dot product with no pair or only zero operands
+    zero = RatFun.zero()
+    for total in (
+        factored_sum([]),
+        factored_sum([FactoredRat.zero()]),
+        ratfun_dot([], []),
+        ratfun_dot([zero, zero], [zero, zero]),
+    ):
         assert (total.num, total.den, total.den_factors) == (MPoly.zero(), ONE, ())
 
 

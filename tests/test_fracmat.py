@@ -22,6 +22,11 @@ def test_mismatches_refuses_other_shapes():
             SymMatrix.identity(a).mismatches(SymMatrix.identity(b))
 
 
+def test_mul_refuses_other_shapes():
+    with pytest.raises(ValueError, match="^shape mismatch in matrix product$"):
+        SymMatrix.identity(2).mul(SymMatrix.identity(3))
+
+
 # ---------------------------------------------------------------------------
 # the symbolic product
 # ---------------------------------------------------------------------------

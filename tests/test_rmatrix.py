@@ -427,8 +427,8 @@ def test_generic_blocks_match_an_independent_sympy_route():
 
 
 def test_assembly_refuses_a_numerator_above_degree_ell(monkeypatch):
-    # the evaluation table of powers_at stops at z^ell, so a larger degree
-    # must stop the assembly rather than be cut off
+    # FullR.evaluate dots the coefficients with the powers z^0..z^ell, so a
+    # larger degree must stop the assembly rather than be cut off
     specialize = rmatrix.specialize_block
 
     def one_entry_too_high(k, ell):
@@ -493,7 +493,7 @@ def test_at_z_refuses_pole_and_names_it():
 
 def test_coefficients_are_a_second_route_to_the_numerators():
     # sum_e p^e q^(ell-e) N_e is q^ell N(p/q), which is at_z times the int
-    # q^ell D(p/q) of powers_at; at z = 0 that is N_0 = D(0) R(0) = ell! Id
+    # q^ell D(p/q) of evaluate; at z = 0 that is N_0 = D(0) R(0) = ell! Id
     for ell in range(1, 6):
         full = assemble_full(ell)
         coeffs = [[[0] * full.dim for _ in range(full.dim)] for _ in range(ell + 1)]
@@ -510,7 +510,7 @@ def test_coefficients_are_a_second_route_to_the_numerators():
         ]
         for z in (Fraction(0), Fraction(1, 3), Fraction(-7, 2), Fraction(5)):
             p, q = z.numerator, z.denominator
-            _, den = full.powers_at(z)
+            _, den = full.evaluate(z)
             nums = [[x * den for x in row] for row in full.at_z(z)]
             expected = [
                 [sum(p**e * q ** (ell - e) * n_e[i][j] for e, n_e in enumerate(coeffs))
@@ -621,8 +621,9 @@ def _dense_ybe_witnesses(full, z1, z2, z3):
 
 def test_ybe_failure_witnesses_match_fraction_products():
     # corrupt one same-weight coupling; at ell = 3 the factor 10**6 gives
-    # entries of 93 bits against a bound of 121, so a digit width from a bound
-    # without its factor nu**2 would mix neighbouring entries
+    # entries of 93 bits against a measured bound of 116, so a digit width
+    # from the largest entry of one operator alone would mix neighbouring
+    # entries
     cases = [
         (1, (1, 2), 2, (Fraction(5, 3), Fraction(2, 7), Fraction(-3, 4))),
         (2, (1, 3), -1, (Fraction(5), Fraction(2), Fraction(-3, 7))),
@@ -785,6 +786,71 @@ def test_balanced_digits_decode_packed_rows():
                     sum(x << (s * p) for p, x in enumerate(other)), s, len(row)
                 )
                 assert decoded == other, (s, q, digit)
+
+
+def _embedded(m, slot, d):
+    """The rows of m (x) I (slot 12) or I (x) m (slot 23) on the triple power, as {col: x}."""
+    rows = []
+    for i in range(d**3):
+        if slot == 12:
+            pair, spectator = divmod(i, d)
+            rows.append({p * d + spectator: x for p, x in enumerate(m[pair]) if x})
+        else:
+            spectator, pair = divmod(i, d * d)
+            rows.append({spectator * d * d + p: x for p, x in enumerate(m[pair]) if x})
+    return rows
+
+
+def _times(sparse, dense):
+    return [[sum(x * dense[a][c] for a, x in row.items()) for c in range(len(dense[0]))]
+            for row in sparse]
+
+
+def test_measured_ybe_bound_bounds_both_sides(monkeypatch):
+    # verify_ybe packs digits of s bits for B = (l+1)^2 times the largest
+    # absolute entries of the three scaled operators; on the dense route of
+    # _dense_ybe_witnesses, in ints, every entry of both sides times
+    # d12 d13 d23 is at most B, B is at most the bound derived from the
+    # coefficients, (l+1)^2 nu^3 prod max(|p|, q)^l with nu = max sum_e |N_e|,
+    # and the digit width s of verify_ybe holds every such entry
+    widths, apply = [], rmatrix._apply
+
+    def recorded(blocks, pair_blocks, rows):
+        if rows[0] == 1 and len(rows) > 1 and rows == [rows[1] ** q for q in range(len(rows))]:
+            widths.append(rows[1].bit_length() - 1)  # the unit rows 2^(s*q)
+        return apply(blocks, pair_blocks, rows)
+
+    monkeypatch.setattr(rmatrix, "_apply", recorded)
+    rational = [
+        (Fraction(3, 7),) * 3,
+        (Fraction(5), Fraction(2), Fraction(-3, 7)),
+        (Fraction(5, 3), Fraction(2, 7), Fraction(-3, 4)),
+        (Fraction(1, 2), Fraction(-9, 4), Fraction(7, 3)),
+        (Fraction(11, 5), Fraction(-4, 3), Fraction(2, 9)),
+    ]
+    for ell in (1, 2, 3):
+        full, d = assemble_full(ell), ell + 1
+        nu = max(sum(map(abs, c)) for block in full.blocks for row in block for c in row)
+        for zs in _grid(ell) + rational:
+            ops, bound, derived = [], d**2, d**2 * nu**3
+            for dz in (zs[0] - zs[1], zs[0] - zs[2], zs[1] - zs[2]):
+                p, q = dz.numerator, dz.denominator
+                scale = math.prod(p + j * q for j in range(1, d))
+                m = [[x * scale for x in row] for row in full.at_z(dz)]
+                assert {x.denominator for row in m for x in row} == {1}
+                ops.append([[int(x) for x in row] for row in m])
+                bound *= max(abs(x) for row in ops[-1] for x in row)
+                derived *= max(abs(p), q) ** ell
+            lhs = rhs = identity(d**3)
+            for r, slot in zip(ops, (12, 23, 12)):  # the order of _dense_ybe_witnesses
+                lhs = _times(_embedded(r, slot, d), lhs)
+            for r, slot in zip(ops[::-1], (23, 12, 23)):
+                rhs = _times(_embedded(r, slot, d), rhs)
+            top = max(abs(x) for row in lhs for x in row)
+            assert lhs == rhs and 0 < top <= bound <= derived, (ell, zs)
+            widths.clear()
+            assert verify_ybe(full, *zs).passed
+            assert widths and all(bound < 2 ** (s - 1) for s in widths), (ell, zs)
 
 
 def test_sampling_is_seeded_and_avoids_poles():
@@ -1096,7 +1162,9 @@ def test_dense_outputs_read_the_blocks_and_no_check_builds_them(monkeypatch):
     for ell in range(1, cli.MAX_ELL + 1):
         full = assemble_full(ell)
         dense = full.matrix.entries, full.lowest_terms().entries, full.at_z(z)
-        table, den = full.powers_at(z)
+        # z = 2/3: the powers 2^e 3^(ell-e) and 3^ell D(2/3), built here
+        table = [2**e * 3 ** (ell - e) for e in range(ell + 1)]
+        den = math.prod(2 + 3 * j for j in range(1, ell + 1))
         weight = [a + b for a, b in full.labels]
         for w, sector in enumerate(pair_sectors(ell)):
             for r, i in enumerate(sector):
