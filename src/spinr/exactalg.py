@@ -149,10 +149,6 @@ class MPoly:
         exps[_VAR_INDEX[name]] = 1
         return cls({tuple(exps): 1})
 
-    @classmethod
-    def monomial(cls, mono: Monomial, coeff: Scalar = 1) -> MPoly:
-        return cls({mono: coeff})
-
     # -- inspection ----------------------------------------------------------
 
     @property
@@ -404,7 +400,7 @@ def mpoly_exact_div(a: MPoly, b: MPoly) -> MPoly:
             raise ExactDivisionError("non-exact polynomial division")
         coeff = _coeff(Fraction(rest.terms[lead_r], cb))
         quotient[mono] = coeff  # lex-leading monomials never repeat
-        rest = rest - b * MPoly.monomial(mono, coeff)
+        rest = rest - b * MPoly({mono: coeff})
     return MPoly(quotient)
 
 
@@ -716,10 +712,7 @@ class RatFun:
             return RatFun.zero()
         factors: FactorItems | None = None
         if self.den_factors is not None and other.den_factors is not None:
-            merged: dict[LinForm, int] = dict(self.den_factors)
-            for f, e in other.den_factors:
-                merged[f] = merged.get(f, 0) + e
-            factors = tuple(sorted(merged.items()))
+            factors = _canonical_factor_items(1, (*self.den_factors, *other.den_factors))[1]
         return RatFun(self.num * other.num, self.den * other.den, factors)
 
     def scale(self, c: Scalar) -> RatFun:
@@ -731,14 +724,9 @@ class RatFun:
         factors = None
         num, den = self.num.flip_z(), self.den.flip_z()
         if self.den_factors is not None:
-            sign = 1
-            flipped = []
-            for f, e in self.den_factors:
-                s, canon = _canonical(f.flip_z())
-                if s < 0 and e % 2:
-                    sign = -sign
-                flipped.append((canon, e))
-            factors = tuple(sorted(flipped))
+            sign, factors = _canonical_factor_items(
+                1, ((f.flip_z(), e) for f, e in self.den_factors)
+            )
             if sign < 0:
                 num, den = -num, -den
         return RatFun(num, den, factors)
@@ -834,7 +822,7 @@ def residue_at(f: RatFun, n: int) -> RatFun:
     """
     if f.num.is_zero:
         return RatFun.zero()
-    root = MPoly.monomial((0, 1, 0), n)
+    root = MPoly({(0, 1, 0): n})
 
     def strip(coeffs: list[MPoly]) -> tuple[int, MPoly]:
         count, (quotient, value) = 0, divide_root(coeffs, root)

@@ -36,7 +36,6 @@ from __future__ import annotations
 import functools
 import operator
 from fractions import Fraction
-from typing import Sequence
 
 from .exactalg import RatFun, ratfun_to_str, times_roots
 from .fracmat import FracMat
@@ -114,11 +113,12 @@ def sign_gauge(ell: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _commutation_witnesses(full: FullR, sigma: tuple[int, ...]) -> tuple[dict, ...]:
+def _commutation_witnesses(full: FullR) -> tuple[dict, ...]:
     """One witness per generator x and power e where [G, Dx] != 0, G = sigma N_e sigma.
 
-    Decided once per matrix object and gauge (``FullR`` hashes by identity),
-    like ``rmatrix.constructions_mismatches``: the commutation case and
+    sigma is ``sign_gauge``, the one gauge of the stable basis.  Decided once
+    per matrix object (``FullR`` hashes by identity), like
+    ``rmatrix.constructions_mismatches``: the commutation case and
     ``spectral_numerators`` share one verdict.
 
     The brackets with E and F are G_(w-1) E_w - E_w G_w and G_(w+1) F_w - F_w G_w
@@ -127,7 +127,7 @@ def _commutation_witnesses(full: FullR, sigma: tuple[int, ...]) -> tuple[dict, .
     A power's witness is its first nonzero bracket entry, row by row.  [G, DH]
     is G_ij (h_j - h_i), zero because ``FullR`` stores only the pair sectors.
     """
-    witnesses = []
+    witnesses, sigma = [], sign_gauge(full.ell)
     sectors, action = pair_sectors(full.ell), sector_action(full.ell)
     for which, side, step in (("E", 0, -1), ("F", 1, 1)):
         lowest: dict[int, tuple[tuple[int, int], int]] = {}
@@ -167,11 +167,10 @@ def verify_sl2_commutation(full: FullR) -> Report:
     recorded.  The bracket with H vanishes by construction (``FullR``).
     """
     report = Report("sl2_commutation", {"ell": full.ell})
-    sigma = sign_gauge(full.ell)
-    for witness in _commutation_witnesses(full, sigma):
+    for witness in _commutation_witnesses(full):
         report.fail(**witness)
     if report.passed:
-        report.details["gauge"] = list(sigma)
+        report.details["gauge"] = list(sign_gauge(full.ell))
     return report
 
 
@@ -194,22 +193,20 @@ def highest_weight_vector(ell: int, s: int) -> list[int]:
     return c
 
 
-def spectral_numerators(full: FullR, sigma: Sequence[int] | None = None) -> list[list[int]]:
+def spectral_numerators(full: FullR) -> list[list[int]]:
     """coeffs[s][e] = n_s,e, the int coefficient of z^e in the numerator over D of rho_s.
 
-    Commutation under sigma (``sign_gauge`` when none is supplied) is
-    checked first; a failure raises OracleStructureError at the lowest
-    failing power.  Then sigma N_e sigma u_s = n_s,e u_s
-    (``highest_weight_vector``), so n_s,e is row 0 of sigma N_e sigma on
-    sector ell-s, the row of e_(0, ell-s), applied to u_s and divided by u_s's
-    entry c_0 there: exactly, since commutation, decided first, makes u_s an
-    eigenvector.  The row is read from ``FullR.blocks``, signed entry by entry.
+    Commutation under sigma = ``sign_gauge`` is checked first; a failure
+    raises OracleStructureError at the lowest failing power.  Then
+    sigma N_e sigma u_s = n_s,e u_s (``highest_weight_vector``), so n_s,e is
+    row 0 of sigma N_e sigma on sector ell-s, the row of e_(0, ell-s), applied
+    to u_s and divided by u_s's entry c_0 there: exactly, since commutation,
+    decided first, makes u_s an eigenvector.  The row is read from
+    ``FullR.blocks``, signed entry by entry.
     """
-    if sigma is None:
-        sigma = sign_gauge(full.ell)
-    if powers := [w["power"] for w in _commutation_witnesses(full, tuple(sigma))]:
+    if powers := [w["power"] for w in _commutation_witnesses(full)]:
         raise OracleStructureError(f"spectral reconstruction fails at the power z^{min(powers)}")
-    coeffs = []
+    coeffs, sigma = [], sign_gauge(full.ell)
     for s in range(full.ell + 1):
         w, u, n = full.ell - s, highest_weight_vector(full.ell, s), [0] * (full.ell + 1)
         sector = pair_sectors(full.ell)[w]
@@ -220,9 +217,9 @@ def spectral_numerators(full: FullR, sigma: Sequence[int] | None = None) -> list
     return coeffs
 
 
-def spectral_decompose(full: FullR, sigma: Sequence[int] | None = None) -> list[RatFun]:
+def spectral_decompose(full: FullR) -> list[RatFun]:
     """Eigenvalue functions rho_s(z) = n_s(z)/D(z), s = 0..ell, in lowest terms (monic den)."""
-    return [over_spin_denominator(n, full.ell) for n in spectral_numerators(full, sigma)]
+    return [over_spin_denominator(n, full.ell) for n in spectral_numerators(full)]
 
 
 def fusion_numerator(ell: int, s: int) -> list[int]:

@@ -191,15 +191,9 @@ def verify_equal_constructions(k: int) -> Report:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _monic(roots: tuple[int, ...]) -> MPoly:
-    """prod (z + c) over roots, built once per tuple of roots and shared."""
-    return z_poly(times_roots([1], roots))
-
-
 def spin_denominator(ell: int) -> MPoly:
     """D(z) = (z+1)(z+2)...(z+ell), the common denominator of the spin-ell/2 matrix."""
-    return _monic(tuple(range(1, ell + 1)))
+    return z_poly(times_roots([1], range(1, ell + 1)))
 
 
 def z_poly(coeffs: Sequence[Scalar]) -> MPoly:
@@ -215,7 +209,7 @@ def over_spin_denominator(coeffs: Sequence[Scalar], ell: int) -> RatFun:
     and the other factors make the monic denominator.  Zero comes back as 0/1.
     """
     if not any(coeffs):
-        return RatFun(MPoly(), _monic(()), ())
+        return RatFun.zero()
     num, rest = list(coeffs), []
     for j in range(1, ell + 1):
         quotient, value = divide_root(num, j)
@@ -223,7 +217,7 @@ def over_spin_denominator(coeffs: Sequence[Scalar], ell: int) -> RatFun:
             rest.append(j)
         else:
             num = quotient
-    return RatFun(z_poly(num), _monic(tuple(rest)))
+    return RatFun(z_poly(num), z_poly(times_roots([1], rest)))
 
 
 @functools.lru_cache(maxsize=None)

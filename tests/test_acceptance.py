@@ -176,7 +176,7 @@ def test_criterion_11_oracle_equivariance_and_spectrum():
             report = verify_sl2_commutation(full)
             assert report.passed, report.summary()
             gauge = report.details["gauge"]  # the sign gauge is recorded
-            rhos = spectral_decompose(full, gauge)  # reconstruction asserted inside
+            rhos = spectral_decompose(full)  # reconstruction asserted inside
             projs = casimir_projectors(ell)
             dim = full.dim
             for u in range(dim):

@@ -11,6 +11,7 @@ from spinr.exactalg import (
     FactoredRat,
     LinForm,
     MPoly,
+    PoleSpecializationError,
     RatFun,
     UnsupportedPoleOrderError,
     _canonical,
@@ -108,6 +109,19 @@ def test_exact_div_rejects_nonexact():
         mpoly_exact_div(Z * Z, Z + PHI)
 
 
+def test_internal_invariants_raise_with_their_messages():
+    # a zero divisor, a zero linear factor, a zero denominator and a pole at
+    # the evaluation point are each refused with a message that names them
+    with pytest.raises(ExactDivisionError, match="^division by the zero polynomial$"):
+        mpoly_exact_div(Z, MPoly())
+    with pytest.raises(ExactAlgError, match="^zero linear form used as a factor$"):
+        FactoredRat(1, [(LinForm(0, 0, 0), 1)])
+    with pytest.raises(ZeroDivisionError, match="^rational function with zero denominator$"):
+        RatFun(Z, MPoly())
+    with pytest.raises(PoleSpecializationError, match=r"^denominator z vanishes at \{'z': 0\}$"):
+        RatFun(ONE, Z).eval_rational({"z": 0})
+
+
 def test_flip_z():
     assert (Z * Z + Z + PHI).flip_z() == Z * Z - Z + PHI
 
@@ -194,13 +208,18 @@ def test_factored_sum_keeps_common_denominator():
 
 def test_factored_sum_of_nothing_is_zero_over_one():
     # no live term: the lcm of no denominators is 1, with no factors, for a
-    # factored sum and for a dot product with no pair or only zero operands
+    # factored sum, for a dot product with no pair or only zero operands, and
+    # for a product with zero on either side of a factored 1/z
     zero = RatFun.zero()
+    f = factored_sum([FactoredRat(1, [(LinForm(1, 0, 0), -1)])])
+    assert f.den_factors == ((LinForm(1, 0, 0), 1),)
     for total in (
         factored_sum([]),
         factored_sum([FactoredRat.zero()]),
         ratfun_dot([], []),
         ratfun_dot([zero, zero], [zero, zero]),
+        zero * f,
+        f * zero,
     ):
         assert (total.num, total.den, total.den_factors) == (MPoly.zero(), ONE, ())
 
@@ -390,7 +409,7 @@ def test_residue_vanishes_without_pole_factor(f, n):
 @given(mpolys, mpolys, st.integers(-3, 3))
 @settings(max_examples=60, deadline=None)
 def test_substitute_commutes_with_product(a, b, m):
-    binding = {"z": MPoly.monomial((0, 1, 0), m)}  # z -> m*phi
+    binding = {"z": MPoly({(0, 1, 0): m})}  # z -> m*phi
     assert (a * b).substitute(binding) == a.substitute(binding) * b.substitute(binding)
 
 

@@ -335,7 +335,7 @@ def test_commutation_witness_names_generator_power_and_entry():
         assert report.failures == expected
         lowest = min(w["power"] for w in expected)
         with pytest.raises(OracleStructureError, match=rf"z\^{lowest}$"):
-            spectral_numerators(broken, sigma)
+            spectral_numerators(broken)
 
 
 def test_failures_inside_and_between_sectors_report_the_lowest_power():
@@ -350,7 +350,7 @@ def test_failures_inside_and_between_sectors_report_the_lowest_power():
     broken = perturbed(perturbed(full, *inside, 1, 1), *other, 3, -2)
     sigma = sign_gauge(ell)
     with pytest.raises(OracleStructureError, match=r"z\^1$"):
-        spectral_numerators(broken, sigma)
+        spectral_numerators(broken)
     assert trace_numerators(broken, sigma)[1] == [1, 3]
     expected = dense_witnesses(broken, sigma)
     assert {(w["generator"], w["power"]) for w in expected} == {
@@ -373,19 +373,23 @@ def test_spectrum_suite_reports_a_commutation_failure_without_rho(monkeypatch):
     assert report.details == {}
 
 
-def test_witnesses_follow_the_gauge_entry_by_entry():
+def test_witnesses_follow_the_gauge_entry_by_entry(monkeypatch):
     # the sign of each bracket entry comes from sigma_i sigma_j: without the
     # gauge R does not commute, and the witnesses are those of the dense
     # brackets; under (-1)^a, which agrees with (-1)^b up to the sign
-    # (-1)^w of the whole sector w, every bracket vanishes
+    # (-1)^w of the whole sector w, every bracket vanishes.  The verdict is
+    # memoized per matrix object, so each foreign gauge is read on a fresh
+    # copy, never on the shared assemble_full(ell)
     for ell in range(1, 5):
         full = assemble_full(ell)
         d = ell + 1
         identity_gauge = (1,) * full.dim
-        witnesses = list(oracle._commutation_witnesses(full, identity_gauge))
+        monkeypatch.setattr(oracle, "sign_gauge", lambda ell: identity_gauge)
+        witnesses = list(oracle._commutation_witnesses(FullR(ell, full.blocks)))
         assert len(witnesses) == 2 * ell and witnesses == dense_witnesses(full, identity_gauge)
         row_gauge = tuple((-1) ** a for a in range(d) for b in range(d))
-        assert oracle._commutation_witnesses(full, row_gauge) == ()
+        monkeypatch.setattr(oracle, "sign_gauge", lambda ell: row_gauge)
+        assert oracle._commutation_witnesses(FullR(ell, full.blocks)) == ()
 
 
 def test_gauge_is_weight_preserving():
@@ -592,6 +596,7 @@ def test_spectrum_suite():
 
 def test_reconstruction_failure_raises():
     full = assemble_full(1)
-    bad_gauge = [1, 1, 1, 1]  # the identity gauge does not commute
+    # the coupling (0,1) -> (1,0) perturbed at z^0 does not commute
+    broken = perturbed(full, full.labels.index((0, 1)), full.labels.index((1, 0)), 0, 1)
     with pytest.raises(OracleStructureError):
-        spectral_decompose(full, bad_gauge)
+        spectral_decompose(broken)

@@ -104,7 +104,6 @@ REFERENCE = "a reference route of the tests: RatFun arithmetic by value"
 
 # Every src function that no CLI route calls, and why it stays.
 NEVER_CALLED_BY_THE_CLI = {
-    "exactalg.MPoly.monomial": "failure path: the divisor of residue_at, past its zero return",
     "exactalg.MPoly.__bool__": "failure path: residue_at's remainder test",
     "exactalg.MPoly.substitute": TRACER,
     "exactalg.MPoly.eval_rational": TRACER,

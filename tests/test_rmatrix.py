@@ -208,7 +208,7 @@ def _specialize_expanded(entry: RatFun, ell: int) -> tuple[MPoly, MPoly, frozens
     candidates = set()
     for form, _ in entry.den_factors:
         candidates.add(Fraction(-(form.c_phi - ell * form.c_eps), form.c_z))
-    eps, phi = {"eps": MPoly.monomial((0, 1, 0), -ell)}, {"phi": ONE}
+    eps, phi = {"eps": MPoly({(0, 1, 0): -ell})}, {"phi": ONE}
     num = entry.num.substitute(eps).substitute(phi)
     den = entry.den.substitute(eps).substitute(phi)
     num, den = cancel_common_z_roots(num, den, sorted(candidates))
@@ -353,6 +353,30 @@ def test_non_exact_root_division_names_the_sector_and_entry(monkeypatch):
     assert specialize_block(2, 3)  # another ell, where D = (z+1)(z+2)(z+3) clears it
     with pytest.raises(AssertionError, match=r"sector 2 entry \(1, 2\): z \+ 3 does not divide"):
         specialize_block(2, 2)
+
+
+def test_an_entry_whose_summands_cancel_is_stored_as_empty(monkeypatch):
+    # entry (1, 2) of sector 2 at ell = 2, (0, -2) as built, replaced by its
+    # first summand and that summand's negation: both survive the binding, the
+    # sum is the zero list [0, 0, 0], and its trailing zeros are trimmed to ()
+    # as FullR stores a zero entry; every other entry is unchanged
+    original = rmatrix._entry_summands
+
+    def cancelling(k, i, j_prime):
+        if (i, j_prime) != (1, 2):
+            yield from original(k, i, j_prime)
+            return
+        scalar, runs = next(original(k, i, j_prime))
+        yield from ((scalar, runs), (-scalar, runs))
+
+    built = specialize_block(2, 2)
+    monkeypatch.setattr(rmatrix, "_entry_summands", cancelling)
+    cancelled = specialize_block(2, 2)
+    row, col = [2, 1, 0].index(1), [2, 1, 0].index(2)  # b = k - a, a ascending
+    expected = [list(r) for r in built]
+    assert expected[row][col] == (0, -2)
+    expected[row][col] = ()
+    assert [list(r) for r in cancelled] == expected
 
 
 def test_specialization_matches_an_independent_sympy_route():

@@ -10,6 +10,7 @@ PYTHONPATH.  The invocations:
 * every command of ``OUTPUT_DIGESTS`` in ``tests/test_cli.py``;
 * the op of every perfbench workload at seed 1;
 * ``verify --suite S --format json|text`` for every suite;
+* ``verify --suite oracle -l L --format json`` for L = 3..6;
 * ``verify --suite ybe -l L --trials T`` for L = 1..5 and T in
   {1, (2L)^2 - 1, (2L)^2, 100}, on both sides of the grid threshold;
 * ``compute-r -l 3 --at-z Z --format csv`` for Z in {0, 1/3, -7/2, 5, -1},
@@ -61,6 +62,8 @@ def commands() -> list[list[str]]:
     out = output_digest_commands() + perfbench_commands()
     for suite in suite_names():
         out += [["verify", "--suite", suite, "--format", f] for f in ("json", "text")]
+    for ell in range(3, 7):
+        out.append(["verify", "--suite", "oracle", "-l", str(ell), "--format", "json"])
     for ell in range(1, 6):
         grid = (2 * ell) ** 2
         for trials in (1, grid - 1, grid, 100):
