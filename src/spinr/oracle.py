@@ -118,7 +118,7 @@ def _commutation_witnesses(full: FullR) -> tuple[dict, ...]:
 
     sigma is ``sign_gauge``, the one gauge of the stable basis.  Decided once
     per matrix object (``FullR`` hashes by identity), like
-    ``rmatrix.constructions_mismatches``: the commutation case and
+    ``stablebasis.inverse_mismatches``: the commutation case and
     ``spectral_numerators`` share one verdict.
 
     The brackets with E and F are G_(w-1) E_w - E_w G_w and G_(w+1) F_w - F_w G_w

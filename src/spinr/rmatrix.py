@@ -1,31 +1,35 @@
 """Construction and verification of the spin-ell/2 R-matrix.
 
 Each total-weight sector k carries a (k+1) x (k+1) block in the generic
-variables (z, phi, eps), built two ways as a ``fracmat.SymMatrix``.  The
-triangular block (``rblock_triangular``) is the product S^-1 J S(-z) of the
-stable basis (J the index reversal), multiplied out from expanded entries
-through ``exactalg.ratfun_dot``.  The closed form (``rblock_closed``) is that
-product factored: summand j of entry (i, j') is sinv_entry(k, i, j) times
-stable_coeff(k, k-j, j') at -z, and ``exactalg.factored_sum`` sums the
-summands over their lcm.  So the two agree by construction; they are
-independent in the arithmetic and in the run tables, which
-``_entry_summands`` and ``stablebasis`` transcribe separately.  Both are
-memoized, the closed form per k and the product per pair of S^-1 and S
-objects, so each is built once per process and shared by every check that
-reads it, and callers must not mutate it.  Each summand of the closed form
-is an int scalar and at most seven runs of consecutive linear forms, read in
-two ways: ``rblock_closed`` expands the runs into forms, and
-``specialize_block`` maps them to the spin line eps = -ell*phi, phi = 1,
-where a form is an int constant or +-(z + c).  So ``assemble_full`` builds
-each block entry it needs on int coefficient lists in z: the summands are
-summed over their lcm, multiplied by the one denominator D(z) = (z+1)...(z+ell)
-of the fusion spectrum and divided exactly (``exactalg.times_roots`` and
-``exactalg.divide_root``); no generic block is expanded and nothing is
-substituted.  The entry coupling source (a, b) to target (a', b') with
-a + b = a' + b' = k is block entry (b', b); everything else is zero.  So
-``FullR`` stores only the pair-sector blocks of ``specialize_block``, each
-numerator over D as its int coefficients, which every check reads directly;
-an entry between different weights cannot be written down.
+variables (z, phi, eps), a ``fracmat.SymMatrix``.  The closed form
+(``rblock_closed``) is the product S^-1 J S(-z) of the stable basis (J the
+index reversal) written as one factored sum: summand j of entry (i, j') is
+sinv_entry(k, i, j) times stable_coeff(k, k-j, j') at -z, and
+``exactalg.factored_sum`` sums the summands over their lcm.
+``_entry_summands`` transcribes those summands apart from the ``stablebasis``
+tables, and ``summand_mismatches`` decides, once per k and per transcription,
+that they are the product terms exactly, as ``FactoredRat`` values.  Equal
+terms have equal sums, so that premise decides the equality of the two
+constructions with neither block built.  Only when it fails are the
+triangular product (``rblock_triangular``, the expanded entries multiplied
+through ``exactalg.ratfun_dot``) and the closed block formed and compared by
+value.  The closed form is memoized per k, built once per process and shared
+by every check that reads it, and callers must not mutate it.
+
+Each summand of the closed form is an int scalar and at most seven runs of
+consecutive linear forms, read in two ways: ``rblock_closed`` expands the
+runs into forms, and ``specialize_block`` maps them to the spin line
+eps = -ell*phi, phi = 1, where a form is an int constant or +-(z + c).  So
+``assemble_full`` builds each block entry it needs on int coefficient lists
+in z: the summands are summed over their lcm, multiplied by the one
+denominator D(z) = (z+1)...(z+ell) of the fusion spectrum and divided exactly
+(``exactalg.times_roots`` and ``exactalg.divide_root``); no generic block is
+expanded and nothing is substituted.  The entry coupling source (a, b) to
+target (a', b') with a + b = a' + b' = k is block entry (b', b); everything
+else is zero.  So ``FullR`` stores only the pair-sector blocks of
+``specialize_block``, each numerator over D as its int coefficients, which
+every check reads directly; an entry between different weights cannot be
+written down.
 ``over_spin_denominator`` is the one reduction to lowest terms over D's known
 roots, for the printed matrix and the oracle's spectrum.
 
@@ -73,12 +77,15 @@ checked too, so the witnesses are the same whether or not the premise holds.
 
 Block unitarity is proven by composition: S S^-1 = Id gives S(-z) S^-1(-z)
 = Id (z -> -z is a ring automorphism) and, over the field of rational
-functions, S^-1 S = Id; with J^2 = Id and closed form = triangular form,
-R(z) R(-z) = S^-1(z) J S(-z) S^-1(-z) J S(z) = Id.  Both premises are decided
-once per process and per matrix object (``SymMatrix`` hashes by identity),
-so a verdict is reused only for the very block, S and S^-1 that unitarity
-reads.  When either fails, the product R(z) R(-z) is formed directly and a
-failure report lists its entries that differ from Id.
+functions, S^-1 S = Id; with J^2 = Id and the closed form equal to
+S^-1 J S(-z), R(z) R(-z) = S^-1(z) J S(-z) S^-1(-z) J S(z) = Id.  The second
+premise is the summand premise, with the kernel's sums: equal terms summed
+by ``factored_sum`` and by ``ratfun_dot`` give equal values.  The first
+premise is decided once per pair of S and S^-1 objects (``SymMatrix`` hashes
+by identity), the second once per k and per transcription, so a verdict is
+reused only for the very objects and tables it was decided on.  When either
+fails, the closed block is read and the product R(z) R(-z) formed directly,
+and a failure report lists its entries that differ from Id.
 """
 
 from __future__ import annotations
@@ -112,6 +119,8 @@ from .stablebasis import (
     S_matrix,
     binom,
     inverse_mismatches,
+    sinv_entry,
+    stable_coeff,
 )
 
 Block = tuple[tuple[tuple[int, ...], ...], ...]  # a square of int coefficient tuples
@@ -151,38 +160,58 @@ def rblock_closed(k: int) -> SymMatrix:
     return SymMatrix([[entry(i, jp) for jp in range(k + 1)] for i in range(k + 1)])
 
 
-@functools.lru_cache(maxsize=None)
-def _triangular(s_inv: SymMatrix, s: SymMatrix) -> SymMatrix:
-    """s_inv * J * s(-z) (J the index reversal), formed once per pair of matrix objects."""
-    return s_inv.mul(SymMatrix(s.flip_z().entries[::-1]))
-
-
 def rblock_triangular(k: int) -> SymMatrix:
-    """The sector-k block as the triangular product S^-1 * J * S(-z) of the memoized S, S^-1."""
-    return _triangular(S_inverse(k), S_matrix(k))
+    """The triangular product S^-1 * J * S(-z) (J the index reversal), formed on each call."""
+    return S_inverse(k).mul(SymMatrix(S_matrix(k).flip_z().entries[::-1]))
+
+
+def summand_mismatches(k: int) -> tuple[tuple[int, int], ...]:
+    """The entries (i, j') of sector k whose closed-form summands are not those of S^-1 J S(-z).
+
+    Summand j of entry (i, j') must be sinv_entry(k, i, j) times
+    stable_coeff(k, k-j, j') at -z, as an exact ``FactoredRat``: the
+    summands of ``_entry_summands``, in order, against the nonzero products,
+    j ascending.  Decided once per k and per the three tables as bound in
+    this module at the call, so a verdict is never reused for a replaced one.
+    """
+    if k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
+    return _summand_mismatches(k, _entry_summands, sinv_entry, stable_coeff)
 
 
 @functools.lru_cache(maxsize=None)
-def constructions_mismatches(block: SymMatrix, tri: SymMatrix) -> tuple[tuple[int, int], ...]:
-    """The positions where block differs in value from the triangular block tri.
-
-    Like ``stablebasis.inverse_mismatches``, decided once per pair of matrix
-    objects (``SymMatrix`` hashes by identity).
-    """
-    return tuple(block.mismatches(tri))
+def _summand_mismatches(
+    k: int, summands: Callable, sinv: Callable, coeff: Callable
+) -> tuple[tuple[int, int], ...]:
+    rows = [[sinv(k, i, j) for j in range(k + 1)] for i in range(k + 1)]
+    cols = [[coeff(k, k - j, jp).flip_z() for j in range(k + 1)] for jp in range(k + 1)]
+    return tuple(
+        (i, jp)
+        for i, row in enumerate(rows)
+        for jp, col in enumerate(cols)
+        if [FactoredRat(scalar, run_pairs(runs)) for scalar, runs in summands(k, i, jp)]
+        != [t for t in map(operator.mul, row, col) if not t.is_zero]
+    )
 
 
 def verify_equal_constructions(k: int) -> Report:
-    """Entrywise value equality of the closed-form and triangular blocks."""
+    """Equality of the closed-form block and the triangular product S^-1 J S(-z).
+
+    Equal terms have equal sums, so when the summand premise holds
+    (``summand_mismatches``) neither block is built.  Otherwise both are
+    formed and compared by value, and the witnesses are the entries that
+    differ: summands that differ but sum to the same values pass.
+    """
     report = Report("equal_constructions", {"k": k})
-    closed, tri = rblock_closed(k), rblock_triangular(k)
-    for i, j in constructions_mismatches(closed, tri):
-        report.fail(
-            i=i,
-            j_prime=j,
-            closed=ratfun_to_str(closed.entries[i][j]),
-            triangular=ratfun_to_str(tri.entries[i][j]),
-        )
+    if summand_mismatches(k):
+        closed, tri = rblock_closed(k), rblock_triangular(k)
+        for i, j in closed.mismatches(tri):
+            report.fail(
+                i=i,
+                j_prime=j,
+                closed=ratfun_to_str(closed.entries[i][j]),
+                triangular=ratfun_to_str(tri.entries[i][j]),
+            )
     return report
 
 
@@ -449,21 +478,23 @@ def assemble_full(ell: int) -> FullR:
 def verify_unitarity_block(k: int) -> Report:
     """R(z) R(-z) == Id symbolically in (z, phi, eps) for the sector-k block.
 
-    Proven by composition from two premises about the very block, S and S^-1
-    read here: S S^-1 = Id (``inverse_mismatches``) and R = S^-1 J S(-z)
-    (``constructions_mismatches`` against ``rblock_triangular``, the product
-    of those same memoized S and S^-1).  z -> -z is a ring automorphism, so the
-    first gives S(-z) S^-1(-z) = Id, and over the field of rational
-    functions it gives S^-1 S = Id; with J^2 = Id,
+    Proven by composition from two premises: S S^-1 = Id
+    (``inverse_mismatches``, on the memoized S and S^-1) and the summand
+    premise (``summand_mismatches``): every summand of the closed form is the
+    product term of S^-1 J S(-z).  The closed form is the ``factored_sum`` of
+    those summands, so given the kernel's sums it is S^-1 J S(-z) in value.
+    z -> -z is a ring automorphism, so the first premise gives
+    S(-z) S^-1(-z) = Id, and over the field of rational functions it gives
+    S^-1 S = Id; with J^2 = Id,
     R(z) R(-z) = S^-1(z) J [S(-z) S^-1(-z)] J S(z) = S^-1(z) S(z) = Id.
     The premises are decided once per process and shared with the inverse
-    and constructions cases.  When either fails, the product R(z) R(-z) is
-    formed directly, and its entries that differ from Id are the witnesses.
+    and constructions cases.  When either fails, ``rblock_closed(k)`` is read
+    and R(z) R(-z) formed directly, and its entries that differ from Id are
+    the witnesses.
     """
     report = Report("unitarity_block", {"k": k})
-    block = rblock_closed(k)
-    inverse = inverse_mismatches(S_inverse(k), S_matrix(k))
-    if inverse or constructions_mismatches(block, rblock_triangular(k)):
+    if inverse_mismatches(S_inverse(k), S_matrix(k)) or summand_mismatches(k):
+        block = rblock_closed(k)
         product = block.mul(block.flip_z())
         for i, j in product.mismatches(SymMatrix.identity(k + 1)):
             report.fail(i=i, j=j, entry=ratfun_to_str(product.entries[i][j]))
@@ -600,15 +631,21 @@ def verify_ybe(full: FullR, z1: Fraction, z2: Fraction, z3: Fraction) -> Report:
     module docstring).  Once a sector fails, every sector is checked, so the
     witnesses do not depend on the premise.
     """
-    report = Report("ybe", {"ell": full.ell, "z": [str(z1), str(z2), str(z3)]})
+    return _ybe_at(full, (z1, z2, z3), [_evaluated(full, dz) for dz in (z1 - z2, z1 - z3, z2 - z3)])
+
+
+def _evaluated(full: FullR, dz: Fraction) -> tuple[tuple[list[list[int]], ...], int, int]:
+    """``full.evaluate(dz)`` and the largest absolute entry of its blocks."""
+    blocks, den = full.evaluate(dz)
+    return blocks, den, max(abs(x) for block in blocks for row in block for x in row)
+
+
+def _ybe_at(full: FullR, zs: Sequence[Fraction], ops: Sequence[tuple]) -> Report:
+    """``verify_ybe`` at zs, given ``_evaluated`` at z1 - z2, z1 - z3 and z2 - z3."""
+    report = Report("ybe", {"ell": full.ell, "z": [str(z) for z in zs]})
     ell = full.ell
-    ops, scale, bound = [], 1, (ell + 1) ** 2
-    for dz in (z1 - z2, z1 - z3, z2 - z3):
-        blocks, den = full.evaluate(dz)
-        ops.append(blocks)
-        scale *= den
-        bound *= max(abs(x) for block in blocks for row in block for x in row)
-    r12, r13, r23 = ops
+    (r12, d12, m12), (r13, d13, m13), (r23, d23, m23) = ops
+    scale, bound = d12 * d13 * d23, (ell + 1) ** 2 * m12 * m13 * m23
     s = bound.bit_length() + 1
     for weight, (indices, slot12, slot23) in enumerate(_ybe_layout(ell)):
         if weight > 3 * ell // 2 and report.passed and full.mirror_symmetric:
@@ -675,6 +712,11 @@ def ybe_trials(ell: int, trials: int, seed: int) -> Report:
     The triples are the grid when trials >= (2*ell)^2 and the premise
     holds, and ``sample_spectral_triples`` otherwise; each failing triple is
     one witness {"z", "first"}, with the first ``verify_ybe`` witness there.
+    Every point is decided by ``_ybe_at``, the body of ``verify_ybe``, on
+    the differences z1 - z2, z1 - z3 and z2 - z3 evaluated with their largest
+    absolute entries (``_evaluated``) through a cache of the last 4*ell
+    values: the grid's differences are the 4*ell integers 1..4*ell, so each
+    is evaluated once per call, and a sample holds at most 4*ell at a time.
     So the grid route is a proof, and its witnesses are the failing grid
     triples, u and v running over 1..2*ell, v fastest; each replays with
     ``verify --suite ybe -l L --trials (2L)^2`` under any seed.
@@ -686,8 +728,10 @@ def ybe_trials(ell: int, trials: int, seed: int) -> Report:
         triples = [(Fraction(u + v), Fraction(v), Fraction(0)) for u in n for v in n]
     else:
         triples = sample_spectral_triples(ell, trials, seed)
+    evaluated = functools.lru_cache(maxsize=4 * ell)(functools.partial(_evaluated, full))
     for zs in triples:
-        sub = verify_ybe(full, *zs)
+        z1, z2, z3 = zs
+        sub = _ybe_at(full, zs, [evaluated(dz) for dz in (z1 - z2, z1 - z3, z2 - z3)])
         if not sub.passed:
             report.fail(z=[str(z) for z in zs], first=sub.failures[0])
     return report

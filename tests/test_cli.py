@@ -287,8 +287,7 @@ def test_verify_jobs_parallel_same_bytes(tmp_path, capsys):
 def test_verify_unitarity_jobs_parallel_same_bytes(tmp_path, capsys):
     # the premise memos are cleared, so that both runs decide them cold
     stablebasis.inverse_mismatches.cache_clear()
-    rmatrix.constructions_mismatches.cache_clear()
-    rmatrix._triangular.cache_clear()
+    rmatrix._summand_mismatches.cache_clear()
     args = ["verify", "--suite", "unitarity", "-k", "5", "--format", "json"]
     parallel = tmp_path / "parallel.json"
     serial = tmp_path / "serial.json"

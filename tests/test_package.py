@@ -101,18 +101,18 @@ print(json.dumps({"failed": failed, "called": sorted(called)}))
 TRACER = "a target of perfbench/tracer.py (test_every_tracer_target_resolves)"
 DISPLAY = "public API: the text form for interactive use and test messages"
 REFERENCE = "a reference route of the tests: RatFun arithmetic by value"
+FLIP = "failure path: R(-z) and J S(-z) once a block premise fails"
 
 # Every src function that no CLI route calls, and why it stays.
 NEVER_CALLED_BY_THE_CLI = {
     "exactalg.MPoly.__bool__": "failure path: residue_at's remainder test",
     "exactalg.MPoly.substitute": TRACER,
     "exactalg.MPoly.eval_rational": TRACER,
+    "exactalg.MPoly.flip_z": FLIP,
     "exactalg.MPoly.__str__": DISPLAY,
     "exactalg.MPoly.__repr__": DISPLAY,
     "exactalg.mpoly_exact_div": TRACER,
     "exactalg.LinForm.__str__": "failure path: a factor of a linrel witness",
-    "exactalg.FactoredRat.__eq__": "public API: equality of factored terms",
-    "exactalg.FactoredRat.flip_z": "public API: z -> -z of a factored term",
     "exactalg.FactoredRat.__str__": "failure path: the lhs of a linrel witness",
     "exactalg.FactoredRat.__repr__": DISPLAY,
     "exactalg.RatFun.__eq__": REFERENCE,
@@ -121,12 +121,14 @@ NEVER_CALLED_BY_THE_CLI = {
     "exactalg.RatFun.__sub__": REFERENCE,
     "exactalg.RatFun.__mul__": REFERENCE + "; ratfun_dot's route without den_factors",
     "exactalg.RatFun.scale": REFERENCE,
+    "exactalg.RatFun.flip_z": FLIP,
     "exactalg.RatFun.eval_rational": "acceptance: criterion 11 evaluates rho_s(0)",
     "exactalg.RatFun.__str__": DISPLAY,
     "exactalg.RatFun.__repr__": DISPLAY,
     "exactalg.residue_at.<locals>.strip": "failure path: an S^-1 S entry that is not 0",
     "exactalg.cancel_common_z_roots": TRACER,
     "fracmat.mat_mul": TRACER,
+    "fracmat.SymMatrix.flip_z": FLIP,
     "fracmat.SymMatrix.__repr__": DISPLAY,
     "moduli.patch_weights": "acceptance: criterion 10",
     "moduli.complete_intersection_coeff": "acceptance: criterion 10",
@@ -137,6 +139,8 @@ NEVER_CALLED_BY_THE_CLI = {
     "report.Report.summary": "acceptance: the message of a failed criterion",
     "rmatrix.FullR.__setattr__": "failure path: refuses mutation",
     "rmatrix._balanced_digits": "failure path: decodes a YBE witness",
+    "rmatrix.rblock_triangular": "failure path: the value comparison of a failed summand premise",
+    "rmatrix.verify_ybe": "a reference route of the tests: one YBE point, evaluated on its own",
     "rmatrix.verify_block_limit": "a reference route of the tests: R(inf) = (-1)^k P per block",
 }
 

@@ -692,14 +692,14 @@ def _grid(ell):
 
 
 def _record_ybe_points(monkeypatch):
-    """Route verify_ybe through a recorder; returns the list of points it is called at."""
-    points, inner = [], rmatrix.verify_ybe
+    """Route the per-point check of ybe_trials through a recorder; returns its points."""
+    points, inner = [], rmatrix._ybe_at
 
-    def recorded(full, *zs):
-        points.append(zs)
-        return inner(full, *zs)
+    def recorded(full, zs, ops):
+        points.append(tuple(zs))
+        return inner(full, zs, ops)
 
-    monkeypatch.setattr(rmatrix, "verify_ybe", recorded)
+    monkeypatch.setattr(rmatrix, "_ybe_at", recorded)
     return points
 
 
@@ -725,6 +725,20 @@ def test_ybe_trials_below_the_grid_size_samples_as_before(monkeypatch):
         trials = (2 * ell) ** 2 - 1
         assert ybe_trials(ell, trials, seed=3).passed
         assert points == sample_spectral_triples(ell, trials, 3), ell
+
+
+def test_the_grid_evaluates_each_difference_once(monkeypatch):
+    # the (2l)^2 grid triples (u+v, v, 0) have the differences 1..4l, and
+    # each is evaluated once per call, not three times per point
+    for ell in (1, 3):
+        full = FullR(ell, assemble_full(ell).blocks)
+        assert full.identity_at_zero
+        monkeypatch.setattr(rmatrix, "assemble_full", lambda ell: full)
+        values, evaluate = [], FullR.evaluate
+        monkeypatch.setattr(FullR, "evaluate", lambda self, z: values.append(z) or evaluate(self, z))
+        assert ybe_trials(ell, (2 * ell) ** 2, seed=3).passed
+        assert sorted(values) == list(range(1, 4 * ell + 1)), ell
+        monkeypatch.undo()
 
 
 def test_ybe_trials_samples_when_r_at_zero_is_not_the_identity(monkeypatch):
@@ -901,7 +915,7 @@ def test_den_factors_multiply_out_through_k6():
         built = [S_matrix(k), S_inverse(k), s_tilde(k), block, rblock_triangular(k)]
         built += [m.flip_z() for m in built]
         # the products that verify_unitarity_block and verify_inverse form
-        # (S^-1 S only on a failure of S S^-1 = Id)
+        # (R R(-z) and S^-1 S only once a premise fails)
         products = [
             block.mul(block.flip_z()),
             S_matrix(k).mul(S_inverse(k)),
@@ -959,61 +973,98 @@ def _operands(products):
     return [m for pair in products for m in pair]
 
 
-def test_negated_block_fails_constructions_but_stays_unitary(monkeypatch):
+def _patched_summands(monkeypatch, summands):
+    """Read the closed form from another transcription, built afresh under the patch.
+
+    The premise memo is keyed on the transcription, so it decides the patched
+    one anew; the block memo is not, so it is cleared here, and after the test
+    by ``fresh_blocks``.
+    """
+    monkeypatch.setattr(rmatrix, "_entry_summands", summands)
+    rblock_closed.cache_clear()
+
+
+@pytest.fixture
+def fresh_blocks():
+    # a block built from a patched transcription must not outlive the test
+    yield
+    rblock_closed.cache_clear()
+
+
+def _edited_summands(edit):
+    """_entry_summands with edit(k, i, j', summands) applied to every entry's summand list."""
+    original = rmatrix._entry_summands
+
+    def edited(k, i, j_prime):
+        return iter(edit(k, i, j_prime, list(original(k, i, j_prime))))
+
+    return edited
+
+
+def test_negated_block_fails_constructions_but_stays_unitary(monkeypatch, fresh_blocks):
     # -R is unitary too, so a failed premise must fall back to the product
     block = rblock_closed(3)
-    negated = SymMatrix([[e.scale(-1) for e in row] for row in block.entries])
-    monkeypatch.setattr(rmatrix, "rblock_closed", lambda k: negated)
+    negated = _edited_summands(lambda k, i, jp, terms: [(-s, runs) for s, runs in terms])
+    _patched_summands(monkeypatch, negated)
     constructions = verify_equal_constructions(3)
     assert not constructions.passed
     nonzero = [(i, j) for i in range(4) for j in range(4) if not block.entries[i][j].is_zero]
     assert [(w["i"], w["j_prime"]) for w in constructions.failures] == nonzero
     products = _spy_products(monkeypatch)
     assert verify_unitarity_block(3).passed
-    assert negated in _operands(products)
+    assert rblock_closed(3) in _operands(products)
+    assert rblock_closed(3).entries[0][3].value_eq(block.entries[0][3].scale(-1))
 
 
-def test_constructions_and_unitarity_form_one_triangular_product(monkeypatch):
+def test_constructions_and_unitarity_form_the_triangular_product_only_on_a_failure(
+    monkeypatch, fresh_blocks
+):
     k = 4
-    rmatrix._triangular.cache_clear()  # form the product under the spy
+    S_inverse(k), S_matrix(k), verify_inverse(k)  # the memoized premise objects, outside the spy
     products = _spy_products(monkeypatch)
     assert verify_equal_constructions(k).passed and verify_unitarity_block(k).passed
-    assert sum(left is S_inverse(k) for left, _ in products) == 1
-    # a failing block reads the same product for its witnesses
-    block = rblock_closed(k)
-    negated = SymMatrix([[e.scale(-1) for e in row] for row in block.entries])
-    monkeypatch.setattr(rmatrix, "rblock_closed", lambda k: negated)
-    products.clear()
+    assert products == []  # both decided on the summands: no product, no closed block
+    # a failing premise forms the triangular product once per constructions case
+    doubled = _edited_summands(lambda k, i, jp, terms: [(2 * s, runs) for s, runs in terms])
+    _patched_summands(monkeypatch, doubled)
     report = verify_equal_constructions(k)
-    assert not report.passed and products == []
+    assert not report.passed
+    assert sum(left is S_inverse(k) for left, _ in products) == 1
     tri = rblock_triangular(k)
     for w in report.failures:
         assert w["triangular"] == ratfun_to_str(tri.entries[w["i"]][w["j_prime"]])
+        assert w["closed"] == ratfun_to_str(rblock_closed(k).entries[w["i"]][w["j_prime"]])
 
 
-def test_replaced_premise_objects_are_not_masked_by_the_memo(monkeypatch):
+def _doubled_entry(i, j_prime):
+    """Every summand of closed-form entry (i, j') doubled, so the entry doubles."""
+    return _edited_summands(
+        lambda k, a, b, terms: [(2 * s, r) for s, r in terms] if (a, b) == (i, j_prime) else terms
+    )
+
+
+def test_replaced_premise_objects_are_not_masked_by_the_memo(monkeypatch, fresh_blocks):
     k = 3
-    block, s_inv, s = rblock_closed(k), S_inverse(k), S_matrix(k)
     assert verify_inverse(k).passed and verify_equal_constructions(k).passed
     products = _spy_products(monkeypatch)
     assert verify_unitarity_block(k).passed
     assert products == []  # proven from the premises, no product formed
-    # a broken block read after the premises were proven is caught
-    grid = [list(row) for row in block.entries]
-    grid[0][k] = grid[0][k].scale(2)
-    broken = SymMatrix(grid)
-    monkeypatch.setattr(rmatrix, "rblock_closed", lambda k: broken)
+    # a broken transcription read after the premises were proven is caught
+    _patched_summands(monkeypatch, _doubled_entry(0, k))
+    broken = rblock_closed(k)
     report = verify_unitarity_block(k)
     assert not report.passed and broken in _operands(products)
     expected = broken.mul(broken.flip_z()).mismatches(SymMatrix.identity(k + 1))
     assert [(w["i"], w["j"]) for w in report.failures] == expected
-    monkeypatch.setattr(rmatrix, "rblock_closed", lambda k: block)
+    monkeypatch.undo()
+    rblock_closed.cache_clear()
+    block, s_inv = rblock_closed(k), S_inverse(k)
+    products = _spy_products(monkeypatch)
     # a broken S^-1: its inverse premise fails, so the product is formed
     grid = [list(row) for row in s_inv.entries]
     grid[0][k] = grid[0][k].scale(3)
     broken_inv = SymMatrix(grid)
     monkeypatch.setattr(rmatrix, "S_inverse", lambda k: broken_inv)
-    products.clear()
     assert verify_unitarity_block(k).passed
     assert broken_inv in _operands(products) and block in _operands(products)
     # an equal copy of S^-1 is a new object: the premises are decided for it
@@ -1024,17 +1075,110 @@ def test_replaced_premise_objects_are_not_masked_by_the_memo(monkeypatch):
     assert copy in _operands(products) and block not in _operands(products)
 
 
+def _skip_first_summand(k, i, jp, terms):
+    return terms[1:]
+
+
+def _drop_the_flip(k, i, jp, terms):
+    # the last four runs are stable_coeff(k, k - j, j') at -z: undo the z -> -z
+    return [(s, r[:3] + tuple((-c_z, *rest) for c_z, *rest in r[3:])) for s, r in terms]
+
+
+@pytest.mark.parametrize("edit", [_skip_first_summand, _drop_the_flip])
+def test_summand_mutants_fail_with_the_value_witnesses(monkeypatch, fresh_blocks, edit):
+    # "summand j skipped" and "the flip dropped": the premise fails, both
+    # blocks are formed, and the witnesses are the entries whose values differ
+    k = 3
+    _patched_summands(monkeypatch, _edited_summands(edit))
+    assert rmatrix.summand_mismatches(k)
+    closed, tri = rblock_closed(k), S_inverse(k).mul(s_tilde(k))
+    expected = [
+        {
+            "i": i,
+            "j_prime": j,
+            "closed": ratfun_to_str(closed.entries[i][j]),
+            "triangular": ratfun_to_str(tri.entries[i][j]),
+        }
+        for i in range(k + 1)
+        for j in range(k + 1)
+        if not closed.entries[i][j].value_eq(tri.entries[i][j])
+    ]
+    assert expected and verify_equal_constructions(k).failures == expected
+    # block unitarity decides by the product R(z) R(-z) of the mutant block
+    products = _spy_products(monkeypatch)
+    report = verify_unitarity_block(k)
+    assert closed in _operands(products)
+    product = closed.mul(closed.flip_z())
+    assert [(w["i"], w["j"]) for w in report.failures] == product.mismatches(
+        SymMatrix.identity(k + 1)
+    )
+
+
+def test_a_split_summand_differs_term_by_term_but_passes_by_value(monkeypatch, fresh_blocks):
+    # summand s * t of entry (1, 3) written as (s + 1) * t - 1 * t: the term
+    # identity fails at that entry only, the values agree, so both cases pass
+    k = 3
+
+    def split(k, i, jp, terms):
+        if (i, jp) != (1, 3):
+            return terms
+        (s, runs), *rest = terms
+        return [(s + 1, runs), (-1, runs), *rest]
+
+    _patched_summands(monkeypatch, _edited_summands(split))
+    assert rmatrix.summand_mismatches(k) == ((1, 3),)
+    products = _spy_products(monkeypatch)
+    assert verify_equal_constructions(k).passed
+    assert sum(left is S_inverse(k) for left, _ in products) == 1  # decided by value
+    products.clear()
+    assert verify_unitarity_block(k).passed
+    assert rblock_closed(k) in _operands(products)
+
+
+@pytest.mark.parametrize("name", ["sinv_entry", "stable_coeff"])
+def test_the_summand_premise_is_decided_per_transcription(monkeypatch, name):
+    # each factor table is part of the memo key: a replaced table is decided
+    # anew, and a table that differs at one term fails the entries it enters
+    k = 3
+    assert rmatrix.summand_mismatches(k) == ()
+    table = getattr(rmatrix, name)
+    reads = []
+
+    def doubled_at_the_corner(k, a, b):
+        reads.append((a, b))
+        term = table(k, a, b)
+        return term.scale(2) if (a, b) == (0, k) else term
+
+    monkeypatch.setattr(rmatrix, name, doubled_at_the_corner)
+    bad = rmatrix.summand_mismatches(k)
+    # the corner is S^-1_(0, 3), read by row 0, or S_(0, 3) = (J S)_(3, 3), read by column 3
+    row, column = [(0, jp) for jp in range(k + 1)], [(i, k) for i in range(k + 1)]
+    assert list(bad) == (row if name == "sinv_entry" else column)
+    assert len(reads) == (k + 1) ** 2  # each factor read once per k, not once per entry
+    assert rmatrix.summand_mismatches(k) is bad and len(reads) == (k + 1) ** 2
+    products = _spy_products(monkeypatch)
+    assert verify_equal_constructions(k).passed  # the blocks are unchanged in value
+    assert verify_unitarity_block(k).passed and products  # but proven by the product
+
+
+def test_closed_and_triangular_blocks_agree_in_value_through_k8():
+    # the value route of the constructions identity, which a passing CLI run
+    # no longer takes: the closed form summed over its lcm against the
+    # expanded product S^-1 J S(-z)
+    for k in range(9):
+        assert not rblock_closed(k).mismatches(rblock_triangular(k)), k
+
+
 def test_rblock_closed_is_built_once_per_k():
     assert rblock_closed(4) is rblock_closed(4)
     assert rblock_closed(3) is not rblock_closed(4)
 
 
-def test_unitarity_block_witness_matches_plain_product(monkeypatch):
+def test_unitarity_block_witness_matches_plain_product(monkeypatch, fresh_blocks):
     block = rblock_closed(3)
-    grid = [list(row) for row in block.entries]
-    grid[1][2] = grid[1][2].scale(2)
-    broken = SymMatrix(grid)
-    monkeypatch.setattr(rmatrix, "rblock_closed", lambda k: broken)
+    _patched_summands(monkeypatch, _doubled_entry(1, 2))
+    broken = rblock_closed(3)
+    assert broken.entries[1][2].value_eq(block.entries[1][2].scale(2))
     report = verify_unitarity_block(3)
     monkeypatch.undo()
     # second route: the product accumulated with RatFun + and *, pair by pair
@@ -1054,7 +1198,7 @@ def test_unitarity_block_witness_matches_plain_product(monkeypatch):
         entry = product.entries[w["i"]][w["j"]]
         assert w["entry"] == ratfun_to_str(entry)
         assert entry.value_eq(plain[w["i"], w["j"]])
-    assert block.entries[1][2] is rblock_closed(3).entries[1][2]
+    rblock_closed.cache_clear()
     assert verify_unitarity_block(3).passed
 
 

@@ -11,6 +11,8 @@ PYTHONPATH.  The invocations:
 * the op of every perfbench workload at seed 1;
 * ``verify --suite S --format json|text`` for every suite;
 * ``verify --suite oracle -l L --format json`` for L = 3..6;
+* ``verify --suite constructions|unitarity -k K --format json`` for
+  K = 7..12, beyond the k <= 6 of the suite defaults;
 * ``verify --suite ybe -l L --trials T`` for L = 1..5 and T in
   {1, (2L)^2 - 1, (2L)^2, 100}, on both sides of the grid threshold;
 * ``compute-r -l 3 --at-z Z --format csv`` for Z in {0, 1/3, -7/2, 5, -1},
@@ -64,6 +66,9 @@ def commands() -> list[list[str]]:
         out += [["verify", "--suite", suite, "--format", f] for f in ("json", "text")]
     for ell in range(3, 7):
         out.append(["verify", "--suite", "oracle", "-l", str(ell), "--format", "json"])
+    for suite in ("constructions", "unitarity"):
+        for k in range(7, 13):
+            out.append(["verify", "--suite", suite, "-k", str(k), "--format", "json"])
     for ell in range(1, 6):
         grid = (2 * ell) ** 2
         for trials in (1, grid - 1, grid, 100):
