@@ -47,7 +47,6 @@ from .rmatrix import (
 from .stablebasis import (
     S_inverse,
     S_matrix,
-    class_S,
     verify_inverse,
     verify_linrel,
     verify_residues_all,

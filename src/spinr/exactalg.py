@@ -495,9 +495,8 @@ def _expand_factor_product(items: FactorItems) -> MPoly:
     one key.  The product is the expanded items[:-1] times the power
     items[-1:], both read through the memo, so every power and every leading
     partial product is expanded once as well.  The memo is unbounded, like
-    those of ``rblock_closed`` and ``S_matrix``.  Callers share the returned
-    MPoly, which is safe only because an MPoly is never mutated after
-    construction.
+    that of ``S_matrix``.  Callers share the returned MPoly, which is safe
+    only because an MPoly is never mutated after construction.
     """
     if not items:
         return MPoly.one()

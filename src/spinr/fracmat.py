@@ -49,8 +49,8 @@ class SymMatrix:
     """Dense rectangular matrix of rational functions, rows and columns numbered from 0.
 
     ``==`` and ``hash`` are those of ``object``, by identity: values are
-    compared with ``mismatches``, and the memoized verdicts of
-    ``stablebasis`` and ``rmatrix`` are keyed on the matrix objects.
+    compared with ``mismatches``, and the memoized verdict
+    ``stablebasis.inverse_mismatches`` is keyed on the matrix objects.
     """
 
     __slots__ = ("entries",)

@@ -13,8 +13,7 @@ terms have equal sums, so that premise decides the equality of the two
 constructions with neither block built.  Only when it fails are the
 triangular product (``rblock_triangular``, the expanded entries multiplied
 through ``exactalg.ratfun_dot``) and the closed block formed and compared by
-value.  The closed form is memoized per k, built once per process and shared
-by every check that reads it, and callers must not mutate it.
+value.
 
 Each summand of the closed form is an int scalar and at most seven runs of
 consecutive linear forms, read in two ways: ``rblock_closed`` expands the
@@ -46,46 +45,55 @@ square).  The sector products apply those blocks to the rows of the
 intermediate matrix, and each row is one packed int (``verify_ybe``), so
 no operator is ever formed as a matrix, dense or embedded.
 
-The Yang-Baxter check is a proof when it may evaluate (2*ell)^2 points
-(``ybe_trials`` with that many trials or more): with u = z1 - z2 and
-v = z2 - z3, the difference of the two int sides has degree <= 2*ell in u
-and in v, since ``FullR`` refuses a numerator of degree above ell; when
-R(0) = Id (N_0 = ell! Id, ``FullR.identity_at_zero``) it is divisible by
-u*v, and the quotient, of degree <= 2*ell - 1 in each variable, vanishes
-identically once it vanishes on the grid u, v in {1..2*ell} (Alon's
-Combinatorial Nullstellensatz, 1999, Lemma 2.1).  So the grid route is a
-proof: it checks the pole-free integer triples (u+v, v, 0), and its
-witnesses are the failing grid triples, each of which replays with
+The grid argument.  The Yang-Baxter check is a proof when it may evaluate
+(2*ell)^2 points (``ybe_trials`` with that many trials or more) and
+R(0) = Id (N_0 = ell! Id, ``FullR.identity_at_zero``).  Set u = z1 - z2 and
+v = z2 - z3, so z1 - z3 = u + v.  ``verify_ybe`` compares two int matrices,
+each a product of N(u), N(u+v) and N(v) in some order (N the numerator over
+D), and ``FullR`` refuses an entry of degree above ell, so every entry of
+their difference Delta(u, v) has degree <= 2*ell in u and in v.  As
+N_0 = ell! Id, both sides are ell! B12(N(v)) B23(N(v)) at u = 0 and
+ell! B23(N(u)) B12(N(u)) at v = 0 (B12, B23 the pair operator embedded on
+slots 12, 23), so u*v divides every entry of Delta, and the quotient has
+degree <= 2*ell - 1 in each variable.  If Delta vanishes on the grid
+u, v in {1..2*ell}, so does the quotient, which is then zero (Alon,
+Combinatorial Nullstellensatz, Combin. Probab. Comput. 8, 1999, Lemma 2.1).
+So the grid route is a proof: it checks the integer triples (u+v, v, 0),
+where every difference is at least 1 and none is a pole, and its witnesses
+are the failing grid triples, each of which replays with
 ``verify --suite ybe -l L --trials (2L)^2`` under any seed.  Below that many
 trials, or when the premise fails, the check is a screen at seeded random
 rational triples.
 
-Both checks on the assembled matrix read half of the weight sectors.  R(z)
-intertwines sl2 modules, so it commutes with the Weyl element w (x) w, which
-maps weight a to ell - a.  In the code's basis the symmetry reads
-(M (x) M) R(z) = R(z) (M (x) M) with M: e_a -> a!/(ell-a)! e_(ell-a), an int
-identity on the stored coefficients that ``FullR.mirror_symmetric`` decides
-once per matrix object and only when first read.
-When it holds, M (x) M commutes with R(z) R(-z) and maps pair sector w onto
-2*ell - w by a monomial matrix (a permutation times nonzero scales), and
-M (x) M (x) M commutes with R12, R13 and R23 and maps triple sector W onto
-3*ell - W.  So the defect of unitarity (of the YBE) on the mirrored sector
-is a monomial conjugate of the defect on sector w (W), and one is zero
-exactly when the other is: sectors w <= ell (W <= 3*ell // 2) decide the
-identity, and the check stays a proof.  On a failure the other sectors are
-checked too, so the witnesses are the same whether or not the premise holds.
+The mirror argument.  Both checks on the assembled matrix read half of the
+weight sectors.  R(z) intertwines sl2 modules, so it commutes with the Weyl
+element w (x) w, which maps weight a to ell - a.  In the code's basis the
+symmetry reads (M (x) M) R(z) = R(z) (M (x) M) with
+M: e_a -> a!/(ell-a)! e_(ell-a), an int identity on the stored coefficients
+that ``FullR.mirror_symmetric`` decides once per matrix object and only when
+first read.  When it holds, M (x) M commutes with R(z) R(-z) and maps pair
+sector w onto 2*ell - w by a monomial matrix (a permutation times nonzero
+scales), and M (x) M (x) M commutes with R12, R13 and R23 and maps triple
+sector W onto 3*ell - W.  So the defect of unitarity (of the YBE) on the
+mirrored sector is a monomial conjugate of the defect on sector w (W), and
+one is zero exactly when the other is: sectors w <= ell (W <= 3*ell // 2)
+decide the identity, and the check stays a proof.  On a failure the other
+sectors are checked too, so the witnesses are the same whether or not the
+premise holds.
 
-Block unitarity is proven by composition: S S^-1 = Id gives S(-z) S^-1(-z)
-= Id (z -> -z is a ring automorphism) and, over the field of rational
-functions, S^-1 S = Id; with J^2 = Id and the closed form equal to
-S^-1 J S(-z), R(z) R(-z) = S^-1(z) J S(-z) S^-1(-z) J S(z) = Id.  The second
-premise is the summand premise, with the kernel's sums: equal terms summed
-by ``factored_sum`` and by ``ratfun_dot`` give equal values.  The first
-premise is decided once per pair of S and S^-1 objects (``SymMatrix`` hashes
-by identity), the second once per k and per transcription, so a verdict is
-reused only for the very objects and tables it was decided on.  When either
-fails, the closed block is read and the product R(z) R(-z) formed directly,
-and a failure report lists its entries that differ from Id.
+Block unitarity by composition.  Two premises prove it.  The first is
+S S^-1 = Id (``stablebasis.inverse_mismatches``): z -> -z is a ring
+automorphism, so it gives S(-z) S^-1(-z) = Id, and over the field of
+rational functions it gives S^-1 S = Id.  The second is the summand premise:
+every summand of the closed form is the product term of S^-1 J S(-z), and
+equal terms summed by ``factored_sum`` and by ``ratfun_dot`` give equal
+values, so the closed form is S^-1 J S(-z).  With J^2 = Id,
+R(z) R(-z) = S^-1(z) J [S(-z) S^-1(-z)] J S(z) = S^-1(z) S(z) = Id.  The
+first premise is decided once per pair of S and S^-1 objects (``SymMatrix``
+hashes by identity), the second once per k and per transcription, so a
+verdict is reused only for the very objects and tables it was decided on.
+When either fails, the closed block is built and the product R(z) R(-z)
+formed directly, and a failure report lists its entries that differ from Id.
 """
 
 from __future__ import annotations
@@ -142,12 +150,11 @@ def _entry_summands(k: int, i: int, j_prime: int) -> Iterator[tuple[int, tuple[R
             )
 
 
-@functools.lru_cache(maxsize=None)
 def rblock_closed(k: int) -> SymMatrix:
-    """The sector-k block from the closed-form single sum, built once per k and process.
+    """The sector-k block from the closed-form single sum, built on each call.
 
     Entry (i, j') is the factored (S^-1 J S(-z))_(i, j'): ``factored_sum`` of
-    its ``_entry_summands``.  The block is immutable by convention, so callers share it.
+    its ``_entry_summands``.
     """
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
@@ -401,6 +408,8 @@ class FullR:
         sector w onto 2*ell - w reversed, position r to position ~r, and of
         each mirror pair of sectors one is read, since the identity for (i, j)
         is that for (m(i), m(j)).  Decided on first read, never on construction.
+        Why it halves unitarity and the YBE: the mirror argument of the module
+        docstring.
         """
         ell, blocks, f = self.ell, self.blocks, contravariant_form(self.ell)
         t = [f[a] * f[b] for a, b in self.labels]
@@ -478,19 +487,12 @@ def assemble_full(ell: int) -> FullR:
 def verify_unitarity_block(k: int) -> Report:
     """R(z) R(-z) == Id symbolically in (z, phi, eps) for the sector-k block.
 
-    Proven by composition from two premises: S S^-1 = Id
-    (``inverse_mismatches``, on the memoized S and S^-1) and the summand
-    premise (``summand_mismatches``): every summand of the closed form is the
-    product term of S^-1 J S(-z).  The closed form is the ``factored_sum`` of
-    those summands, so given the kernel's sums it is S^-1 J S(-z) in value.
-    z -> -z is a ring automorphism, so the first premise gives
-    S(-z) S^-1(-z) = Id, and over the field of rational functions it gives
-    S^-1 S = Id; with J^2 = Id,
-    R(z) R(-z) = S^-1(z) J [S(-z) S^-1(-z)] J S(z) = S^-1(z) S(z) = Id.
-    The premises are decided once per process and shared with the inverse
-    and constructions cases.  When either fails, ``rblock_closed(k)`` is read
-    and R(z) R(-z) formed directly, and its entries that differ from Id are
-    the witnesses.
+    Proven by composition (the argument is in the module docstring) from the
+    inverse premise (``inverse_mismatches``, on the memoized S and S^-1) and
+    the summand premise (``summand_mismatches``), verdicts shared with the
+    inverse and constructions cases.  When either fails, ``rblock_closed(k)``
+    is built and R(z) R(-z) formed directly, and its entries that differ
+    from Id are the witnesses.
     """
     report = Report("unitarity_block", {"k": k})
     if inverse_mismatches(S_inverse(k), S_matrix(k)) or summand_mismatches(k):
@@ -509,11 +511,9 @@ def verify_unitarity_full(ell: int) -> Report:
     sector: an identity of int polynomials in z, read from ``FullR.blocks``.
     A witness is the entry of R(z) R(-z) over D(z) D(-z).
 
-    When ``FullR.mirror_symmetric`` holds, M (x) M commutes with R(z) R(-z)
-    and maps sector w onto 2*ell - w by a monomial matrix, so the identity on
-    one is the identity on the other, and sectors w <= ell decide it (see
-    the module docstring).  Once a sector fails, every sector is checked, so
-    the witnesses do not depend on the premise.
+    When ``FullR.mirror_symmetric`` holds, sectors w <= ell decide it (the
+    mirror argument of the module docstring).  Once a sector fails, every
+    sector is checked, so the witnesses do not depend on the premise.
     """
     report = Report("unitarity_full", {"ell": ell})
     full = assemble_full(ell)
@@ -624,12 +624,10 @@ def verify_ybe(full: FullR, z1: Fraction, z2: Fraction, z3: Fraction) -> Report:
     lies in (-2^(s-1), 2^(s-1)), where balanced base-2^s digits are unique,
     so two packed rows are equal exactly when all their entries are.
 
-    When ``FullR.mirror_symmetric`` holds, M (x) M (x) M commutes with R12,
-    R13 and R23 and maps sector W onto 3*ell - W by a monomial matrix, so
-    the difference of the two sides vanishes on one exactly when it does on
-    the other, and sectors W <= 3*ell // 2 decide the relation (see the
-    module docstring).  Once a sector fails, every sector is checked, so the
-    witnesses do not depend on the premise.
+    When ``FullR.mirror_symmetric`` holds, sectors W <= 3*ell // 2 decide
+    the relation (the mirror argument of the module docstring).  Once a
+    sector fails, every sector is checked, so the witnesses do not depend on
+    the premise.
     """
     return _ybe_at(full, (z1, z2, z3), [_evaluated(full, dz) for dz in (z1 - z2, z1 - z3, z2 - z3)])
 
@@ -694,32 +692,17 @@ def sample_spectral_triples(
 def ybe_trials(ell: int, trials: int, seed: int) -> Report:
     """Yang-Baxter at ``trials`` seeded random rational triples, or by proof on a grid.
 
-    When trials >= (2*ell)^2 and N_0 = ell! Id, the grid triples decide the
-    equation for every triple off the poles.  Set u = z1 - z2, v = z2 - z3,
-    so z1 - z3 = u + v.  ``verify_ybe`` compares two int matrices, each a
-    product of N(u), N(u+v) and N(v) in some order (N the numerator over D),
-    and ``FullR`` refuses an entry of degree above ell, so every entry of
-    their difference Delta(u, v) has degree <= 2*ell in u and in v.  As
-    N_0 = ell! Id, both sides are ell! B12(N(v)) B23(N(v)) at u = 0 and
-    ell! B23(N(u)) B12(N(u)) at v = 0 (B12, B23 the pair operator embedded
-    on slots 12, 23), so u*v divides every entry of Delta, and the quotient
-    has degree <= 2*ell - 1 in each variable.  If Delta vanishes on the grid
-    u, v in {1..2*ell}, so does the quotient, which is then zero (Alon,
-    Combinatorial Nullstellensatz, Combin. Probab. Comput. 8, 1999,
-    Lemma 2.1).  The grid triples are (u+v, v, 0): every difference is at
-    least 1, so none is a pole.
-
-    The triples are the grid when trials >= (2*ell)^2 and the premise
-    holds, and ``sample_spectral_triples`` otherwise; each failing triple is
-    one witness {"z", "first"}, with the first ``verify_ybe`` witness there.
-    Every point is decided by ``_ybe_at``, the body of ``verify_ybe``, on
-    the differences z1 - z2, z1 - z3 and z2 - z3 evaluated with their largest
-    absolute entries (``_evaluated``) through a cache of the last 4*ell
-    values: the grid's differences are the 4*ell integers 1..4*ell, so each
-    is evaluated once per call, and a sample holds at most 4*ell at a time.
-    So the grid route is a proof, and its witnesses are the failing grid
-    triples, u and v running over 1..2*ell, v fastest; each replays with
-    ``verify --suite ybe -l L --trials (2L)^2`` under any seed.
+    When trials >= (2*ell)^2 and N_0 = ell! Id, the triples are the grid
+    triples (u+v, v, 0), u and v running over 1..2*ell, v fastest, which
+    decide the equation for every triple off the poles (the grid argument of
+    the module docstring); otherwise they are ``sample_spectral_triples``.
+    Each failing triple is one witness {"z", "first"}, with the first
+    ``verify_ybe`` witness there.  Every point is decided by ``_ybe_at``, the
+    body of ``verify_ybe``, on the differences z1 - z2, z1 - z3 and z2 - z3
+    evaluated with their largest absolute entries (``_evaluated``) through a
+    cache of the last 4*ell values: the grid's differences are the 4*ell
+    integers 1..4*ell, so each is evaluated once per call, and a sample
+    holds at most 4*ell at a time.
     """
     report = Report("ybe_trials", {"ell": ell, "trials": trials, "seed": seed})
     full = assemble_full(ell)

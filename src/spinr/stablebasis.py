@@ -87,13 +87,6 @@ def sinv_entry(k: int, i: int, j: int) -> FactoredRat:
     return FactoredRat(binom(j, i), run_pairs(runs))
 
 
-def class_S(k: int, j_prime: int) -> list[FactoredRat]:
-    """Expansion of the stable class of j' over fixed points 0..j'."""
-    if not 0 <= j_prime <= k:
-        raise ValueError(f"need 0 <= j' <= k, got j'={j_prime}, k={k}")
-    return [stable_coeff(k, j, j_prime) for j in range(j_prime + 1)]
-
-
 # ---------------------------------------------------------------------------
 # matrices
 # ---------------------------------------------------------------------------
@@ -207,14 +200,16 @@ def verify_linrel(k: int) -> Report:
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
     report = Report("linrel", {"k": k})
+    stable = S_matrix(k).entries
     for jp in range(k + 1):
-        stable = class_S(k, jp)
         for j in range(jp + 1):
             combo = factored_sum(
                 zbar_coeff(k, j, i).scale(binom(jp, i)) for i in range(j, jp + 1)
             )
-            if not combo.value_eq(stable[j].expand()):
-                report.fail(j=j, j_prime=jp, lhs=str(stable[j]), rhs=ratfun_to_str(combo))
+            if not combo.value_eq(stable[j][jp]):
+                report.fail(
+                    j=j, j_prime=jp, lhs=str(stable_coeff(k, j, jp)), rhs=ratfun_to_str(combo)
+                )
     solved = solve_change_of_basis(k)
     expected = [[Fraction(binom(jp, j)) for jp in range(k + 1)] for j in range(k + 1)]
     if solved != expected:

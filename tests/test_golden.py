@@ -46,23 +46,29 @@ def test_golden_attracting_matrix_reports_each_branch(monkeypatch):
 
 
 def test_linrel_reports_each_branch(monkeypatch):
-    # stable classes scaled by 2 break every relation, and the witness prints
-    # the factored class; a wrong change of basis fails the solve alone
-    k, class_s = 2, stablebasis.class_S
-    monkeypatch.setattr(stablebasis, "class_S", lambda k, jp: [c.scale(2) for c in class_s(k, jp)])
-    report = stablebasis.verify_linrel(k)
+    # stable coefficients scaled by 2 break every relation, and the witness
+    # prints the factored coefficient; a wrong change of basis fails the
+    # solve alone.  S is memoized per k, so it is expanded anew under the
+    # patch, and the scaled S is dropped after it.
+    k, coeff = 2, stablebasis.stable_coeff
+    monkeypatch.setattr(stablebasis, "stable_coeff", lambda k, j, jp: coeff(k, j, jp).scale(2))
+    stablebasis.S_matrix.cache_clear()
+    try:
+        report = stablebasis.verify_linrel(k)
+    finally:
+        monkeypatch.setattr(stablebasis, "stable_coeff", coeff)
+        stablebasis.S_matrix.cache_clear()
     assert report.failures == [
         {
             "j": j,
             "j_prime": jp,
-            "lhs": str(class_s(k, jp)[j].scale(2)),
-            "rhs": ratfun_to_str(class_s(k, jp)[j].expand()),
+            "lhs": str(coeff(k, j, jp).scale(2)),
+            "rhs": ratfun_to_str(coeff(k, j, jp).expand()),
         }
         for jp in range(k + 1)
         for j in range(jp + 1)
     ]
     assert report.details == {"change_of_basis": [[1, 1, 1], [0, 1, 2], [0, 0, 1]]}
-    monkeypatch.setattr(stablebasis, "class_S", class_s)
     wrong = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]
     monkeypatch.setattr(stablebasis, "solve_change_of_basis", lambda k: wrong)
     report = stablebasis.verify_linrel(1)

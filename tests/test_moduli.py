@@ -56,6 +56,21 @@ def test_fixed_points_rejects_bad_arguments():
         fixed_points(1, 0, 2)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: FixedPoint((0,), 0), r"^ell must be >= 1, got 0$"),
+        (lambda: FixedPoint((3,), 2), r"^entries of \(3,\) must lie in 0\.\.2$"),
+        (lambda: weight_space_dim(-1, 2, 2), r"^need k >= 0, n >= 1, ell >= 1, got \(-1, 2, 2\)$"),
+        (lambda: dim_M1(-1, 2, 2), r"^need k >= 0, n >= 1, ell >= 1, got \(-1, 2, 2\)$"),
+    ],
+    ids=["fixed-point-ell", "fixed-point-entry", "weight-space-dim", "dim-M1"],
+)
+def test_library_guards_name_the_refused_input(build, message):
+    with pytest.raises(DomainError, match=message):
+        build()
+
+
 def test_weight_space_dim_examples():
     assert weight_space_dim(2, 2, 2) == 3
     assert weight_space_dim(0, 4, 3) == 1
@@ -212,6 +227,8 @@ def test_ci_coeff_rejects_zero_weight():
     table = WeightTable((WeightedVar(LinForm(0, 0, 0), "bad"),), ())
     with pytest.raises(DegeneratePatchError):
         complete_intersection_coeff(table)
+    with pytest.raises(DegeneratePatchError, match=r"^equation with zero weight$"):
+        complete_intersection_coeff(WeightTable((), (LinForm(0, 0, 0),)))
 
 
 def test_geometry_reproduces_class_coefficients():

@@ -113,7 +113,9 @@ def test_closed_summands_are_the_triangular_product_term_by_term():
                 assert closed == [t for t in products if not t.is_zero], (k, i, jp)
 
 
-@pytest.mark.parametrize("build", [rblock_closed, rblock_triangular, S_matrix, S_inverse])
+@pytest.mark.parametrize(
+    "build", [rblock_closed, rblock_triangular, S_matrix, S_inverse, rmatrix.summand_mismatches]
+)
 def test_block_builders_refuse_negative_k(build):
     with pytest.raises(ValueError, match=r"^need k >= 0, got -1$"):
         build(-1)
@@ -973,22 +975,17 @@ def _operands(products):
     return [m for pair in products for m in pair]
 
 
-def _patched_summands(monkeypatch, summands):
-    """Read the closed form from another transcription, built afresh under the patch.
+def _spy_blocks(monkeypatch):
+    """Record every closed block that the checks build from now on, one per call."""
+    built = []
+    plain = rmatrix.rblock_closed
 
-    The premise memo is keyed on the transcription, so it decides the patched
-    one anew; the block memo is not, so it is cleared here, and after the test
-    by ``fresh_blocks``.
-    """
-    monkeypatch.setattr(rmatrix, "_entry_summands", summands)
-    rblock_closed.cache_clear()
+    def spy(k):
+        built.append(plain(k))
+        return built[-1]
 
-
-@pytest.fixture
-def fresh_blocks():
-    # a block built from a patched transcription must not outlive the test
-    yield
-    rblock_closed.cache_clear()
+    monkeypatch.setattr(rmatrix, "rblock_closed", spy)
+    return built
 
 
 def _edited_summands(edit):
@@ -1001,24 +998,23 @@ def _edited_summands(edit):
     return edited
 
 
-def test_negated_block_fails_constructions_but_stays_unitary(monkeypatch, fresh_blocks):
+def test_negated_block_fails_constructions_but_stays_unitary(monkeypatch):
     # -R is unitary too, so a failed premise must fall back to the product
     block = rblock_closed(3)
     negated = _edited_summands(lambda k, i, jp, terms: [(-s, runs) for s, runs in terms])
-    _patched_summands(monkeypatch, negated)
+    monkeypatch.setattr(rmatrix, "_entry_summands", negated)
     constructions = verify_equal_constructions(3)
     assert not constructions.passed
     nonzero = [(i, j) for i in range(4) for j in range(4) if not block.entries[i][j].is_zero]
     assert [(w["i"], w["j_prime"]) for w in constructions.failures] == nonzero
-    products = _spy_products(monkeypatch)
+    built, products = _spy_blocks(monkeypatch), _spy_products(monkeypatch)
     assert verify_unitarity_block(3).passed
-    assert rblock_closed(3) in _operands(products)
-    assert rblock_closed(3).entries[0][3].value_eq(block.entries[0][3].scale(-1))
+    (negated_block,) = built
+    assert negated_block in _operands(products)
+    assert negated_block.entries[0][3].value_eq(block.entries[0][3].scale(-1))
 
 
-def test_constructions_and_unitarity_form_the_triangular_product_only_on_a_failure(
-    monkeypatch, fresh_blocks
-):
+def test_constructions_and_unitarity_form_the_triangular_product_only_on_a_failure(monkeypatch):
     k = 4
     S_inverse(k), S_matrix(k), verify_inverse(k)  # the memoized premise objects, outside the spy
     products = _spy_products(monkeypatch)
@@ -1026,7 +1022,7 @@ def test_constructions_and_unitarity_form_the_triangular_product_only_on_a_failu
     assert products == []  # both decided on the summands: no product, no closed block
     # a failing premise forms the triangular product once per constructions case
     doubled = _edited_summands(lambda k, i, jp, terms: [(2 * s, runs) for s, runs in terms])
-    _patched_summands(monkeypatch, doubled)
+    monkeypatch.setattr(rmatrix, "_entry_summands", doubled)
     report = verify_equal_constructions(k)
     assert not report.passed
     assert sum(left is S_inverse(k) for left, _ in products) == 1
@@ -1043,36 +1039,39 @@ def _doubled_entry(i, j_prime):
     )
 
 
-def test_replaced_premise_objects_are_not_masked_by_the_memo(monkeypatch, fresh_blocks):
+def test_replaced_premise_objects_are_not_masked_by_the_memo(monkeypatch):
     k = 3
     assert verify_inverse(k).passed and verify_equal_constructions(k).passed
-    products = _spy_products(monkeypatch)
+    corner = rblock_closed(k).entries[0][k]
+    built, products = _spy_blocks(monkeypatch), _spy_products(monkeypatch)
     assert verify_unitarity_block(k).passed
-    assert products == []  # proven from the premises, no product formed
+    assert built == [] and products == []  # proven from the premises: no block, no product
     # a broken transcription read after the premises were proven is caught
-    _patched_summands(monkeypatch, _doubled_entry(0, k))
-    broken = rblock_closed(k)
+    monkeypatch.setattr(rmatrix, "_entry_summands", _doubled_entry(0, k))
     report = verify_unitarity_block(k)
+    (broken,) = built
     assert not report.passed and broken in _operands(products)
+    assert broken.entries[0][k].value_eq(corner.scale(2))
     expected = broken.mul(broken.flip_z()).mismatches(SymMatrix.identity(k + 1))
     assert [(w["i"], w["j"]) for w in report.failures] == expected
     monkeypatch.undo()
-    rblock_closed.cache_clear()
-    block, s_inv = rblock_closed(k), S_inverse(k)
-    products = _spy_products(monkeypatch)
-    # a broken S^-1: its inverse premise fails, so the product is formed
+    s_inv = S_inverse(k)
+    built, products = _spy_blocks(monkeypatch), _spy_products(monkeypatch)
+    # a broken S^-1: its inverse premise fails, so the block is built and the product formed
     grid = [list(row) for row in s_inv.entries]
     grid[0][k] = grid[0][k].scale(3)
     broken_inv = SymMatrix(grid)
     monkeypatch.setattr(rmatrix, "S_inverse", lambda k: broken_inv)
     assert verify_unitarity_block(k).passed
+    (block,) = built
     assert broken_inv in _operands(products) and block in _operands(products)
     # an equal copy of S^-1 is a new object: the premises are decided for it
     copy = SymMatrix(s_inv.entries)
     monkeypatch.setattr(rmatrix, "S_inverse", lambda k: copy)
+    built.clear()
     products.clear()
     assert verify_unitarity_block(k).passed
-    assert copy in _operands(products) and block not in _operands(products)
+    assert copy in _operands(products) and built == []
 
 
 def _skip_first_summand(k, i, jp, terms):
@@ -1085,11 +1084,11 @@ def _drop_the_flip(k, i, jp, terms):
 
 
 @pytest.mark.parametrize("edit", [_skip_first_summand, _drop_the_flip])
-def test_summand_mutants_fail_with_the_value_witnesses(monkeypatch, fresh_blocks, edit):
+def test_summand_mutants_fail_with_the_value_witnesses(monkeypatch, edit):
     # "summand j skipped" and "the flip dropped": the premise fails, both
     # blocks are formed, and the witnesses are the entries whose values differ
     k = 3
-    _patched_summands(monkeypatch, _edited_summands(edit))
+    monkeypatch.setattr(rmatrix, "_entry_summands", _edited_summands(edit))
     assert rmatrix.summand_mismatches(k)
     closed, tri = rblock_closed(k), S_inverse(k).mul(s_tilde(k))
     expected = [
@@ -1105,16 +1104,17 @@ def test_summand_mutants_fail_with_the_value_witnesses(monkeypatch, fresh_blocks
     ]
     assert expected and verify_equal_constructions(k).failures == expected
     # block unitarity decides by the product R(z) R(-z) of the mutant block
-    products = _spy_products(monkeypatch)
+    built, products = _spy_blocks(monkeypatch), _spy_products(monkeypatch)
     report = verify_unitarity_block(k)
-    assert closed in _operands(products)
+    (block,) = built
+    assert block in _operands(products) and not block.mismatches(closed)
     product = closed.mul(closed.flip_z())
     assert [(w["i"], w["j"]) for w in report.failures] == product.mismatches(
         SymMatrix.identity(k + 1)
     )
 
 
-def test_a_split_summand_differs_term_by_term_but_passes_by_value(monkeypatch, fresh_blocks):
+def test_a_split_summand_differs_term_by_term_but_passes_by_value(monkeypatch):
     # summand s * t of entry (1, 3) written as (s + 1) * t - 1 * t: the term
     # identity fails at that entry only, the values agree, so both cases pass
     k = 3
@@ -1125,14 +1125,16 @@ def test_a_split_summand_differs_term_by_term_but_passes_by_value(monkeypatch, f
         (s, runs), *rest = terms
         return [(s + 1, runs), (-1, runs), *rest]
 
-    _patched_summands(monkeypatch, _edited_summands(split))
+    monkeypatch.setattr(rmatrix, "_entry_summands", _edited_summands(split))
     assert rmatrix.summand_mismatches(k) == ((1, 3),)
-    products = _spy_products(monkeypatch)
+    built, products = _spy_blocks(monkeypatch), _spy_products(monkeypatch)
     assert verify_equal_constructions(k).passed
     assert sum(left is S_inverse(k) for left, _ in products) == 1  # decided by value
+    built.clear()
     products.clear()
     assert verify_unitarity_block(k).passed
-    assert rblock_closed(k) in _operands(products)
+    (block,) = built
+    assert block in _operands(products)
 
 
 @pytest.mark.parametrize("name", ["sinv_entry", "stable_coeff"])
@@ -1169,14 +1171,9 @@ def test_closed_and_triangular_blocks_agree_in_value_through_k8():
         assert not rblock_closed(k).mismatches(rblock_triangular(k)), k
 
 
-def test_rblock_closed_is_built_once_per_k():
-    assert rblock_closed(4) is rblock_closed(4)
-    assert rblock_closed(3) is not rblock_closed(4)
-
-
-def test_unitarity_block_witness_matches_plain_product(monkeypatch, fresh_blocks):
+def test_unitarity_block_witness_matches_plain_product(monkeypatch):
     block = rblock_closed(3)
-    _patched_summands(monkeypatch, _doubled_entry(1, 2))
+    monkeypatch.setattr(rmatrix, "_entry_summands", _doubled_entry(1, 2))
     broken = rblock_closed(3)
     assert broken.entries[1][2].value_eq(block.entries[1][2].scale(2))
     report = verify_unitarity_block(3)
@@ -1198,7 +1195,6 @@ def test_unitarity_block_witness_matches_plain_product(monkeypatch, fresh_blocks
         entry = product.entries[w["i"]][w["j"]]
         assert w["entry"] == ratfun_to_str(entry)
         assert entry.value_eq(plain[w["i"], w["j"]])
-    rblock_closed.cache_clear()
     assert verify_unitarity_block(3).passed
 
 

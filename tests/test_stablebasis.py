@@ -29,7 +29,6 @@ from spinr.stablebasis import (
     S_matrix,
     binom,
     candidate_poles,
-    class_S,
     sinv_entry,
     solve_change_of_basis,
     stable_coeff,
@@ -74,9 +73,8 @@ def test_zbar_k1_last_entry():
 def test_stable_column_k2():
     expected = stable_matrix_k2()
     for jp in range(3):
-        column = class_S(2, jp)
         for j in range(jp + 1):
-            assert column[j].expand() == expected.entries[j][jp]
+            assert stable_coeff(2, j, jp).expand() == expected.entries[j][jp]
 
 
 def test_stable_entry_examples():
@@ -86,13 +84,6 @@ def test_stable_entry_examples():
     )
     assert stable_coeff(2, 1, 1).expand() == RatFun(ONE, (EPS + Z) * (PHI + Z))
     assert stable_coeff(1, 0, 1).expand() == RatFun(-EPS, Z * (EPS + Z))
-
-
-def test_column_bounds():
-    with pytest.raises(ValueError):
-        class_S(2, 3)
-    with pytest.raises(ValueError):
-        class_S(2, -1)
 
 
 def stable_coeff_merged(k: int, j: int, j_prime: int) -> FactoredRat:
@@ -260,6 +251,13 @@ def test_verify_residues_all_small():
 def test_checks_refuse_negative_k(check):
     with pytest.raises(ValueError, match=r"^need k >= 0, got -1$"):
         check(-1)
+
+
+def test_phi_eps_zero_value_refuses_a_factor_without_z():
+    # every attracting coefficient has a z in each factor; a phi factor alone
+    # would vanish at phi = eps = 0, where the triangular solve reads it
+    with pytest.raises(ValueError, match=r"^factor phi vanishes at phi = eps = 0$"):
+        stablebasis._phi_eps_zero_value(FactoredRat(1, [(LinForm(0, 1, 0), 1)]))
 
 
 # the JSON text of each failing report below: dict equality ignores key

@@ -13,6 +13,9 @@ PYTHONPATH.  The invocations:
 * ``verify --suite oracle -l L --format json`` for L = 3..6;
 * ``verify --suite constructions|unitarity -k K --format json`` for
   K = 7..12, beyond the k <= 6 of the suite defaults;
+* ``verify --suite linrel -k K --format json`` for K = 6..10, beyond the
+  k <= 5 of the suite default;
+* ``compute-r --block K`` for K = 0..8;
 * ``verify --suite ybe -l L --trials T`` for L = 1..5 and T in
   {1, (2L)^2 - 1, (2L)^2, 100}, on both sides of the grid threshold;
 * ``compute-r -l 3 --at-z Z --format csv`` for Z in {0, 1/3, -7/2, 5, -1},
@@ -69,6 +72,10 @@ def commands() -> list[list[str]]:
     for suite in ("constructions", "unitarity"):
         for k in range(7, 13):
             out.append(["verify", "--suite", suite, "-k", str(k), "--format", "json"])
+    for k in range(6, 11):
+        out.append(["verify", "--suite", "linrel", "-k", str(k), "--format", "json"])
+    for k in range(9):
+        out.append(["compute-r", "--block", str(k)])
     for ell in range(1, 6):
         grid = (2 * ell) ** 2
         for trials in (1, grid - 1, grid, 100):
