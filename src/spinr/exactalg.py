@@ -33,9 +33,11 @@ products of weights recur across summands, entries, sectors and checks.
 ``_expand_factor_product`` expands each distinct product once per process
 (``functools.cache``); every sum and comparison over factored denominators
 (``factored_sum``, ``FactoredRat.expand``, ``RatFun.__add__``/``value_eq``,
-``ratfun_dot``) reads it; ``_canonical`` memoizes each linear form's
-canonical form the same way.  ``factored_sum`` and ``ratfun_dot`` sum over
-the lcm in one fused loop (``_sum_of_products``), building no product MPoly.
+``ratfun_dot``) reads it.  ``_canonical`` memoizes each linear form's canonical
+form the same way and ``_run_factors`` each run's, which ``factored_runs``
+merges into a summand; products merge canonical lists as they are
+(``_merge_factor_items``).  ``factored_sum`` and ``ratfun_dot`` sum over the
+lcm in one fused loop (``_sum_of_products``), building no product MPoly.
 Every weight is a linear form, so every polynomial of a generic block is
 homogeneous; the fused loop therefore keeps one flat int-indexed list per
 total degree of the sum, where the slot of a product term is the sum of its
@@ -424,11 +426,12 @@ class LinForm(NamedTuple):
         """(scale, form) with form primitive and its first nonzero coefficient positive.
 
         The integer content (including sign) moves into the scale, so that
-        e.g. (-z) and (z) share a key, as do (2*phi) and (phi).
+        e.g. (-z) and (z) share a key, as do (2*phi) and (phi).  The zero
+        form has no canonical form: it is refused as a factor.
         """
         g = math.gcd(self.c_z, self.c_phi, self.c_eps)
         if g == 0:
-            return 1, self
+            raise ExactAlgError("zero linear form used as a factor")
         for c in self:
             if c:
                 if c < 0:
@@ -455,8 +458,22 @@ class LinForm(NamedTuple):
 
 FactorItems = tuple[tuple[LinForm, int], ...]
 
-# ``LinForm.canonical`` of every form of the process, unbounded like ``_expand_factor_product``.
+# ``LinForm.canonical`` of every form of the process, unbounded like ``_expand_factor_product``;
+# a zero form raises on every call, since exceptions are not cached.
 _canonical = functools.cache(LinForm.canonical)
+
+
+def _merge_factor_items(first: FactorItems = (), *rest: FactorItems) -> FactorItems:
+    """The product of factor lists of canonical forms: exponents added, zeros dropped, sorted.
+
+    A canonical form is its own canonical form with scale 1, so none is looked
+    up again.  ``first`` is read as a dict: it must not repeat a form, the others may.
+    """
+    merged = dict(first)
+    for items in rest:
+        for form, exp in items:
+            merged[form] = merged.get(form, 0) + exp
+    return tuple(sorted(item for item in merged.items() if item[1]))
 
 
 def _canonical_factor_items(
@@ -468,22 +485,20 @@ def _canonical_factor_items(
     accumulated as the ints ``up`` and ``down`` and applied to the scalar once;
     the scalar comes back normalized by ``_coeff``.
     """
-    merged: dict[LinForm, int] = {}
+    canon = []
     up = down = 1
     for form, exp in pairs:
         if exp == 0:
             continue
-        if form.is_zero:
-            raise ExactAlgError("zero linear form used as a factor")
-        scale, canon = _canonical(form)
+        scale, form = _canonical(form)
         if scale != 1:
             if exp > 0:
                 up *= scale**exp
             else:
                 down *= scale ** (-exp)
-        merged[canon] = merged.get(canon, 0) + exp
-    items = tuple(sorted((f, e) for f, e in merged.items() if e))
-    return _coeff(scalar * up if down == 1 else Fraction(scalar * up, down)), items
+        canon.append((form, exp))
+    scalar = _coeff(scalar * up if down == 1 else Fraction(scalar * up, down))
+    return scalar, _merge_factor_items((), canon)
 
 
 @functools.cache
@@ -543,6 +558,23 @@ def run_pairs(runs: Sequence[Run]) -> list[tuple[LinForm, int]]:
     ]
 
 
+@functools.cache
+def _run_factors(run: Run) -> FactoredRat:
+    """One run's canonical factors, and its content as the scalar; built once per process."""
+    return FactoredRat(1, run_pairs((run,)))
+
+
+def factored_runs(scalar: Scalar, runs: Sequence[Run]) -> FactoredRat:
+    """``FactoredRat(scalar, run_pairs(runs))``, from the memoized runs (``_run_factors``)."""
+    if scalar == 0:
+        return FactoredRat.zero()
+    pieces = [_run_factors(run) for run in runs]
+    out = FactoredRat.__new__(FactoredRat)
+    out.scalar = _coeff(math.prod((piece.scalar for piece in pieces), start=scalar))
+    out.factors = _merge_factor_items(*(piece.factors for piece in pieces))
+    return out
+
+
 class FactoredRat:
     """A scalar times a product of canonical linear forms with integer exponents."""
 
@@ -572,9 +604,8 @@ class FactoredRat:
         if self.is_zero or other.is_zero:
             return FactoredRat.zero()
         out = FactoredRat.__new__(FactoredRat)
-        out.scalar, out.factors = _canonical_factor_items(
-            self.scalar * other.scalar, (*self.factors, *other.factors)
-        )
+        out.scalar = _coeff(self.scalar * other.scalar)
+        out.factors = _merge_factor_items(self.factors, other.factors)
         return out
 
     def scale(self, c: Scalar) -> FactoredRat:
@@ -711,7 +742,7 @@ class RatFun:
             return RatFun.zero()
         factors: FactorItems | None = None
         if self.den_factors is not None and other.den_factors is not None:
-            factors = _canonical_factor_items(1, (*self.den_factors, *other.den_factors))[1]
+            factors = _merge_factor_items(self.den_factors, other.den_factors)
         return RatFun(self.num * other.num, self.den * other.den, factors)
 
     def scale(self, c: Scalar) -> RatFun:

@@ -16,8 +16,8 @@ through ``exactalg.ratfun_dot``) and the closed block formed and compared by
 value.
 
 Each summand of the closed form is an int scalar and at most seven runs of
-consecutive linear forms, read in two ways: ``rblock_closed`` expands the
-runs into forms, and ``specialize_block`` maps them to the spin line
+consecutive linear forms, read in two ways: ``rblock_closed`` merges the
+runs' memoized factors, and ``specialize_block`` maps them to the spin line
 eps = -ell*phi, phi = 1, where a form is an int constant or +-(z + c).  So
 ``assemble_full`` builds each block entry it needs on int coefficient lists
 in z: the summands are summed over their lcm, multiplied by the one
@@ -107,17 +107,16 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from .exactalg import (
-    FactoredRat,
     MPoly,
     PoleSpecializationError,
     RatFun,
     Run,
     Scalar,
     divide_root,
+    factored_runs,
     factored_sum,
     limit_at_z_infinity,
     ratfun_to_str,
-    run_pairs,
     times_roots,
 )
 from .fracmat import FracMat, SymMatrix
@@ -160,9 +159,7 @@ def rblock_closed(k: int) -> SymMatrix:
         raise ValueError(f"need k >= 0, got {k}")
 
     def entry(i: int, jp: int) -> RatFun:
-        return factored_sum(
-            FactoredRat(scalar, run_pairs(runs)) for scalar, runs in _entry_summands(k, i, jp)
-        )
+        return factored_sum(factored_runs(s, runs) for s, runs in _entry_summands(k, i, jp))
 
     return SymMatrix([[entry(i, jp) for jp in range(k + 1)] for i in range(k + 1)])
 
@@ -196,7 +193,7 @@ def _summand_mismatches(
         (i, jp)
         for i, row in enumerate(rows)
         for jp, col in enumerate(cols)
-        if [FactoredRat(scalar, run_pairs(runs)) for scalar, runs in summands(k, i, jp)]
+        if [factored_runs(scalar, runs) for scalar, runs in summands(k, i, jp)]
         != [t for t in map(operator.mul, row, col) if not t.is_zero]
     )
 

@@ -32,11 +32,11 @@ from typing import Iterable
 
 from .exactalg import (
     FactoredRat,
+    factored_runs,
     factored_sum,
     limit_at_z_infinity,
     ratfun_to_str,
     residue_at,
-    run_pairs,
 )
 from .fracmat import SymMatrix
 from .report import Report
@@ -63,7 +63,7 @@ def zbar_coeff(k: int, j: int, j_prime: int) -> FactoredRat:
         (1, 0, k - 2 * j + 1, k - j, -1),
         (-1, 0, 2 * j - k + 1, j_prime - k + j, -1),
     )
-    return FactoredRat(binom(j_prime, j), run_pairs(runs))
+    return factored_runs(binom(j_prime, j), runs)
 
 
 def stable_coeff(k: int, j: int, j_prime: int) -> FactoredRat:
@@ -76,7 +76,7 @@ def stable_coeff(k: int, j: int, j_prime: int) -> FactoredRat:
         (1, 0, k - 2 * j + 1, k - j, -1),
         (-1, 0, 2 * j - k + 1, j_prime - k + j, -1),
     )
-    return FactoredRat(binom(j_prime, j), run_pairs(runs))
+    return factored_runs(binom(j_prime, j), runs)
 
 
 def sinv_entry(k: int, i: int, j: int) -> FactoredRat:
@@ -84,7 +84,7 @@ def sinv_entry(k: int, i: int, j: int) -> FactoredRat:
     if i > j or i < 0 or j > k:
         return FactoredRat.zero()
     runs = ((0, 1, i, j - 1, 1), (1, 1, 0, k - j - 1, 1), (1, 0, k + 1 - j - i, k - j, 1))
-    return FactoredRat(binom(j, i), run_pairs(runs))
+    return factored_runs(binom(j, i), runs)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from spinr.exactalg import (
     _sum_of_products,
     cancel_common_z_roots,
     divide_root,
+    factored_runs,
     factored_sum,
     limit_at_z_infinity,
     mpoly_exact_div,
@@ -28,6 +29,7 @@ from spinr.exactalg import (
     ratfun_dot,
     ratfun_to_str,
     residue_at,
+    run_pairs,
 )
 
 Z = MPoly.var("z")
@@ -547,8 +549,83 @@ def test_sum_of_products_edge_cases():
 @example(LinForm(0, 0, 0))
 @settings(max_examples=100, deadline=None)
 def test_canonical_memo_returns_canonical(form):
+    if form.is_zero:  # refused inside the memo, on every call
+        for canonical in (_canonical, _canonical, LinForm.canonical):
+            with pytest.raises(ExactAlgError, match="^zero linear form used as a factor$"):
+                canonical(form)
+        return
     assert _canonical(form) == form.canonical()
     assert _canonical(LinForm(*form)) == form.canonical()  # an equal key reads the memo
+
+
+def naive_ratfun(scalar, pairs):
+    # scalar * prod form**exp multiplied out form by form, outside every memo and merge
+    num = naive_product([(form, exp) for form, exp in pairs if exp > 0]).scale(scalar)
+    return RatFun(num, naive_product([(form, -exp) for form, exp in pairs if exp < 0]))
+
+
+# c_z and c_eps in -2..2, lo and hi in -3..3 (hi < lo is an empty run), exponents in -2..2
+coefficients, bounds = st.integers(-2, 2), st.integers(-3, 3)
+run_tuples = st.tuples(coefficients, coefficients, bounds, bounds, st.integers(-2, 2))
+
+
+@given(st.one_of(st.just(0), scalars), st.lists(run_tuples, max_size=7))
+@example(Fraction(3, 2), [(0, 0, 1, 2, -1), (1, 0, 2, 1, 1)])  # content 1/2 of 1/(2*phi); empty
+@example(5, [(0, 1, 1, 2, 1), (0, 1, 1, 2, -1), (2, 0, -3, 3, 0)])  # cancelled runs, exponent 0
+@example(-1, [(-1, 2, 0, 1, -2), (1, -2, 0, 0, 1), (0, 0, 2, 3, 2)])  # signs and shared forms
+@example(0, [(0, 0, -1, 1, 1)])  # a zero scalar refuses nothing, as in FactoredRat
+@example(1, [(0, 0, -1, 1, 1)])  # the zero form
+@settings(max_examples=200, deadline=None)
+def test_factored_runs_equals_canonicalizing_the_expanded_runs(s, runs):
+    try:
+        expected = FactoredRat(s, run_pairs(runs))
+    except ExactAlgError as err:
+        with pytest.raises(ExactAlgError, match=f"^{err}$"):
+            factored_runs(s, runs)
+        return
+    got = factored_runs(s, runs)
+    assert type(got.scalar) is type(expected.scalar)
+    assert (got.scalar, got.factors) == (expected.scalar, expected.factors)
+    if s:
+        assert got.expand() == naive_ratfun(s, run_pairs(runs))
+
+
+def test_a_run_holding_the_zero_form_is_refused_on_every_call():
+    # the refusal is raised inside the memos, and exceptions are not cached
+    for _ in range(2):
+        with pytest.raises(ExactAlgError, match="^zero linear form used as a factor$"):
+            factored_runs(1, [(1, 0, 0, 0, 1), (0, 0, -1, 1, 1)])
+
+
+# factored values over a few fixed forms, so that products cancel factors often
+repeating_factored = st.builds(
+    FactoredRat, scalars, st.lists(st.tuples(repeatable_forms, st.integers(-2, 2)), max_size=4)
+)
+
+
+@given(repeating_factored, repeating_factored)
+@example(FactoredRat(2, [(LinForm(1, 1, 0), 1)]), FactoredRat(3, [(LinForm(-2, -2, 0), -1)]))
+@settings(max_examples=100, deadline=None)
+def test_products_merge_as_canonicalizing_the_concatenated_factors(a, b):
+    product = a * b
+    expected = FactoredRat(a.scalar * b.scalar, (*a.factors, *b.factors))
+    assert type(product.scalar) is type(expected.scalar)
+    assert (product.scalar, product.factors) == (expected.scalar, expected.factors)
+    assert product.expand() == naive_ratfun(a.scalar * b.scalar, (*a.factors, *b.factors))
+    if not a.is_zero and not b.is_zero:
+        den_factors = (a.expand() * b.expand()).den_factors
+        assert den_factors == FactoredRat(1, (*a.den_items(), *b.den_items())).factors
+
+
+def test_comparisons_with_a_foreign_type_are_not_implemented():
+    for value in (MPoly.one(), FactoredRat(2, [(LinForm(1, 0, 0), -1)]), RatFun.one()):
+        assert value.__eq__("1") is NotImplemented
+        assert value != "1"
+
+
+def test_reprs_name_the_type_and_the_text_form():
+    assert repr(FactoredRat(-2, [(LinForm(1, 0, 0), -1)])) == "FactoredRat(-2 * (z)^-1)"
+    assert repr(rf(Z, PHI + EPS)) == "RatFun(z/(eps + phi))"
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,10 @@ def test_mul_refuses_other_shapes():
         SymMatrix.identity(2).mul(SymMatrix.identity(3))
 
 
+def test_repr_names_the_shape():
+    assert repr(SymMatrix([[RatFun.one()] * 3] * 2)) == "SymMatrix(2x3)"
+
+
 # ---------------------------------------------------------------------------
 # the symbolic product
 # ---------------------------------------------------------------------------

@@ -112,6 +112,7 @@ NEVER_CALLED_BY_THE_CLI = {
     "exactalg.MPoly.__str__": DISPLAY,
     "exactalg.MPoly.__repr__": DISPLAY,
     "exactalg.mpoly_exact_div": TRACER,
+    "exactalg.LinForm.is_zero": "acceptance: criterion 10, via complete_intersection_coeff",
     "exactalg.LinForm.__str__": "failure path: a factor of a linrel witness",
     "exactalg.FactoredRat.__str__": "failure path: the lhs of a linrel witness",
     "exactalg.FactoredRat.__repr__": DISPLAY,

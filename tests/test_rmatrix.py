@@ -260,14 +260,16 @@ def test_lowest_terms_matches_the_trial_division_route():
 def test_spin_line_assembles_and_reduces_without_substitution(monkeypatch):
     # specialization and the lowest-terms reduction run on int coefficient
     # lists in z, and the roots of D are known: from assembly to the printed
-    # matrix nothing is substituted, no factor list is canonicalized, no MPoly
-    # is multiplied and nothing is divided by the generic kernel
+    # matrix nothing is substituted, no factor list is canonicalized, read
+    # from the run memo or merged, no MPoly is multiplied and nothing is
+    # divided by the generic kernel
     def refuse(*args):
         raise AssertionError("generic kernel called on the spin line")
 
     monkeypatch.setattr(MPoly, "substitute", refuse)
     monkeypatch.setattr(MPoly, "__mul__", refuse)
-    monkeypatch.setattr(exactalg, "_canonical_factor_items", refuse)
+    for name in ("_canonical_factor_items", "_run_factors", "_merge_factor_items"):
+        monkeypatch.setattr(exactalg, name, refuse)
     monkeypatch.setattr(exactalg, "mpoly_exact_div", refuse)
     assemble_full.cache_clear()  # build under the patch, not from the memo
     for ell in range(1, 5):
@@ -277,7 +279,8 @@ def test_spin_line_assembles_and_reduces_without_substitution(monkeypatch):
 
 def test_specialization_keeps_exactly_the_summands_that_survive_binding(monkeypatch):
     # the int route keeps a summand iff binding eps -> -ell*phi leaves no zero
-    # numerator form, as the homogeneous route decides it, and canonicalizes none
+    # numerator form, as the homogeneous route decides it, and canonicalizes,
+    # reads from the run memo or merges no factor list
     def refuse(*args):
         raise AssertionError("factor list canonicalized on the spin line")
 
@@ -288,7 +291,8 @@ def test_specialization_keeps_exactly_the_summands_that_survive_binding(monkeypa
         results.append(spin_summand(scalar, runs, ell))
         return results[-1]
 
-    monkeypatch.setattr(exactalg, "_canonical_factor_items", refuse)
+    for name in ("_canonical_factor_items", "_run_factors", "_merge_factor_items"):
+        monkeypatch.setattr(exactalg, name, refuse)
     monkeypatch.setattr(rmatrix, "_spin_summand", recording)
     ell, k = 3, 4
     specialize_block(k, ell)

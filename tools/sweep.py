@@ -15,6 +15,9 @@ PYTHONPATH.  The invocations:
   K = 7..12, beyond the k <= 6 of the suite defaults;
 * ``verify --suite linrel -k K --format json`` for K = 6..10, beyond the
   k <= 5 of the suite default;
+* ``verify --suite inverse -k K --format json`` for K = 7..12 and
+  ``verify --suite residues -k K --format json`` for K = 5..10, beyond the
+  suite defaults;
 * ``compute-r --block K`` for K = 0..8;
 * ``verify --suite ybe -l L --trials T`` for L = 1..5 and T in
   {1, (2L)^2 - 1, (2L)^2, 100}, on both sides of the grid threshold;
@@ -74,6 +77,8 @@ def commands() -> list[list[str]]:
             out.append(["verify", "--suite", suite, "-k", str(k), "--format", "json"])
     for k in range(6, 11):
         out.append(["verify", "--suite", "linrel", "-k", str(k), "--format", "json"])
+    for suite, ks in (("inverse", range(7, 13)), ("residues", range(5, 11))):
+        out += [["verify", "--suite", suite, "-k", str(k), "--format", "json"] for k in ks]
     for k in range(9):
         out.append(["compute-r", "--block", str(k)])
     for ell in range(1, 6):
