@@ -8,12 +8,13 @@ sinv_entry(k, i, j) times stable_coeff(k, k-j, j') at -z, and
 ``exactalg.factored_sum`` sums the summands over their lcm.
 ``_entry_summands`` transcribes those summands apart from the ``stablebasis``
 tables, and ``summand_mismatches`` decides, once per k and per transcription,
-that they are the product terms exactly, as ``FactoredRat`` values.  Equal
-terms have equal sums, so that premise decides the equality of the two
-constructions with neither block built.  Only when it fails are the
-triangular product (``rblock_triangular``, the expanded entries multiplied
-through ``exactalg.ratfun_dot``) and the closed block formed and compared by
-value.
+that they are the product terms exactly, as (scalar, runs) rows: the scalars
+multiplied and the runs concatenated, those of S at -z with c_z negated.
+``factored_runs`` reads equal rows as equal terms, and equal terms have equal
+sums, so that premise decides the equality of the two constructions with
+neither block built.  Only when it fails are the triangular product
+(``rblock_triangular``, the expanded entries multiplied through
+``exactalg.ratfun_dot``) and the closed block formed and compared by value.
 
 Each summand of the closed form is an int scalar and at most seven runs of
 consecutive linear forms, read in two ways: ``rblock_closed`` merges the
@@ -126,8 +127,8 @@ from .stablebasis import (
     S_matrix,
     binom,
     inverse_mismatches,
-    sinv_entry,
-    stable_coeff,
+    sinv_runs,
+    stable_runs,
 )
 
 Block = tuple[tuple[tuple[int, ...], ...], ...]  # a square of int coefficient tuples
@@ -172,29 +173,35 @@ def rblock_triangular(k: int) -> SymMatrix:
 def summand_mismatches(k: int) -> tuple[tuple[int, int], ...]:
     """The entries (i, j') of sector k whose closed-form summands are not those of S^-1 J S(-z).
 
-    Summand j of entry (i, j') must be sinv_entry(k, i, j) times
-    stable_coeff(k, k-j, j') at -z, as an exact ``FactoredRat``: the
-    summands of ``_entry_summands``, in order, against the nonzero products,
-    j ascending.  Decided once per k and per the three tables as bound in
-    this module at the call, so a verdict is never reused for a replaced one.
+    Summand j of entry (i, j') must be the row (s1 * s2, r1 + flip(r2)) of
+    (s1, r1) = sinv_runs(k, i, j) and (s2, r2) = stable_runs(k, k-j, j'),
+    flip(r2) being r2 with each run's c_z negated, that is r2 at -z: the
+    summands of ``_entry_summands``, in order, against those rows with
+    s1 * s2 != 0, j ascending.  ``factored_runs`` maps a product of rows to
+    the concatenated runs and a flip to the negated c_z, so equal rows are
+    equal ``FactoredRat`` terms, which have equal sums; a row written another
+    way (a run split in two) fails here and is decided by value.  Decided
+    once per k and per the three tables as bound in this module at the call,
+    so a verdict is never reused for a replaced one.
     """
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    return _summand_mismatches(k, _entry_summands, sinv_entry, stable_coeff)
+    return _summand_mismatches(k, _entry_summands, sinv_runs, stable_runs)
 
 
 @functools.lru_cache(maxsize=None)
 def _summand_mismatches(
-    k: int, summands: Callable, sinv: Callable, coeff: Callable
+    k: int, summands: Callable, sinv: Callable, stable: Callable
 ) -> tuple[tuple[int, int], ...]:
     rows = [[sinv(k, i, j) for j in range(k + 1)] for i in range(k + 1)]
-    cols = [[coeff(k, k - j, jp).flip_z() for j in range(k + 1)] for jp in range(k + 1)]
+    cols = [[stable(k, k - j, jp) for j in range(k + 1)] for jp in range(k + 1)]
+    cols = [[(s, tuple((-c_z, *rest) for c_z, *rest in r)) for s, r in col] for col in cols]
     return tuple(
         (i, jp)
         for i, row in enumerate(rows)
         for jp, col in enumerate(cols)
-        if [factored_runs(scalar, runs) for scalar, runs in summands(k, i, jp)]
-        != [t for t in map(operator.mul, row, col) if not t.is_zero]
+        if list(summands(k, i, jp))
+        != [(s1 * s2, r1 + r2) for (s1, r1), (s2, r2) in zip(row, col) if s1 * s2]
     )
 
 

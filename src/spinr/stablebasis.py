@@ -4,7 +4,8 @@ The two families of classes expand over the fixed-point basis with factored
 rational-function coefficients (``zbar_coeff`` and ``stable_coeff``).
 Collecting the stable-class coefficients columnwise gives the upper triangular
 change of basis ``S_matrix``; its inverse has the closed polynomial form
-``S_inverse``.
+``S_inverse``.  ``stable_runs`` and ``sinv_runs`` hold the entries of S and
+S^-1 as (scalar, runs) rows, which ``rmatrix.summand_mismatches`` compares.
 Both are ``SymMatrix`` values from ``fracmat``, the one matrix module, built
 once per k and process and shared by every caller, so callers must not mutate
 them.
@@ -32,6 +33,7 @@ from typing import Iterable
 
 from .exactalg import (
     FactoredRat,
+    Run,
     factored_runs,
     factored_sum,
     limit_at_z_infinity,
@@ -66,25 +68,35 @@ def zbar_coeff(k: int, j: int, j_prime: int) -> FactoredRat:
     return factored_runs(binom(j_prime, j), runs)
 
 
-def stable_coeff(k: int, j: int, j_prime: int) -> FactoredRat:
-    """Coefficient of fixed point j in the stable class of j'; entry (j, j') of S."""
+def stable_runs(k: int, j: int, j_prime: int) -> tuple[int, tuple[Run, ...]]:
+    """Entry (j, j') of S as (scalar, runs); (0, ()) outside 0 <= j <= j' <= k."""
     if j > j_prime or j < 0 or j_prime > k:
-        return FactoredRat.zero()
+        return 0, ()
     runs = (
         (0, 1, j, j_prime - 1, 1),
         (1, 1, 0, k - j - 1, -1),
         (1, 0, k - 2 * j + 1, k - j, -1),
         (-1, 0, 2 * j - k + 1, j_prime - k + j, -1),
     )
-    return factored_runs(binom(j_prime, j), runs)
+    return binom(j_prime, j), runs
+
+
+def stable_coeff(k: int, j: int, j_prime: int) -> FactoredRat:
+    """Coefficient of fixed point j in the stable class of j'; entry (j, j') of S."""
+    return factored_runs(*stable_runs(k, j, j_prime))
+
+
+def sinv_runs(k: int, i: int, j: int) -> tuple[int, tuple[Run, ...]]:
+    """Entry (i, j) of the closed-form S^-1 as (scalar, runs); (0, ()) outside 0 <= i <= j <= k."""
+    if i > j or i < 0 or j > k:
+        return 0, ()
+    runs = ((0, 1, i, j - 1, 1), (1, 1, 0, k - j - 1, 1), (1, 0, k + 1 - j - i, k - j, 1))
+    return binom(j, i), runs
 
 
 def sinv_entry(k: int, i: int, j: int) -> FactoredRat:
     """Entry (i, j) of the closed-form inverse of S; a polynomial."""
-    if i > j or i < 0 or j > k:
-        return FactoredRat.zero()
-    runs = ((0, 1, i, j - 1, 1), (1, 1, 0, k - j - 1, 1), (1, 0, k + 1 - j - i, k - j, 1))
-    return factored_runs(binom(j, i), runs)
+    return factored_runs(*sinv_runs(k, i, j))
 
 
 # ---------------------------------------------------------------------------

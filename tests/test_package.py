@@ -101,6 +101,7 @@ print(json.dumps({"failed": failed, "called": sorted(called)}))
 TRACER = "a target of perfbench/tracer.py (test_every_tracer_target_resolves)"
 DISPLAY = "public API: the text form for interactive use and test messages"
 REFERENCE = "a reference route of the tests: RatFun arithmetic by value"
+PREMISE = "a reference route of the tests: the summand premise as FactoredRat values"
 FLIP = "failure path: R(-z) and J S(-z) once a block premise fails"
 
 # Every src function that no CLI route calls, and why it stays.
@@ -113,7 +114,10 @@ NEVER_CALLED_BY_THE_CLI = {
     "exactalg.MPoly.__repr__": DISPLAY,
     "exactalg.mpoly_exact_div": TRACER,
     "exactalg.LinForm.is_zero": "acceptance: criterion 10, via complete_intersection_coeff",
+    "exactalg.LinForm.flip_z": PREMISE,
     "exactalg.LinForm.__str__": "failure path: a factor of a linrel witness",
+    "exactalg.FactoredRat.__eq__": PREMISE,
+    "exactalg.FactoredRat.flip_z": PREMISE,
     "exactalg.FactoredRat.__str__": "failure path: the lhs of a linrel witness",
     "exactalg.FactoredRat.__repr__": DISPLAY,
     "exactalg.RatFun.__eq__": REFERENCE,

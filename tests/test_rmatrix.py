@@ -1118,18 +1118,10 @@ def test_summand_mutants_fail_with_the_value_witnesses(monkeypatch, edit):
     )
 
 
-def test_a_split_summand_differs_term_by_term_but_passes_by_value(monkeypatch):
-    # summand s * t of entry (1, 3) written as (s + 1) * t - 1 * t: the term
-    # identity fails at that entry only, the values agree, so both cases pass
+def _fails_the_premise_at_1_3_but_passes_by_value(monkeypatch, edit):
+    # the premise names entry (1, 3) only, and both cases decide it by value
     k = 3
-
-    def split(k, i, jp, terms):
-        if (i, jp) != (1, 3):
-            return terms
-        (s, runs), *rest = terms
-        return [(s + 1, runs), (-1, runs), *rest]
-
-    monkeypatch.setattr(rmatrix, "_entry_summands", _edited_summands(split))
+    monkeypatch.setattr(rmatrix, "_entry_summands", _edited_summands(edit))
     assert rmatrix.summand_mismatches(k) == ((1, 3),)
     built, products = _spy_blocks(monkeypatch), _spy_products(monkeypatch)
     assert verify_equal_constructions(k).passed
@@ -1141,10 +1133,50 @@ def test_a_split_summand_differs_term_by_term_but_passes_by_value(monkeypatch):
     assert block in _operands(products)
 
 
-@pytest.mark.parametrize("name", ["sinv_entry", "stable_coeff"])
+def test_a_split_summand_differs_term_by_term_but_passes_by_value(monkeypatch):
+    # summand s * t of entry (1, 3) written as (s + 1) * t - 1 * t: the term
+    # identity fails at that entry only, the values agree, so both cases pass
+    def split(k, i, jp, terms):
+        if (i, jp) != (1, 3):
+            return terms
+        (s, runs), *rest = terms
+        return [(s + 1, runs), (-1, runs), *rest]
+
+    _fails_the_premise_at_1_3_but_passes_by_value(monkeypatch, split)
+
+
+def _split_a_run(k, i, jp, terms):
+    # the first run of two or more forms in entry (1, 3)'s first summand, as two adjacent runs
+    if (i, jp) != (1, 3):
+        return terms
+    (s, runs), *rest = terms
+    n = next(n for n, (_, _, lo, hi, _) in enumerate(runs) if hi > lo)
+    c_z, c_eps, lo, hi, exp = runs[n]
+    halves = ((c_z, c_eps, lo, lo, exp), (c_z, c_eps, lo + 1, hi, exp))
+    return [(s, runs[:n] + halves + runs[n + 1 :]), *rest]
+
+
+def test_a_run_split_in_two_fails_the_premise_but_passes_by_value(monkeypatch):
+    # the same factored term, which a premise on FactoredRat values accepts,
+    # but another (scalar, runs) row: the fallback to the values is not hidden
+    before = list(rmatrix._entry_summands(3, 1, 3))
+    after = _split_a_run(3, 1, 3, before)
+    assert after != before
+    factored = [[FactoredRat(s, run_pairs(r)) for s, r in terms] for terms in (before, after)]
+    assert factored[0] == factored[1]
+    _fails_the_premise_at_1_3_but_passes_by_value(monkeypatch, _split_a_run)
+
+
+def test_the_summand_premise_holds_up_to_the_input_bound():
+    # constructions and block unitarity at every k the CLI accepts rest on it
+    for k in range(cli.MAX_K + 1):
+        assert rmatrix.summand_mismatches(k) == (), k
+
+
+@pytest.mark.parametrize("name", ["sinv_runs", "stable_runs"])
 def test_the_summand_premise_is_decided_per_transcription(monkeypatch, name):
-    # each factor table is part of the memo key: a replaced table is decided
-    # anew, and a table that differs at one term fails the entries it enters
+    # each run table is part of the memo key: a replaced table is decided
+    # anew, and a table that differs at one row fails the entries it enters
     k = 3
     assert rmatrix.summand_mismatches(k) == ()
     table = getattr(rmatrix, name)
@@ -1152,14 +1184,14 @@ def test_the_summand_premise_is_decided_per_transcription(monkeypatch, name):
 
     def doubled_at_the_corner(k, a, b):
         reads.append((a, b))
-        term = table(k, a, b)
-        return term.scale(2) if (a, b) == (0, k) else term
+        s, runs = table(k, a, b)
+        return (2 * s, runs) if (a, b) == (0, k) else (s, runs)
 
     monkeypatch.setattr(rmatrix, name, doubled_at_the_corner)
     bad = rmatrix.summand_mismatches(k)
     # the corner is S^-1_(0, 3), read by row 0, or S_(0, 3) = (J S)_(3, 3), read by column 3
     row, column = [(0, jp) for jp in range(k + 1)], [(i, k) for i in range(k + 1)]
-    assert list(bad) == (row if name == "sinv_entry" else column)
+    assert list(bad) == (row if name == "sinv_runs" else column)
     assert len(reads) == (k + 1) ** 2  # each factor read once per k, not once per entry
     assert rmatrix.summand_mismatches(k) is bad and len(reads) == (k + 1) ** 2
     products = _spy_products(monkeypatch)

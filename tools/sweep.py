@@ -12,7 +12,8 @@ PYTHONPATH.  The invocations:
 * ``verify --suite S --format json|text`` for every suite;
 * ``verify --suite oracle -l L --format json`` for L = 3..6;
 * ``verify --suite constructions|unitarity -k K --format json`` for
-  K = 7..12, beyond the k <= 6 of the suite defaults;
+  K = 7..12, beyond the k <= 6 of the suite defaults, and for
+  ``constructions -k 24`` (the input bound) and ``unitarity -k 14``;
 * ``verify --suite linrel -k K --format json`` for K = 6..10, beyond the
   k <= 5 of the suite default;
 * ``verify --suite inverse -k K --format json`` for K = 7..12 and
@@ -75,6 +76,8 @@ def commands() -> list[list[str]]:
     for suite in ("constructions", "unitarity"):
         for k in range(7, 13):
             out.append(["verify", "--suite", suite, "-k", str(k), "--format", "json"])
+    for suite, k in (("constructions", 24), ("unitarity", 14)):
+        out.append(["verify", "--suite", suite, "-k", str(k), "--format", "json"])
     for k in range(6, 11):
         out.append(["verify", "--suite", "linrel", "-k", str(k), "--format", "json"])
     for suite, ks in (("inverse", range(7, 13)), ("residues", range(5, 11))):
