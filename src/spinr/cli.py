@@ -25,11 +25,13 @@ export kind is one row.
 
 Rationals on the command line are always integers or "p/q" strings; decimal
 input is rejected.  Output is byte-deterministic for a fixed configuration:
-verify runs its cases in one process, in case order, so every case reuses
-the memos of those before it.  One table, ``_RANGES``, holds the least and
-greatest value of every integer flag (MAX_ELL, MAX_K, MAX_N, MAX_TRIALS),
-and --at-z has at most MAX_AT_Z_DIGITS digits; a value outside them is a
-usage error before any work starts.
+verify runs its cases in one process, in case order, so every case reuses the
+memos of those before it.  Its route table ``_RUNNERS`` is the one place that
+assembles a check's R: each spin-line row looks up ``rmatrix.assemble_full``
+and its check through their modules as the case runs.  One table, ``_RANGES``,
+holds the least and greatest value of every integer flag (MAX_ELL, MAX_K,
+MAX_N, MAX_TRIALS), and --at-z has at most MAX_AT_Z_DIGITS digits; a value
+outside them is a usage error before any work starts.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 """
@@ -383,12 +385,12 @@ _RUNNERS: dict[str, Callable[..., Report]] = {
     "residues": stablebasis.verify_residues_all,
     "constructions": rmatrix.verify_equal_constructions,
     "unitarity_block": rmatrix.verify_unitarity_block,
-    "unitarity_full": rmatrix.verify_unitarity_full,
-    "identity_at_zero": rmatrix.verify_identity_at_zero,
-    "ybe": rmatrix.ybe_trials,
+    "unitarity_full": lambda ell: rmatrix.verify_unitarity_full(rmatrix.assemble_full(ell)),
+    "identity_at_zero": lambda ell: rmatrix.verify_identity_at_zero(rmatrix.assemble_full(ell)),
+    "ybe": lambda ell, trials, seed: rmatrix.ybe_trials(rmatrix.assemble_full(ell), trials, seed),
     "golden": lambda name: golden.GOLDEN_CHECKS[name](),
     "commutation": lambda ell: oracle.verify_sl2_commutation(rmatrix.assemble_full(ell)),
-    "spectrum": oracle.verify_spectrum,
+    "spectrum": lambda ell: oracle.verify_spectrum(rmatrix.assemble_full(ell)),
 }
 
 

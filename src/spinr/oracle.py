@@ -12,13 +12,14 @@ and each meets sector w = ell-s+j in the line of F^j u_s (u_s the int
 highest-weight vector): each projector is rank-one per sector, with no
 Casimir formed (``casimir_projectors``).
 
-The assembled R-matrix must commute with that action.  The stable basis puts
-the sign (-1)^b on the basis vector e_b of the second tensor factor, so
-commutation holds after conjugating by the fixed diagonal gauge
-sigma_(a,b) = (-1)^b (``sign_gauge``).  Every entry of R(z) is N(z)/D(z)
-over the one scalar polynomial D, so the checks read the int coefficients of
-N(z) = sum_e z^e N_e where they are stored, in the coefficient tuples of the
-sector blocks (``FullR.blocks``), and sign each entry as it is read,
+R, the ``FullR`` that each check is given (this module assembles none), must
+commute with that action.  The stable basis puts the sign (-1)^b on the basis
+vector e_b of the second tensor factor, so commutation holds after
+conjugating by the fixed diagonal gauge sigma_(a,b) = (-1)^b
+(``sign_gauge``).  Every entry of R(z) is N(z)/D(z) over the one scalar
+polynomial D, so the checks read the int coefficients of N(z) = sum_e z^e N_e
+where they are stored, in the coefficient tuples of the sector blocks
+(``FullR.blocks``), and sign each entry as it is read,
 (sigma N sigma)_ij = sigma_i sigma_j N_ij; no per-power matrix is formed.
 Each sigma N_e sigma commuting with the action is an exact polynomial
 identity.  The bracket with H vanishes by construction, since sigma is
@@ -40,7 +41,7 @@ from fractions import Fraction
 from .exactalg import RatFun, ratfun_to_str, times_roots
 from .fracmat import FracMat
 from .report import Report
-from .rmatrix import FullR, assemble_full, contravariant_form, over_spin_denominator, pair_sectors
+from .rmatrix import FullR, contravariant_form, over_spin_denominator, pair_sectors
 
 
 class OracleStructureError(Exception):
@@ -227,8 +228,8 @@ def fusion_numerator(ell: int, s: int) -> list[int]:
     return times_roots([(-1) ** (ell - s)], [*range(1, s + 1), *range(-ell, -s)])
 
 
-def verify_spectrum(ell: int) -> Report:
-    """Spectral suite: the exact decomposition and the closed form.
+def verify_spectrum(full: FullR) -> Report:
+    """Spectral suite on ``full``: the exact decomposition and the closed form.
 
     The closed form is the fusion spectrum rho_s = prod_{j>s} (j-z)/(j+z)
     (Kulish-Reshetikhin-Sklyanin): n_s = rho_s * D must equal
@@ -236,9 +237,10 @@ def verify_spectrum(ell: int) -> Report:
     whole check: rho_s(0) = 1, unitarity rho_s(z) rho_s(-z) = 1 and the
     Moebius ratios follow from the closed form.
     """
+    ell = full.ell
     report = Report("spectrum", {"ell": ell})
     try:
-        numerators = spectral_numerators(assemble_full(ell))
+        numerators = spectral_numerators(full)
     except OracleStructureError as exc:
         report.fail(reason=str(exc))
         return report

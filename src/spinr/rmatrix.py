@@ -33,9 +33,10 @@ written down.
 ``over_spin_denominator`` is the one reduction to lowest terms over D's known
 roots, for the printed matrix and the oracle's spectrum.
 
-Verifications: unitarity R(z) R(-z) = Id (symbolically per block, and for the
-assembled matrix per weight sector on int polynomials), equality of the two
-constructions, and the Yang-Baxter equation at exact rational points.  The
+Verifications: unitarity R(z) R(-z) = Id (symbolically per block, and for a
+``FullR`` per weight sector on int polynomials), equality of the two
+constructions, and the Yang-Baxter equation at exact rational points.  Each
+check of the spin line takes the ``FullR`` it checks and assembles none.  The
 lower/upper factorization of the index-reversed block needs no check of its
 own: it is the triangular form S^-1 J S(-z) with its indices reversed, so
 equal constructions and the triangularity of S and S^-1 imply it.  For the
@@ -366,11 +367,13 @@ class FullR:
     the reduced one; they and ``at_z`` are the only dense squares.
     Basis: pairs (a, b) with a, b in 0..ell in lexicographic order, the pair
     (a, b) being row/column (ell+1)*a + b and its label.  Construction
-    refuses (ValueError) blocks of other shapes or a numerator of degree
-    above ell.  Immutable, and compared by identity like ``SymMatrix``.
+    refuses (ValueError) ell < 1, blocks of other shapes and a numerator of
+    degree above ell.  Immutable, and compared by identity like ``SymMatrix``.
     """
 
     def __init__(self, ell: int, blocks: tuple[Block, ...]) -> None:
+        if ell < 1:
+            raise ValueError(f"need ell >= 1, got {ell}")
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "blocks", blocks)
         sectors = pair_sectors(ell)
@@ -478,8 +481,6 @@ def assemble_full(ell: int) -> FullR:
     ``specialize_block`` gives each entry's numerator coefficients over D(z)
     directly; no generic block is expanded and nothing is substituted.
     """
-    if ell < 1:
-        raise ValueError(f"need ell >= 1, got {ell}")
     return FullR(ell, tuple(specialize_block(k, ell) for k in range(2 * ell + 1)))
 
 
@@ -507,8 +508,8 @@ def verify_unitarity_block(k: int) -> Report:
     return report
 
 
-def verify_unitarity_full(ell: int) -> Report:
-    """R(z) R(-z) == Id symbolically in z for the assembled matrix.
+def verify_unitarity_full(full: FullR) -> Report:
+    """R(z) R(-z) == Id symbolically in z for ``full``.
 
     R = N/D over the one denominator D, and R couples only equal total
     weights, so the identity is N(z) N(-z) = D(z) D(-z) Id on each weight
@@ -519,9 +520,8 @@ def verify_unitarity_full(ell: int) -> Report:
     mirror argument of the module docstring).  Once a sector fails, every
     sector is checked, so the witnesses do not depend on the premise.
     """
+    ell, labels = full.ell, full.labels
     report = Report("unitarity_full", {"ell": ell})
-    full = assemble_full(ell)
-    labels = full.labels
     # D(z) D(-z) = (-1)^ell prod_{j=1..ell} (z + j)(z - j)
     target = times_roots([(-1) ** ell], [*range(1, ell + 1), *range(-ell, 0)])
     bad: dict[tuple[int, int], RatFun] = {}
@@ -536,18 +536,16 @@ def verify_unitarity_full(ell: int) -> Report:
                         for f, y in enumerate(right[c]):
                             acc[e + f] += -x * y if f % 2 else x * y
                 if acc != (target if i == j else [0] * len(acc)):
-                    bad[i, j] = (
-                        RatFun(z_poly(acc), z_poly(target)) if any(acc) else RatFun.zero()
-                    )
+                    bad[i, j] = RatFun(z_poly(acc), z_poly(target)) if any(acc) else RatFun.zero()
     for i, j in sorted(bad):
         report.fail(row=labels[i], col=labels[j], entry=ratfun_to_str(bad[i, j]))
     return report
 
 
-def verify_identity_at_zero(ell: int) -> Report:
-    """R(0) == Id for the assembled matrix: N_0 == ell! Id (``FullR.identity_at_zero``)."""
-    report = Report("identity_at_zero", {"ell": ell})
-    if not assemble_full(ell).identity_at_zero:
+def verify_identity_at_zero(full: FullR) -> Report:
+    """R(0) == Id for ``full``: N_0 == ell! Id (``FullR.identity_at_zero``)."""
+    report = Report("identity_at_zero", {"ell": full.ell})
+    if not full.identity_at_zero:
         report.fail(reason="R(0) is not the identity")
     return report
 
@@ -683,9 +681,7 @@ def sample_spectral_triples(
     rng = random.Random(seed)
     out: list[tuple[Fraction, Fraction, Fraction]] = []
     while len(out) < trials:
-        zs = tuple(
-            Fraction(rng.randint(-50, 50), rng.randint(1, 20)) for _ in range(3)
-        )
+        zs = tuple(Fraction(rng.randint(-50, 50), rng.randint(1, 20)) for _ in range(3))
         diffs = (zs[0] - zs[1], zs[0] - zs[2], zs[1] - zs[2])
         if any(dz in poles for dz in diffs):
             continue
@@ -693,8 +689,8 @@ def sample_spectral_triples(
     return out
 
 
-def ybe_trials(ell: int, trials: int, seed: int) -> Report:
-    """Yang-Baxter at ``trials`` seeded random rational triples, or by proof on a grid.
+def ybe_trials(full: FullR, trials: int, seed: int) -> Report:
+    """Yang-Baxter for ``full`` at ``trials`` seeded rational triples, or by proof on a grid.
 
     When trials >= (2*ell)^2 and N_0 = ell! Id, the triples are the grid
     triples (u+v, v, 0), u and v running over 1..2*ell, v fastest, which
@@ -708,8 +704,8 @@ def ybe_trials(ell: int, trials: int, seed: int) -> Report:
     integers 1..4*ell, so each is evaluated once per call, and a sample
     holds at most 4*ell at a time.
     """
+    ell = full.ell
     report = Report("ybe_trials", {"ell": ell, "trials": trials, "seed": seed})
-    full = assemble_full(ell)
     n = range(1, 2 * ell + 1)
     if trials >= (2 * ell) ** 2 and full.identity_at_zero:
         triples = [(Fraction(u + v), Fraction(v), Fraction(0)) for u in n for v in n]

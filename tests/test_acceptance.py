@@ -121,7 +121,7 @@ def test_criterion_07_yang_baxter():
     label = "Yang-Baxter proven on the 4- and 16-point grid (ell 1, 2), at 20 seeded triples (ell 3)"
     with _Budget(7, label, 300.0):
         for ell in (1, 2, 3):
-            report = ybe_trials(ell, trials=20, seed=7)
+            report = ybe_trials(assemble_full(ell), trials=20, seed=7)
             assert report.passed, report.summary()
 
 
@@ -131,7 +131,7 @@ def test_criterion_08_unitarity_and_identity_at_zero():
             report = verify_unitarity_block(k)
             assert report.passed, report.summary()
         for ell in (1, 2, 3):
-            report = verify_identity_at_zero(ell)
+            report = verify_identity_at_zero(assemble_full(ell))
             assert report.passed, report.summary()
 
 

@@ -330,6 +330,36 @@ def test_verify_seeded_ybe(capsys):
     assert params == {"ell": 1, "trials": 3, "seed": 7}
 
 
+SPIN_LINE_ROWS = [
+    ("unitarity_full", rmatrix, "verify_unitarity_full", {"ell": 2}),
+    ("identity_at_zero", rmatrix, "verify_identity_at_zero", {"ell": 2}),
+    ("ybe", rmatrix, "ybe_trials", {"ell": 2, "trials": 3, "seed": 7}),
+    ("commutation", oracle, "verify_sl2_commutation", {"ell": 2}),
+    ("spectrum", oracle, "verify_spectrum", {"ell": 2}),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, module, name, params", SPIN_LINE_ROWS, ids=[row[0] for row in SPIN_LINE_ROWS]
+)
+def test_spin_line_rows_look_up_their_check_as_the_case_runs(
+    monkeypatch, kind, module, name, params
+):
+    # the route row assembles R and hands it to the check bound on the module
+    # when the case runs, so a check rebound there (as perfbench's tracer
+    # rebinds module globals) is the one that runs
+    seen, check = [], getattr(module, name)
+
+    def recorder(full, *args):
+        seen.append(full)
+        return check(full, *args)
+
+    monkeypatch.setattr(module, name, recorder)
+    result = cli._run_case((kind, params))
+    assert [(type(full), full.ell) for full in seen] == [(rmatrix.FullR, 2)]
+    assert result["status"] == "pass" and result["params"] == params
+
+
 # ---------------------------------------------------------------------------
 # export and i/o
 # ---------------------------------------------------------------------------

@@ -359,7 +359,7 @@ def test_failures_inside_and_between_sectors_report_the_lowest_power():
     assert verify_sl2_commutation(broken).failures == expected
 
 
-def test_spectrum_suite_reports_a_commutation_failure_without_rho(monkeypatch):
+def test_spectrum_suite_reports_a_commutation_failure_without_rho():
     # one broken entry inside weight sector 2, at z^1: commutation fails
     # before any eigenvalue is read, so the suite reports one reason, which
     # names that power, and neither rho nor the gauge
@@ -367,8 +367,7 @@ def test_spectrum_suite_reports_a_commutation_failure_without_rho(monkeypatch):
     full = assemble_full(ell)
     broken = perturbed(full, full.labels.index((1, 1)), full.labels.index((0, 2)), 1, 1)
     assert {w["power"] for w in verify_sl2_commutation(broken).failures} == {1}
-    monkeypatch.setattr(oracle, "assemble_full", lambda ell: broken)
-    report = verify_spectrum(ell)
+    report = verify_spectrum(broken)
     assert report.failures == [{"reason": "spectral reconstruction fails at the power z^1"}]
     assert report.details == {}
 
@@ -563,7 +562,7 @@ def test_rho_matches_the_trial_division_route():
             assert z_poly(n) == _fusion_product(ell, s), (ell, s)
 
 
-def test_spectrum_checks_the_closed_form_coefficients(monkeypatch):
+def test_spectrum_checks_the_closed_form_coefficients():
     # N(-z)/D(z) still commutes, and its eigenvalues prod_{j<=s} (j-z)/(j+z)
     # satisfy rho(0) = 1, rho(z) rho(-z) = 1 and Moebius ratios; only the
     # closed form of the fusion numerators tells it from R
@@ -577,8 +576,7 @@ def test_spectrum_checks_the_closed_form_coefficients(monkeypatch):
     )
     broken = FullR(ell, mirrored)
     assert verify_sl2_commutation(broken).passed
-    monkeypatch.setattr(oracle, "assemble_full", lambda ell: broken)
-    report = verify_spectrum(ell)
+    report = verify_spectrum(broken)
     expected = []
     for s in range(ell + 1):
         for (e, _, _), x in sorted(_fusion_product(ell, s).terms.items()):
@@ -589,7 +587,7 @@ def test_spectrum_checks_the_closed_form_coefficients(monkeypatch):
 
 def test_spectrum_suite():
     for ell in (1, 2):
-        report = verify_spectrum(ell)
+        report = verify_spectrum(assemble_full(ell))
         assert report.passed
         assert "rho" in report.details
 

@@ -154,8 +154,15 @@ def test_block_limit_reports_a_wrong_or_a_divergent_entry(monkeypatch):
 
 
 def test_assemble_rejects_bad_spin():
-    with pytest.raises(ValueError):
-        assemble_full(0)
+    # the guard is FullR's, so an R that assemble_full did not build meets it too
+    cases = [
+        (0, lambda: assemble_full(0)),
+        (-1, lambda: FullR(-1, ())),
+        (0, lambda: FullR(0, ((((1,),),),))),
+    ]
+    for ell, build in cases:
+        with pytest.raises(ValueError, match=f"^need ell >= 1, got {ell}$"):
+            build()
 
 
 def test_assembled_4x4_hand_values():
@@ -511,7 +518,7 @@ def test_assembled_poles_and_identity_at_zero_through_spin_5_2():
 
 def test_identity_at_zero():
     for ell in (1, 2, 3, 4):
-        assert verify_identity_at_zero(ell).passed
+        assert verify_identity_at_zero(assemble_full(ell)).passed
 
 
 def test_at_z_refuses_pole_and_names_it():
@@ -570,7 +577,7 @@ def test_unitarity_blocks_small():
 
 def test_unitarity_assembled():
     for ell in (1, 2):
-        assert verify_unitarity_full(ell).passed
+        assert verify_unitarity_full(assemble_full(ell)).passed
 
 
 def test_block_and_assembled_coefficients_are_ints():
@@ -615,7 +622,7 @@ def test_ybe_single_point_spin_one():
 
 
 def test_ybe_trials_spin_half():
-    assert ybe_trials(1, 20, seed=7).passed
+    assert ybe_trials(assemble_full(1), 20, seed=7).passed
 
 
 def identity(n):
@@ -678,14 +685,13 @@ def _witnesses(full, triples):
     return out
 
 
-def test_ybe_trials_reports_each_failing_triple_with_its_first_witness(monkeypatch):
+def test_ybe_trials_reports_each_failing_triple_with_its_first_witness():
     # every failing triple is one witness, carrying the first witness of
     # verify_ybe at that triple: the sampled triples below (2l)^2 = 16
     # trials, the grid triples from there on
     broken = _broken_full(2, {(1, 3): lambda c: tuple(2 * x for x in c)})
-    monkeypatch.setattr(rmatrix, "assemble_full", lambda ell: broken)
     for trials, triples in ((4, sample_spectral_triples(2, 4, 5)), (20, _grid(2))):
-        report = ybe_trials(2, trials, seed=5)
+        report = ybe_trials(broken, trials, seed=5)
         expected = _witnesses(broken, triples)
         assert len(expected) > 1 and report.failures == expected, trials
         assert report.params == {"ell": 2, "trials": trials, "seed": 5}
@@ -719,7 +725,7 @@ def test_ybe_trials_proves_on_the_grid_without_sampling(monkeypatch):
     monkeypatch.setattr(rmatrix, "sample_spectral_triples", never)
     for ell, trials in ((1, 4), (1, 100), (2, 16), (3, 36), (4, 64), (4, 10000)):
         points.clear()
-        report = ybe_trials(ell, trials, seed=3)
+        report = ybe_trials(assemble_full(ell), trials, seed=3)
         assert report.passed and report.params == {"ell": ell, "trials": trials, "seed": 3}
         assert points == _grid(ell), (ell, trials)
 
@@ -729,7 +735,7 @@ def test_ybe_trials_below_the_grid_size_samples_as_before(monkeypatch):
     for ell in range(1, 5):
         points.clear()
         trials = (2 * ell) ** 2 - 1
-        assert ybe_trials(ell, trials, seed=3).passed
+        assert ybe_trials(assemble_full(ell), trials, seed=3).passed
         assert points == sample_spectral_triples(ell, trials, 3), ell
 
 
@@ -739,10 +745,9 @@ def test_the_grid_evaluates_each_difference_once(monkeypatch):
     for ell in (1, 3):
         full = FullR(ell, assemble_full(ell).blocks)
         assert full.identity_at_zero
-        monkeypatch.setattr(rmatrix, "assemble_full", lambda ell: full)
         values, evaluate = [], FullR.evaluate
         monkeypatch.setattr(FullR, "evaluate", lambda self, z: values.append(z) or evaluate(self, z))
-        assert ybe_trials(ell, (2 * ell) ** 2, seed=3).passed
+        assert ybe_trials(full, (2 * ell) ** 2, seed=3).passed
         assert sorted(values) == list(range(1, 4 * ell + 1)), ell
         monkeypatch.undo()
 
@@ -758,13 +763,12 @@ def test_ybe_trials_samples_when_r_at_zero_is_not_the_identity(monkeypatch):
         ),
     )
     assert not doubled.identity_at_zero
-    monkeypatch.setattr(rmatrix, "assemble_full", lambda ell: doubled)
     points = _record_ybe_points(monkeypatch)
-    assert ybe_trials(2, 20, seed=3).passed
+    assert ybe_trials(doubled, 20, seed=3).passed
     assert points == sample_spectral_triples(2, 20, 3)
 
 
-def test_every_doubled_entry_fails_the_grid(monkeypatch):
+def test_every_doubled_entry_fails_the_grid():
     # each stored entry doubled, at l = 2 and 3, checked with (2l)^2 trials:
     # a diagonal one breaks R(0) = Id and fails on the sampled triples, every
     # other one reports exactly its failing grid triples, each with the first
@@ -777,9 +781,8 @@ def test_every_doubled_entry_fails_the_grid(monkeypatch):
                 for c, j in enumerate(sector):
                     assert full.blocks[w][r][c], (ell, i, j)
                     broken = _broken_full(ell, {(i, j): lambda n: tuple(2 * x for x in n)})
-                    monkeypatch.setattr(rmatrix, "assemble_full", lambda ell: broken)
                     mutants += 1
-                    report = ybe_trials(ell, (2 * ell) ** 2, seed=3)
+                    report = ybe_trials(broken, (2 * ell) ** 2, seed=3)
                     assert report.failures, (ell, i, j)
                     if i == j:
                         assert not broken.identity_at_zero, (ell, i)
@@ -795,13 +798,12 @@ def test_ybe_trials_reports_a_failing_grid_triple_that_no_sample_finds(monkeypat
     # sampled even though the grid fails, and the witnesses are exactly the
     # failing grid triples in grid order
     broken = _broken_full(2, {(1, 3): lambda c: tuple(2 * x for x in c)})
-    monkeypatch.setattr(rmatrix, "assemble_full", lambda ell: broken)
     monkeypatch.setattr(
         rmatrix,
         "sample_spectral_triples",
         lambda ell, trials, seed: [(Fraction(k, 3),) * 3 for k in range(trials)],
     )
-    assert ybe_trials(2, 15, seed=5).passed
+    assert ybe_trials(broken, 15, seed=5).passed
 
     def never(*args):
         raise AssertionError("sampled although the grid decides")
@@ -810,7 +812,7 @@ def test_ybe_trials_reports_a_failing_grid_triple_that_no_sample_finds(monkeypat
     expected = _witnesses(broken, _grid(2))
     assert expected
     for trials in (16, 100):
-        assert ybe_trials(2, trials, seed=5).failures == expected, trials
+        assert ybe_trials(broken, trials, seed=5).failures == expected, trials
 
 
 def test_balanced_digits_decode_packed_rows():
@@ -1271,26 +1273,24 @@ def _dense_unitarity_witnesses(full):
     ]
 
 
-def test_identity_at_zero_fails_on_a_corrupted_constant_coefficient(monkeypatch):
+def test_identity_at_zero_fails_on_a_corrupted_constant_coefficient():
     # N_0 = ell! Id decides R(0) = Id; the dense route at_z(0) must agree, also
     # when only a higher coefficient is corrupted, which leaves R(0) alone
     bump = {0: lambda c: (c[0] + 1,) + c[1:] if c else (1,), 1: lambda c: (c[0], c[1] + 1) + c[2:]}
     cases = [(2, (4, 4), 0), (2, (1, 3), 0), (3, (6, 9), 0), (3, (0, 0), 0), (3, (6, 9), 1)]
     for ell, (i, j), power in cases:
         broken = _broken_full(ell, {(i, j): bump[power]})
-        monkeypatch.setattr(rmatrix, "assemble_full", lambda ell: broken)
-        report = verify_identity_at_zero(ell)
+        report = verify_identity_at_zero(broken)
         dense = broken.at_z(Fraction(0)) == identity(broken.dim)
         assert report.passed == dense == (power > 0), (ell, i, j, power)
         if power == 0:
             assert report.failures == [{"reason": "R(0) is not the identity"}]
 
 
-def test_unitarity_full_witness_matches_dense_product(monkeypatch):
+def test_unitarity_full_witness_matches_dense_product():
     # scale the (0,1) -> (1,0) coupling of the spin-1 matrix by 2
     broken = _broken_full(2, {(1, 3): lambda c: tuple(2 * x for x in c)})
-    monkeypatch.setattr(rmatrix, "assemble_full", lambda ell: broken)
-    report = verify_unitarity_full(2)
+    report = verify_unitarity_full(broken)
     assert report.failures and report.failures == _dense_unitarity_witnesses(broken)
 
 
@@ -1380,14 +1380,25 @@ def test_dense_outputs_read_the_blocks_and_no_check_builds_them(monkeypatch):
         for i, j in between:
             assert dense[0][i][j].is_zero and dense[1][i][j].is_zero and dense[2][i][j] == 0
             assert dense[0][i][j].den == spin_denominator(ell)
-    # the checks read the blocks: on a fresh matrix no dense square is built
-    full = FullR(3, assemble_full(3).blocks)
-    monkeypatch.setattr(rmatrix, "assemble_full", lambda ell: full)
-    monkeypatch.setattr(oracle, "assemble_full", lambda ell: full)
-    assert verify_unitarity_full(3).passed and verify_identity_at_zero(3).passed
-    assert oracle.verify_sl2_commutation(full).passed and oracle.verify_spectrum(3).passed
-    assert verify_ybe(full, Fraction(11, 5), Fraction(-4, 3), Fraction(2, 9)).passed
-    assert "matrix" not in vars(full)
+    # the checks read the blocks of the FullR they are given: on fresh copies,
+    # made before assembly is refused, no check builds R or a dense square.
+    # With the memo emptied, every assemble_full call reaches specialize_block
+    fulls = [FullR(ell, assemble_full(ell).blocks) for ell in (1, 2, 3)]
+
+    def never(*args):
+        raise AssertionError("a check built R")
+
+    assemble_full.cache_clear()
+    monkeypatch.setattr(rmatrix, "specialize_block", never)
+    assert not hasattr(oracle, "assemble_full")
+    zs = (Fraction(11, 5), Fraction(-4, 3), Fraction(2, 9))
+    for full in fulls:
+        grid = (2 * full.ell) ** 2
+        assert verify_unitarity_full(full).passed and verify_identity_at_zero(full).passed
+        assert ybe_trials(full, grid, seed=3).passed and ybe_trials(full, 5, seed=3).passed
+        assert verify_ybe(full, *zs).passed
+        assert oracle.verify_sl2_commutation(full).passed and oracle.verify_spectrum(full).passed
+        assert "matrix" not in vars(full), full.ell
 
 
 def test_dense_outputs_work_only_on_sector_entries(monkeypatch):
@@ -1419,7 +1430,7 @@ def test_full_r_refuses_mutation():
     assert full.ell == 1 and full.blocks is assemble_full(1).blocks and "fresh" not in vars(full)
 
 
-def test_half_sector_failures_match_the_dense_routes(monkeypatch):
+def test_half_sector_failures_match_the_dense_routes():
     # the premise still holds, so the checks start on the lower half, find a
     # failure there and then check every sector: the witnesses, upper half
     # included, are those of the dense routes, in the same order
@@ -1437,8 +1448,7 @@ def test_half_sector_failures_match_the_dense_routes(monkeypatch):
         # a failing sector fails with its mirror
         weights = {_triple_weight(w["row"], ell) for w in report.failures}
         assert weights == {3 * ell - w for w in weights}
-        monkeypatch.setattr(rmatrix, "assemble_full", lambda ell: broken)
-        report = verify_unitarity_full(ell)
+        report = verify_unitarity_full(broken)
         assert report.failures and report.failures == _dense_unitarity_witnesses(broken)
         weights = {sum(w["row"]) for w in report.failures}
         assert weights == {2 * ell - w for w in weights}

@@ -10,7 +10,9 @@ PYTHONPATH.  The invocations:
 * every command of ``OUTPUT_DIGESTS`` in ``tests/test_cli.py``;
 * the op of every perfbench workload at seed 1;
 * ``verify --suite S --format json|text`` for every suite;
-* ``verify --suite oracle -l L --format json`` for L = 3..6;
+* ``verify --suite oracle -l L --format json`` for L = 3..6 and 12, and
+  ``verify --suite unitarity -k 0 -l L --format json`` for the same L, so
+  that the oracle and unitarity routes run up to MAX_ELL;
 * ``verify --suite constructions|unitarity -k K --format json`` for
   K = 7..12, beyond the k <= 6 of the suite defaults, and for
   ``constructions -k 24`` (the input bound) and ``unitarity -k 14``;
@@ -71,8 +73,9 @@ def commands() -> list[list[str]]:
     out = output_digest_commands() + perfbench_commands()
     for suite in suite_names():
         out += [["verify", "--suite", suite, "--format", f] for f in ("json", "text")]
-    for ell in range(3, 7):
+    for ell in (3, 4, 5, 6, 12):
         out.append(["verify", "--suite", "oracle", "-l", str(ell), "--format", "json"])
+        out.append(["verify", "--suite", "unitarity", "-k", "0", "-l", str(ell), "--format", "json"])
     for suite in ("constructions", "unitarity"):
         for k in range(7, 13):
             out.append(["verify", "--suite", suite, "-k", str(k), "--format", "json"])
