@@ -65,7 +65,32 @@ where every difference is at least 1 and none is a pole, and its witnesses
 are the failing grid triples, each of which replays with
 ``verify --suite ybe -l L --trials (2L)^2`` under any seed.  Below that many
 trials, or when the premise fails, the check is a screen at seeded random
-rational triples.
+rational triples.  The next two arguments let the grid route decide the
+equation on the corner u <= v, u + v <= 3*ell of the grid first (17 of 36
+points at ell = 3); only when that pass fails, or its premise does, are all
+(2*ell)^2 grid triples checked, so the witnesses stay the failing grid
+triples in grid order.
+
+The swap argument.  Let P swap the two factors of V (x) V and P13 slots 1
+and 3 of V (x) V (x) V, so P13 B12(X) P13 = B23(P X P).  P reverses each
+pair sector, so P N_e P = N_e for every power e reads
+blocks[w][~r][~c] == blocks[w][r][c] (``FullR.swap_symmetric``, decided on
+first read).  When it holds, conjugating by P13 maps the left side at (u, v)
+to the right side at (v, u) and back, so Delta(v, u) = -P13 Delta(u, v) P13:
+Delta vanishes at (u, v) exactly when it vanishes at (v, u).
+
+The corner argument.  Each entry of a side is a sum of products of one
+entry each of N(v), N(u+v) and N(u), each of degree <= ell, so the quotient
+Q = Delta/(u v) has total degree <= 3*ell - 2 and degree <= 2*ell - 1 in
+each variable: its monomials u^a v^b lie in the lower set
+L = {a, b <= 2*ell - 1, a + b <= 3*ell - 2}.  A polynomial supported on a
+lower set L that vanishes at the points (a+1, b+1), (a, b) in L, is zero.
+By induction on the largest a in L: at u = 1 it is a polynomial in v of
+degree <= 2*ell - 1 (at most the largest b) with the roots 1..2*ell, so each
+coefficient of v^b vanishes at u = 1, u - 1 divides the polynomial, and the
+quotient, shifted by u -> u + 1, is supported on {(a, b): (a+1, b) in L} and
+vanishes at its points.  Those points of L are the grid triples with
+u + v <= 3*ell, and by the swap argument the ones with u <= v decide them.
 
 The mirror argument.  Both checks on the assembled matrix read half of the
 weight sectors.  R(z) intertwines sl2 modules, so it commutes with the Weyl
@@ -365,6 +390,8 @@ class FullR:
     reads R at a point, for ``at_z``, ``identity_at_zero`` and the YBE.
     ``matrix`` is the ``SymMatrix`` of ``RatFun(N, D)``, ``lowest_terms``
     the reduced one; they and ``at_z`` are the only dense squares.
+    ``mirror_symmetric`` and ``swap_symmetric`` are symmetries of the stored
+    coefficients that the checks read as premises, each decided on first read.
     Basis: pairs (a, b) with a, b in 0..ell in lexicographic order, the pair
     (a, b) being row/column (ell+1)*a + b and its label.  Construction
     refuses (ValueError) ell < 1, blocks of other shapes and a numerator of
@@ -402,6 +429,22 @@ class FullR:
         blocks, den = self.evaluate(Fraction(0))
         return all(
             x == den * (r == c) for b in blocks for r, row in enumerate(b) for c, x in enumerate(row)
+        )
+
+    @functools.cached_property
+    def swap_symmetric(self) -> bool:
+        """Whether P N_e P = N_e for every power e, P swapping the two factors.
+
+        P maps (a, b) to (b, a), which reverses each pair sector, so entrywise
+        that is blocks[w][~r][~c] == blocks[w][r][c].  Decided on first read,
+        never on construction.  Why the YBE grid may then read only its
+        points with u <= v: the swap argument of the module docstring.
+        """
+        return all(
+            block[~r][~c] == coeffs
+            for block in self.blocks
+            for r, row in enumerate(block)
+            for c, coeffs in enumerate(row)
         )
 
     @functools.cached_property
@@ -589,6 +632,21 @@ def _apply(blocks: list, pair_blocks: list[list[list[int]]], rows: list[int]) ->
     return out
 
 
+def _sides(
+    slot12: list, slot23: list, r12: list, r13: list, r23: list, left: list[int], right: list[int]
+) -> tuple[list[int], list[int]]:
+    """The packed rows of B12(r23) B23(r13) B12(r12) and B23(r12) B12(r13) B23(r23) on a sector.
+
+    ``left`` and ``right`` are the first products, B12(r12) and B23(r23)
+    applied to the unit rows, which the caller forms: each depends on one
+    difference only.
+    """
+    return (
+        _apply(slot12, r23, _apply(slot23, r13, left)),
+        _apply(slot23, r12, _apply(slot12, r13, right)),
+    )
+
+
 def _balanced_digits(x: int, s: int, n: int) -> list[int]:
     """The n digits of x = sum_q x_q 2^(s*q) with every x_q in [-2^(s-1), 2^(s-1))."""
     half, mask, out = 1 << (s - 1), (1 << s) - 1, []
@@ -652,8 +710,8 @@ def _ybe_at(full: FullR, zs: Sequence[Fraction], ops: Sequence[tuple]) -> Report
             break
         n = len(indices)
         unit = [1 << (s * q) for q in range(n)]
-        lhs = _apply(slot12, r23, _apply(slot23, r13, _apply(slot12, r12, unit)))
-        rhs = _apply(slot23, r12, _apply(slot12, r13, _apply(slot23, r23, unit)))
+        first = _apply(slot12, r12, unit), _apply(slot23, r23, unit)
+        lhs, rhs = _sides(slot12, slot23, r12, r13, r23, *first)
         for r, (x, y) in enumerate(zip(lhs, rhs)):
             if x == y:
                 continue
@@ -689,29 +747,68 @@ def sample_spectral_triples(
     return out
 
 
+def _corner_holds(full: FullR, evaluated: Callable) -> bool:
+    """Whether both sides agree at the grid triples (u+v, v, 0) with u <= v and u + v <= 3*ell.
+
+    One pass: the differences 1..3*ell are read through ``evaluated``, and
+    one digit width s serves every point, from B = (ell+1)^2 m(u) m(u+v) m(v)
+    (m the largest absolute entry) at the point where it is largest, so
+    every digit of every point lies in (-2^(s-1), 2^(s-1)) as in
+    ``verify_ybe``.  The unit rows are then the same at every point, so per
+    sector the first product B12(N(u)) is formed once per u and B23(N(v))
+    once per v.  When ``FullR.mirror_symmetric`` holds, sectors
+    W <= 3*ell // 2 are read.  Stops at the first point that differs.
+    """
+    ell = full.ell
+    corner = [(u, range(u, min(2 * ell, 3 * ell - u) + 1)) for u in range(1, 3 * ell // 2 + 1)]
+    ops = {d: evaluated(Fraction(d)) for d in range(1, 3 * ell + 1)}
+    bound = max(ops[u][2] * ops[u + v][2] * ops[v][2] for u, vs in corner for v in vs)
+    s = ((ell + 1) ** 2 * bound).bit_length() + 1
+    n = {d: blocks for d, (blocks, _, _) in ops.items()}
+    for weight, (indices, slot12, slot23) in enumerate(_ybe_layout(ell)):
+        if weight > 3 * ell // 2 and full.mirror_symmetric:
+            break
+        unit = [1 << (s * q) for q in range(len(indices))]
+        right = {v: _apply(slot23, n[v], unit) for v in range(1, 2 * ell + 1)}
+        for u, vs in corner:
+            left = _apply(slot12, n[u], unit)
+            for v in vs:
+                lhs, rhs = _sides(slot12, slot23, n[u], n[u + v], n[v], left, right[v])
+                if lhs != rhs:
+                    return False
+    return True
+
+
 def ybe_trials(full: FullR, trials: int, seed: int) -> Report:
     """Yang-Baxter for ``full`` at ``trials`` seeded rational triples, or by proof on a grid.
 
-    When trials >= (2*ell)^2 and N_0 = ell! Id, the triples are the grid
-    triples (u+v, v, 0), u and v running over 1..2*ell, v fastest, which
-    decide the equation for every triple off the poles (the grid argument of
-    the module docstring); otherwise they are ``sample_spectral_triples``.
-    Each failing triple is one witness {"z", "first"}, with the first
-    ``verify_ybe`` witness there.  Every point is decided by ``_ybe_at``, the
-    body of ``verify_ybe``, on the differences z1 - z2, z1 - z3 and z2 - z3
-    evaluated with their largest absolute entries (``_evaluated``) through a
-    cache of the last 4*ell values: the grid's differences are the 4*ell
-    integers 1..4*ell, so each is evaluated once per call, and a sample
-    holds at most 4*ell at a time.
+    When trials >= (2*ell)^2 and N_0 = ell! Id, the grid triples
+    (u+v, v, 0), u and v in 1..2*ell, decide the equation for every triple
+    off the poles (the grid argument of the module docstring).  When
+    ``FullR.swap_symmetric`` holds too, ``_corner_holds`` decides it first
+    on the corner u <= v, u + v <= 3*ell of the grid (the swap and corner
+    arguments), and a pass there is the verdict.  Otherwise, or when that
+    pass fails, the triples are all grid triples, v fastest; below
+    (2*ell)^2 trials, or without N_0 = ell! Id, they are
+    ``sample_spectral_triples``.  Each failing triple is one witness
+    {"z", "first"}, with the first ``verify_ybe`` witness there.  Every
+    triple is decided by ``_ybe_at``, the body of ``verify_ybe``, on the
+    differences z1 - z2, z1 - z3 and z2 - z3 evaluated with their largest
+    absolute entries (``_evaluated``) through a cache of the last 4*ell
+    values, which the corner pass reads too: the grid's differences are the
+    4*ell integers 1..4*ell, so each is evaluated once per call, and a
+    sample holds at most 4*ell at a time.
     """
     ell = full.ell
     report = Report("ybe_trials", {"ell": ell, "trials": trials, "seed": seed})
+    evaluated = functools.lru_cache(maxsize=4 * ell)(functools.partial(_evaluated, full))
     n = range(1, 2 * ell + 1)
     if trials >= (2 * ell) ** 2 and full.identity_at_zero:
+        if full.swap_symmetric and _corner_holds(full, evaluated):
+            return report
         triples = [(Fraction(u + v), Fraction(v), Fraction(0)) for u in n for v in n]
     else:
         triples = sample_spectral_triples(ell, trials, seed)
-    evaluated = functools.lru_cache(maxsize=4 * ell)(functools.partial(_evaluated, full))
     for zs in triples:
         z1, z2, z3 = zs
         sub = _ybe_at(full, zs, [evaluated(dz) for dz in (z1 - z2, z1 - z3, z2 - z3)])

@@ -715,19 +715,52 @@ def _record_ybe_points(monkeypatch):
     return points
 
 
+def _corner(ell):
+    """The grid points (u, v) with u <= v and u + v <= 3l, v fastest."""
+    n = range(1, 2 * ell + 1)
+    return [(u, v) for u in n for v in n if u <= v and u + v <= 3 * ell]
+
+
+def _record_corner_points(monkeypatch):
+    """Route the sector products of the corner pass through a recorder; returns
+    the points (u, v) they were formed at, once per sector, read off the
+    evaluated differences u, u+v and v they were given."""
+    points, values, evaluate, sides = [], {}, FullR.evaluate, rmatrix._sides
+
+    def evaluated(self, z):
+        out = evaluate(self, z)
+        values[id(out[0])] = int(z)
+        return out
+
+    def recorded(slot12, slot23, r12, r13, r23, left, right):
+        u, uv, v = (values[id(r)] for r in (r12, r13, r23))
+        assert uv == u + v
+        points.append((u, v))
+        return sides(slot12, slot23, r12, r13, r23, left, right)
+
+    monkeypatch.setattr(FullR, "evaluate", evaluated)
+    monkeypatch.setattr(rmatrix, "_sides", recorded)
+    return points
+
+
 def test_ybe_trials_proves_on_the_grid_without_sampling(monkeypatch):
-    # trials >= (2l)^2: exactly the grid triples (u+v, v, 0), and no sample
-    points = _record_ybe_points(monkeypatch)
+    # trials >= (2l)^2 and both premises: exactly the corner points (u, v),
+    # u <= v and u + v <= 3l, in each sector W <= 3l // 2, no other grid
+    # triple, and no sample
+    points, corner = _record_ybe_points(monkeypatch), _record_corner_points(monkeypatch)
 
     def never(*args):
         raise AssertionError("sampled although the grid decides")
 
     monkeypatch.setattr(rmatrix, "sample_spectral_triples", never)
+    sizes = {1: 2, 2: 8, 3: 17, 4: 30}
     for ell, trials in ((1, 4), (1, 100), (2, 16), (3, 36), (4, 64), (4, 10000)):
-        points.clear()
-        report = ybe_trials(assemble_full(ell), trials, seed=3)
+        points.clear(), corner.clear()
+        full = FullR(ell, assemble_full(ell).blocks)
+        report = ybe_trials(full, trials, seed=3)
         assert report.passed and report.params == {"ell": ell, "trials": trials, "seed": 3}
-        assert points == _grid(ell), (ell, trials)
+        assert full.swap_symmetric and full.mirror_symmetric and len(_corner(ell)) == sizes[ell]
+        assert points == [] and corner == _corner(ell) * (3 * ell // 2 + 1), (ell, trials)
 
 
 def test_ybe_trials_below_the_grid_size_samples_as_before(monkeypatch):
@@ -740,15 +773,16 @@ def test_ybe_trials_below_the_grid_size_samples_as_before(monkeypatch):
 
 
 def test_the_grid_evaluates_each_difference_once(monkeypatch):
-    # the (2l)^2 grid triples (u+v, v, 0) have the differences 1..4l, and
-    # each is evaluated once per call, not three times per point
+    # the corner triples (u+v, v, 0), u <= v and u + v <= 3l, have the
+    # differences 1..3l, and each is evaluated once per call, not three
+    # times per point
     for ell in (1, 3):
         full = FullR(ell, assemble_full(ell).blocks)
         assert full.identity_at_zero
         values, evaluate = [], FullR.evaluate
         monkeypatch.setattr(FullR, "evaluate", lambda self, z: values.append(z) or evaluate(self, z))
         assert ybe_trials(full, (2 * ell) ** 2, seed=3).passed
-        assert sorted(values) == list(range(1, 4 * ell + 1)), ell
+        assert sorted(values) == list(range(1, 3 * ell + 1)), ell
         monkeypatch.undo()
 
 
@@ -790,6 +824,73 @@ def test_every_doubled_entry_fails_the_grid():
                     assert broken.identity_at_zero, (ell, i, j)
                     assert report.failures == _witnesses(broken, _grid(ell)), (ell, i, j)
     assert mutants == 63
+
+
+def _swap(ell, i):
+    """The index of (b, a) for the pair i = (a, b)."""
+    return i % (ell + 1) * (ell + 1) + i // (ell + 1)
+
+
+def _off_diagonal(ell):
+    """The stored entries (i, j), i != j, of assemble_full(ell)."""
+    return [(i, j) for sector in pair_sectors(ell) for i in sector for j in sector if i != j]
+
+
+def _doubled(c):
+    return tuple(2 * x for x in c)
+
+
+def test_swap_premise_holds_through_max_ell():
+    # and it agrees with the dense P R(z) P = R(z) at a point
+    z = Fraction(2, 3)
+    for ell in range(1, cli.MAX_ELL + 1):
+        full = assemble_full(ell)
+        assert full.swap_symmetric, ell
+        if ell <= 4:
+            m, p = full.at_z(z), [_swap(ell, i) for i in range(full.dim)]
+            assert [[m[p[i]][p[j]] for j in range(full.dim)] for i in range(full.dim)] == m
+
+
+def test_swap_premise_is_decided_only_when_read():
+    full = FullR(3, assemble_full(3).blocks)
+    full.lowest_terms(), full.at_z(Fraction(2)), full.mirror_symmetric, full.identity_at_zero
+    assert "swap_symmetric" not in vars(full)
+    assert full.swap_symmetric and "swap_symmetric" in vars(full)
+
+
+def test_swap_premise_refuses_each_off_diagonal_doubled_entry():
+    for ell in (1, 2, 3):
+        for i, j in _off_diagonal(ell):
+            assert _stored(assemble_full(ell), i, j), (ell, i, j)
+            assert not _broken_full(ell, {(i, j): _doubled}).swap_symmetric, (ell, i, j)
+
+
+def test_every_doubled_swap_pair_fails_through_the_corner_pass(monkeypatch):
+    # each off-diagonal entry doubled together with its swap image, at l = 2
+    # and 3: both premises hold, so the corner pass decides first; it fails,
+    # and the witnesses are exactly the failing grid triples in grid order,
+    # each with the first witness of verify_ybe there
+    verdicts, corner_holds = [], rmatrix._corner_holds
+
+    def recorded(full, evaluated):
+        verdicts.append(corner_holds(full, evaluated))
+        return verdicts[-1]
+
+    monkeypatch.setattr(rmatrix, "_corner_holds", recorded)
+    mutants = 0
+    for ell in (2, 3):
+        for i, j in _off_diagonal(ell):
+            image = _swap(ell, i), _swap(ell, j)
+            if (i, j) > image:
+                continue
+            broken = _broken_full(ell, {(i, j): _doubled, image: _doubled})
+            assert broken.swap_symmetric and broken.identity_at_zero, (ell, i, j)
+            verdicts.clear()
+            report = ybe_trials(broken, (2 * ell) ** 2, seed=3)
+            assert verdicts == [False], (ell, i, j)
+            assert report.failures == _witnesses(broken, _grid(ell)) != [], (ell, i, j)
+            mutants += 1
+    assert mutants == 19
 
 
 def test_ybe_trials_reports_a_failing_grid_triple_that_no_sample_finds(monkeypatch):
@@ -858,7 +959,9 @@ def test_measured_ybe_bound_bounds_both_sides(monkeypatch):
     # _dense_ybe_witnesses, in ints, every entry of both sides times
     # d12 d13 d23 is at most B, B is at most the bound derived from the
     # coefficients, (l+1)^2 nu^3 prod max(|p|, q)^l with nu = max sum_e |N_e|,
-    # and the digit width s of verify_ybe holds every such entry
+    # and the digit width s of verify_ybe holds every such entry; the corner
+    # pass of ybe_trials packs every point at one width, which holds the
+    # bound B of each corner point
     widths, apply = [], rmatrix._apply
 
     def recorded(blocks, pair_blocks, rows):
@@ -877,6 +980,8 @@ def test_measured_ybe_bound_bounds_both_sides(monkeypatch):
     for ell in (1, 2, 3):
         full, d = assemble_full(ell), ell + 1
         nu = max(sum(map(abs, c)) for block in full.blocks for row in block for c in row)
+        corner = {(u + v, v, 0) for u, v in _corner(ell)}
+        corner_bounds = []
         for zs in _grid(ell) + rational:
             ops, bound, derived = [], d**2, d**2 * nu**3
             for dz in (zs[0] - zs[1], zs[0] - zs[2], zs[1] - zs[2]):
@@ -897,6 +1002,11 @@ def test_measured_ybe_bound_bounds_both_sides(monkeypatch):
             widths.clear()
             assert verify_ybe(full, *zs).passed
             assert widths and all(bound < 2 ** (s - 1) for s in widths), (ell, zs)
+            if zs in corner:
+                corner_bounds.append(bound)
+        widths.clear()
+        assert ybe_trials(full, (2 * ell) ** 2, seed=3).passed and len(corner_bounds) == len(corner)
+        assert len(set(widths)) == 1 and all(b < 2 ** (widths[0] - 1) for b in corner_bounds), ell
 
 
 def test_sampling_is_seeded_and_avoids_poles():

@@ -23,7 +23,9 @@ PYTHONPATH.  The invocations:
   suite defaults;
 * ``compute-r --block K`` for K = 0..8;
 * ``verify --suite ybe -l L --trials T`` for L = 1..5 and T in
-  {1, (2L)^2 - 1, (2L)^2, 100}, on both sides of the grid threshold;
+  {1, (2L)^2 - 1, (2L)^2, 100}, on both sides of the grid threshold, and
+  ``verify --suite ybe -l L --trials (2L)^2 --format json`` for L = 6..8,
+  the grid proof at larger spins;
 * ``compute-r -l 3 --at-z Z --format csv`` for Z in {0, 1/3, -7/2, 5, -1},
   the last a pole.
 
@@ -91,6 +93,9 @@ def commands() -> list[list[str]]:
         grid = (2 * ell) ** 2
         for trials in (1, grid - 1, grid, 100):
             out.append(["verify", "--suite", "ybe", "-l", str(ell), "--trials", str(trials)])
+    for ell in range(6, 9):
+        trials = ["--trials", str((2 * ell) ** 2), "--format", "json"]
+        out.append(["verify", "--suite", "ybe", "-l", str(ell), *trials])
     for z in ("0", "1/3", "-7/2", "5", "-1"):
         out.append(["compute-r", "-l", "3", "--at-z", z, "--format", "csv"])
     return out
